@@ -101,12 +101,12 @@ bench-gate:
 
 # Coverage gates on the layers every other layer builds on: the
 # device/target contract, the observability primitives, the qx engine
-# suite with its stabilizer fast path, the loadgen scenario harness and
-# the qlint analyzer suite (mirrors the CI step). COVER_PKGS drives one
-# loop over the per-package gates; the lint gate stays special-cased
-# because its profile aggregates over the whole internal/lint tree —
-# the analyzer fixtures exercise the framework.
-COVER_PKGS ?= target obs qx loadgen
+# suite with its stabilizer fast path, the loadgen scenario harness, the
+# qserv accelerator service and the qlint analyzer suite (mirrors the CI
+# step). COVER_PKGS drives one loop over the per-package gates; the lint
+# gate stays special-cased because its profile aggregates over the whole
+# internal/lint tree — the analyzer fixtures exercise the framework.
+COVER_PKGS ?= target obs qx loadgen qserv
 COVER_FLOOR ?= 80.0
 COVER_AWK = /^total:/ {sub(/%/,"",$$3); if ($$3+0 < floor) {print pkg " coverage " $$3 "% is below the " floor "% gate"; exit 1} else print pkg " coverage " $$3 "%"}
 

@@ -1,6 +1,7 @@
 // TSP example: reproduces Fig 9 — the 4-city Netherlands route-planning
 // instance reduced to a 16-variable QUBO and solved on every accelerator
-// model the paper discusses: exact enumeration, simulated annealing,
+// model the paper discusses: exact enumeration, the nearest-neighbour and
+// 2-opt classical heuristics, simulated annealing,
 // path-integral simulated quantum annealing (D-Wave-style), the
 // fully-connected digital annealer (Fujitsu-style), and gate-based QAOA,
 // plus the Chimera embedding overhead and the 9-vs-90-city capacity
@@ -56,6 +57,10 @@ func main() {
 	// Reference: enumerate all tours.
 	tour, cost := g.BruteForce()
 	fmt.Printf("\nexact optimum: %v cost %.2f (paper: 1.42)\n", tour, cost)
+	nnTour, nnCost := g.NearestNeighbor(0)
+	fmt.Printf("%-28s tour %v cost %.2f\n", "nearest neighbour:", nnTour, nnCost)
+	twoOpt, twoOptCost := g.TwoOpt(nnTour)
+	fmt.Printf("%-28s tour %v cost %.2f\n", "2-opt:", twoOpt, twoOptCost)
 
 	// QUBO reduction: N² = 16 binary variables x_{c,t}.
 	enc := tsp.Encode(g, 0)

@@ -37,6 +37,14 @@ type CompileEnv struct {
 	Span *obs.Span
 }
 
+// span returns the job's run span (nil for a nil env).
+func (e *CompileEnv) span() *obs.Span {
+	if e == nil {
+		return nil
+	}
+	return e.Span
+}
+
 // Backend is one execution target behind the service's worker pools. Run
 // must be safe for concurrent use: workers of the same pool call it in
 // parallel.
@@ -274,25 +282,11 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 // overrides that only change the suffix — still reuse the cached
 // platform-generic prefix artefacts and recompile suffix-only.
 func (b *StackBackend) Run(r *Request, seed int64, env *CompileEnv) (*Result, bool, error) {
-	p, err := b.program(r)
+	stack, p, compiled, hit, err := b.compile(r, env)
 	if err != nil {
 		return nil, false, err
 	}
-	stack, err := b.resolveStack(r, env)
-	if err != nil {
-		return nil, false, err
-	}
-	var span *obs.Span
-	var cache *CompileCache
-	if env != nil {
-		span = env.Span
-		cache = env.Cache
-	}
-	compiled, hit, err := compileOn(stack, p, cache, span)
-	if err != nil {
-		return nil, false, err
-	}
-	rep, err := executeCompiled(stack, compiled, p.NumQubits, r.Shots, seed, span)
+	rep, err := executeCompiled(stack, compiled, p.NumQubits, r.Shots, seed, env.span())
 	if err != nil {
 		return nil, hit, err
 	}
@@ -308,6 +302,13 @@ func (b *StackBackend) Run(r *Request, seed int64, env *CompileEnv) (*Result, bo
 // the session executes on, the program, the (possibly parametric)
 // artefact and whether the compile was a full-artefact cache hit.
 func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
+	return b.compile(r, env)
+}
+
+// compile is the gate backends' one compile path, shared by Run and
+// CompileForSession: materialise the program, resolve the request's
+// stack and compile through the shared caches under env's span.
+func (b *StackBackend) compile(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
 	p, err := b.program(r)
 	if err != nil {
 		return nil, nil, nil, false, err
@@ -320,7 +321,7 @@ func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Sta
 	if env != nil {
 		cache = env.Cache
 	}
-	compiled, hit, err := compileOn(stack, p, cache, nil)
+	compiled, hit, err := compileOn(stack, p, cache, env.span())
 	if err != nil {
 		return nil, nil, nil, false, err
 	}

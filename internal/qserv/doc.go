@@ -25,12 +25,19 @@
 //
 // A Job is submitted as cQASM text or an *openql.Program (gate jobs) or a
 // *qubo.QUBO (annealing jobs), plus a target backend name and a shot
-// count. Submit is non-blocking: it resolves the target backend and
-// enqueues the job into that backend's bounded queue, returning a job ID
-// to poll or await. When the lane is full, Submit fails fast with
-// ErrQueueFull — backpressure instead of unbounded memory growth.
-// Completed jobs stay queryable up to a retention bound, then the oldest
-// are evicted.
+// count, and comes back as a job ID to poll or await. Completed jobs
+// stay queryable up to a retention bound, then the oldest are evicted.
+//
+// Admission is one path with two plans. Submit (POST /submit) and
+// BindSession (POST /sessions/{id}/bind) only build a job and call the
+// private admit, which refuses work before Start and after Stop,
+// numbers the job, derives its seed, opens its trace and enqueues it
+// without blocking: a full lane fails fast with ErrQueueFull —
+// backpressure instead of unbounded memory growth. admit also sets the
+// job's plan, the one function its worker calls: compile-and-run for a
+// submit, bind-and-run for a session bind. The admitting HTTP routes
+// share one error mapping: 400 invalid input, 404 unknown session, 503
+// stopped service or full queue (with Retry-After).
 //
 // Queues are per backend, each drained by its own fixed-size worker pool
 // — a gate-based core.Stack (perfect, superconducting, semiconducting),
@@ -201,12 +208,10 @@
 // Submit, eagerly compiles the parameterised program on its gate
 // backend — through the ordinary two-level cache — and pins the
 // compiled artefact in a session. Service.BindSession
-// (POST /sessions/{id}/bind) then streams parameter points: each bind
-// is a cheap sub-job through the same bounded queue and worker pool as
-// any other job (backpressure, retention and job views included), but
-// its run records a "bind" span — symbols attached — where an ordinary
-// job records "compile", and its seeded execution reuses the pinned
-// stack. Bind values must cover the session's symbols exactly; missing
+// (POST /sessions/{id}/bind) then streams parameter points, each
+// admitted as a bind-and-run job: its run records a "bind" span —
+// symbols attached — where an ordinary job records "compile", and its
+// seeded execution reuses the pinned stack. Bind values must cover the session's symbols exactly; missing
 // and stray names are rejected at submit. Sessions expire after
 // Config.SessionTTL idle time and the store is LRU-bounded by
 // Config.MaxSessions (opening past the bound evicts the

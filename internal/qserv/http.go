@@ -280,10 +280,20 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sr SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &sr) {
 		return
 	}
+	req, err := sr.request()
+	var job *Job
+	if err == nil {
+		job, err = s.Submit(req)
+	}
+	writeAdmitted(w, job, err)
+}
+
+// request converts the wire form into a Request, parsing the device
+// target and the QUBO; POST /sessions converts through it too.
+func (sr SubmitRequest) request() (Request, error) {
 	req := Request{
 		Name:        sr.Name,
 		CQASM:       sr.CQASM,
@@ -297,30 +307,53 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if len(sr.Target) > 0 {
 		dev, err := target.Parse(sr.Target)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return Request{}, err
 		}
 		req.Target = dev
 	}
 	if sr.QUBO != nil {
 		q, err := sr.QUBO.toQUBO()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return Request{}, err
 		}
 		req.QUBO = q
 	}
-	job, err := s.Submit(req)
+	return req, nil
+}
+
+// decodeJSON decodes a request body into v, answering 400 on malformed
+// JSON.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+		return false
+	}
+	return true
+}
+
+// writeAdmitError maps an admission error — from POST /submit,
+// POST /sessions or POST /sessions/{id}/bind — to its status: 404 for an
+// unknown session, 503 for a full queue (with Retry-After) or a stopped
+// service, 400 for everything else.
+func writeAdmitError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
 	switch {
+	case errors.Is(err, ErrUnknownSession):
+		code = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		code = http.StatusServiceUnavailable
+	}
+	writeError(w, code, err)
+}
+
+// writeAdmitted answers an admitted job with 202 and its trace ID, or
+// the admission error's status.
+func writeAdmitted(w http.ResponseWriter, job *Job, err error) {
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
 	if id := job.TraceID(); id != "" {
@@ -354,8 +387,7 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var cal target.Calibration
-	if err := json.NewDecoder(r.Body).Decode(&cal); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &cal) {
 		return
 	}
 	dev, err := s.Recalibrate(name, &cal)

@@ -136,15 +136,17 @@ type Job struct {
 	ID  string
 	Req Request
 
-	pool *backendPool // resolved at submit time
+	pool *backendPool // resolved before admission
 	seed int64
 
-	// sess and bindVals mark a session bind sub-job (BindSession): the
-	// worker patches the session's pinned artefact with these values
-	// instead of running the backend's compile path. Both are set before
-	// the job is enqueued and never reassigned.
+	// sess and bindVals mark a session bind sub-job: the pinned session
+	// and the values its plan binds. plan is the one function the worker
+	// calls — compile-and-run, or bind-and-run for a bind sub-job (see
+	// Service.admit). All three are set before the job is enqueued and
+	// never reassigned.
 	sess     *Session
 	bindVals map[string]float64
+	plan     func(job *Job, env *CompileEnv) (res *Result, hit bool, err error)
 
 	// trace is the job's span tree (nil when tracing is disabled); the
 	// trace ID is the job ID. queueSpan covers submit-to-start and is
@@ -163,18 +165,6 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	done      chan struct{}
-}
-
-func newJob(id string, req Request, pool *backendPool, seed int64) *Job {
-	return &Job{
-		ID:        id,
-		Req:       req,
-		pool:      pool,
-		seed:      seed,
-		status:    StatusQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
 }
 
 // Status returns the job's current lifecycle state.
@@ -252,9 +242,9 @@ func (j *Job) markRunning() {
 	j.mu.Unlock()
 }
 
-func (j *Job) finish(res *Result, cacheHit bool, err error) {
+func (j *Job) finish(res *Result, cacheHit bool, err error, at time.Time) {
 	j.mu.Lock()
-	j.finished = time.Now()
+	j.finished = at
 	j.cacheHit = cacheHit
 	if err != nil {
 		j.status = StatusFailed

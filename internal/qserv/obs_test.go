@@ -412,7 +412,7 @@ func TestObservabilityDisabled(t *testing.T) {
 		t.Errorf("trace with tracing disabled = %d, want 404", rec.Code)
 	}
 	st := s.Stats()
-	if st.Backends[0].JobsDone != 0 {
+	if st.Backends[0].JobsDone != 0 || st.JobsSubmitted != 0 {
 		t.Error("disabled metrics still counted jobs")
 	}
 }

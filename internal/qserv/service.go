@@ -18,11 +18,13 @@ import (
 	"repro/internal/target"
 )
 
-// ErrQueueFull is returned by Submit when the bounded job queue is at
-// capacity — callers should back off and retry (HTTP maps it to 503).
+// ErrQueueFull is returned by Submit and BindSession when the bounded
+// job queue is at capacity — callers should back off and retry (HTTP
+// maps it to 503).
 var ErrQueueFull = errors.New("qserv: job queue full")
 
-// ErrStopped is returned by Submit after Stop.
+// ErrStopped is returned by Submit, OpenSession and BindSession after
+// Stop.
 var ErrStopped = errors.New("qserv: service stopped")
 
 // Config sizes the service. Zero values select the defaults noted per
@@ -176,10 +178,10 @@ type Service struct {
 	sessExpired uint64
 	sessEvicted uint64
 
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
+	// seq numbers jobs and sessions alike; a job's derived seed depends
+	// on its number.
 	seq       atomic.Uint64
-	submitted atomic.Uint64
-	binds     atomic.Uint64
 	startedAt time.Time
 }
 
@@ -389,10 +391,11 @@ func (s *Service) worker(p *backendPool) {
 	}
 }
 
-// runJob executes one job on its pool's backend, closing the job's
-// trace spans at the exact job timestamps (so the root span's duration
-// equals the reported latency and queue.wait + run partition it) and
-// recording the pool's instruments.
+// runJob executes one job's plan, closing the job's trace spans at the
+// exact job timestamps (so the root span's duration equals the reported
+// latency and queue.wait + run partition it) and recording the pool's
+// instruments before the job becomes observable as finished, so a
+// caller that awaited the job reads a trace and /stats that include it.
 func (s *Service) runJob(p *backendPool, job *Job) {
 	job.markRunning()
 	submitted, started, _ := job.Times()
@@ -408,27 +411,16 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 		env = &jobEnv
 	}
 	start := time.Now()
-	var (
-		res *Result
-		hit bool
-		err error
-	)
-	if job.sess != nil {
-		// Bind sub-job: patch the session's pinned artefact and execute —
-		// the compile pipeline is skipped entirely, so it counts as a
-		// full-level skip below (the artefact was reused, like a cache
-		// hit) and never re-records the original compile's pass metrics.
-		res, err = s.runBind(job, env)
-		hit = err == nil
-	} else {
-		res, hit, err = p.b.Run(&job.Req, job.seed, env)
+	res, hit, err := job.plan(job, env)
+	finished := time.Now()
+	busy := finished.Sub(start)
+	status := StatusDone
+	if err != nil {
+		status = StatusFailed
 	}
-	busy := time.Since(start)
-	job.finish(res, hit, err)
-	_, _, finished := job.Times()
 	runSpan.SetAttr("cache_hit", strconv.FormatBool(hit))
 	runSpan.EndAt(finished)
-	root.SetAttr("status", string(job.Status()))
+	root.SetAttr("status", string(status))
 	root.EndAt(finished)
 	if m := p.met; m != nil {
 		m.busy.Add(busy.Seconds())
@@ -446,7 +438,7 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 			m.fullSkips.Inc()
 		}
 		if err == nil && res != nil && res.Report != nil {
-			if !hit && job.sess == nil {
+			if !hit {
 				m.recordCompile(res.Report.Compile)
 			}
 			// Execution always ran, cache hit or not.
@@ -460,6 +452,7 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 			}
 		}
 	}
+	job.finish(res, hit, err, finished)
 	retireStart := time.Now()
 	s.retire(job)
 	if s.met != nil {
@@ -479,38 +472,10 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 	}
 }
 
-// runBind executes one bind sub-job against its session's pinned
-// artefact: an O(#symbols) bind-table patch under a "bind" span — the
-// fast path that replaces the compile phase — then ordinary execution.
-// The bound copy shares the pinned artefact's schedule, mapping and
-// report, so per-bind work is proportional to the patched slots, not
-// the circuit.
-func (s *Service) runBind(job *Job, env *CompileEnv) (*Result, error) {
-	sess := job.sess
-	var span *obs.Span
-	if env != nil {
-		span = env.Span
-	}
-	bspan := span.StartChild("bind")
-	bindStart := time.Now()
-	bound, err := sess.compiled.BindArtefact(job.bindVals)
-	bindDur := time.Since(bindStart)
-	if err != nil {
-		bspan.SetAttr("error", err.Error())
-		bspan.End()
-		return nil, err
-	}
-	bspan.SetAttr("session", sess.ID)
-	bspan.SetAttr("symbols", strconv.Itoa(len(job.bindVals)))
-	bspan.End()
-	if s.met != nil {
-		s.met.bindSecs.ObserveSeconds(bindDur.Nanoseconds())
-	}
-	rep, err := executeCompiled(sess.stack, bound, sess.numQubits, job.Req.Shots, job.seed, span)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Report: rep}, nil
+// compileAndRun is the plan of a submitted job: the backend compiles
+// (or cache-fetches) and executes the request.
+func compileAndRun(job *Job, env *CompileEnv) (*Result, bool, error) {
+	return job.pool.b.Run(&job.Req, job.seed, env)
 }
 
 // retire records a finished job for retention and evicts the oldest
@@ -529,9 +494,107 @@ func (s *Service) retire(job *Job) {
 	}
 }
 
-// Submit validates, routes and enqueues a request, returning the tracked
-// job. It never blocks: a full queue fails fast with ErrQueueFull.
+// Submit validates and routes a request, then admits it as a
+// compile-and-run job (see admit). It never blocks: a full queue fails
+// fast with ErrQueueFull.
 func (s *Service) Submit(req Request) (*Job, error) {
+	pool, err := s.resolve(&req)
+	if err != nil {
+		return nil, err
+	}
+	return s.admit(&Job{Req: req, pool: pool, seed: req.Seed})
+}
+
+// admit is the service's one admission path, shared by Submit and
+// BindSession: it numbers the job, derives its seed, gives it its plan
+// — bind-and-run for a session bind, compile-and-run otherwise — opens
+// its trace, and enqueues it without blocking.
+func (s *Service) admit(job *Job) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.acceptingLocked(); err != nil {
+		return nil, err
+	}
+	var n uint64
+	job.ID, n = s.nextID("job")
+	if job.seed == 0 {
+		// Derive a distinct deterministic seed per job from the base seed
+		// and the job sequence number (odd multiplier keeps them unique).
+		job.seed = s.cfg.Seed + int64(n)*2654435761
+	}
+	sess := job.sess
+	job.plan = compileAndRun
+	if sess != nil {
+		job.plan = s.bindAndRun
+	}
+	job.status = StatusQueued
+	job.done = make(chan struct{})
+	job.submitted = time.Now()
+	backend := job.pool.b.Name()
+	if s.tracer != nil {
+		// The trace ID is the job ID; the root span starts at the job's
+		// submit instant so its duration matches the reported latency.
+		job.trace = s.tracer.StartAt(job.ID, "job", job.submitted)
+		root := job.trace.Root()
+		root.SetAttr("backend", backend)
+		if sess != nil {
+			root.SetAttr("session", sess.ID)
+		}
+		if job.Req.Name != "" {
+			root.SetAttr("name", job.Req.Name)
+		}
+		job.queueSpan = root.StartChildAt("queue.wait", job.submitted)
+	}
+	// Enqueue straight into the backend's bounded lane: no shared
+	// dispatcher, so one saturated backend cannot head-of-line block the
+	// others.
+	select {
+	case job.pool.ch <- job:
+	default:
+		return nil, ErrQueueFull
+	}
+	s.jobs[job.ID] = job
+	if s.met != nil {
+		s.met.jobsSubmitted.Inc()
+	}
+	if sess != nil {
+		sess.mu.Lock()
+		sess.lastUsed = job.submitted
+		sess.binds++
+		sess.mu.Unlock()
+		if s.met != nil {
+			s.met.bindsTotal.Inc()
+		}
+	}
+	s.log.Debug("job submitted",
+		"trace_id", job.TraceID(), "job", job.ID, "backend", backend,
+		"session", job.Session(), "name", job.Req.Name)
+	return job, nil
+}
+
+// nextID draws the next number from the sequence shared by jobs and
+// sessions and renders it as "<prefix>-N".
+func (s *Service) nextID(prefix string) (string, uint64) {
+	n := s.seq.Add(1)
+	return prefix + "-" + strconv.FormatUint(n, 10), n
+}
+
+// acceptingLocked reports why the service cannot take new work: not yet
+// started, or stopped. The caller holds s.mu.
+func (s *Service) acceptingLocked() error {
+	if !s.started {
+		return errors.New("qserv: service not started")
+	}
+	if s.stopped {
+		return ErrStopped
+	}
+	return nil
+}
+
+// resolve validates a submit or session-open request, applies the
+// default shot count and routes it to a backend pool, vetting any device
+// override against that backend.
+func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -540,54 +603,17 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.started {
-		return nil, errors.New("qserv: service not started")
+	if err := s.acceptingLocked(); err != nil {
+		return nil, err
 	}
-	if s.stopped {
-		return nil, ErrStopped
-	}
-	pool, err := s.route(&req)
+	pool, err := s.route(req)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateDeviceOverrides(&req, pool.b); err != nil {
+	if err := validateDeviceOverrides(req, pool.b); err != nil {
 		return nil, err
 	}
-	n := s.seq.Add(1)
-	seed := req.Seed
-	if seed == 0 {
-		// Derive a distinct deterministic seed per job from the base seed
-		// and the job sequence number (odd multiplier keeps them unique).
-		seed = s.cfg.Seed + int64(n)*2654435761
-	}
-	job := newJob(fmt.Sprintf("job-%d", n), req, pool, seed)
-	if s.tracer != nil {
-		// The trace ID is the job ID; the root span starts at the job's
-		// submit instant so its duration matches the reported latency.
-		job.trace = s.tracer.StartAt(job.ID, "job", job.submitted)
-		root := job.trace.Root()
-		root.SetAttr("backend", pool.b.Name())
-		if req.Name != "" {
-			root.SetAttr("name", req.Name)
-		}
-		job.queueSpan = root.StartChildAt("queue.wait", job.submitted)
-	}
-	// Enqueue straight into the backend's bounded lane: no shared
-	// dispatcher, so one saturated backend cannot head-of-line block the
-	// others.
-	select {
-	case pool.ch <- job:
-	default:
-		return nil, ErrQueueFull
-	}
-	s.jobs[job.ID] = job
-	s.submitted.Add(1)
-	if s.met != nil {
-		s.met.jobsSubmitted.Inc()
-	}
-	s.log.Debug("job submitted",
-		"trace_id", job.TraceID(), "job", job.ID, "backend", pool.b.Name(), "name", req.Name)
-	return job, nil
+	return pool, nil
 }
 
 // ErrUnknownBackend distinguishes lookups of unregistered backends
@@ -813,7 +839,6 @@ func (s *Service) Stats() Stats {
 		Opened:  s.sessOpened,
 		Expired: s.sessExpired,
 		Evicted: s.sessEvicted,
-		Binds:   s.binds.Load(),
 	}
 	s.mu.Unlock()
 
@@ -821,10 +846,10 @@ func (s *Service) Stats() Stats {
 	if startedAt.IsZero() {
 		uptime = 0
 	}
-	st := Stats{
-		UptimeSec:     uptime.Seconds(),
-		JobsSubmitted: s.submitted.Load(),
-		Sessions:      sessions,
+	st := Stats{UptimeSec: uptime.Seconds(), Sessions: sessions}
+	if s.met != nil {
+		st.JobsSubmitted = counterUint(s.met.jobsSubmitted)
+		st.Sessions.Binds = counterUint(s.met.bindsTotal)
 	}
 	for _, p := range pools {
 		st.QueueDepth += len(p.ch)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -83,45 +84,23 @@ type BindRequest struct {
 
 // OpenSession eagerly compiles the request's gate program — symbolic
 // parameters preserved — and pins the artefact for streaming binds. The
-// request routes exactly like Submit (backend, engine, passes, device
-// and calibration overrides all apply), must carry a gate payload, and
-// compiles through the shared caches: opening a second session on the
-// same program is a cache hit, not a recompile. Idle sessions expire
-// after Config.SessionTTL; opening beyond Config.MaxSessions evicts the
-// least-recently-used session.
+// request validates and routes exactly like Submit (backend, engine,
+// passes, device and calibration overrides all apply), must carry a gate
+// payload, and compiles through the shared caches: opening a second
+// session on the same program is a cache hit, not a recompile. Idle
+// sessions expire after Config.SessionTTL; opening beyond
+// Config.MaxSessions evicts the least-recently-used session.
 func (s *Service) OpenSession(req Request) (*Session, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
 	if req.QUBO != nil {
 		return nil, errors.New("qserv: sessions pin gate programs; QUBO payloads have no parameters to bind")
 	}
-	if req.Shots <= 0 {
-		req.Shots = s.cfg.DefaultShots
-	}
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return nil, errors.New("qserv: service not started")
-	}
-	if s.stopped {
-		s.mu.Unlock()
-		return nil, ErrStopped
-	}
-	pool, err := s.route(&req)
-	if err == nil {
-		err = validateDeviceOverrides(&req, pool.b)
-	}
-	var sb SessionBackend
-	if err == nil {
-		var ok bool
-		if sb, ok = pool.b.(SessionBackend); !ok {
-			err = fmt.Errorf("qserv: backend %q does not support sessions", pool.b.Name())
-		}
-	}
-	s.mu.Unlock()
+	pool, err := s.resolve(&req)
 	if err != nil {
 		return nil, err
+	}
+	sb, ok := pool.b.(SessionBackend)
+	if !ok {
+		return nil, fmt.Errorf("qserv: backend %q does not support sessions", pool.b.Name())
 	}
 
 	// Compile outside the service lock: an eager compile can be slow and
@@ -135,8 +114,8 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		return nil, ErrStopped
+	if err := s.acceptingLocked(); err != nil {
+		return nil, err
 	}
 	s.sweepSessionsLocked(now)
 	if s.cfg.MaxSessions > 0 {
@@ -144,9 +123,9 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 			s.evictLRUSessionLocked()
 		}
 	}
-	n := s.seq.Add(1)
+	id, _ := s.nextID("sess")
 	sess := &Session{
-		ID:        fmt.Sprintf("sess-%d", n),
+		ID:        id,
 		pool:      pool,
 		stack:     stack,
 		compiled:  compiled,
@@ -171,12 +150,10 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 	return sess, nil
 }
 
-// BindSession binds the session's free parameters and enqueues the bound
-// execution as a sub-job on the session's backend lane, returning the
-// tracked job. The worker never recompiles: it patches the pinned
-// artefact's bind table and executes. Like Submit it never blocks — a
-// full queue fails fast with ErrQueueFull. Bindings are validated here,
-// so malformed value sets are rejected at submit time.
+// BindSession checks the values against the session's free symbols,
+// then admits the bind as a bind-and-run sub-job on the session's
+// backend lane (see admit). Malformed value sets are rejected here, at
+// submit time.
 func (s *Service) BindSession(id string, breq BindRequest) (*Job, error) {
 	s.mu.Lock()
 	s.sweepSessionsLocked(time.Now())
@@ -199,61 +176,53 @@ func (s *Service) BindSession(id string, breq BindRequest) (*Job, error) {
 	if shots <= 0 {
 		shots = sess.shots
 	}
+	return s.admit(&Job{
+		Req: Request{
+			Name:    breq.Name,
+			Backend: sess.pool.b.Name(),
+			Engine:  sess.engine,
+			Passes:  sess.passes,
+			Shots:   shots,
+			Seed:    breq.Seed,
+		},
+		pool:     sess.pool,
+		seed:     breq.Seed,
+		sess:     sess,
+		bindVals: breq.Values,
+	})
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.started {
-		return nil, errors.New("qserv: service not started")
+// bindAndRun is the plan of a bind sub-job: an O(#symbols) patch of the
+// session's pinned artefact under a "bind" span — the fast path that
+// replaces the compile phase — then ordinary execution. The bound copy
+// shares the pinned artefact's schedule, mapping and report, so per-bind
+// work is proportional to the patched slots, not the circuit. A
+// successful bind reports a full-artefact hit: the compile pipeline was
+// skipped, so the worker counts it as a full-level skip and records no
+// pass metrics for it.
+func (s *Service) bindAndRun(job *Job, env *CompileEnv) (*Result, bool, error) {
+	sess := job.sess
+	span := env.span()
+	bspan := span.StartChild("bind")
+	bindStart := time.Now()
+	bound, err := sess.compiled.BindArtefact(job.bindVals)
+	bindDur := time.Since(bindStart)
+	if err != nil {
+		bspan.SetAttr("error", err.Error())
+		bspan.End()
+		return nil, false, err
 	}
-	if s.stopped {
-		return nil, ErrStopped
-	}
-	n := s.seq.Add(1)
-	seed := breq.Seed
-	if seed == 0 {
-		seed = s.cfg.Seed + int64(n)*2654435761
-	}
-	req := Request{
-		Name:    breq.Name,
-		Backend: sess.pool.b.Name(),
-		Engine:  sess.engine,
-		Passes:  sess.passes,
-		Shots:   shots,
-		Seed:    breq.Seed,
-	}
-	job := newJob(fmt.Sprintf("job-%d", n), req, sess.pool, seed)
-	job.sess = sess
-	job.bindVals = breq.Values
-	if s.tracer != nil {
-		job.trace = s.tracer.StartAt(job.ID, "job", job.submitted)
-		root := job.trace.Root()
-		root.SetAttr("backend", sess.pool.b.Name())
-		root.SetAttr("session", sess.ID)
-		if req.Name != "" {
-			root.SetAttr("name", req.Name)
-		}
-		job.queueSpan = root.StartChildAt("queue.wait", job.submitted)
-	}
-	select {
-	case sess.pool.ch <- job:
-	default:
-		return nil, ErrQueueFull
-	}
-	s.jobs[job.ID] = job
-	s.submitted.Add(1)
-	s.binds.Add(1)
-	sess.mu.Lock()
-	sess.lastUsed = job.submitted
-	sess.binds++
-	sess.mu.Unlock()
+	bspan.SetAttr("session", sess.ID)
+	bspan.SetAttr("symbols", strconv.Itoa(len(job.bindVals)))
+	bspan.End()
 	if s.met != nil {
-		s.met.jobsSubmitted.Inc()
-		s.met.bindsTotal.Inc()
+		s.met.bindSecs.ObserveSeconds(bindDur.Nanoseconds())
 	}
-	s.log.Debug("bind submitted",
-		"trace_id", job.TraceID(), "job", job.ID, "session", sess.ID,
-		"backend", sess.pool.b.Name(), "name", req.Name)
-	return job, nil
+	rep, err := executeCompiled(sess.stack, bound, sess.numQubits, job.Req.Shots, job.seed, span)
+	if err != nil {
+		return nil, false, err
+	}
+	return &Result{Report: rep}, true, nil
 }
 
 // CloseSession unpins a session; in-flight binds finish normally (they
@@ -426,34 +395,25 @@ type BindJSON struct {
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var or OpenSessionJSON
-	if err := json.NewDecoder(r.Body).Decode(&or); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &or) {
 		return
 	}
-	req := Request{
+	req, err := SubmitRequest{
 		Name:        or.Name,
 		CQASM:       or.CQASM,
 		Backend:     or.Backend,
 		Engine:      or.Engine,
 		Passes:      or.Passes,
+		Target:      or.Target,
 		Calibration: or.Calibration,
 		Shots:       or.Shots,
+	}.request()
+	var sess *Session
+	if err == nil {
+		sess, err = s.OpenSession(req)
 	}
-	if len(or.Target) > 0 {
-		dev, err := target.Parse(or.Target)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Target = dev
-	}
-	sess, err := s.OpenSession(req)
-	switch {
-	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.viewSession(sess))
@@ -487,36 +447,12 @@ func (s *Service) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleBind(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var br BindJSON
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &br) {
 		return
 	}
-	job, err := s.BindSession(id, BindRequest{
+	job, err := s.BindSession(r.PathValue("id"), BindRequest{
 		Name: br.Name, Values: br.Values, Shots: br.Shots, Seed: br.Seed,
 	})
-	switch {
-	case errors.Is(err, ErrUnknownSession):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if tid := job.TraceID(); tid != "" {
-		w.Header().Set("X-Trace-Id", tid)
-	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID:      job.ID,
-		Status:  job.Status(),
-		Backend: job.Backend(),
-	})
+	writeAdmitted(w, job, err)
 }

@@ -7,6 +7,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Topology is an undirected connectivity graph over qubits 0..N-1.
@@ -14,8 +15,13 @@ type Topology struct {
 	Name string
 	N    int
 	adj  [][]int
-	dist [][]int // all-pairs hop distances, computed lazily
-	next [][]int // next hop on a shortest path, computed with dist
+	// dist (all-pairs hop distances) and next (next hop on a shortest
+	// path) are computed on first use, once: concurrent readers — the
+	// mappers of parallel compiles on one device — all wait for the same
+	// fully built tables. AddEdge resets them; it must not race readers.
+	once sync.Once
+	dist [][]int
+	next [][]int
 }
 
 // New returns an edgeless topology over n qubits.
@@ -39,8 +45,8 @@ func (t *Topology) AddEdge(a, b int) {
 	}
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
-	t.dist = nil
-	t.next = nil
+	t.once = sync.Once{}
+	t.dist, t.next = nil, nil
 }
 
 // Neighbors returns the sorted adjacency list of q.
@@ -92,8 +98,8 @@ func (t *Topology) NumEdges() int {
 }
 
 func (t *Topology) computeDistances() {
-	t.dist = make([][]int, t.N)
-	t.next = make([][]int, t.N)
+	dist := make([][]int, t.N)
+	next := make([][]int, t.N)
 	for src := 0; src < t.N; src++ {
 		d := make([]int, t.N)
 		nx := make([]int, t.N)
@@ -113,32 +119,31 @@ func (t *Topology) computeDistances() {
 				}
 			}
 		}
-		t.dist[src] = d
-		t.next[src] = nx
+		dist[src] = d
+		next[src] = nx
 	}
 	// Fill next-hop table: next[src][dst] = a neighbour of src strictly
 	// closer to dst.
 	for src := 0; src < t.N; src++ {
 		for dst := 0; dst < t.N; dst++ {
-			if src == dst || t.dist[src][dst] <= 0 {
+			if src == dst || dist[src][dst] <= 0 {
 				continue
 			}
 			for _, w := range t.adj[src] {
-				if t.dist[w][dst] == t.dist[src][dst]-1 {
-					t.next[src][dst] = w
+				if dist[w][dst] == dist[src][dst]-1 {
+					next[src][dst] = w
 					break
 				}
 			}
 		}
 	}
+	t.dist, t.next = dist, next
 }
 
 // Distance returns the hop distance between a and b, or -1 if
 // disconnected.
 func (t *Topology) Distance(a, b int) int {
-	if t.dist == nil {
-		t.computeDistances()
-	}
+	t.once.Do(t.computeDistances)
 	return t.dist[a][b]
 }
 

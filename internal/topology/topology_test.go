@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +23,24 @@ func TestLinear(t *testing.T) {
 	if l.Diameter() != 4 {
 		t.Errorf("diameter = %d", l.Diameter())
 	}
+}
+
+// The distance tables fill lazily on first use; concurrent first calls
+// (parallel mappers on one fresh device) must all see complete tables.
+// Run with -race.
+func TestConcurrentFirstShortestPath(t *testing.T) {
+	l := Linear(17)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p := l.ShortestPath(0, 16); len(p) != 17 || p[16] != 16 {
+				t.Errorf("path = %v", p)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRing(t *testing.T) {
