@@ -121,8 +121,9 @@ cover:
 
 # End-to-end scrape smoke: boot qservd, submit a job over HTTP, then
 # verify /metrics serves Prometheus exposition with the job counters,
-# cache and pass families populated, and that the trace endpoint serves
-# the span tree for the submitted job's X-Trace-Id.
+# cache and pass families populated, that the Clifford Bell job was
+# dispatched to the stabilizer engine with no flag set, and that the
+# trace endpoint serves the span tree for the submitted job's X-Trace-Id.
 metrics-smoke:
 	$(GO) build -o bin/qservd ./cmd/qservd
 	@./bin/qservd -addr 127.0.0.1:18080 -log-level warn & pid=$$!; \
@@ -142,6 +143,8 @@ metrics-smoke:
 		qserv_http_requests_total; do \
 		grep -q "^$$family" bin/metrics.scrape || { echo "metrics-smoke: $$family missing from /metrics"; exit 1; }; \
 	done; \
+	grep -qF 'qserv_engine_dispatch_total{engine="stabilizer"} 1' bin/metrics.scrape \
+		|| { echo "metrics-smoke: the Clifford Bell job was not dispatched to the stabilizer engine"; exit 1; }; \
 	curl -fsS "http://127.0.0.1:18080/jobs/$$trace/trace" | grep -q '"queue.wait"' \
 		|| { echo "metrics-smoke: trace endpoint missing queue.wait span"; exit 1; }; \
 	echo "metrics-smoke: /metrics and /jobs/{id}/trace OK"

@@ -9,7 +9,7 @@
 //
 //	qservd [-addr :8080] [-qubits 10] [-workers 2] [-queue 256] [-cache 512]
 //	       [-prefix-cache 2048] [-compile-workers N] [-shots 1024] [-seed 1]
-//	       [-engine auto] [-passes spec]
+//	       [-passes spec]
 //	       [-session-ttl 15m] [-max-sessions 256]
 //	       [-target device.json] [-calibration cal.json]
 //	       [-metrics] [-trace-ring 1024] [-pprof] [-drain-timeout 30s]
@@ -73,19 +73,16 @@
 // access logs at debug; -log-format selects text or JSON, -log-level
 // the threshold.
 //
-// Execution engines: every gate job runs on one of three qx engines —
-// "reference" (readable dense state vector), "optimized" (cache-blocked
-// dense kernels) and "stabilizer" (Aaronson–Gottesman CHP tableau,
-// polynomial in qubit count but Clifford-only). The default "auto"
-// meta-engine inspects each compiled circuit at dispatch time and picks
-// the stabilizer engine when every gate is Clifford (rotations at exact
-// multiples of π/2 included) and the backend noise model is
+// Execution engine: every gate job runs on the qx auto engine, which
+// inspects each compiled circuit at dispatch time and picks the
+// "stabilizer" engine (Aaronson–Gottesman CHP tableau, polynomial in
+// qubit count but Clifford-only) when every gate is Clifford (rotations
+// at exact multiples of π/2 included) and the backend noise model is
 // tableau-compatible (stochastic Pauli: depolarizing, dephasing,
 // readout flips — amplitude damping forces the dense path); everything
-// else runs dense. The per-job "engine" field overrides the default
-// (400 lists the valid names on a typo); the resolved engine surfaces
-// as the job view's "engine" field, an "engine" attribute on the
-// execution span, and the qserv_engine_dispatch_total{engine=...}
+// else runs on the dense "optimized" engine. The engine that ran
+// surfaces as the job view's "engine" field, an "engine" attribute on
+// the execution span, and the qserv_engine_dispatch_total{engine=...}
 // counter. Counts for registers wider than 63 qubits are keyed by
 // bitstring in the result view, exactly like narrow ones.
 //
@@ -152,7 +149,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/qserv"
-	"repro/internal/qx"
 	"repro/internal/target"
 )
 
@@ -168,9 +164,6 @@ func main() {
 		"service-wide kernel-compile parallelism budget (0 = GOMAXPROCS; negative serial)")
 	shots := flag.Int("shots", 1024, "default shots per gate job")
 	seed := flag.Int64("seed", 1, "base seed for per-job seed derivation")
-	engine := flag.String("engine", qx.EngineAuto,
-		"qx execution engine for the gate stacks: "+strings.Join(qx.EngineNames(), ", ")+
-			" (auto picks the stabilizer tableau for Clifford circuits)")
 	passes := flag.String("passes", "",
 		"default compiler pass pipeline for the gate stacks (available: "+
 			strings.Join(compiler.PassNames(), ", ")+"); empty selects the standard flow")
@@ -196,9 +189,6 @@ func main() {
 	if *qubits < 1 {
 		log.Fatalf("qservd: -qubits must be at least 1, got %d", *qubits)
 	}
-	if _, err := qx.EngineByName(*engine); err != nil {
-		log.Fatalf("qservd: %v", err)
-	}
 	if *passes != "" {
 		if _, err := compiler.ParsePassSpec(*passes); err != nil {
 			log.Fatalf("qservd: %v", err)
@@ -217,7 +207,6 @@ func main() {
 		PrefixCacheSize: *prefixCache,
 		CompileWorkers:  *compileWorkers,
 		Seed:            *seed,
-		Engine:          *engine,
 		Passes:          *passes,
 		SessionTTL:      *sessionTTL,
 		MaxSessions:     *maxSessions,
@@ -241,7 +230,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("qservd: %v", err)
 		}
-		stack.Engine = *engine
 		stack.Passes = *passes
 		stack.KernelWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, *workers))
 		svc.AddBackend(qserv.NewStackBackend(stack), *workers)
@@ -267,7 +255,7 @@ func main() {
 	}
 	server := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
-		log.Printf("qservd: serving on %s (engine %s; backends: %s)", *addr, *engine, backends)
+		log.Printf("qservd: serving on %s (backends: %s)", *addr, backends)
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("qservd: %v", err)
 		}

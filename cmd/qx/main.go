@@ -3,15 +3,15 @@
 //
 // Usage:
 //
-//	qx [-shots N] [-seed S] [-engine E] [-parallel W] [-passes spec]
+//	qx [-shots N] [-seed S] [-parallel W] [-passes spec]
 //	   [-compile-workers N] [-target device.json] [-calibration cal.json]
 //	   [-depolarizing P] [-readout P] [-state] file.cq
 //
-// -engine selects the execution engine (default auto): auto dispatches
-// Clifford circuits under tableau-compatible noise to the stabilizer
-// engine — polynomial in qubit count, opening 100+ qubit circuits —
-// and everything else to the dense optimized engine. Pass a concrete
-// engine name to pin one.
+// Execution runs on the auto engine: Clifford circuits under
+// tableau-compatible noise go to the stabilizer engine — polynomial in
+// qubit count, opening 100+ qubit circuits — and everything else, and
+// every -state run, to the dense optimized engine. The mode line names
+// the engine that runs.
 //
 // With -passes the circuit first runs through the compiler pass pipeline
 // and the per-pass report — wall time, gate count, depth — is printed to
@@ -42,9 +42,6 @@ import (
 func main() {
 	shots := flag.Int("shots", 1024, "number of measurement shots")
 	seed := flag.Int64("seed", 1, "PRNG seed")
-	engineName := flag.String("engine", qx.EngineAuto,
-		"execution engine: "+strings.Join(qx.EngineNames(), ", ")+
-			" (auto picks the stabilizer tableau for Clifford circuits)")
 	parallel := flag.Int("parallel", 0,
 		"shot-batch workers (>1 fans shots across goroutines; 0/1 serial)")
 	passes := flag.String("passes", "",
@@ -110,11 +107,6 @@ func main() {
 		}
 		c = compiled.Circuit
 	}
-	engine, err := qx.EngineByName(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-
 	// Noise model: explicit flags win; otherwise derive from the device
 	// calibration when one is present.
 	var noise *qx.NoiseModel
@@ -126,13 +118,19 @@ func main() {
 		noise = core.NoiseFromDevice(dev)
 	}
 
+	// The engine auto runs: its dispatch target, or the dense engine
+	// for a state vector.
+	engine := qx.Auto().(qx.Dispatcher).Dispatch(c, noise)
+	if *showState {
+		engine = qx.Optimized()
+	}
 	var sim *qx.Simulator
 	if noise != nil && !noise.IsZero() {
-		sim = qx.NewNoisyWithEngine(*seed, noise, engine)
+		sim = qx.NewNoisy(*seed, noise)
 		fmt.Printf("mode: realistic qubits (depolarizing %.2g, 2q %.2g, readout %.2g), engine %s\n",
 			noise.DepolarizingProb, noise.TwoQubitDepolarizingProb, noise.ReadoutError, engine.Name())
 	} else {
-		sim = qx.NewWithEngine(*seed, engine)
+		sim = qx.New(*seed)
 		fmt.Printf("mode: perfect qubits, engine %s\n", engine.Name())
 	}
 

@@ -87,19 +87,18 @@
 // polynomial time — 100-qubit GHZ sampling and distance-7 surface-code
 // ESM rounds in milliseconds, where dense cost doubles per qubit
 // (counts beyond 63 qubits are keyed by bitstring in
-// qx.Result.WideCounts). The default "auto" meta-engine dispatches per
-// circuit: circuit.IsClifford (structural Clifford gates plus any
-// rotation at an exact multiple of π/2) and a tableau-compatible noise
-// model (stochastic Pauli; amplitude damping forces the dense path)
-// select the tableau, everything else runs dense. All engines are
-// differentially tested to produce identical seeded counts — the
-// stabilizer engine mirrors the dense PRNG walk draw for draw — and
-// engine selection threads through every layer: core.Stack.Engine (part
-// of the compiled-circuit fingerprint; core.Report.Engine names the
-// resolved dispatch target), microarch (any engine-backed simulator),
-// per-job engine choice in qserv (the resolved engine surfaces in job
-// views, execution spans and qserv_engine_dispatch_total), and -engine
-// flags on cmd/qx and cmd/qservd. The fast path lifts the QEC and RB
+// qx.Result.WideCounts). Every layer runs one engine path, the "auto"
+// meta-engine, which dispatches per circuit: circuit.IsClifford
+// (structural Clifford gates plus any rotation at an exact multiple of
+// π/2) and a tableau-compatible noise model (stochastic Pauli; amplitude
+// damping forces the dense path) select the tableau, everything else
+// runs dense. All engines are differentially tested to produce
+// identical seeded counts — the stabilizer engine mirrors the dense PRNG
+// walk draw for draw — so engines are plain values only tests pin
+// (qx.Simulator.Engine, core.Stack.Engine; nil means auto), and no flag
+// or request field selects one. core.Report.Engine names the resolved
+// dispatch target, which qserv surfaces in job views, execution spans
+// and qserv_engine_dispatch_total. The fast path lifts the QEC and RB
 // layers to the regimes the paper argues for: circuit-level syndrome
 // extraction at distance ≥ 7 (internal/qec, examples/surface_code) and
 // simultaneous randomized benchmarking on 50+ qubits (internal/rb). A

@@ -21,8 +21,8 @@ import (
 
 // Stack is one configured full-stack target.
 //
-// Every field either feeds the fingerprint methods (Fingerprint /
-// CompileFingerprint / PrefixFingerprint, which key the compile caches)
+// Every field either feeds the fingerprint methods (CompileFingerprint /
+// PrefixFingerprint, which key the compile caches)
 // or carries an explicit `fp:"-"` tag recording that it affects
 // execution only, never compiled artefacts. The fpfields qlint analyzer
 // enforces this: adding a field without folding it into a fingerprint
@@ -44,9 +44,10 @@ type Stack struct {
 	// the default derived from Optimize. Part of CompileFingerprint: two
 	// stacks with different pass specs compile differently.
 	Passes string
-	// Engine names the qx execution engine backing the stack ("reference",
-	// "optimized"); empty selects the qx default. Part of Fingerprint.
-	Engine string
+	// Engine pins the qx execution engine; nil runs qx.Auto. Differential
+	// tests pin qx.Reference or qx.Optimized here; engines execute
+	// compiled circuits and never change them.
+	Engine qx.Engine `fp:"-"`
 	// ParallelShots is the shot count at or above which RunCompiled fans
 	// shot execution out across CPU cores in parallel batches. 0 selects
 	// DefaultParallelShots; negative disables parallel batches. Parallel
@@ -269,11 +270,11 @@ type Report struct {
 	Compile *compiler.CompileReport
 	// WallNs is the modelled execution time of one shot in nanoseconds.
 	WallNs int
-	// Engine is the qx engine that actually executed the shots. When the
-	// stack is configured with the "auto" meta-engine this is the
-	// dispatch target ("stabilizer" or "optimized"), resolved per
-	// compiled circuit — the value the qserv layer records on spans and
-	// the engine-dispatch counter.
+	// Engine is the qx engine that actually executed the shots. On a
+	// stack with no pinned engine (auto) this is the dispatch target
+	// ("stabilizer" or "optimized"), resolved per compiled circuit — the
+	// value the qserv layer records on spans and the engine-dispatch
+	// counter.
 	Engine string
 	// ExecNs is the measured wall time of the execution phase (engine
 	// shots, or eQASM through the micro-architecture on realistic
@@ -324,9 +325,9 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	if compiled.IsParametric() {
 		return nil, fmt.Errorf("core: program has unbound parameters %v; bind the artefact (BindArtefact) before execution", compiled.Symbols())
 	}
-	engine, err := qx.EngineByName(s.Engine)
-	if err != nil {
-		return nil, err
+	engine := s.Engine
+	if engine == nil {
+		engine = qx.Auto()
 	}
 	// Resolve meta-engines (auto) to the engine that will actually run
 	// this circuit, so the report names the real execution path and the
@@ -352,7 +353,10 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	if s.Mode == openql.PerfectQubits {
 		sim := qx.NewWithEngine(seed, engine)
 		sim.KernelWorkers = s.KernelWorkers
-		var res *qx.Result
+		var (
+			res *qx.Result
+			err error
+		)
 		if parallel {
 			res, err = sim.RunParallel(compiled.Circuit, shots, 0)
 		} else {
@@ -385,17 +389,6 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		report.WallNs = run.Trace.TotalNs
 	}
 	return report, nil
-}
-
-// Fingerprint identifies the stack's full execution-relevant
-// configuration: the compile fingerprint plus the engine that will run
-// the compiled circuits.
-func (s *Stack) Fingerprint() string {
-	engine := s.Engine
-	if engine == "" {
-		engine = qx.DefaultEngine
-	}
-	return s.CompileFingerprint() + "|eng=" + engine
 }
 
 // CompileFingerprint identifies only the compiler-relevant configuration.

@@ -100,9 +100,9 @@ func TestStackEngineOption(t *testing.T) {
 		func() *Stack { return NewSuperconducting(7) },
 	} {
 		ref := build()
-		ref.Engine = qx.EngineReference
+		ref.Engine = qx.Reference()
 		opt := build()
-		opt.Engine = qx.EngineOptimized
+		opt.Engine = qx.Optimized()
 		repRef, err := ref.Execute(bell(), 300)
 		if err != nil {
 			t.Fatal(err)
@@ -115,33 +115,57 @@ func TestStackEngineOption(t *testing.T) {
 			t.Errorf("stack %s: engines diverge: %v vs %v",
 				ref.Name, repRef.Result.Counts, repOpt.Result.Counts)
 		}
-		if ref.Fingerprint() == opt.Fingerprint() {
-			t.Errorf("stack %s: fingerprint does not include the engine", ref.Name)
-		}
-		if !strings.Contains(opt.Fingerprint(), "eng=optimized") {
-			t.Errorf("fingerprint %q lacks engine tag", opt.Fingerprint())
-		}
 		// Compilation is engine-independent, so the compile-cache half of
 		// the key must not fragment across engines.
 		if ref.CompileFingerprint() != opt.CompileFingerprint() {
 			t.Errorf("stack %s: compile fingerprint varies with engine", ref.Name)
 		}
 	}
-	// The default engine is spelled out so "" and the default name key the
-	// compile cache identically.
-	def := NewPerfect(2, 7)
-	named := NewPerfect(2, 7)
-	named.Engine = qx.DefaultEngine
-	if def.Fingerprint() != named.Fingerprint() {
-		t.Error("empty engine and default engine fingerprint differently")
-	}
 }
 
-func TestStackUnknownEngine(t *testing.T) {
-	s := NewPerfect(2, 1)
-	s.Engine = "warp-drive"
-	if _, err := s.Execute(bell(), 10); err == nil {
-		t.Error("unknown engine accepted")
+// A stack with no pinned engine runs auto: a Clifford program reports
+// the tableau wherever the noise model is Pauli-only (the perfect
+// stack), the dense engine where T1 damping rules the tableau out (the
+// calibrated transmon) or the circuit is non-Clifford, and its counts
+// equal the same stack pinned to either dense engine.
+func TestDefaultEngineIsAuto(t *testing.T) {
+	ghz := openql.NewProgram("ghz", 3)
+	ghz.AddKernel(openql.NewKernel("ghz", 3).H(0).CNOT(0, 1).CNOT(1, 2).Measure(0).Measure(1).Measure(2))
+	for _, tc := range []struct {
+		build  func() *Stack
+		engine string
+	}{
+		{func() *Stack { return NewPerfect(3, 11) }, qx.EngineStabilizer},
+		{func() *Stack { return NewSuperconducting(11) }, qx.EngineOptimized},
+	} {
+		rep, err := tc.build().Execute(ghz, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Engine != tc.engine {
+			t.Errorf("stack %s: default engine ran %q, want %q", rep.Stack, rep.Engine, tc.engine)
+		}
+		for _, pin := range []qx.Engine{qx.Optimized(), qx.Reference()} {
+			s := tc.build()
+			s.Engine = pin
+			pinned, err := s.Execute(ghz, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.Result.Counts, pinned.Result.Counts) {
+				t.Errorf("stack %s: default counts %v differ from %s %v",
+					rep.Stack, rep.Result.Counts, pin.Name(), pinned.Result.Counts)
+			}
+		}
+	}
+	ht := openql.NewProgram("ht", 1)
+	ht.AddKernel(openql.NewKernel("ht", 1).H(0).Gate("t", []int{0}).Measure(0))
+	rep, err := NewPerfect(1, 11).Execute(ht, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine != qx.EngineOptimized {
+		t.Errorf("non-Clifford program ran on %q, want %q", rep.Engine, qx.EngineOptimized)
 	}
 }
 
@@ -245,15 +269,12 @@ func TestCompileFingerprintExplicitFields(t *testing.T) {
 	// Execution-only settings must NOT change the compile fingerprint —
 	// the compile cache would needlessly fragment.
 	s := base()
-	s.Engine = "reference"
+	s.Engine = qx.Reference()
 	s.Seed = 999
 	s.ParallelShots = 1
 	s.KernelWorkers = 3
 	if s.CompileFingerprint() != ref {
 		t.Error("execution-only settings leaked into the compile fingerprint")
-	}
-	if s.Fingerprint() == base().Fingerprint() {
-		t.Error("engine missing from the full fingerprint")
 	}
 	// Canonicalisation: an explicit spec equal to the resolved default
 	// must share the fingerprint (and thus cache entries) with the

@@ -183,7 +183,6 @@ func (r *Runner) bootOrAttach(s *Scenario, seed int64) (string, func(), error) {
 		DefaultShots:   sv.Shots,
 		CacheSize:      sv.Cache,
 		Seed:           seed,
-		Engine:         sv.Engine,
 	}
 	svc := qserv.DefaultService(cfg, sv.Qubits, sv.Workers)
 	svc.Start()
@@ -544,9 +543,6 @@ func (rs *runState) execute(op *Op, phase int) opResult {
 			"backend": op.Backend,
 			"shots":   op.Shots,
 			"seed":    op.Seed,
-		}
-		if op.Engine != "" {
-			body["engine"] = op.Engine
 		}
 		return rs.submitAndAwait("/submit", body, begin, res)
 	}

@@ -78,8 +78,6 @@ type ServiceSpec struct {
 	// Shots is the service default per gate job (default 1024; per-op
 	// shots usually override it).
 	Shots int `json:"shots,omitempty"`
-	// Engine names the default qx engine ("auto" when empty).
-	Engine string `json:"engine,omitempty"`
 }
 
 // TenantSpec is one tenant of the weighted multi-tenant mix.
@@ -131,8 +129,6 @@ type MixSpec struct {
 	// Backend routes the ops ("perfect" when empty).
 	Backend string `json:"backend,omitempty"`
 	Shots   int    `json:"shots,omitempty"`
-	// Engine optionally pins the qx engine per op.
-	Engine string `json:"engine,omitempty"`
 }
 
 // SessionSpec shapes a bind-storm phase: Count sessions over a

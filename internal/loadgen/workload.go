@@ -36,7 +36,6 @@ type Op struct {
 	Class   string  `json:"class,omitempty"`
 	Name    string  `json:"name,omitempty"`
 	Backend string  `json:"backend,omitempty"`
-	Engine  string  `json:"engine,omitempty"`
 	Shots   int     `json:"shots,omitempty"`
 	// Seed pins the job's PRNG walk server-side (never 0, which would
 	// ask the service to derive its own).
@@ -243,7 +242,6 @@ func generateMixPhase(s *Scenario, phase *PhaseSpec, pi int, seed int64, rng *ra
 			Class:   m.Class,
 			Name:    fmt.Sprintf("%s/%s/%s-v%d", s.Tenants[ti].Name, phase.Name, m.Class, v),
 			Backend: m.Backend,
-			Engine:  m.Engine,
 			Shots:   m.Shots,
 			Seed:    derive(seed, 0x0b, uint64(*index)),
 			CQASM:   variants[mi][v],

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -74,6 +75,42 @@ func TestWorkloadByteReproducible(t *testing.T) {
 	}
 	if w1.Ops() == 0 {
 		t.Fatal("workload has no ops")
+	}
+}
+
+// TestShippedWorkloadDigests pins the canonical workload digest of every
+// shipped scenario at seed 42. Any change to the generator or to the Op
+// encoding that alters a single generated byte fails here, so refactors
+// of the workload types must prove they left the wire bytes alone.
+func TestShippedWorkloadDigests(t *testing.T) {
+	want := map[string]string{
+		"bind_storm.json":        "d806415daa906afe6bba4508900521fd41b4e25f3906e09c1c6d342db3dbf110",
+		"calibration_drift.json": "d24d02bade08002541a474b5bb55901fe01d0ed2d26bc386df3b31a8106dfa77",
+		"negative_slo.json":      "de56e01331808e3e61e4a48e8b155bd8ad51b9e4be2e29a3529cc6ca0dcb6213",
+		"smoke.json":             "343c26024c7b4b866911263716b2e4931dbc5f9b3386472a60abdb32de39da76",
+		"steady_mixed.json":      "02433a8422bca42017019d1e746e01ee2ff0220a5c186acdb33579d42970a943",
+		"surge_multitenant.json": "5cbf933ae89d5cc678213f6a3a770c20d1959d5eae6133235fb1c17c25d0a71a",
+	}
+	matches, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != len(want) {
+		t.Fatalf("found %d shipped scenarios, pinned %d: pin the new file's digest", len(matches), len(want))
+	}
+	for _, path := range matches {
+		name := filepath.Base(path)
+		s, err := LoadScenario(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w, err := GenerateWorkload(s, 42)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := w.SHA256(); got != want[name] {
+			t.Errorf("%s: workload digest %s, want %s", name, got, want[name])
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/openql"
+	"repro/internal/qx"
 	"repro/internal/target"
 )
 
@@ -67,7 +68,7 @@ func TestBindArtefactMatchesRecompile(t *testing.T) {
 		"decompose,fold-rotations,map,lower-swaps,schedule,assemble",
 	}
 	devices := []*target.Device{target.Perfect(5), target.Superconducting()}
-	engines := []string{"optimized", "reference"}
+	engines := []qx.Engine{qx.Optimized(), qx.Reference()}
 
 	for _, dev := range devices {
 		for _, spec := range specs {
@@ -150,18 +151,18 @@ func TestBindArtefactMatchesRecompile(t *testing.T) {
 					stack.Engine = eng
 					ra, err := stack.RunCompiled(bound, 5, shots, 1234)
 					if err != nil {
-						t.Fatalf("%s/%s: run bound: %v", name, eng, err)
+						t.Fatalf("%s/%s: run bound: %v", name, eng.Name(), err)
 					}
 					rb, err := stack.RunCompiled(cr, 5, shots, 1234)
 					if err != nil {
-						t.Fatalf("%s/%s: run recompiled: %v", name, eng, err)
+						t.Fatalf("%s/%s: run recompiled: %v", name, eng.Name(), err)
 					}
 					if !reflect.DeepEqual(ra.Result.Counts, rb.Result.Counts) {
 						t.Fatalf("%s/%s: counts differ:\nbound:      %v\nrecompiled: %v",
-							name, eng, ra.Result.Counts, rb.Result.Counts)
+							name, eng.Name(), ra.Result.Counts, rb.Result.Counts)
 					}
 				}
-				stack.Engine = ""
+				stack.Engine = nil
 			}
 		}
 	}

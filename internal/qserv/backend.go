@@ -138,8 +138,8 @@ func (b *StackBackend) Recalibrate(cal *target.Calibration) (*target.Device, err
 func (b *StackBackend) Accepts(r *Request) bool { return r.CQASM != "" || r.Program != nil }
 
 // resolveStack materialises the stack a request compiles and executes
-// on: the backend's current stack with the request's device, calibration,
-// engine and pass overrides applied, plus the service's shared compile
+// on: the backend's current stack with the request's device, calibration
+// and pass overrides applied, plus the service's shared compile
 // resources grafted on. The backend's own stack is never mutated —
 // overrides copy.
 func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, error) {
@@ -161,14 +161,9 @@ func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, e
 		}
 		stack = override
 	}
-	if (r.Engine != "" && r.Engine != stack.Engine) || (r.Passes != "" && r.Passes != stack.Passes) {
+	if r.Passes != "" && r.Passes != stack.Passes {
 		override := *stack
-		if r.Engine != "" {
-			override.Engine = r.Engine
-		}
-		if r.Passes != "" {
-			override.Passes = r.Passes
-		}
+		override.Passes = r.Passes
 		stack = &override
 	}
 	// Graft the service's shared compile resources onto a copy of the
@@ -205,9 +200,7 @@ func compileOn(stack *core.Stack, p *openql.Program, cache *CompileCache, span *
 		cspan.SetAttr("cache", "off")
 		compiled, err = stack.Compile(p)
 	} else {
-		// Keyed on the compile fingerprint only: an engine override
-		// changes execution, not compilation, so it reuses the entry.
-		// Symbolic programs hash their expressions, not any bound values,
+		// Keyed on the compile fingerprint only. Symbolic programs hash their expressions, not any bound values,
 		// so every binding of one parameterised program keys this same
 		// entry.
 		key := cacheKey(stack.CompileFingerprint(), canonicalText(p))
@@ -268,12 +261,10 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 	return rep, nil
 }
 
-// Run compiles (or cache-fetches) the program and executes it. Per-job
-// engine and pass-spec overrides execute (and cache) under a copy of the
-// stack with those settings, so jobs on one backend can pick their
-// execution engine and compile pipeline independently. An engine override
-// reuses the cached compile (engines never change compilation); a pass
-// override keys its own cache entry through CompileFingerprint. A device
+// Run compiles (or cache-fetches) the program and executes it. A per-job
+// pass-spec override executes (and caches) under a copy of the stack with
+// that spec, so jobs on one backend can pick their compile pipeline
+// independently; it keys its own cache entry through CompileFingerprint. A device
 // target or calibration override rebuilds the stack for the overridden
 // device (core.NewStackForDevice), whose content hash keys distinct
 // full-artefact cache entries — re-calibrating never reuses stale
@@ -294,7 +285,7 @@ func (b *StackBackend) Run(r *Request, seed int64, env *CompileEnv) (*Result, bo
 }
 
 // CompileForSession eagerly compiles the request's gate program for the
-// session API: it resolves the request's stack (device, engine and pass
+// session API: it resolves the request's stack (device and pass
 // overrides apply to every bind the session later streams) and compiles
 // through the shared caches, preserving any symbolic parameters in the
 // artefact. All bindings of one parameterised program share the single

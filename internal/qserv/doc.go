@@ -21,7 +21,7 @@
 //	                        │                                  │
 //	                  core.Stack.RunCompiled           accel.Accelerator
 //	                        │
-//	                   qx.Engine (reference | optimized | registered)
+//	                   qx auto engine (stabilizer | optimized)
 //
 // A Job is submitted as cQASM text or an *openql.Program (gate jobs) or a
 // *qubo.QUBO (annealing jobs), plus a target backend name and a shot
@@ -120,24 +120,20 @@
 //
 // # Execution engines and parallel shots
 //
-// Beneath every gate backend sits the pluggable qx execution-engine layer
-// rather than one hard-wired simulator. Config.Engine picks the engine
-// the stacks run on — by default the "auto" meta-engine, which
-// dispatches each compiled circuit to the stabilizer tableau when it is
-// Clifford throughout and the backend noise model is stochastic Pauli
-// (polynomial cost, so 100-qubit Clifford jobs execute in milliseconds)
-// and to the optimized dense engine otherwise. Each job may override it
-// through Request.Engine / the JSON "engine" field — useful for
-// differential debugging, since all bundled engines return identical
-// seeded counts on circuits they share; an unknown name is rejected at
-// submit with a 400 listing qx.EngineNames. The engine that actually
-// ran — auto resolved to its dispatch target — surfaces as the job
-// view's "engine" field, an "engine" attribute on the execution span,
-// and the qserv_engine_dispatch_total{engine=...} counter, making the
-// Clifford fast-path hit rate directly observable. Counts for registers
-// wider than 63 qubits are rendered into the same bitstring-keyed
-// result map as narrow ones. New engines registered with
-// qx.RegisterEngine become selectable here with no qserv changes.
+// Beneath every gate backend sits the qx auto engine, the one execution
+// path: it dispatches each compiled circuit to the stabilizer tableau
+// when it is Clifford throughout and the backend noise model is
+// stochastic Pauli (polynomial cost, so 100-qubit Clifford jobs execute
+// in milliseconds) and to the optimized dense engine otherwise. Every
+// engine returns identical seeded counts on circuits they share, so
+// dispatch is pure performance and requests carry no engine choice; a
+// stray "engine" field in a JSON body is ignored.
+// The engine that actually ran surfaces as the job view's "engine"
+// field, an "engine" attribute on the execution span, and the
+// qserv_engine_dispatch_total{engine=...} counter, making the Clifford
+// fast-path hit rate directly observable. Counts for registers wider
+// than 63 qubits are rendered into the same bitstring-keyed result map
+// as narrow ones.
 //
 // Jobs with large shot counts (core.Stack.ParallelShots, default 4096)
 // execute as parallel shot batches: shots are split across CPU cores,
@@ -169,9 +165,8 @@
 // entries stay live (prefix passes cannot observe calibration — proven
 // by a -race test racing calibration overrides against both levels).
 //
-// Compilation is engine-independent, so jobs that override the engine
-// reuse the same entries; jobs that override the pass spec compile (and
-// cache) their own full artefacts, sharing prefix artefacts whenever
+// Jobs that override the pass spec compile (and cache) their own full
+// artefacts, sharing prefix artefacts whenever
 // their pipelines agree on the generic prefix. In-flight computations
 // are deduplicated at both levels (singleflight), so N simultaneous
 // submissions of one new program compile each artefact once.

@@ -21,7 +21,6 @@ type SubmitRequest struct {
 	CQASM   string    `json:"cqasm,omitempty"`
 	QUBO    *QUBOJSON `json:"qubo,omitempty"`
 	Backend string    `json:"backend,omitempty"`
-	Engine  string    `json:"engine,omitempty"`
 	// Passes is a comma-separated compiler pass spec for this job, with
 	// optional per-pass options (e.g. "decompose,optimize,
 	// map(lookahead=8,strategy=noise),lower-swaps,schedule,assemble");
@@ -99,10 +98,9 @@ type JobView struct {
 	StartedAt    *time.Time `json:"started_at,omitempty"`
 	FinishedAt   *time.Time `json:"finished_at,omitempty"`
 	ElapsedMs    float64    `json:"elapsed_ms,omitempty"`
-	// Engine names the qx engine that executed the job's shots. With
-	// the "auto" meta-engine this is the resolved dispatch target
-	// (stabilizer for Clifford circuits under tableau-compatible noise,
-	// optimized otherwise).
+	// Engine names the qx engine that executed the job's shots: the
+	// auto engine's dispatch target (stabilizer for Clifford circuits
+	// under tableau-compatible noise, optimized otherwise).
 	Engine string `json:"engine,omitempty"`
 	// CompileReport is the per-pass account (wall time, gate count,
 	// depth, added SWAPs) of the compile pipeline behind a gate job's
@@ -298,7 +296,6 @@ func (sr SubmitRequest) request() (Request, error) {
 		Name:        sr.Name,
 		CQASM:       sr.CQASM,
 		Backend:     sr.Backend,
-		Engine:      sr.Engine,
 		Passes:      sr.Passes,
 		Calibration: sr.Calibration,
 		Shots:       sr.Shots,

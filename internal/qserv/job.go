@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/openql"
 	"repro/internal/qubo"
-	"repro/internal/qx"
 	"repro/internal/target"
 )
 
@@ -43,11 +42,6 @@ type Request struct {
 	// Backend names the target backend; empty routes to the first backend
 	// that accepts the payload.
 	Backend string
-	// Engine selects the qx execution engine for this job's gate
-	// execution ("reference", "optimized", or any registered engine);
-	// empty uses the backend stack's configured engine. Ignored by
-	// annealing backends.
-	Engine string
 	// Passes is a comma-separated compiler pass spec for this job's gate
 	// compilation, with optional per-pass options (e.g. "decompose,
 	// map(lookahead=8,strategy=noise),lower-swaps,schedule,assemble");
@@ -91,11 +85,6 @@ func (r *Request) validate() error {
 	}
 	if n != 1 {
 		return fmt.Errorf("qserv: request must carry exactly one of cqasm, program or qubo (got %d)", n)
-	}
-	if r.Engine != "" {
-		if _, err := qx.EngineByName(r.Engine); err != nil {
-			return err
-		}
 	}
 	if r.Passes != "" {
 		// Reject malformed specs, unknown pass names and invalid pass

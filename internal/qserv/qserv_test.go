@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -519,83 +518,39 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// Per-job engine selection: the same seeded job must return identical
-// counts whichever engine executes it, an unknown engine must be rejected
-// at submit time, and an engine override must reuse the compile-cache
-// entry — compilation is engine-independent.
-func TestPerJobEngineSelection(t *testing.T) {
-	s := twoBackendService(t, Config{Seed: 9})
-
-	run := func(engine string) *Job {
-		t.Helper()
-		job, err := s.Submit(Request{Program: bellProgram("eng"), Backend: "perfect",
-			Engine: engine, Shots: 200, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := job.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return job
-	}
-
-	ref := run(qx.EngineReference)
-	opt := run(qx.EngineOptimized)
-	def := run("")
-	if !reflect.DeepEqual(ref.Result().Report.Result.Counts, opt.Result().Report.Result.Counts) {
-		t.Errorf("engines diverge: %v vs %v",
-			ref.Result().Report.Result.Counts, opt.Result().Report.Result.Counts)
-	}
-	if !reflect.DeepEqual(def.Result().Report.Result.Counts, opt.Result().Report.Result.Counts) {
-		t.Errorf("default engine diverges from optimized: %v vs %v",
-			def.Result().Report.Result.Counts, opt.Result().Report.Result.Counts)
-	}
-
-	if _, err := s.Submit(Request{Program: bellProgram("bad"), Engine: "warp-drive"}); err == nil {
-		t.Error("unknown engine accepted at submit")
-	}
-
-	// One compile entry serves every engine; the overridden resubmissions
-	// must have hit it.
-	if !opt.CacheHit() || !def.CacheHit() {
-		t.Error("engine-overridden resubmission missed the compile cache")
-	}
-	if st := s.Cache().Stats(); st.Entries != 1 {
-		t.Errorf("engine overrides fragmented the cache: %d entries", st.Entries)
-	}
-}
-
+// The engine is not a request field: a stray "engine" from an older
+// client is ignored, and the job runs on the auto engine like any other.
 func TestHTTPEngineField(t *testing.T) {
 	s := twoBackendService(t, Config{Seed: 5})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	body, _ := json.Marshal(SubmitRequest{Name: "bell", CQASM: bellCQASM,
-		Backend: "perfect", Engine: qx.EngineReference, Shots: 64})
+	body, _ := json.Marshal(map[string]any{"name": "bell", "cqasm": bellCQASM,
+		"backend": "perfect", "engine": "warp-drive", "shots": 64})
 	resp, err := http.Post(srv.URL+"/submit", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var v JobView
+	err = json.NewDecoder(resp.Body).Decode(&v)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("engine submit status %d", resp.StatusCode)
-	}
-
-	bad, _ := json.Marshal(SubmitRequest{Name: "bell", CQASM: bellCQASM, Engine: "warp-drive"})
-	resp, err = http.Post(srv.URL+"/submit", "application/json", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus engine submit status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with stray engine field: status %d", resp.StatusCode)
 	}
-	// The rejection must name every valid choice so clients can self-serve.
-	for _, name := range qx.EngineNames() {
-		if !strings.Contains(string(msg), name) {
-			t.Errorf("400 body %q does not list engine %q", msg, name)
-		}
+	resp, err = http.Get(srv.URL + "/jobs/" + v.ID + "?wait=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusDone || v.Engine != qx.EngineStabilizer {
+		t.Errorf("job %s: status %s on engine %q, want done on %q", v.ID, v.Status, v.Engine, qx.EngineStabilizer)
 	}
 }
 
@@ -673,24 +628,6 @@ func TestAutoDispatchEndToEnd(t *testing.T) {
 		if !strings.Contains(string(expo), want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
-	}
-}
-
-// DefaultService must thread Config.Engine into every gate stack while
-// leaving the annealing lanes untouched.
-func TestDefaultServiceEngineConfig(t *testing.T) {
-	s := DefaultService(Config{Seed: 3, Engine: qx.EngineReference}, 4, 1)
-	s.Start()
-	defer s.Stop()
-	job, err := s.Submit(Request{Program: bellProgram("cfg"), Backend: "perfect", Shots: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if job.Result().Report == nil {
-		t.Fatal("no report from reference-engine stack")
 	}
 }
 

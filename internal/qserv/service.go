@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/obs"
-	"repro/internal/qx"
 	"repro/internal/target"
 )
 
@@ -56,15 +55,6 @@ type Config struct {
 	CompileWorkers int
 	// Seed is the base of the per-job seed derivation (default 1).
 	Seed int64
-	// Engine names the qx execution engine DefaultService configures the
-	// gate stacks with ("auto", "stabilizer", "optimized", "reference");
-	// empty defaults to "auto", which dispatches each compiled circuit
-	// to the stabilizer tableau when it is Clifford with
-	// Clifford-compatible noise and to the optimized dense engine
-	// otherwise — identical seeded counts either way, only the
-	// asymptotics change. Individual jobs may still override it per
-	// request.
-	Engine string
 	// Passes is the compiler pass spec DefaultService configures the gate
 	// stacks with; empty uses the default pipeline. Individual jobs may
 	// still override it per request.
@@ -125,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Engine == "" {
-		c.Engine = qx.EngineAuto
 	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 15 * time.Minute

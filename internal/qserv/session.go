@@ -39,7 +39,6 @@ type Session struct {
 	symbols   []string
 	name      string
 	shots     int
-	engine    string
 	passes    string
 	hit       bool
 	created   time.Time
@@ -84,8 +83,8 @@ type BindRequest struct {
 
 // OpenSession eagerly compiles the request's gate program — symbolic
 // parameters preserved — and pins the artefact for streaming binds. The
-// request validates and routes exactly like Submit (backend, engine,
-// passes, device and calibration overrides all apply), must carry a gate
+// request validates and routes exactly like Submit (backend, passes,
+// device and calibration overrides all apply), must carry a gate
 // payload, and compiles through the shared caches: opening a second
 // session on the same program is a cache hit, not a recompile. Idle
 // sessions expire after Config.SessionTTL; opening beyond
@@ -133,7 +132,6 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 		symbols:   compiled.Symbols(),
 		name:      req.Name,
 		shots:     req.Shots,
-		engine:    req.Engine,
 		passes:    req.Passes,
 		hit:       hit,
 		created:   now,
@@ -180,7 +178,6 @@ func (s *Service) BindSession(id string, breq BindRequest) (*Job, error) {
 		Req: Request{
 			Name:    breq.Name,
 			Backend: sess.pool.b.Name(),
-			Engine:  sess.engine,
 			Passes:  sess.passes,
 			Shots:   shots,
 			Seed:    breq.Seed,
@@ -335,7 +332,6 @@ type SessionView struct {
 	CompileCacheHit bool      `json:"compile_cache_hit"`
 	Binds           uint64    `json:"binds"`
 	Shots           int       `json:"shots"`
-	Engine          string    `json:"engine,omitempty"`
 	Passes          string    `json:"passes,omitempty"`
 	CreatedAt       time.Time `json:"created_at"`
 	LastUsedAt      time.Time `json:"last_used_at"`
@@ -355,7 +351,6 @@ func (s *Service) viewSession(ss *Session) SessionView {
 		CompileCacheHit: ss.hit,
 		Binds:           binds,
 		Shots:           ss.shots,
-		Engine:          ss.engine,
 		Passes:          ss.passes,
 		CreatedAt:       ss.created,
 		LastUsedAt:      lastUsed,
@@ -375,7 +370,6 @@ type OpenSessionJSON struct {
 	Name    string `json:"name,omitempty"`
 	CQASM   string `json:"cqasm"`
 	Backend string `json:"backend,omitempty"`
-	Engine  string `json:"engine,omitempty"`
 	Passes  string `json:"passes,omitempty"`
 	// Target and Calibration override the session's device exactly like
 	// their POST /submit counterparts; every bind executes against the
@@ -402,7 +396,6 @@ func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		Name:        or.Name,
 		CQASM:       or.CQASM,
 		Backend:     or.Backend,
-		Engine:      or.Engine,
 		Passes:      or.Passes,
 		Target:      or.Target,
 		Calibration: or.Calibration,

@@ -11,9 +11,9 @@ import (
 // service: perfect, superconducting and semiconducting gate stacks, the
 // simulated quantum annealer, and the classical QUBO fallback. qubits
 // sizes the perfect stack; workers sizes every pool (<= 0 selects
-// Config.DefaultWorkers). Every gate stack executes on Config.Engine and
-// compiles through Config.Passes (jobs may override both per request)
-// and fans large shot counts out in parallel batches. The service is
+// Config.DefaultWorkers). Every gate stack executes on the auto engine,
+// compiles through Config.Passes (jobs may override it per request) and
+// fans large shot counts out in parallel batches. The service is
 // returned unstarted.
 func DefaultService(cfg Config, qubits int, workers int) *Service {
 	s := New(cfg)
@@ -31,7 +31,6 @@ func DefaultService(cfg Config, qubits int, workers int) *Service {
 		core.NewSuperconducting(seed),
 		core.NewSemiconducting(seed),
 	} {
-		stack.Engine = cfg.Engine
 		stack.Passes = cfg.Passes
 		stack.KernelWorkers = kernelWorkers
 		s.AddBackend(NewStackBackend(stack), workers)

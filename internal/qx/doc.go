@@ -8,21 +8,25 @@
 //
 // Execution is split from configuration: a Simulator holds the run
 // configuration (noise model, fusion flag, PRNG) and delegates the actual
-// work to a pluggable Engine — the swappable execution layer the upper
-// layers of the stack (core.Stack, the micro-architecture, qserv) target
-// by interface rather than by implementation. Three engines ship, plus a
-// dispatching meta-engine:
+// work to an Engine — the execution layer the upper layers of the stack
+// (core.Stack, the micro-architecture, qserv) target by interface rather
+// than by implementation. Engines are plain values, not names: a nil
+// Simulator.Engine (and a nil core.Stack.Engine) runs Auto, the one
+// engine path of the stack, and only callers that need one path pinned
+// — differential tests and benchmarks — pass a concrete engine. Three
+// engines ship beneath the dispatcher:
 //
-//   - "reference" (Reference): the naive dense engine — per-gate matrix
+//   - Reference: the naive dense engine — per-gate matrix
 //     materialisation, generic matrix application, linear-scan sampling.
-//     It is the behavioural baseline.
-//   - "optimized" (Optimized, the default): compiles the circuit once per
-//     run into a typed op table with precomputed matrices, lowers the
-//     common gate set to specialized bit-twiddling kernels, applies
-//     amplitudes chunk-parallel across goroutines on large states, and
-//     samples deterministic multi-shot runs through a cumulative
-//     distribution with binary search.
-//   - "stabilizer" (Stabilizer): an Aaronson–Gottesman CHP tableau —
+//     It is the behavioural baseline the differential tests compare
+//     against.
+//   - Optimized: compiles the circuit once per run into a typed op table
+//     with precomputed matrices, lowers the common gate set to
+//     specialized bit-twiddling kernels, applies amplitudes
+//     chunk-parallel across goroutines on large states, and samples
+//     deterministic multi-shot runs through a cumulative distribution
+//     with binary search.
+//   - Stabilizer: an Aaronson–Gottesman CHP tableau —
 //     n destabilizer and n stabilizer generators as packed X/Z bit rows
 //     plus a sign — O(n) per Clifford gate and O(n²) per measurement,
 //     so cost is polynomial in qubit count where dense engines double
@@ -32,11 +36,13 @@
 //     amplitude damping (T1) is rejected because a non-unital channel
 //     has no stabilizer unravelling. Results for registers wider than
 //     63 qubits land in Result.WideCounts, keyed by bitstring.
-//   - "auto" (Auto): a Dispatcher that inspects each circuit at run
+//   - Auto (the default): a Dispatcher that inspects each circuit at run
 //     time and picks Stabilizer when circuit.IsClifford holds and the
-//     noise model is CliffordCompatible, Optimized otherwise. Layers
-//     that want the report/metrics to name the real execution path
-//     (core.Stack, qserv) resolve the Dispatcher once before running.
+//     noise model is CliffordCompatible, Optimized otherwise. RunState
+//     always runs Optimized, since a state vector is dense whichever
+//     engine would sample the circuit. Layers that want the
+//     report/metrics to name the real execution path (core.Stack, qserv)
+//     resolve the Dispatcher once before running.
 //
 // The Clifford classifier (circuit.CliffordDecompose / IsClifford)
 // recognises the structural Clifford gates (h, s, sdag, x, y, z, the
@@ -55,17 +61,15 @@
 // stabilizer state's support in the dense sampler's integer order), so
 // the randomized differential tests in engine_test.go enforce
 // bit-identical counts across all three engines on perfect, noisy and
-// feed-forward Clifford circuits. Engine selection threads through the
-// whole stack: core.Stack.Engine (part of the stack fingerprint), the
-// qserv per-job "engine" field (default auto), and the -engine flags of
-// cmd/qx and cmd/qservd.
+// feed-forward Clifford circuits. Dispatch is therefore a pure
+// performance decision, which is why no layer exposes an engine knob.
 //
-// To add an engine, implement Engine (execute a validated circuit against
-// a dense state, consuming randomness only from the ExecEnv PRNG) and
-// RegisterEngine it; EngineByName then resolves it everywhere a name is
-// accepted. An engine that walks gates in circuit order and draws from
-// the PRNG at the same points as the reference engine keeps seeded counts
-// comparable; one that does not must document its own determinism story.
+// To add an engine, implement Engine (execute a validated circuit,
+// consuming randomness only from the ExecEnv PRNG) and pass the value
+// where it is needed, or teach Auto to dispatch to it. An engine that
+// walks gates in circuit order and draws from the PRNG at the same
+// points as the reference engine keeps seeded counts comparable; one
+// that does not must document its own determinism story.
 //
 // # Concurrency contract
 //

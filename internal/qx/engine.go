@@ -1,10 +1,7 @@
 package qx
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/quantum"
@@ -16,12 +13,18 @@ import (
 // this interface rather than one concrete implementation, mirroring how
 // the paper treats QX as the swappable layer under the micro-architecture.
 //
+// Engines are plain values: a Simulator with no Engine runs Auto, and
+// callers that need one path pinned (differential tests, benchmarks)
+// pass Reference(), Optimized() or Stabilizer() directly.
+//
 // Engines must be stateless (or internally synchronised): one Engine
 // value is shared by every Simulator that selects it, across goroutines.
 // All per-run mutable state — the PRNG above all — arrives through the
 // ExecEnv and must stay local to the call.
 type Engine interface {
-	// Name returns the engine's registry name.
+	// Name returns the engine's name (one of the Engine* constants for
+	// the shipped engines): the value of core.Report.Engine and of the
+	// qserv engine-dispatch metric label.
 	Name() string
 	// RunState executes the circuit once from |0…0>, collapsing on
 	// measurement, and returns the final state vector.
@@ -47,7 +50,7 @@ type ExecEnv struct {
 
 func (e *ExecEnv) noisy() bool { return !e.Noise.IsZero() }
 
-// Engine registry names.
+// Engine names, as returned by Engine.Name.
 const (
 	// EngineReference is the naive dense engine: generic matrix
 	// application, per-gate matrix materialisation, linear-scan sampling.
@@ -66,20 +69,9 @@ const (
 	EngineStabilizer = "stabilizer"
 	// EngineAuto dispatches per circuit: the stabilizer tableau when the
 	// circuit is Clifford and the noise model is Clifford-compatible, the
-	// optimized dense engine otherwise.
+	// optimized dense engine otherwise. It is the engine a Simulator with
+	// no Engine runs.
 	EngineAuto = "auto"
-	// DefaultEngine is the engine used when none is selected.
-	DefaultEngine = EngineOptimized
-)
-
-var (
-	engineMu       sync.RWMutex
-	engineRegistry = map[string]Engine{
-		EngineReference:  referenceEngine{},
-		EngineOptimized:  optimizedEngine{},
-		EngineStabilizer: stabilizerEngine{},
-		EngineAuto:       autoEngine{},
-	}
 )
 
 // Reference returns the reference engine.
@@ -103,45 +95,6 @@ type Dispatcher interface {
 	// Dispatch returns the engine that will execute the circuit under
 	// the given noise model (nil means perfect execution).
 	Dispatch(c *circuit.Circuit, noise *NoiseModel) Engine
-}
-
-// RegisterEngine adds an engine under its Name for EngineByName lookup —
-// the extension point for alternative execution layers (sparse,
-// tensor-network, remote hardware). Registering an existing name panics.
-func RegisterEngine(e Engine) {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := engineRegistry[e.Name()]; dup {
-		panic(fmt.Sprintf("qx: engine %q already registered", e.Name()))
-	}
-	engineRegistry[e.Name()] = e
-}
-
-// EngineByName resolves an engine name; the empty string selects the
-// default engine.
-func EngineByName(name string) (Engine, error) {
-	if name == "" {
-		name = DefaultEngine
-	}
-	engineMu.RLock()
-	e, ok := engineRegistry[name]
-	engineMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("qx: unknown engine %q (have %v)", name, EngineNames())
-	}
-	return e, nil
-}
-
-// EngineNames returns the registered engine names, sorted.
-func EngineNames() []string {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	out := make([]string, 0, len(engineRegistry))
-	for n := range engineRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Noise helpers shared by every engine. They consume the ExecEnv PRNG in

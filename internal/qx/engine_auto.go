@@ -26,9 +26,11 @@ func (autoEngine) Dispatch(c *circuit.Circuit, noise *NoiseModel) Engine {
 	return optimizedEngine{}
 }
 
-// RunState dispatches and executes once to a final state vector.
-func (a autoEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.State, error) {
-	return a.Dispatch(c, env.Noise).RunState(c, env)
+// RunState executes once to a final state vector on the optimized dense
+// engine: the result is a dense state whatever the circuit, and the
+// tableau would only convert to one (and refuse past its qubit cap).
+func (autoEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.State, error) {
+	return optimizedEngine{}.RunState(c, env)
 }
 
 // Run dispatches and executes the circuit for the given number of shots.

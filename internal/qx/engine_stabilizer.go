@@ -126,7 +126,7 @@ func stabNoiseCompatible(nm *NoiseModel) error {
 	if nm.CliffordCompatible() {
 		return nil
 	}
-	return fmt.Errorf("qx: stabilizer engine cannot apply amplitude-damping (T1) noise — only Pauli channels (depolarizing, dephasing, readout error) stay Clifford; use a dense engine or the %q engine", EngineAuto)
+	return fmt.Errorf("qx: stabilizer engine cannot apply amplitude-damping (T1) noise — only Pauli channels (depolarizing, dephasing, readout error) stay Clifford; the default (auto) engine runs this noise model on a dense engine")
 }
 
 // stabKind discriminates the stabilizer engine's op table.
@@ -188,7 +188,7 @@ func compileStab(c *circuit.Circuit) (*stabProgram, error) {
 		default:
 			gens, ok := circuit.CliffordDecompose(g)
 			if !ok {
-				return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; use a dense engine or the %q engine", g.String(), EngineAuto)
+				return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; the default (auto) engine runs it on a dense engine", g.String())
 			}
 			op.kind = sUnitary
 			op.gens = gens

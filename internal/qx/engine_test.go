@@ -93,29 +93,14 @@ func TestEngineRegistry(t *testing.T) {
 	if got := Optimized().Name(); got != EngineOptimized {
 		t.Errorf("Optimized().Name() = %q", got)
 	}
-	def, err := EngineByName("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Name() != DefaultEngine {
-		t.Errorf("default engine is %q, want %q", def.Name(), DefaultEngine)
-	}
-	if _, err := EngineByName("warp-drive"); err == nil {
-		t.Error("unknown engine accepted")
-	}
 	if got := Stabilizer().Name(); got != EngineStabilizer {
 		t.Errorf("Stabilizer().Name() = %q", got)
 	}
 	if got := Auto().Name(); got != EngineAuto {
 		t.Errorf("Auto().Name() = %q", got)
 	}
-	names := EngineNames()
-	want := []string{EngineAuto, EngineOptimized, EngineReference, EngineStabilizer}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("EngineNames() = %v, want %v", names, want)
-	}
-	if New(1).engine().Name() != DefaultEngine {
-		t.Errorf("New does not default to %q", DefaultEngine)
+	if New(1).engine().Name() != EngineAuto {
+		t.Errorf("a nil Simulator.Engine runs %q, want auto", New(1).engine().Name())
 	}
 }
 
@@ -374,13 +359,4 @@ func TestRunParallelNoisy(t *testing.T) {
 	if res.GateErrorsInjected == 0 {
 		t.Error("no injected errors merged from workers")
 	}
-}
-
-func TestRegisterEngine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterEngine did not panic")
-		}
-	}()
-	RegisterEngine(referenceEngine{})
 }

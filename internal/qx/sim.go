@@ -29,8 +29,8 @@ type Simulator struct {
 	// same qubit into one matrix before application (perfect mode only;
 	// with noise each physical gate must see its own error channel).
 	EnableFusion bool
-	// Engine selects the execution engine; nil uses the default
-	// (optimized) engine. Engines are stateless and may be shared.
+	// Engine pins the execution engine; nil runs Auto. Engines are
+	// stateless and may be shared.
 	Engine Engine
 	// KernelWorkers caps amplitude-kernel parallelism for engine-created
 	// states: 0 sizes it to the machine, 1 keeps kernels serial. Callers
@@ -45,13 +45,13 @@ type Simulator struct {
 }
 
 // New returns a perfect-qubit simulator seeded deterministically, backed
-// by the default engine.
+// by the auto engine.
 func New(seed int64) *Simulator {
 	return &Simulator{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // NewWithEngine returns a perfect-qubit simulator backed by the given
-// engine (nil selects the default).
+// engine (nil selects auto).
 func NewWithEngine(seed int64, e Engine) *Simulator {
 	s := New(seed)
 	s.Engine = e
@@ -66,7 +66,7 @@ func NewNoisy(seed int64, noise *NoiseModel) *Simulator {
 }
 
 // NewNoisyWithEngine returns a realistic-qubit simulator backed by the
-// given engine (nil selects the default).
+// given engine (nil selects auto).
 func NewNoisyWithEngine(seed int64, noise *NoiseModel, e Engine) *Simulator {
 	s := NewNoisy(seed, noise)
 	s.Engine = e
@@ -85,7 +85,7 @@ func (s *Simulator) engine() Engine {
 	if s.Engine != nil {
 		return s.Engine
 	}
-	return Optimized()
+	return Auto()
 }
 
 func (s *Simulator) env() *ExecEnv {

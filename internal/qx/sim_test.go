@@ -21,6 +21,24 @@ func TestRunStateBell(t *testing.T) {
 	}
 }
 
+// The default (auto) engine must return a state vector for a Clifford
+// circuit wider than the tableau's state-vector cap: a state vector is
+// dense whichever engine would sample the circuit, so RunState never
+// routes through the stabilizer engine.
+func TestDefaultRunStateBeyondStabilizerCap(t *testing.T) {
+	n := maxStabStateQubits + 1
+	st, err := New(1).RunState(circuit.GHZ(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 / math.Sqrt2
+	for _, idx := range []int{0, 1<<uint(n) - 1} {
+		if a := st.Amplitude(idx); math.Abs(real(a)-want) > 1e-9 || math.Abs(imag(a)) > 1e-9 {
+			t.Errorf("amplitude of |%b> = %v, want %v", idx, a, want)
+		}
+	}
+}
+
 func TestRunShotsBell(t *testing.T) {
 	sim := New(2)
 	res, err := sim.Run(circuit.Bell(), 4000)
