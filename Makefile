@@ -121,9 +121,10 @@ cover:
 
 # End-to-end scrape smoke: boot qservd, submit a job over HTTP, then
 # verify /metrics serves Prometheus exposition with the job counters,
-# cache and pass families populated, that the Clifford Bell job was
-# dispatched to the stabilizer engine with no flag set, and that the
-# trace endpoint serves the span tree for the submitted job's X-Trace-Id.
+# cache, pass and session families populated, that the Clifford Bell job
+# was dispatched to the stabilizer engine with no flag set, that the
+# trace endpoint serves the span tree for the submitted job's X-Trace-Id,
+# and that /metrics is the only metrics surface (GET /stats is a 404).
 metrics-smoke:
 	$(GO) build -o bin/qservd ./cmd/qservd
 	@./bin/qservd -addr 127.0.0.1:18080 -log-level warn & pid=$$!; \
@@ -139,7 +140,8 @@ metrics-smoke:
 	curl -fsS http://127.0.0.1:18080/metrics > bin/metrics.scrape; \
 	for family in qserv_jobs_submitted_total qserv_jobs_completed_total \
 		qserv_job_latency_seconds_bucket qserv_queue_depth \
-		qserv_compile_cache_ops_total qserv_compile_pass_seconds_count \
+		qserv_compile_cache_ops_total qserv_compile_cache_entries \
+		qserv_compile_pass_seconds_count qserv_sessions_closed_total \
 		qserv_http_requests_total; do \
 		grep -q "^$$family" bin/metrics.scrape || { echo "metrics-smoke: $$family missing from /metrics"; exit 1; }; \
 	done; \
@@ -147,7 +149,9 @@ metrics-smoke:
 		|| { echo "metrics-smoke: the Clifford Bell job was not dispatched to the stabilizer engine"; exit 1; }; \
 	curl -fsS "http://127.0.0.1:18080/jobs/$$trace/trace" | grep -q '"queue.wait"' \
 		|| { echo "metrics-smoke: trace endpoint missing queue.wait span"; exit 1; }; \
-	echo "metrics-smoke: /metrics and /jobs/{id}/trace OK"
+	code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18080/stats); \
+	[ "$$code" = 404 ] || { echo "metrics-smoke: GET /stats = $$code, want 404"; exit 1; }; \
+	echo "metrics-smoke: /metrics, /jobs/{id}/trace and the /stats 404 OK"
 
 # Load-harness smoke — the required CI job. Builds qload, proves the
 # workload generator is byte-reproducible for a fixed (scenario, seed)

@@ -54,12 +54,11 @@
 //	                    device hash rotates the compile-cache keys)
 //	GET  /backends      registered backends with full device descriptions,
 //	                    calibration tables and device content hashes
-//	GET  /stats         queue depth, per-backend throughput, per-pass compile
-//	                    latency percentiles (p50/p95/p99), cache hit rate
-//	GET  /metrics       Prometheus text-format exposition: job counters,
+//	GET  /metrics       Prometheus text-format exposition, the one metrics
+//	                    surface: job counters, queue depth,
 //	                    latency/queue-wait histograms per backend, both
 //	                    compile-cache levels, per-pass compile timings,
-//	                    HTTP request metrics
+//	                    sessions, HTTP request metrics
 //	GET  /healthz       liveness probe
 //	GET  /debug/pprof/  runtime profiles (only with -pprof)
 //
@@ -104,8 +103,9 @@
 // scheduling or calibration recompile suffix-only. Kernels compile
 // concurrently up to the -compile-workers budget, shared service-wide
 // via one semaphore so compile parallelism never multiplies with the
-// worker pools. GET /stats reports both cache levels and per-backend
-// prefix_hits.
+// worker pools. GET /metrics reports both cache levels
+// (qserv_compile_cache_ops_total) and per-backend prefix hits
+// (qserv_compile_cache_skips_total{level="prefix"}).
 //
 // Parametric compilation & sessions: cQASM angles may be linear
 // expressions over $symbols (`rz q[0], 2*$gamma`); such a program
@@ -115,8 +115,8 @@
 // an O(#symbols) patch, no recompilation — before seeded execution.
 // All bindings of one ansatz share a single entry in both compile-cache
 // levels, because kernel hashes fold expressions in symbolically.
-// Session activity surfaces in GET /stats ("sessions") and /metrics
-// (qserv_sessions_active, qserv_sessions_opened_total,
+// Session activity surfaces in GET /metrics (qserv_sessions_active,
+// qserv_sessions_opened_total, qserv_sessions_closed_total,
 // qserv_binds_total, qserv_bind_seconds).
 //
 // -target adds the device in the given JSON file as an additional gate
@@ -132,6 +132,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -148,6 +149,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/qserv"
 	"repro/internal/target"
 )
@@ -253,7 +255,7 @@ func main() {
 		root.Handle("/", handler)
 		handler = root
 	}
-	server := &http.Server{Addr: *addr, Handler: handler}
+	server := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		log.Printf("qservd: serving on %s (backends: %s)", *addr, backends)
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -279,9 +281,30 @@ func main() {
 	} else {
 		log.Print("qservd: drained cleanly")
 	}
-	st := svc.Stats()
-	log.Printf("qservd: done — %d jobs submitted, %d done, %d failed, cache hit rate %.0f%%",
-		st.JobsSubmitted, st.JobsDone, st.JobsFailed, 100*st.CacheHitRate)
+	logSummary(svc)
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a stalled client cannot hold one open.
+const readHeaderTimeout = 10 * time.Second
+
+// logSummary logs the final job counters, read back from the service's
+// metric registry (all zero with -metrics=false).
+func logSummary(svc *qserv.Service) {
+	var buf bytes.Buffer
+	_ = svc.Metrics().WritePrometheus(&buf) // writes to a bytes.Buffer cannot fail
+	m, err := obs.ParseText(&buf)
+	if err != nil {
+		log.Printf("qservd: final metrics: %v", err)
+		return
+	}
+	hits := m[`qserv_compile_cache_ops_total{level="full",op="hit"}`]
+	misses := m[`qserv_compile_cache_ops_total{level="full",op="miss"}`]
+	log.Printf("qservd: done — %.0f jobs submitted, %.0f done, %.0f failed, cache hit rate %.0f%%",
+		m["qserv_jobs_submitted_total"],
+		obs.Sum(m, "qserv_jobs_completed_total", `status="done"`),
+		obs.Sum(m, "qserv_jobs_completed_total", `status="failed"`),
+		100*hits/max(hits+misses, 1))
 }
 
 // buildLogger assembles the service's slog logger from the -log-format

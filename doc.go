@@ -52,8 +52,8 @@
 // the compile fingerprint, so the qserv compile cache keys on it),
 // per-job "passes" in the qserv API, and -passes flags on cmd/qx,
 // cmd/qservd and cmd/openqlc. Per-pass metrics surface in core.Report,
-// qserv job views and /stats (with p50/p95/p99 latency percentiles per
-// backend and pass), and the CLI pass reports.
+// qserv job views and /metrics (run counters and a wall-time histogram
+// per backend and pass), and the CLI pass reports.
 //
 // Compilation itself is two-level (compiler.Pipeline.Split): the
 // platform-generic prefix of a pipeline — the leading decompose/
@@ -115,12 +115,12 @@
 // shared two-level compile cache: a full-artefact LRU so exact
 // resubmissions skip compilation entirely, and a prefix-artefact LRU so
 // map/schedule/calibration variants of known kernels recompile
-// suffix-only (both singleflight-deduplicated; /stats reports both hit
-// rates and per-backend prefix_hits). Backends support live
+// suffix-only (both singleflight-deduplicated; /metrics reports both
+// levels' hits and misses and per-backend prefix hits). Backends support live
 // re-calibration (PUT /backends/{name}/calibration) that atomically
 // swaps the device's calibration table and rotates the compile-cache
 // keys through the device hash. cmd/qservd serves it over HTTP
-// (/submit, /jobs/{id}, /stats) and examples/service drives the API end
+// (/submit, /jobs/{id}, /metrics) and examples/service drives the API end
 // to end; this is the host-side runtime that turns the reproduction into
 // a multi-tenant system.
 //
@@ -133,8 +133,8 @@
 // the job's reported latency exactly. The same registry backs
 // GET /metrics (Prometheus text exposition: job counters, per-backend
 // latency and queue-wait histograms, both compile-cache levels,
-// per-pass compile timings, HTTP request metrics) and GET /stats, which
-// is now a thin view over it. Structured slog logging is keyed by
+// per-pass compile timings, HTTP request metrics), the one metrics
+// surface every tool reads. Structured slog logging is keyed by
 // trace_id, and cmd/qservd exposes net/http/pprof behind -pprof. A CI
 // benchmark (BenchmarkObsOverhead) holds the instrumentation overhead
 // under 5% through the cmd/benchgate ceiling gate.

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -201,11 +202,16 @@ func main() {
 			copy(bestBits, qubo.SpinsToBits(spins))
 		}
 	}
-	st := svc.Stats()
+	var buf bytes.Buffer
+	_ = svc.Metrics().WritePrometheus(&buf) // writes to a bytes.Buffer cannot fail
+	m, err := obs.ParseText(&buf)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nQAOA p=%d via session: bits %v energy %.3f (expectation %.3f, %d evaluations)\n",
 		layers, bestBits, q.Energy(bestBits), opt.Value, iter)
-	fmt.Printf("session totals: %d binds, avg bind %v — vs one full compile %v\n",
-		st.Sessions.Binds, time.Duration(bindNsTotal/int64(iter)).Round(100*time.Nanosecond),
+	fmt.Printf("session totals: %.0f binds, avg bind %v — vs one full compile %v\n",
+		m["qserv_binds_total"], time.Duration(bindNsTotal/int64(iter)).Round(100*time.Nanosecond),
 		compileOnce.Round(time.Microsecond))
 
 	// Both accelerators must agree with the exact optimum on this size.

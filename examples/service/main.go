@@ -3,7 +3,7 @@
 // over its HTTP API the way a remote classical host would: submit gate
 // jobs (cQASM text) to heterogeneous backends and a QUBO to the annealer,
 // long-poll for results, resubmit to demonstrate the compiled-circuit
-// cache, and read back /stats.
+// cache, and read back the /metrics exposition.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 
+	"repro/internal/obs"
 	"repro/internal/qserv"
 )
 
@@ -50,7 +51,8 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("qserv listening on %s\n\n", base)
 
-	// Client side: everything below uses only net/http + JSON.
+	// Client side: everything below uses only net/http, JSON and the
+	// exposition parser.
 	submit := func(req qserv.SubmitRequest) string {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
@@ -117,23 +119,24 @@ func main() {
 	rerun := await(submit(qserv.SubmitRequest{Name: "bell", CQASM: bell, Backend: "perfect", Shots: 1024}))
 	fmt.Printf("resubmission cache hit: %v (%.1f ms)\n", rerun.CacheHit, rerun.ElapsedMs)
 
-	// 4. Operator view.
-	resp, err := http.Get(base + "/stats")
+	// 4. Operator view: the Prometheus exposition.
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st qserv.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	m, err := obs.ParseText(resp.Body)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n/stats: %d submitted, %d done, queue %d/%d, cache hit rate %.0f%%\n",
-		st.JobsSubmitted, st.JobsDone, st.QueueDepth, st.QueueCap, 100*st.CacheHitRate)
-	for _, b := range st.Backends {
-		if b.JobsDone == 0 {
-			continue
-		}
-		fmt.Printf("  %-15s %d jobs, %.1f jobs/s, busy %.1f ms\n",
-			b.Name, b.JobsDone, b.JobsPerSec, b.BusyMs)
+	hits := m[`qserv_compile_cache_ops_total{level="full",op="hit"}`]
+	misses := m[`qserv_compile_cache_ops_total{level="full",op="miss"}`]
+	fmt.Printf("\n/metrics: %.0f submitted, %.0f done, queue depth %.0f, cache hit rate %.0f%%\n",
+		m["qserv_jobs_submitted_total"], obs.Sum(m, "qserv_jobs_completed_total", `status="done"`),
+		obs.Sum(m, "qserv_queue_depth"), 100*hits/max(hits+misses, 1))
+	for _, b := range []string{"perfect", "superconducting", "annealer"} {
+		fmt.Printf("  %-15s %.0f jobs, busy %.1f ms\n", b,
+			m[`qserv_jobs_completed_total{backend="`+b+`",status="done"}`],
+			1e3*m[`qserv_worker_busy_seconds_total{backend="`+b+`"}`])
 	}
 }

@@ -35,8 +35,10 @@
 // # SLO methodology
 //
 // Reports combine client-observed submit→result latency with
-// server-side /stats and /metrics deltas (cache hit rates over the run
-// window, engine-dispatch mix, queue-depth samples). The gate follows
+// server-side /metrics deltas (cache hit rates over the run window,
+// engine-dispatch mix, queue-depth samples). A service whose /metrics
+// carries no qserv samples (qservd -metrics=false) is refused before
+// the run starts. The gate follows
 // the BLIS experiment standards: a scenario's SLO block is evaluated
 // independently at three seeds (42, 123, 456 by default) and the gate
 // passes only with directional consistency — every bound must hold in

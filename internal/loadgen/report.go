@@ -1,11 +1,11 @@
 package loadgen
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // MetricsBlock is the client-side view of a slice of ops (one phase, or
@@ -37,9 +37,9 @@ type PhaseMetrics struct {
 	Metrics MetricsBlock `json:"metrics"`
 }
 
-// ServerMetrics is the server-side delta between the /stats and /metrics
-// snapshots taken at run start and run end, plus queue-depth samples
-// polled during the run.
+// ServerMetrics is the server-side delta between the /metrics snapshots
+// taken at run start and run end, plus queue-depth samples polled during
+// the run.
 type ServerMetrics struct {
 	// FullHitRate / PrefixHitRate are delta hit rates over the run (hits
 	// gained / lookups gained), not lifetime averages — attach mode would
@@ -127,79 +127,38 @@ func buildBlock(results []opResult, wallMs float64) MetricsBlock {
 	return b
 }
 
-// statsSnapshot mirrors the /stats fields the harness consumes.
-type statsSnapshot struct {
-	QueueDepth    int           `json:"queue_depth"`
-	JobsSubmitted uint64        `json:"jobs_submitted"`
-	JobsDone      uint64        `json:"jobs_done"`
-	JobsFailed    uint64        `json:"jobs_failed"`
-	Cache         cacheSnapshot `json:"cache"`
-	PrefixCache   cacheSnapshot `json:"prefix_cache"`
-}
-
-type cacheSnapshot struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
-}
-
-// deltaRate computes the hit rate of the (after − before) window.
-func deltaRate(before, after cacheSnapshot) float64 {
-	hits := float64(after.Hits - before.Hits)
-	misses := float64(after.Misses - before.Misses)
-	if hits+misses == 0 {
-		return 0
+// serverDelta computes the report's server block from the /metrics
+// samples taken at run start and run end; the queue-depth fields come
+// from the sampler instead.
+func serverDelta(before, after map[string]float64) ServerMetrics {
+	grown := func(name string, pairs ...string) float64 {
+		return obs.Sum(after, name, pairs...) - obs.Sum(before, name, pairs...)
 	}
-	return hits / (hits + misses)
-}
-
-// parseEngineDispatch extracts qserv_engine_dispatch_total{engine=...}
-// samples from Prometheus exposition text. It is deliberately a minimal
-// line parser: the only family it needs has a single label with a plain
-// value, so a full exposition-format parser would be dead weight.
-func parseEngineDispatch(text string) map[string]float64 {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	const prefix = `qserv_engine_dispatch_total{engine="`
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, prefix) {
-			continue
+	hitRate := func(level string) float64 {
+		hits := grown("qserv_compile_cache_ops_total", `level="`+level+`"`, `op="hit"`)
+		misses := grown("qserv_compile_cache_ops_total", `level="`+level+`"`, `op="miss"`)
+		if hits+misses == 0 {
+			return 0
 		}
-		rest := line[len(prefix):]
-		end := strings.Index(rest, `"`)
-		if end < 0 {
-			continue
-		}
-		engine := rest[:end]
-		fields := strings.Fields(rest[end+2:])
-		if len(fields) == 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			continue
-		}
-		out[engine] += v
+		return hits / (hits + misses)
 	}
-	return out
-}
-
-// dispatchDelta subtracts the before snapshot from after, dropping
-// engines with no growth.
-func dispatchDelta(before, after map[string]float64) map[string]float64 {
-	out := map[string]float64{}
-	for engine, v := range after {
-		d := v - before[engine]
-		if d > 0 {
-			out[engine] = d
+	sm := ServerMetrics{
+		FullHitRate:   hitRate("full"),
+		PrefixHitRate: hitRate("prefix"),
+		JobsDone:      uint64(grown("qserv_jobs_completed_total", `status="done"`)),
+		JobsFailed:    uint64(grown("qserv_jobs_completed_total", `status="failed"`)),
+	}
+	const dispatch = `qserv_engine_dispatch_total{engine="`
+	for series, v := range after {
+		engine, ok := strings.CutPrefix(series, dispatch)
+		if d := v - before[series]; ok && d > 0 {
+			if sm.EngineDispatch == nil {
+				sm.EngineDispatch = map[string]float64{}
+			}
+			sm.EngineDispatch[strings.TrimSuffix(engine, `"}`)] = d
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return sm
 }
 
 // FormatRun renders a terse human-readable summary of a run report.

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qserv"
 	"repro/internal/target"
 )
@@ -50,6 +51,10 @@ func (r *Runner) logf(format string, args ...interface{}) {
 // maxInFlight caps concurrently outstanding open-loop ops (sockets and
 // goroutines), not the arrival schedule itself.
 const maxInFlight = 512
+
+// readHeaderTimeout bounds how long the self-booted server waits for a
+// request's headers, so a stalled client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
 
 // traceDumpSlowest is how many of the slowest jobs get their traces
 // dumped alongside every failed job when TraceDir is set.
@@ -92,13 +97,14 @@ func (r *Runner) Run(s *Scenario, seed int64) (*RunReport, error) {
 		return nil, err
 	}
 
-	statsBefore, err := run.fetchStats()
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: initial /stats: %w", err)
-	}
 	metricsBefore, err := run.fetchMetrics()
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: initial /metrics: %w", err)
+	}
+	// A service running with metrics disabled exposes no qserv families;
+	// its report would be all zeros, so refuse to run against it.
+	if _, ok := metricsBefore["qserv_jobs_submitted_total"]; !ok {
+		return nil, fmt.Errorf("loadgen: %s/metrics has no qserv_jobs_submitted_total sample: the service runs with metrics disabled", base)
 	}
 
 	stopSampler := run.startQueueSampler()
@@ -119,10 +125,6 @@ func (r *Runner) Run(s *Scenario, seed int64) (*RunReport, error) {
 	stopEvents()
 	maxQ, meanQ := stopSampler()
 
-	statsAfter, err := run.fetchStats()
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: final /stats: %w", err)
-	}
 	metricsAfter, err := run.fetchMetrics()
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: final /metrics: %w", err)
@@ -131,6 +133,8 @@ func (r *Runner) Run(s *Scenario, seed int64) (*RunReport, error) {
 		run.dumpTraces()
 	}
 
+	server := serverDelta(metricsBefore, metricsAfter)
+	server.MaxQueueDepth, server.MeanQueue = maxQ, meanQ
 	report := &RunReport{
 		Scenario:       s.Name,
 		Seed:           seed,
@@ -138,15 +142,7 @@ func (r *Runner) Run(s *Scenario, seed int64) (*RunReport, error) {
 		DurationMs:     totalWallMs,
 		Totals:         buildBlock(all, totalWallMs),
 		Phases:         phases,
-		Server: ServerMetrics{
-			FullHitRate:    deltaRate(statsBefore.Cache, statsAfter.Cache),
-			PrefixHitRate:  deltaRate(statsBefore.PrefixCache, statsAfter.PrefixCache),
-			JobsDone:       statsAfter.JobsDone - statsBefore.JobsDone,
-			JobsFailed:     statsAfter.JobsFailed - statsBefore.JobsFailed,
-			MaxQueueDepth:  maxQ,
-			MeanQueue:      meanQ,
-			EngineDispatch: dispatchDelta(parseEngineDispatch(metricsBefore), parseEngineDispatch(metricsAfter)),
-		},
+		Server:         server,
 	}
 	EvaluateSLO(s, report)
 	return report, nil
@@ -191,7 +187,7 @@ func (r *Runner) bootOrAttach(s *Scenario, seed int64) (string, func(), error) {
 		svc.Stop()
 		return "", nil, fmt.Errorf("loadgen: listen: %w", err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	drainTimeout := r.DrainTimeout
 	if drainTimeout <= 0 {
@@ -248,35 +244,21 @@ func (rs *runState) waitHealthy() error {
 	}
 }
 
-func (rs *runState) fetchStats() (statsSnapshot, error) {
-	var st statsSnapshot
-	resp, err := rs.client.Get(rs.base + "/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET /stats: %s", resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
-}
-
-func (rs *runState) fetchMetrics() (string, error) {
+// fetchMetrics scrapes the service's /metrics exposition into samples.
+func (rs *runState) fetchMetrics() (map[string]float64, error) {
 	resp, err := rs.client.Get(rs.base + "/metrics")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /metrics: %s", resp.Status)
+		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
 	}
-	data, err := io.ReadAll(resp.Body)
-	return string(data), err
+	return obs.ParseText(resp.Body)
 }
 
-// startQueueSampler polls /stats for the queue depth; the returned stop
-// func reports (max, mean) over the samples.
+// startQueueSampler polls /metrics for the total queue depth; the
+// returned stop func reports (max, mean) over the samples.
 func (rs *runState) startQueueSampler() func() (int, float64) {
 	interval := rs.r.SampleInterval
 	if interval <= 0 {
@@ -296,14 +278,13 @@ func (rs *runState) startQueueSampler() func() (int, float64) {
 			case <-stop:
 				return
 			case <-t.C:
-				st, err := rs.fetchStats()
+				m, err := rs.fetchMetrics()
 				if err != nil {
 					continue
 				}
-				if st.QueueDepth > maxQ {
-					maxQ = st.QueueDepth
-				}
-				sum += float64(st.QueueDepth)
+				depth := int(obs.Sum(m, "qserv_queue_depth"))
+				maxQ = max(maxQ, depth)
+				sum += float64(depth)
 				n++
 			}
 		}

@@ -1,10 +1,14 @@
 package loadgen
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/qserv"
 )
 
 // e2eScenario is a deliberately small end-to-end scenario: an open-loop
@@ -119,5 +123,48 @@ func TestRunnerGateCatchesInjectedViolation(t *testing.T) {
 	}
 	if len(g.Violations) == 0 {
 		t.Fatal("failing gate carries no violations")
+	}
+}
+
+// The server block read from /metrics agrees with the client's own
+// accounting: every job the client saw finish is a job the server
+// counted, and the smoke scenario's cache-hot phase registers
+// full-artefact hits.
+func TestRunnerServerBlockMatchesClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e runner test skipped in -short mode")
+	}
+	s, err := LoadScenario(filepath.Join("..", "..", "scenarios", "smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{DrainTimeout: 10 * time.Second, OpTimeout: 20 * time.Second, Logf: t.Logf}
+	rep, err := r.Run(s, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Server.JobsDone != uint64(rep.Totals.OK) {
+		t.Errorf("server jobs done = %d, client ok = %d", rep.Server.JobsDone, rep.Totals.OK)
+	}
+	if got, want := rep.Server.JobsDone+rep.Server.JobsFailed, uint64(rep.Totals.OK+rep.Totals.Failed); got != want {
+		t.Errorf("server done+failed = %d, client ok+failed = %d", got, want)
+	}
+	if rep.Server.FullHitRate <= 0 {
+		t.Errorf("full hit rate = %v, want > 0 from the cache-hot phase", rep.Server.FullHitRate)
+	}
+}
+
+// A service with metrics disabled exposes no qserv samples; the runner
+// refuses it up front instead of reporting a run of zeros.
+func TestRunnerRejectsServiceWithoutMetrics(t *testing.T) {
+	svc := qserv.DefaultService(qserv.Config{DisableMetrics: true}, 4, 1)
+	svc.Start()
+	t.Cleanup(svc.Stop)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	r := &Runner{AttachURL: srv.URL, Logf: t.Logf}
+	rep, err := r.Run(e2eScenario(t), 42)
+	if err == nil || !strings.Contains(err.Error(), "metrics disabled") {
+		t.Fatalf("Run against a metrics-less service = (%v, %v), want a metrics-disabled error", rep, err)
 	}
 }

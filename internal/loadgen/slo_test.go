@@ -3,6 +3,8 @@ package loadgen
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func sloScenario(t *testing.T) *Scenario {
@@ -154,33 +156,51 @@ func TestBuildBlock(t *testing.T) {
 	}
 }
 
+// The engine-dispatch mix is the per-engine growth of
+// qserv_engine_dispatch_total between two parsed /metrics scrapes.
 func TestParseEngineDispatch(t *testing.T) {
-	text := `# HELP qserv_engine_dispatch_total Jobs dispatched per engine.
+	after, err := obs.ParseText(strings.NewReader(`# HELP qserv_engine_dispatch_total Jobs dispatched per engine.
 # TYPE qserv_engine_dispatch_total counter
 qserv_engine_dispatch_total{engine="optimized"} 33
 qserv_engine_dispatch_total{engine="stabilizer"} 16
 qserv_jobs_submitted_total 49
-`
-	got := parseEngineDispatch(text)
-	if got["optimized"] != 33 || got["stabilizer"] != 16 || len(got) != 2 {
-		t.Fatalf("parsed %v", got)
+`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	delta := dispatchDelta(map[string]float64{"optimized": 30}, got)
-	if delta["optimized"] != 3 || delta["stabilizer"] != 16 {
-		t.Fatalf("delta %v", delta)
+	before := map[string]float64{`qserv_engine_dispatch_total{engine="optimized"}`: 30}
+	got := serverDelta(before, after).EngineDispatch
+	if got["optimized"] != 3 || got["stabilizer"] != 16 || len(got) != 2 {
+		t.Fatalf("dispatch delta %v", got)
 	}
-	if d := dispatchDelta(got, got); d != nil {
+	if d := serverDelta(after, after).EngineDispatch; d != nil {
 		t.Fatalf("zero delta should be nil, got %v", d)
 	}
 }
 
+// Hit rates, done and failed counts are deltas over the run, not
+// lifetime totals.
 func TestDeltaRate(t *testing.T) {
-	before := cacheSnapshot{Hits: 10, Misses: 10}
-	after := cacheSnapshot{Hits: 40, Misses: 20}
-	if got := deltaRate(before, after); got != 0.75 {
-		t.Errorf("delta rate = %v, want 0.75", got)
+	snapshot := func(fullHits, fullMisses, prefixHits, done, failed float64) map[string]float64 {
+		return map[string]float64{
+			`qserv_compile_cache_ops_total{level="full",op="hit"}`:    fullHits,
+			`qserv_compile_cache_ops_total{level="full",op="miss"}`:   fullMisses,
+			`qserv_compile_cache_ops_total{level="prefix",op="hit"}`:  prefixHits,
+			`qserv_compile_cache_ops_total{level="prefix",op="miss"}`: 0,
+			`qserv_jobs_completed_total{backend="a",status="done"}`:   done,
+			`qserv_jobs_completed_total{backend="b",status="done"}`:   done,
+			`qserv_jobs_completed_total{backend="b",status="failed"}`: failed,
+		}
 	}
-	if got := deltaRate(after, after); got != 0 {
+	before, after := snapshot(10, 10, 0, 5, 1), snapshot(40, 20, 0, 9, 3)
+	got := serverDelta(before, after)
+	if got.FullHitRate != 0.75 || got.PrefixHitRate != 0 {
+		t.Errorf("hit rates = %v/%v, want 0.75/0 (no prefix traffic)", got.FullHitRate, got.PrefixHitRate)
+	}
+	if got.JobsDone != 8 || got.JobsFailed != 2 {
+		t.Errorf("jobs done/failed = %d/%d, want 8/2", got.JobsDone, got.JobsFailed)
+	}
+	if got := serverDelta(after, after).FullHitRate; got != 0 {
 		t.Errorf("no-traffic delta rate = %v, want 0", got)
 	}
 }

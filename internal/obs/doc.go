@@ -22,10 +22,12 @@
 // Histograms use explicit ascending upper bounds (seconds, by
 // convention); ExpBuckets builds geometric ladders, and LatencyBuckets
 // is the shared 36-bucket ladder spanning 128 ns to ~37 minutes that the
-// service's latency and per-pass compile histograms use. Histogram
-// additionally exposes Quantile — a midpoint estimate over its buckets —
-// so JSON views (/stats) can stay thin reads over the same instruments
-// the /metrics endpoint exports.
+// service's latency and per-pass compile histograms use.
+//
+// ParseText reads an exposition back into a map from series (name and
+// label set exactly as exposed) to value, and Sum folds a family's
+// series by label, so tools, tests and in-process summaries all read
+// the one /metrics surface.
 //
 // # Tracing
 //

@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,6 +46,114 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
+}
+
+// ParseText reads a text exposition, as WritePrometheus writes it, into
+// a map from each sample's series to its value. A series is the sample's
+// name and label set exactly as exposed, escapes included:
+// `qserv_jobs_completed_total{backend="perfect",status="done"}`. Comment
+// and blank lines are skipped; a malformed sample line fails with its
+// line number.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	samples := map[string]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		series, v, err := parseSample(line)
+		if err != nil {
+			return nil, fmt.Errorf("obs: exposition line %d: %w", n, err)
+		}
+		samples[series] = v
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: reading exposition: %w", err)
+	}
+	return samples, nil
+}
+
+// parseSample splits one `series value` sample line.
+func parseSample(line string) (string, float64, error) {
+	end := strings.IndexAny(line, "{ ")
+	if end < 0 || !metricName.MatchString(line[:end]) {
+		return "", 0, fmt.Errorf("bad sample %q: want name[{labels}] value", line)
+	}
+	if line[end] == '{' {
+		n, err := labelSetLen(line[end:])
+		if err != nil {
+			return "", 0, fmt.Errorf("bad label set in %q: %w", line, err)
+		}
+		end += n
+	}
+	value, ok := strings.CutPrefix(line[end:], " ")
+	if !ok {
+		return "", 0, fmt.Errorf("bad sample %q: no value after the series", line)
+	}
+	v, err := strconv.ParseFloat(value, 64)
+	if err != nil {
+		return "", 0, fmt.Errorf("bad sample value in %q: %w", line, err)
+	}
+	return line[:end], v, nil
+}
+
+// labelSetLen returns the length of the {k="v",...} label set that s
+// starts with, checking label names, quoting and escapes.
+func labelSetLen(s string) (int, error) {
+	i := 1
+	for i < len(s) && s[i] != '}' {
+		eq := strings.IndexByte(s[i:], '=')
+		if eq < 0 || !labelName.MatchString(s[i:i+eq]) {
+			return 0, errors.New("bad label name")
+		}
+		i += eq + 1
+		if i == len(s) || s[i] != '"' {
+			return 0, errors.New("unquoted label value")
+		}
+		for i++; i < len(s) && s[i] != '"'; i++ {
+			if s[i] == '\\' {
+				i++
+				if i == len(s) || !strings.ContainsRune(`\"n`, rune(s[i])) {
+					return 0, errors.New("bad escape in label value")
+				}
+			}
+		}
+		if i++; i < len(s) && s[i] == ',' {
+			i++
+		} else if i < len(s) && s[i] != '}' {
+			return 0, errors.New("labels not comma-separated")
+		}
+	}
+	if i == len(s) {
+		return 0, errors.New("unterminated label set")
+	}
+	return i + 1, nil
+}
+
+// Sum adds up the samples of family name whose label sets hold every
+// given pair, each written as exposed (`status="done"`). With no pairs
+// it sums the whole family; series of longer names sharing the prefix
+// (a histogram's _bucket, say) never count. Series are summed in sorted
+// order so the float result is reproducible.
+func Sum(samples map[string]float64, name string, pairs ...string) float64 {
+	var sum float64
+next:
+	for _, series := range slices.Sorted(maps.Keys(samples)) {
+		labels, ok := strings.CutPrefix(series, name)
+		if !ok || (labels != "" && labels[0] != '{') {
+			continue
+		}
+		set := "," + strings.Trim(labels, "{}") + ","
+		for _, p := range pairs {
+			if !strings.Contains(set, ","+p+",") {
+				continue next
+			}
+		}
+		sum += samples[series]
+	}
+	return sum
 }
 
 func (f *family) write(w io.Writer) error {

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,90 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("exposition drifted from golden file:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// ParseText inverts WritePrometheus: every sample comes back under its
+// series exactly as exposed, label escapes included.
+func TestParseTextRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("plain_total", "A plain counter.").Add(7)
+	r.NewGaugeVec("odd_labels", "Label values that need escapes.", "v").With("q\"b\\s\nn").Set(-2.5)
+	h := r.NewHistogram("lat_seconds", "A histogram.", []float64{0.5, 1})
+	h.Observe(0.25)
+	h.Observe(3)
+	r.GaugeFunc("fn_gauge", "A gauge func.", func() float64 { return 1.5e-7 })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"plain_total":                   7,
+		`odd_labels{v="q\"b\\s\nn"}`:    -2.5,
+		`lat_seconds_bucket{le="0.5"}`:  1,
+		`lat_seconds_bucket{le="1"}`:    1,
+		`lat_seconds_bucket{le="+Inf"}`: 2,
+		"lat_seconds_sum":               3.25,
+		"lat_seconds_count":             2,
+		"fn_gauge":                      1.5e-7,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseText =\n%v\nwant\n%v\nfrom\n%s", got, want, b.String())
+	}
+	if s := Sum(got, "lat_seconds"); s != 0 {
+		t.Errorf("Sum over a histogram's base name = %v, want 0 (suffixed series never count)", s)
+	}
+}
+
+// A malformed sample line fails the whole parse, naming its line.
+func TestParseTextRejectsMalformed(t *testing.T) {
+	for _, bad := range []string{
+		"x_total",
+		"x_total five",
+		"9x 1",
+		`x{a="1"}1`,
+		`x{a="1"} 1 2`,
+		`x{a=1} 1`,
+		`x{1a="v"} 1`,
+		`x{a="\q"} 1`,
+		`x{a="1" b="2"} 1`,
+		`x{a="1"`,
+	} {
+		text := "# HELP ok_total Fine.\n\nok_total 1\n" + bad + "\n"
+		if _, err := ParseText(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), "line 4") {
+			t.Errorf("ParseText(%q) error = %v, want one naming line 4", bad, err)
+		}
+	}
+}
+
+// Sum folds a family's series, filtered by exposed label pairs.
+func TestSum(t *testing.T) {
+	samples := map[string]float64{
+		`jobs_total{backend="a",status="done"}`:   3,
+		`jobs_total{backend="b",status="done"}`:   4,
+		`jobs_total{backend="b",status="failed"}`: 1,
+		`jobs_total_extra{status="done"}`:         100,
+		"depth":                                   2,
+	}
+	for _, c := range []struct {
+		name  string
+		pairs []string
+		want  float64
+	}{
+		{"jobs_total", nil, 8},
+		{"jobs_total", []string{`status="done"`}, 7},
+		{"jobs_total", []string{`backend="b"`, `status="done"`}, 4},
+		{"jobs_total", []string{`status="gone"`}, 0},
+		{"depth", nil, 2},
+		{"missing", nil, 0},
+	} {
+		if got := Sum(samples, c.name, c.pairs...); got != c.want {
+			t.Errorf("Sum(%s, %v) = %v, want %v", c.name, c.pairs, got, c.want)
+		}
 	}
 }
 

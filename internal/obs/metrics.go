@@ -193,44 +193,6 @@ func (h *Histogram) Count() uint64 { return h.m.total.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.m.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) of the observations
-// from the bucket counts: the geometric midpoint of the bucket holding
-// the rank. Observations in the +Inf bucket report the highest finite
-// bound. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	m := h.m
-	total := m.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range m.counts {
-		cum += m.counts[i].Load()
-		if cum >= rank {
-			return bucketMid(m.buckets, i)
-		}
-	}
-	return bucketMid(m.buckets, len(m.counts)-1)
-}
-
-// bucketMid is a bucket's representative value: the geometric midpoint
-// of its bounds, half the first bound for the leading bucket, and the
-// highest finite bound for the +Inf bucket.
-func bucketMid(bounds []float64, i int) float64 {
-	switch {
-	case i == 0:
-		return bounds[0] / 2
-	case i >= len(bounds):
-		return bounds[len(bounds)-1]
-	default:
-		return math.Sqrt(bounds[i-1] * bounds[i])
-	}
-}
-
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 

@@ -77,33 +77,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// Quantile walks the cumulative counts and reports geometric bucket
-// midpoints; the +Inf bucket reports the highest finite bound.
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("q", "", []float64{1, 2, 4, 8})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-	// 10 observations in (1,2], 1 outlier beyond every bound.
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	h.Observe(100)
-	if got, want := h.Quantile(0.5), math.Sqrt(1*2); got != want {
-		t.Errorf("p50 = %v, want %v", got, want)
-	}
-	if got, want := h.Quantile(1.0), 8.0; got != want {
-		t.Errorf("p100 = %v, want %v (highest finite bound)", got, want)
-	}
-	// Leading bucket reports half its bound.
-	h2 := r.NewHistogram("q2", "", []float64{10, 20})
-	h2.Observe(3)
-	if got, want := h2.Quantile(0.5), 5.0; got != want {
-		t.Errorf("leading-bucket mid = %v, want %v", got, want)
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(128e-9, 2, 4)
 	want := []float64{128e-9, 256e-9, 512e-9, 1024e-9}

@@ -197,12 +197,3 @@ type CacheStats struct {
 	Misses  uint64 `json:"misses"`
 	Entries int    `json:"entries"`
 }
-
-// HitRate returns hits / (hits+misses), 0 when idle.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}

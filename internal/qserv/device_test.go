@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -271,48 +274,74 @@ func TestHTTPTargetAndCalibration(t *testing.T) {
 	}
 }
 
-// /stats carries per-pass latency percentiles so tail compile time is
-// visible per backend.
-func TestStatsPassLatencyPercentiles(t *testing.T) {
+// Every pass of every compile lands in both the pass run counter and
+// the pass wall-time histogram, so tail compile time stays visible per
+// backend and pass.
+func TestPassLatencyHistogramCounts(t *testing.T) {
 	s := twoBackendService(t, Config{Seed: 17, CacheSize: -1}) // no cache: every job compiles
 	for i := 0; i < 8; i++ {
 		awaitJob(t, s, Request{Program: bellProgram(fmt.Sprintf("p%d", i)), Backend: "perfect", Shots: 4})
 	}
-	st := s.Stats()
-	var perfect *BackendStats
-	for i := range st.Backends {
-		if st.Backends[i].Name == "perfect" {
-			perfect = &st.Backends[i]
+	m := scrape(t, s.Handler())
+	const runsPrefix = `qserv_compile_pass_runs_total{backend="perfect",pass="`
+	passes := 0
+	for _, series := range slices.Sorted(maps.Keys(m)) {
+		pass, ok := strings.CutPrefix(series, runsPrefix)
+		if !ok {
+			continue
+		}
+		pass = strings.TrimSuffix(pass, `"}`)
+		passes++
+		if runs := m[series]; runs != 8 {
+			t.Errorf("pass %s runs = %g, want 8", pass, runs)
+		}
+		count := metricValue(t, m, `qserv_compile_pass_seconds_count{backend="perfect",pass="`+pass+`"}`)
+		if count != 8 {
+			t.Errorf("pass %s histogram count = %g, want 8", pass, count)
 		}
 	}
-	if perfect == nil || len(perfect.CompilePasses) == 0 {
-		t.Fatal("no compile-pass stats")
-	}
-	for _, ps := range perfect.CompilePasses {
-		if ps.Runs != 8 {
-			t.Errorf("pass %s runs = %d, want 8", ps.Pass, ps.Runs)
-		}
-		if ps.P50Us <= 0 || ps.P95Us < ps.P50Us || ps.P99Us < ps.P95Us {
-			t.Errorf("pass %s percentiles not monotone: p50=%g p95=%g p99=%g",
-				ps.Pass, ps.P50Us, ps.P95Us, ps.P99Us)
-		}
+	if passes == 0 {
+		t.Fatal("no compile-pass metrics")
 	}
 }
 
-// Latency histogram semantics after the obs migration: the shared
-// geometric ladder keeps sub-microsecond pass times and multi-ms
-// outliers apart, and its quantile estimates bracket the recorded
-// values the way the old hand-rolled histogram did.
+// The shared geometric latency ladder keeps ~1 µs pass times and a
+// 50 ms outlier in separate buckets of the exposed histogram.
 func TestLatencyHistogram(t *testing.T) {
-	h := obs.NewRegistry().NewHistogram("test_latency_seconds", "t", obs.LatencyBuckets)
+	r := obs.NewRegistry()
+	h := r.NewHistogram("test_latency_seconds", "t", obs.LatencyBuckets)
 	for i := 0; i < 99; i++ {
 		h.ObserveSeconds(1000) // ~1 µs
 	}
 	h.ObserveSeconds(50_000_000) // one 50 ms outlier
-	if p50 := h.Quantile(0.50) * 1e6; p50 <= 0 || p50 > 2 {
-		t.Errorf("p50 = %g µs, want ~1 µs", p50)
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if p99 := h.Quantile(0.995) * 1e6; p99 < 1000 {
-		t.Errorf("p99.5 = %g µs, should catch the 50 ms outlier", p99)
+	m, err := obs.ParseText(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fast is the first bound admitting 1 µs, slow the last below 50 ms.
+	var fast, slow float64
+	for _, le := range obs.LatencyBuckets {
+		if fast == 0 && le >= 1e-6 {
+			fast = le
+		}
+		if le < 0.05 {
+			slow = le
+		}
+	}
+	bucket := func(le float64) float64 {
+		return metricValue(t, m, `test_latency_seconds_bucket{le="`+strconv.FormatFloat(le, 'g', -1, 64)+`"}`)
+	}
+	if got := bucket(fast); got != 99 {
+		t.Errorf("le=%g bucket = %g, want the 99 ~1 µs observations", fast, got)
+	}
+	if got := bucket(slow); got != 99 {
+		t.Errorf("le=%g bucket = %g, want 99: the 50 ms outlier must stay above it", slow, got)
+	}
+	if got := metricValue(t, m, `test_latency_seconds_bucket{le="+Inf"}`); got != 100 {
+		t.Errorf("+Inf bucket = %g, want 100", got)
 	}
 }

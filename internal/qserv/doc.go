@@ -112,11 +112,10 @@
 // distinct compile-cache entries and can never alias each other's
 // artefacts. Every compiled artefact carries a compiler.CompileReport —
 // per-pass wall time, gate count, depth, added SWAPs — which
-// GET /jobs/{id} returns with the job and GET /stats aggregates per
-// backend and pass (cache hits excluded: they skipped the pipeline),
-// including p50/p95/p99 latency percentiles from per-pass histograms,
-// so operators can see where compile time goes — averages and tails —
-// pass by pass.
+// GET /jobs/{id} returns with the job and GET /metrics aggregates per
+// backend and pass (cache hits excluded: they skipped the pipeline) as
+// run counters and a wall-time histogram per pass, so operators can see
+// where compile time goes — averages and tails — pass by pass.
 //
 // # Execution engines and parallel shots
 //
@@ -220,9 +219,8 @@
 // full-artefact entry and a single per-kernel prefix entry; only a
 // genuinely different circuit shape compiles anew. Session counters
 // surface as qserv_sessions_active, qserv_sessions_opened_total,
-// qserv_binds_total and the qserv_bind_seconds histogram, and
-// GET /stats reports the same under "sessions" (active/opened/expired/
-// evicted/binds). The bind-versus-recompile win is locked into CI by
+// qserv_sessions_closed_total{reason=expired|evicted}, qserv_binds_total
+// and the qserv_bind_seconds histogram. The bind-versus-recompile win is locked into CI by
 // BenchmarkParamBindVsRecompile's bind_vs_compile_pct ceiling (≥10x).
 //
 // # Observability
@@ -255,9 +253,10 @@
 // reloads, compile/execute histograms, per-pass compile timings and
 // HTTP request counts/durations (every request is wrapped in a timing
 // middleware labelled by route pattern). GET /metrics serves the
-// Prometheus text exposition; GET /stats is a thin view over the same
-// registry, so the two can never disagree. The arithmetic is auditable:
-// per backend, pass runs == jobs done − compile_cache_skips{full}.
+// Prometheus text exposition — the service's one metrics surface, which
+// obs.ParseText reads back for tools and tests. The arithmetic is
+// auditable: per backend, pass runs == jobs done −
+// compile_cache_skips{full}.
 //
 // Logging: Config.Logger accepts a *slog.Logger (default: discard).
 // Job lifecycle events log at Info and HTTP access at Debug, all keyed
@@ -269,19 +268,18 @@
 // GET /sessions, GET /sessions/{id}, POST /sessions/{id}/bind,
 // DELETE /sessions/{id} — GET /backends — device descriptions,
 // calibration data and content hashes — PUT /backends/{name}/calibration,
-// GET /metrics, and GET /stats — queue depth, per-backend throughput,
-// both cache levels ("cache"/"cache_hit_rate" for full artefacts,
-// "prefix_cache"/"prefix_hit_rate" for prefix artefacts, per-backend
-// "prefix_hits" counting kernels served suffix-only,
-// "compile_cache_skips" making the hit-rate arithmetic explicit) and
-// per-pass compile latency percentiles — so operators can see where the
-// time went, the service-level analogue of the host's Amdahl accounting
-// in internal/accel. Job compile reports carry the per-kernel breakdown
-// ("kernels", "prefix_hits", "compile_workers"). cmd/qservd wires the
-// default heterogeneous system behind this API (-prefix-cache and
-// -compile-workers size the new layer), can serve any device JSON file
-// as an extra backend via -target, and adds -metrics, -trace-ring,
-// -pprof and the -log-* flags for the observability layer.
+// and GET /metrics — queue depth, per-backend throughput, both cache
+// levels (qserv_compile_cache_ops_total{level=full|prefix}, per-backend
+// qserv_compile_cache_skips_total{level="prefix"} counting kernels
+// served suffix-only) and per-pass compile timings — so operators can
+// see where the time went, the service-level analogue of the host's
+// Amdahl accounting in internal/accel. Job compile reports carry the
+// per-kernel breakdown ("kernels", "prefix_hits", "compile_workers").
+// cmd/qservd wires the default heterogeneous system behind this API
+// (-prefix-cache and -compile-workers size the new layer), can serve
+// any device JSON file as an extra backend via -target, and adds
+// -metrics, -trace-ring, -pprof and the -log-* flags for the
+// observability layer.
 //
 // # Load testing, SLO methodology and graceful shutdown
 //
@@ -304,7 +302,7 @@
 // Poisson arrivals (ops fire at their scheduled offsets whether or not
 // earlier ops finished, so queueing delay is not silently absorbed into
 // the arrival process) or closed-loop think-time lanes, and the report
-// joins them with the server's own /stats and /metrics deltas — cache
+// joins them with the server's own /metrics deltas — cache
 // hit rates, engine-dispatch mix, queue-depth samples — so client and
 // server views of the same run can be cross-checked. `make load-smoke`
 // is the required CI gate; `make load-gate` is the nightly full matrix.
@@ -318,7 +316,7 @@
 //
 // Two of this package's contracts are machine-checked by the qlint
 // analyzer suite (internal/lint, run by `make lint` and CI): detmap
-// keeps map iteration order out of API responses, /stats rows, logs and
+// keeps map iteration order out of API responses, logs and
 // eviction decisions, and spanend verifies every obs span the service
 // starts is ended on all return paths. Loops that are provably
 // order-independent carry //qlint:nondeterministic-ok annotations with

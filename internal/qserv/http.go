@@ -211,9 +211,6 @@ func viewJob(j *Job) JobView {
 //	                    live re-calibration: replace the backend device's
 //	                    calibration table (400 invalid, 404 unknown)
 //	GET  /backends      registered backends with device + calibration data
-//	GET  /stats         queue depth, per-backend throughput, hit rates of
-//	                    both compile-cache levels (full + prefix), per-pass
-//	                    compile latency percentiles
 //	GET  /metrics       Prometheus text-format exposition of every qserv
 //	                    metric (jobs, latency histograms, cache levels,
 //	                    compile passes, HTTP traffic)
@@ -233,7 +230,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("PUT /backends/{name}/calibration", s.handleCalibration)
 	mux.HandleFunc("GET /backends", s.handleBackends)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -422,10 +418,6 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, viewJob(job))
-}
-
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {

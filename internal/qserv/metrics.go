@@ -1,8 +1,6 @@
 package qserv
 
 import (
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/compiler"
@@ -10,9 +8,7 @@ import (
 )
 
 // serviceMetrics owns every qserv metric family in the service's
-// registry. All instruments live here — /stats is a thin read-side view
-// over the same handles the workers record into, so the JSON report and
-// the Prometheus exposition can never disagree.
+// registry; GET /metrics is the one surface that reads them.
 //
 // A nil *serviceMetrics (Config.DisableMetrics) disables recording
 // everywhere; sites guard with a single nil check on the pool or
@@ -29,8 +25,8 @@ type serviceMetrics struct {
 	// pipeline was skipped (a full-artefact hit), level="prefix" is
 	// kernels whose platform-generic prefix was fetched instead of
 	// recompiled. Together with the per-level hit/miss mirrors below
-	// this makes the /stats pass-latency hit-rate math auditable:
-	// pass "runs" lag job counts by exactly these skips.
+	// this makes the pass-run accounting auditable: pass runs lag job
+	// counts by exactly the full-level skips.
 	cacheSkips   *obs.CounterVec // backend, level
 	cacheOps     *obs.CounterVec // level, op — scrape-time mirror of the shared caches
 	cacheEntries *obs.GaugeVec   // level — scrape-time mirror
@@ -48,22 +44,28 @@ type serviceMetrics struct {
 	passGatesOut   *obs.CounterVec
 	passSwaps      *obs.CounterVec
 	retireSecs     *obs.Histogram
-	// sessionsOpened/bindsTotal/bindSecs instrument the variational
-	// session layer: eager compiles pinned per session, and the bind
-	// fast path that patches the pinned artefact instead of compiling.
-	// qserv_sessions_active is a GaugeFunc registered next to the other
-	// scrape-time mirrors (registerCollectors).
-	sessionsOpened *obs.Counter
-	bindsTotal     *obs.Counter
-	bindSecs       *obs.Histogram
-	httpRequests   *obs.CounterVec // method, path, code
-	httpSecs       *obs.HistogramVec
+	// sessionsOpened/sessionsExpired/sessionsEvicted/bindsTotal/bindSecs
+	// instrument the variational session layer: eager compiles pinned
+	// per session, the service closing idle or surplus sessions, and the
+	// bind fast path that patches the pinned artefact instead of
+	// compiling. qserv_sessions_active is a GaugeFunc registered next to
+	// the other scrape-time mirrors (registerCollectors).
+	sessionsOpened  *obs.Counter
+	sessionsExpired *obs.Counter // qserv_sessions_closed_total{reason="expired"}
+	sessionsEvicted *obs.Counter // qserv_sessions_closed_total{reason="evicted"}
+	bindsTotal      *obs.Counter
+	bindSecs        *obs.Histogram
+	httpRequests    *obs.CounterVec // method, path, code
+	httpSecs        *obs.HistogramVec
 }
 
 // newServiceMetrics registers the qserv families. A registry hosts at
 // most one service: registering twice panics on the duplicate names.
 func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 	lb := obs.LatencyBuckets
+	sessionsClosed := r.NewCounterVec("qserv_sessions_closed_total",
+		"Sessions the service closed, by reason: expired = idle past the TTL, evicted = least-recently-used past the session cap.",
+		"reason")
 	return &serviceMetrics{
 		jobsSubmitted: r.NewCounter("qserv_jobs_submitted_total",
 			"Jobs admitted by Submit."),
@@ -106,6 +108,10 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 			"Wall time of job retention bookkeeping after finish (outside the job's trace: the job is already observable as finished).", lb),
 		sessionsOpened: r.NewCounter("qserv_sessions_opened_total",
 			"Variational sessions opened (eager compiles pinned for streaming binds)."),
+		// Both reasons resolve here so they are exposed as 0 before the
+		// first close.
+		sessionsExpired: sessionsClosed.With("expired"),
+		sessionsEvicted: sessionsClosed.With("evicted"),
 		bindsTotal: r.NewCounter("qserv_binds_total",
 			"Parameter bindings streamed through sessions — jobs served by the bind fast path instead of the compiler."),
 		bindSecs: r.NewHistogram("qserv_bind_seconds",
@@ -144,8 +150,7 @@ func (m *serviceMetrics) pool(backend string) *poolMetrics {
 }
 
 // poolMetrics is one backend pool's resolved instrument handles — the
-// only per-job state the pool keeps; /stats reads these same handles
-// back.
+// only per-job state the pool keeps.
 type poolMetrics struct {
 	m       *serviceMetrics
 	backend string
@@ -211,51 +216,4 @@ func (p *poolMetrics) recordCompile(rep *compiler.CompileReport) {
 			h.swaps.Add(float64(m.AddedSwaps))
 		}
 	}
-}
-
-// passStats renders the pool's per-pass instruments as the /stats
-// report rows, sorted by pass name.
-func (p *poolMetrics) passStats() []PassStats {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	names := make([]string, 0, len(p.passes))
-	handles := make(map[string]*passHandles, len(p.passes))
-	//qlint:nondeterministic-ok order-independent: key-preserving snapshot copy under lock; names are sorted below
-	for name, h := range p.passes {
-		names = append(names, name)
-		handles[name] = h
-	}
-	p.mu.Unlock()
-	if len(handles) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	out := make([]PassStats, 0, len(handles))
-	for _, name := range names {
-		h := handles[name]
-		runs := h.dur.Count()
-		ps := PassStats{
-			Pass:       name,
-			Runs:       runs,
-			TotalMs:    h.dur.Sum() * 1e3,
-			GatesIn:    counterUint(h.gatesIn),
-			GatesOut:   counterUint(h.gatesOut),
-			AddedSwaps: counterUint(h.swaps),
-			P50Us:      h.dur.Quantile(0.50) * 1e6,
-			P95Us:      h.dur.Quantile(0.95) * 1e6,
-			P99Us:      h.dur.Quantile(0.99) * 1e6,
-		}
-		if runs > 0 {
-			ps.AvgUs = h.dur.Sum() / float64(runs) * 1e6
-		}
-		out = append(out, ps)
-	}
-	return out
-}
-
-// counterUint reads a counter back as the integer it accumulated.
-func counterUint(c *obs.Counter) uint64 {
-	return uint64(math.Round(c.Value()))
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +17,8 @@ import (
 )
 
 // scrape fetches GET /metrics from the service's handler and returns
-// the exposition body.
-func scrape(t *testing.T, h http.Handler) string {
+// the parsed samples.
+func scrape(t *testing.T, h http.Handler) map[string]float64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -29,24 +28,36 @@ func scrape(t *testing.T, h http.Handler) string {
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("metrics content-type = %q", ct)
 	}
-	return rec.Body.String()
+	m, err := obs.ParseText(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
-// metricValue finds the sample whose name+labels exactly match prefix
-// and returns its value.
-func metricValue(t *testing.T, body, prefix string) float64 {
+// scrapeURL is scrape over a live HTTP server.
+func scrapeURL(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	for _, line := range strings.Split(body, "\n") {
-		if rest, ok := strings.CutPrefix(line, prefix+" "); ok {
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				t.Fatalf("metric %s: bad value %q", prefix, rest)
-			}
-			return v
-		}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("metric %s not found in exposition", prefix)
-	return 0
+	defer resp.Body.Close()
+	m, err := obs.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// metricValue returns the sample of the exactly named series.
+func metricValue(t *testing.T, m map[string]float64, series string) float64 {
+	t.Helper()
+	v, ok := m[series]
+	if !ok {
+		t.Fatalf("metric %s not found in exposition", series)
+	}
+	return v
 }
 
 // The /metrics exposition covers the acceptance surface: queue depth,
@@ -129,10 +140,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// The /stats report is a thin view over the same registry instruments:
-// the JSON counters must agree with the exposition, and the explicit
-// compile_cache_skips field must account for the pass-run deficit.
-func TestStatsMirrorsRegistry(t *testing.T) {
+// Per-pass compile metrics aggregate only over jobs that ran the
+// pipeline: one cold compile and two full-artefact hits run every pass
+// once, and for every pass runs == jobs done − full-level skips.
+func TestPassRunsSkipAccounting(t *testing.T) {
 	s := twoBackendService(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -145,35 +156,19 @@ func TestStatsMirrorsRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	var perfect *BackendStats
-	for i := range st.Backends {
-		if st.Backends[i].Name == "perfect" {
-			perfect = &st.Backends[i]
+	m := scrape(t, s.Handler())
+	done := metricValue(t, m, `qserv_jobs_completed_total{backend="perfect",status="done"}`)
+	skips := metricValue(t, m, `qserv_compile_cache_skips_total{backend="perfect",level="full"}`)
+	if done != 3 || skips != 2 {
+		t.Fatalf("done=%g full skips=%g, want 3/2", done, skips)
+	}
+	for _, pass := range []string{"decompose", "optimize", "map", "lower-swaps", "optimize-lowered", "schedule", "assemble"} {
+		if runs := metricValue(t, m, `qserv_compile_pass_runs_total{backend="perfect",pass="`+pass+`"}`); runs != done-skips {
+			t.Errorf("pass %s runs = %g, want done − skips = %g (cache hits must not re-count passes)", pass, runs, done-skips)
 		}
 	}
-	if perfect == nil {
-		t.Fatal("no perfect backend in stats")
-	}
-	if perfect.JobsDone != 3 || perfect.CacheHits != 2 {
-		t.Fatalf("stats: done=%d hits=%d, want 3/2", perfect.JobsDone, perfect.CacheHits)
-	}
-	if perfect.CompileCacheSkips != perfect.CacheHits {
-		t.Errorf("compile_cache_skips = %d, want %d (== cache_hits)",
-			perfect.CompileCacheSkips, perfect.CacheHits)
-	}
-	for _, ps := range perfect.CompilePasses {
-		// Auditable hit-rate math: every pass ran JobsDone - skips times.
-		if want := perfect.JobsDone - perfect.CompileCacheSkips; ps.Runs != want {
-			t.Errorf("pass %s runs = %d, want %d", ps.Pass, ps.Runs, want)
-		}
-	}
-	body := scrape(t, s.Handler())
-	if got := metricValue(t, body, `qserv_jobs_completed_total{backend="perfect",status="done"}`); got != float64(perfect.JobsDone) {
-		t.Errorf("exposition done = %g, stats done = %d", got, perfect.JobsDone)
-	}
-	if got := metricValue(t, body, `qserv_worker_busy_seconds_total{backend="perfect"}`); got*1e3 != perfect.BusyMs {
-		t.Errorf("exposition busy = %g s, stats busy = %g ms", got, perfect.BusyMs)
+	if got := metricValue(t, m, `qserv_compile_pass_gates_in_total{backend="perfect",pass="decompose"}`); got == 0 {
+		t.Error("decompose gate counts not aggregated")
 	}
 }
 
@@ -351,8 +346,7 @@ func TestRecalibrationEndpoint(t *testing.T) {
 		t.Error("second job after recalibration should hit the fresh entry")
 	}
 
-	mbody := scrape(t, h)
-	if got := metricValue(t, mbody, `qserv_calibration_reloads_total{backend="superconducting"}`); got != 1 {
+	if got := metricValue(t, scrape(t, h), `qserv_calibration_reloads_total{backend="superconducting"}`); got != 1 {
 		t.Errorf("calibration_reloads_total = %g, want 1", got)
 	}
 
@@ -378,8 +372,8 @@ func TestRecalibrationEndpoint(t *testing.T) {
 }
 
 // DisableMetrics + TraceRing < 0 turn the whole observability layer
-// off: jobs still run, /metrics serves an (empty) exposition, traces
-// 404, and /stats reports zero counters.
+// off: jobs still run, /metrics serves an (empty) exposition and traces
+// 404.
 func TestObservabilityDisabled(t *testing.T) {
 	s := New(Config{DisableMetrics: true, TraceRing: -1})
 	s.AddBackend(NewStackBackend(core.NewPerfect(5, 7)), 2)
@@ -410,10 +404,6 @@ func TestObservabilityDisabled(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+j.ID+"/trace", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("trace with tracing disabled = %d, want 404", rec.Code)
-	}
-	st := s.Stats()
-	if st.Backends[0].JobsDone != 0 || st.JobsSubmitted != 0 {
-		t.Error("disabled metrics still counted jobs")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/openql"
 	"repro/internal/qubo"
 	"repro/internal/qx"
@@ -130,33 +131,27 @@ func TestEndToEndConcurrent(t *testing.T) {
 	}
 
 	await(submit())
-	first := s.Stats()
-	if first.JobsDone != 2*perBackend {
-		t.Fatalf("round 1: %d jobs done, want %d", first.JobsDone, 2*perBackend)
+	m := scrape(t, s.Handler())
+	if done := obs.Sum(m, "qserv_jobs_completed_total", `status="done"`); done != 2*perBackend {
+		t.Fatalf("round 1: %g jobs done, want %d", done, 2*perBackend)
 	}
 
 	// Resubmission of the same programs must hit the compile cache.
 	await(submit())
-	st := s.Stats()
-	if st.JobsDone != 4*perBackend {
-		t.Fatalf("round 2: %d jobs done, want %d", st.JobsDone, 4*perBackend)
+	m = scrape(t, s.Handler())
+	if done := obs.Sum(m, "qserv_jobs_completed_total", `status="done"`); done != 4*perBackend {
+		t.Fatalf("round 2: %g jobs done, want %d", done, 4*perBackend)
 	}
-	if st.Cache.Hits == 0 {
-		t.Fatalf("no cache hits on resubmission: %+v", st.Cache)
-	}
-	if st.CacheHitRate <= 0 {
-		t.Errorf("cache hit rate %v, want > 0", st.CacheHitRate)
+	if hits := metricValue(t, m, `qserv_compile_cache_ops_total{level="full",op="hit"}`); hits == 0 {
+		t.Fatal("no cache hits on resubmission")
 	}
 	// 3 distinct programs per backend → at most 6 cold compiles total.
-	if st.Cache.Misses > 6 {
-		t.Errorf("%d cold compiles, want <= 6 (singleflight dedup)", st.Cache.Misses)
+	if misses := metricValue(t, m, `qserv_compile_cache_ops_total{level="full",op="miss"}`); misses > 6 {
+		t.Errorf("%g cold compiles, want <= 6 (singleflight dedup)", misses)
 	}
-	for _, b := range st.Backends {
-		if b.JobsDone != 2*perBackend {
-			t.Errorf("backend %s: %d jobs, want %d", b.Name, b.JobsDone, 2*perBackend)
-		}
-		if b.JobsPerSec <= 0 {
-			t.Errorf("backend %s: throughput not reported", b.Name)
+	for _, b := range []string{"perfect", "semiconducting"} {
+		if done := metricValue(t, m, `qserv_jobs_completed_total{backend="`+b+`",status="done"}`); done != 2*perBackend {
+			t.Errorf("backend %s: %g jobs, want %d", b, done, 2*perBackend)
 		}
 	}
 }
@@ -297,8 +292,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if !full {
 		t.Fatal("queue never reported full")
 	}
-	if st := s.Stats(); st.QueueDepth == 0 {
-		t.Error("stats report empty queue while saturated")
+	if depth := metricValue(t, scrape(t, s.Handler()), `qserv_queue_depth{backend="blocker"}`); depth == 0 {
+		t.Error("metrics report an empty queue while saturated")
 	}
 	for range jobs {
 		bb.release <- struct{}{}
@@ -370,18 +365,15 @@ func TestHTTPAPI(t *testing.T) {
 		t.Error("resubmission did not hit the compile cache")
 	}
 
-	// Stats report the activity.
-	resp, err = http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics reports the activity.
+	m := scrapeURL(t, srv.URL)
+	submitted, hits := m["qserv_jobs_submitted_total"], m[`qserv_compile_cache_ops_total{level="full",op="hit"}`]
+	if submitted < 2 || hits == 0 {
+		t.Errorf("metrics missing activity: submitted=%g full hits=%g", submitted, hits)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.JobsSubmitted < 2 || st.Cache.Hits == 0 {
-		t.Errorf("stats missing activity: %+v", st)
+	// /metrics is the only metrics surface; there is no GET /stats.
+	if resp, _ := http.Get(srv.URL + "/stats"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats → %d, want 404", resp.StatusCode)
 	}
 
 	// Error paths.
@@ -695,54 +687,6 @@ func TestPerJobPassSelection(t *testing.T) {
 	}
 }
 
-// Per-pass compile metrics must surface in Stats, aggregated only over
-// jobs that actually compiled (cache hits excluded).
-func TestStatsCompilePassMetrics(t *testing.T) {
-	s := twoBackendService(t, Config{Seed: 21})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	for i := 0; i < 3; i++ {
-		j, err := s.Submit(Request{Program: bellProgram("stats"), Backend: "perfect", Shots: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	var perfect *BackendStats
-	for i := range st.Backends {
-		if st.Backends[i].Name == "perfect" {
-			perfect = &st.Backends[i]
-		}
-	}
-	if perfect == nil || len(perfect.CompilePasses) == 0 {
-		t.Fatalf("no compile-pass stats on the perfect backend: %+v", st.Backends)
-	}
-	byPass := map[string]PassStats{}
-	for _, ps := range perfect.CompilePasses {
-		byPass[ps.Pass] = ps
-	}
-	// One cold compile, two cache hits → each pass aggregated exactly
-	// once (cache hits skip the pipeline).
-	wantRuns := map[string]uint64{"decompose": 1, "optimize": 1, "map": 1,
-		"lower-swaps": 1, "optimize-lowered": 1, "schedule": 1, "assemble": 1}
-	for want, runs := range wantRuns {
-		ps, ok := byPass[want]
-		if !ok {
-			t.Errorf("pass %q missing from stats", want)
-			continue
-		}
-		if ps.Runs != runs {
-			t.Errorf("pass %q runs = %d, want %d (cache hits must not aggregate)", want, ps.Runs, runs)
-		}
-	}
-	if byPass["decompose"].GatesIn == 0 {
-		t.Error("decompose gate counts not aggregated")
-	}
-}
-
 // The HTTP surface: "passes" field accepted and echoed, bad specs are a
 // 400, and the job view carries the per-pass compile report.
 func TestHTTPPassesField(t *testing.T) {
@@ -796,24 +740,9 @@ func TestHTTPPassesField(t *testing.T) {
 		t.Errorf("bogus passes submit status %d, want 400", resp.StatusCode)
 	}
 
-	// /stats carries per-pass compile metrics.
-	resp, err = http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	found := false
-	for _, b := range st.Backends {
-		for _, ps := range b.CompilePasses {
-			if ps.Pass == "schedule" && ps.Runs > 0 {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("/stats missing per-pass compile metrics")
+	// /metrics carries per-pass compile metrics.
+	if runs := scrapeURL(t, srv.URL)[`qserv_compile_pass_runs_total{backend="perfect",pass="schedule"}`]; runs == 0 {
+		t.Error("/metrics missing per-pass compile metrics")
 	}
 }
 

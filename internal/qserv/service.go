@@ -87,7 +87,7 @@ type Config struct {
 	Logger *slog.Logger
 	// DisableMetrics skips instrument registration and all recording.
 	// Only the obs-overhead benchmark should set it: with metrics
-	// disabled /stats reports zero counters.
+	// disabled GET /metrics serves no qserv families.
 	DisableMetrics bool
 }
 
@@ -126,8 +126,7 @@ func (c Config) withDefaults() Config {
 }
 
 // backendPool couples a backend with its worker lane and its resolved
-// instrument handles (nil when metrics are disabled — /stats then
-// reports zero counters).
+// instrument handles (nil when metrics are disabled).
 type backendPool struct {
 	b       Backend
 	workers int
@@ -158,12 +157,8 @@ type Service struct {
 	// drained is created by the first Drain/Stop call and closed when all
 	// workers have exited; later calls wait on the same channel.
 	drained chan struct{}
-	// sessions holds the open variational sessions (guarded by mu, like
-	// the lifecycle counters below it).
-	sessions    map[string]*Session
-	sessOpened  uint64
-	sessExpired uint64
-	sessEvicted uint64
+	// sessions holds the open variational sessions (guarded by mu).
+	sessions map[string]*Session
 
 	wg sync.WaitGroup
 	// seq numbers jobs and sessions alike; a job's derived seed depends
@@ -382,7 +377,7 @@ func (s *Service) worker(p *backendPool) {
 // exact job timestamps (so the root span's duration equals the reported
 // latency and queue.wait + run partition it) and recording the pool's
 // instruments before the job becomes observable as finished, so a
-// caller that awaited the job reads a trace and /stats that include it.
+// caller that awaited the job reads a trace and metrics that include it.
 func (s *Service) runJob(p *backendPool, job *Job) {
 	job.markRunning()
 	submitted, started, _ := job.Times()
@@ -739,140 +734,4 @@ func (s *Service) Backends() []BackendView {
 		out = append(out, bv)
 	}
 	return out
-}
-
-// PassStats is one compiler pass's aggregated slice of the /stats report:
-// how often the pass ran across this backend's compiles, the wall time it
-// consumed, and the gate-count work it did.
-type PassStats struct {
-	Pass    string  `json:"pass"`
-	Runs    uint64  `json:"runs"`
-	TotalMs float64 `json:"total_ms"`
-	AvgUs   float64 `json:"avg_us"`
-	// P50Us/P95Us/P99Us are latency percentiles estimated from a
-	// geometric-bucket histogram of the pass's wall times, so tail
-	// compile time is visible per backend and pass, not just averages.
-	P50Us float64 `json:"p50_us"`
-	P95Us float64 `json:"p95_us"`
-	P99Us float64 `json:"p99_us"`
-	// GatesIn and GatesOut sum the circuit sizes entering and leaving
-	// the pass across all runs.
-	GatesIn    uint64 `json:"gates_in"`
-	GatesOut   uint64 `json:"gates_out"`
-	AddedSwaps uint64 `json:"added_swaps,omitempty"`
-}
-
-// BackendStats is one backend's slice of the /stats report.
-type BackendStats struct {
-	Name       string `json:"name"`
-	Workers    int    `json:"workers"`
-	QueueDepth int    `json:"queue_depth"`
-	JobsDone   uint64 `json:"jobs_done"`
-	JobsFailed uint64 `json:"jobs_failed"`
-	CacheHits  uint64 `json:"cache_hits"`
-	// CompileCacheSkips counts jobs whose whole compile pipeline was
-	// skipped by a full-artefact cache hit (numerically CacheHits, spelt
-	// out so the pass-latency hit-rate math is auditable: per-pass Runs
-	// lag JobsDone by exactly this many jobs). Mirrored to Prometheus as
-	// qserv_compile_cache_skips_total{level="full"}.
-	CompileCacheSkips uint64 `json:"compile_cache_skips"`
-	// PrefixHits counts kernels this backend's compiles served from the
-	// prefix-artefact cache — compiles that re-ran only the variant
-	// suffix (map/schedule/assemble) against cached decompose/optimize
-	// output. Full-artefact cache hits skip compilation entirely and are
-	// counted in CacheHits instead.
-	PrefixHits uint64  `json:"prefix_hits"`
-	BusyMs     float64 `json:"busy_ms"`
-	// JobsPerSec is completed jobs divided by service uptime — the
-	// per-backend throughput figure.
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	// CompilePasses breaks the backend's compile time down by pipeline
-	// pass (absent for backends that never compiled).
-	CompilePasses []PassStats `json:"compile_passes,omitempty"`
-}
-
-// Stats is the service-wide instrumentation snapshot.
-type Stats struct {
-	UptimeSec     float64    `json:"uptime_sec"`
-	QueueDepth    int        `json:"queue_depth"`
-	QueueCap      int        `json:"queue_cap"`
-	JobsSubmitted uint64     `json:"jobs_submitted"`
-	JobsDone      uint64     `json:"jobs_done"`
-	JobsFailed    uint64     `json:"jobs_failed"`
-	CacheHitRate  float64    `json:"cache_hit_rate"`
-	Cache         CacheStats `json:"cache"`
-	// PrefixHitRate and PrefixCache report the prefix-artefact level of
-	// the two-level compile cache: hits are kernels whose platform-
-	// generic prefix (decompose/optimize) was fetched instead of
-	// recompiled, so misses only pay the map/schedule/assemble suffix.
-	PrefixHitRate float64        `json:"prefix_hit_rate"`
-	PrefixCache   CacheStats     `json:"prefix_cache"`
-	Backends      []BackendStats `json:"backends"`
-	// Sessions reports the variational-session layer: open sessions,
-	// lifecycle churn and binds streamed through the fast path.
-	Sessions SessionStats `json:"sessions"`
-}
-
-// Stats returns a point-in-time snapshot of queue depth, per-backend
-// throughput and cache effectiveness.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	pools := make([]*backendPool, len(s.pools))
-	copy(pools, s.pools)
-	startedAt := s.startedAt
-	s.sweepSessionsLocked(time.Now())
-	sessions := SessionStats{
-		Active:  len(s.sessions),
-		Opened:  s.sessOpened,
-		Expired: s.sessExpired,
-		Evicted: s.sessEvicted,
-	}
-	s.mu.Unlock()
-
-	uptime := time.Since(startedAt)
-	if startedAt.IsZero() {
-		uptime = 0
-	}
-	st := Stats{UptimeSec: uptime.Seconds(), Sessions: sessions}
-	if s.met != nil {
-		st.JobsSubmitted = counterUint(s.met.jobsSubmitted)
-		st.Sessions.Binds = counterUint(s.met.bindsTotal)
-	}
-	for _, p := range pools {
-		st.QueueDepth += len(p.ch)
-		st.QueueCap += cap(p.ch)
-	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-		st.CacheHitRate = st.Cache.HitRate()
-	}
-	if s.prefix != nil {
-		st.PrefixCache = s.prefix.Stats()
-		st.PrefixHitRate = st.PrefixCache.HitRate()
-	}
-	for _, p := range pools {
-		bs := BackendStats{
-			Name:       p.b.Name(),
-			Workers:    p.workers,
-			QueueDepth: len(p.ch),
-		}
-		// /stats is a thin view over the registry-owned instruments the
-		// workers record into; with metrics disabled the counters stay 0.
-		if m := p.met; m != nil {
-			bs.JobsDone = counterUint(m.done)
-			bs.JobsFailed = counterUint(m.failed)
-			bs.CacheHits = counterUint(m.fullSkips)
-			bs.CompileCacheSkips = bs.CacheHits
-			bs.PrefixHits = counterUint(m.prefixSkips)
-			bs.BusyMs = m.busy.Value() * 1e3
-			bs.CompilePasses = m.passStats()
-		}
-		st.JobsDone += bs.JobsDone
-		st.JobsFailed += bs.JobsFailed
-		if sec := uptime.Seconds(); sec > 0 {
-			bs.JobsPerSec = float64(bs.JobsDone) / sec
-		}
-		st.Backends = append(st.Backends, bs)
-	}
-	return st
 }

@@ -138,7 +138,6 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 		lastUsed:  now,
 	}
 	s.sessions[sess.ID] = sess
-	s.sessOpened++
 	if s.met != nil {
 		s.met.sessionsOpened.Inc()
 	}
@@ -276,7 +275,9 @@ func (s *Service) sweepSessionsLocked(now time.Time) {
 		lastUsed, _ := s.sessions[id].usage()
 		if now.Sub(lastUsed) > s.cfg.SessionTTL {
 			delete(s.sessions, id)
-			s.sessExpired++
+			if s.met != nil {
+				s.met.sessionsExpired.Inc()
+			}
 			s.log.Info("session expired", "session", id, "idle", now.Sub(lastUsed).String())
 		}
 	}
@@ -300,23 +301,10 @@ func (s *Service) evictLRUSessionLocked() {
 		return
 	}
 	delete(s.sessions, victim)
-	s.sessEvicted++
+	if s.met != nil {
+		s.met.sessionsEvicted.Inc()
+	}
 	s.log.Info("session evicted", "session", victim)
-}
-
-// SessionStats is the session slice of the /stats report.
-type SessionStats struct {
-	// Active is the number of currently open sessions.
-	Active int `json:"active"`
-	// Opened, Expired and Evicted count session lifecycle events since
-	// Start: TTL expiries and LRU evictions are split out so capacity
-	// pressure is distinguishable from idle churn.
-	Opened  uint64 `json:"opened"`
-	Expired uint64 `json:"expired"`
-	Evicted uint64 `json:"evicted"`
-	// Binds counts parameter bindings streamed through sessions — the
-	// jobs that skipped compilation entirely via the bind fast path.
-	Binds uint64 `json:"binds"`
 }
 
 // SessionView is the JSON rendering of a session for the HTTP API.

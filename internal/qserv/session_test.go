@@ -58,12 +58,12 @@ func TestSessionBindSharesOneCacheEntry(t *testing.T) {
 	if sess.CompileCacheHit() {
 		t.Fatal("first compile of the ansatz cannot be a cache hit")
 	}
-	base := s.Stats()
-	if base.Cache.Entries != 1 || base.Cache.Misses != 1 {
-		t.Fatalf("after session open: cache = %+v", base.Cache)
+	base := s.Cache().Stats()
+	if base.Entries != 1 || base.Misses != 1 {
+		t.Fatalf("after session open: cache = %+v", base)
 	}
-	if base.PrefixCache.Entries != 1 {
-		t.Fatalf("symbolic ansatz should hold one prefix entry, got %d", base.PrefixCache.Entries)
+	if n := s.PrefixCache().Stats().Entries; n != 1 {
+		t.Fatalf("symbolic ansatz should hold one prefix entry, got %d", n)
 	}
 
 	// Stream parameter points; none may touch the compiler or the caches.
@@ -120,26 +120,28 @@ func TestSessionBindSharesOneCacheEntry(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
+	st := s.Cache().Stats()
 	// The symbolic entry is still the only artefact the session path ever
 	// created; the literal reference submissions added exactly one entry
 	// each (they are distinct programs).
 	wantEntries := 1 + len(points)
-	if st.Cache.Entries != wantEntries {
-		t.Fatalf("cache entries = %d, want %d (binds must not add entries)", st.Cache.Entries, wantEntries)
+	if st.Entries != wantEntries {
+		t.Fatalf("cache entries = %d, want %d (binds must not add entries)", st.Entries, wantEntries)
 	}
-	if st.Cache.Misses != uint64(wantEntries) {
-		t.Fatalf("cache misses = %d, want %d (binds must not re-compile)", st.Cache.Misses, wantEntries)
+	if st.Misses != uint64(wantEntries) {
+		t.Fatalf("cache misses = %d, want %d (binds must not re-compile)", st.Misses, wantEntries)
 	}
-	if st.Sessions.Active != 1 || st.Sessions.Opened != 1 || st.Sessions.Binds != uint64(len(points)) {
-		t.Fatalf("session stats = %+v", st.Sessions)
+	m := scrape(t, s.Handler())
+	if m["qserv_sessions_active"] != 1 || m["qserv_sessions_opened_total"] != 1 || m["qserv_binds_total"] != float64(len(points)) {
+		t.Fatalf("session metrics: active=%g opened=%g binds=%g, want 1/1/%d",
+			m["qserv_sessions_active"], m["qserv_sessions_opened_total"], m["qserv_binds_total"], len(points))
 	}
 
 	// A second session on the same symbolic program is a full-artefact
 	// cache hit — all sessions of one ansatz share the single entry.
 	// (The literal reference submissions above each added their own
 	// prefix entry; the symbolic entry count must not grow further.)
-	prefixEntries := st.PrefixCache.Entries
+	prefixEntries := s.PrefixCache().Stats().Entries
 	sess2, err := s.OpenSession(Request{Program: ansatzProgram(nil), Backend: "perfect"})
 	if err != nil {
 		t.Fatal(err)
@@ -147,12 +149,12 @@ func TestSessionBindSharesOneCacheEntry(t *testing.T) {
 	if !sess2.CompileCacheHit() {
 		t.Fatal("second session on the same ansatz must hit the shared cache entry")
 	}
-	st2 := s.Stats()
-	if st2.Cache.Entries != wantEntries || st2.Cache.Hits != base.Cache.Hits+1 {
-		t.Fatalf("after second session: cache = %+v", st2.Cache)
+	st2 := s.Cache().Stats()
+	if st2.Entries != wantEntries || st2.Hits != base.Hits+1 {
+		t.Fatalf("after second session: cache = %+v", st2)
 	}
-	if st2.PrefixCache.Entries != prefixEntries {
-		t.Fatalf("prefix entries grew from %d to %d", prefixEntries, st2.PrefixCache.Entries)
+	if n := s.PrefixCache().Stats().Entries; n != prefixEntries {
+		t.Fatalf("prefix entries grew from %d to %d", prefixEntries, n)
 	}
 }
 
@@ -234,9 +236,13 @@ func TestSessionTTLAndLRUEviction(t *testing.T) {
 	if _, ok := s.Session(a.ID); !ok {
 		t.Fatal("recently used session evicted")
 	}
-	st := s.Stats()
-	if st.Sessions.Evicted != 1 || st.Sessions.Active != 2 {
-		t.Fatalf("session stats = %+v", st.Sessions)
+	// Both close reasons are exposed from the start, so a scrape before
+	// any expiry already reads expired=0.
+	m := scrape(t, s.Handler())
+	evicted := m[`qserv_sessions_closed_total{reason="evicted"}`]
+	expired := metricValue(t, m, `qserv_sessions_closed_total{reason="expired"}`)
+	if evicted != 1 || expired != 0 || m["qserv_sessions_active"] != 2 {
+		t.Fatalf("after eviction: evicted=%g expired=%g active=%g, want 1/0/2", evicted, expired, m["qserv_sessions_active"])
 	}
 
 	time.Sleep(80 * time.Millisecond)
@@ -246,9 +252,9 @@ func TestSessionTTLAndLRUEviction(t *testing.T) {
 	if _, ok := s.Session(c.ID); ok {
 		t.Fatal("idle session survived its TTL")
 	}
-	st = s.Stats()
-	if st.Sessions.Active != 0 || st.Sessions.Expired != 2 {
-		t.Fatalf("after TTL: session stats = %+v", st.Sessions)
+	m = scrape(t, s.Handler())
+	if expired := m[`qserv_sessions_closed_total{reason="expired"}`]; expired != 2 || m["qserv_sessions_active"] != 0 {
+		t.Fatalf("after TTL: expired=%g active=%g, want 2/0", expired, m["qserv_sessions_active"])
 	}
 }
 
