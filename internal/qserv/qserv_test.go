@@ -687,6 +687,34 @@ func TestPerJobPassSelection(t *testing.T) {
 	}
 }
 
+// Per-pass compile metrics must surface on /metrics, aggregated only
+// over jobs that actually compiled (cache hits excluded).
+func TestStatsCompilePassMetrics(t *testing.T) {
+	s := twoBackendService(t, Config{Seed: 21})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		j, err := s.Submit(Request{Program: bellProgram("stats"), Backend: "perfect", Shots: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := scrape(t, s.Handler())
+	// One cold compile, two cache hits → each pass aggregated exactly
+	// once (cache hits skip the pipeline).
+	for _, pass := range []string{"decompose", "optimize", "map", "lower-swaps", "optimize-lowered", "schedule", "assemble"} {
+		if runs := metricValue(t, m, `qserv_compile_pass_runs_total{backend="perfect",pass="`+pass+`"}`); runs != 1 {
+			t.Errorf("pass %q runs = %g, want 1 (cache hits must not aggregate)", pass, runs)
+		}
+	}
+	if metricValue(t, m, `qserv_compile_pass_gates_in_total{backend="perfect",pass="decompose"}`) == 0 {
+		t.Error("decompose gate counts not aggregated")
+	}
+}
+
 // The HTTP surface: "passes" field accepted and echoed, bad specs are a
 // 400, and the job view carries the per-pass compile report.
 func TestHTTPPassesField(t *testing.T) {
