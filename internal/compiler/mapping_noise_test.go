@@ -1,11 +1,16 @@
 package compiler
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/cqasm"
 	"repro/internal/target"
 )
 
@@ -239,5 +244,69 @@ func TestExpectedSuccess(t *testing.T) {
 	}
 	if got := ExpectedSuccess(c, Perfect(17)); got != 1 {
 		t.Errorf("uncalibrated ESP = %g, want 1", got)
+	}
+}
+
+// routerDigest hashes everything a router hands downstream: the routed
+// cQASM, the initial and final layouts, the SWAP count and the
+// measure-time bindings (in logical order).
+func routerDigest(h io.Writer, mr *MapResult) {
+	fmt.Fprintf(h, "%s\ninit=%v\nfinal=%v\nswaps=%d\n",
+		cqasm.PrintCircuit(mr.Circuit), mr.InitialLayout, mr.FinalLayout, mr.AddedSwaps)
+	for l := 0; l < len(mr.MeasurePhys); l++ {
+		fmt.Fprintf(h, "m%d=%d\n", l, mr.MeasurePhys[l])
+	}
+}
+
+// Both routers are pinned byte-for-byte over the skewed-calibration
+// corpus of TestMapNoiseBeatsHopOnSkewedCalibrations, under each
+// routing configuration: any change to placement, SWAP choice or the
+// measurement bindings shows up as a digest mismatch.
+func TestMapRouterDigests(t *testing.T) {
+	configs := []struct {
+		name       string
+		opts       MapOptions
+		hop, noise string
+	}{
+		{"lookahead-off", MapOptions{},
+			"f5f2ab0add32a1d1e70b2dc4ea41e0343bb09d16186a1f234d29395d3980de15",
+			"6d94f136345a5fc9a5e22729ebdfecd214d0709cf3b55a02a11c01b2017a1a60"},
+		{"lookahead-on", MapOptions{Lookahead: true},
+			"b6936b0872dc4c7d35cb23b5575971c80e46e057ddb9e0a6bee90a012c8d2e50",
+			"eb90ea6f3e3b2b6b40d5974ab0c2e224513574edf15c61a9f0bea591f5ae5417"},
+		{"window-3", MapOptions{Lookahead: true, LookaheadWindow: 3},
+			"3023eb4840802a8999d0d33c242acdef5bfcaeb1dc8a2a1614489d5ec8567175",
+			"4e82a6e4e9f3860888add0a0c8a82b6c387c703fa07188bda592f8d366cb5d38"},
+		{"greedy", MapOptions{Placement: GreedyPlacement},
+			"486cccde1b0aca78fdbd7f12414984d2c707eef323baf5b4067ba1047470cb4c",
+			"bb400d2da698e18c0e634e733c392689bf32c7924415160415be903f5bbfb4b0"},
+	}
+	for _, cfg := range configs {
+		rng := rand.New(rand.NewSource(11))
+		hopSum, noiseSum := sha256.New(), sha256.New()
+		for i := 0; i < 30; i++ {
+			dev := target.Superconducting()
+			for j := range dev.Calibration.Edges {
+				dev.Calibration.Edges[j].TwoQubitError = math.Pow(10, -3+2.5*rng.Float64())
+			}
+			p := PlatformFor(dev)
+			c := randomNISQCircuit(rng, 9, 40)
+			h, err := MapCircuit(c, p, cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := MapCircuitNoise(c, p, cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routerDigest(hopSum, h)
+			routerDigest(noiseSum, n)
+		}
+		if got := hex.EncodeToString(hopSum.Sum(nil)); got != cfg.hop {
+			t.Errorf("%s: MapCircuit digest %s, want %s", cfg.name, got, cfg.hop)
+		}
+		if got := hex.EncodeToString(noiseSum.Sum(nil)); got != cfg.noise {
+			t.Errorf("%s: MapCircuitNoise digest %s, want %s", cfg.name, got, cfg.noise)
+		}
 	}
 }
