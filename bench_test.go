@@ -152,7 +152,6 @@ func BenchmarkE3_CompilerPipeline(b *testing.B) {
 		compiled, err = prog.Compile(openql.CompileOptions{
 			Mode:     openql.RealisticQubits,
 			Platform: platform,
-			Optimize: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -750,8 +749,7 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	opts := openql.CompileOptions{
 		Mode:     openql.RealisticQubits,
 		Platform: compiler.Superconducting(),
-		Optimize: true,
-		Mapping:  compiler.MapOptions{Lookahead: true},
+		Passes:   "decompose,optimize,map(lookahead=true),lower-swaps,optimize-lowered,schedule,assemble",
 	}
 	var compiled *openql.Compiled
 	var err error
@@ -857,16 +855,16 @@ func BenchmarkPrefixCachedRecompile(b *testing.B) {
 	prog.AddKernel(meas)
 
 	platform := compiler.Superconducting()
-	variants := []openql.CompileOptions{
-		{Policy: compiler.ASAP, Mapping: compiler.MapOptions{Lookahead: true}},
-		{Policy: compiler.ALAP, Mapping: compiler.MapOptions{Lookahead: true}},
-		{Policy: compiler.ASAP, Mapping: compiler.MapOptions{Lookahead: true, LookaheadWindow: 4}},
-		{Policy: compiler.ALAP, Mapping: compiler.MapOptions{Lookahead: true, LookaheadWindow: 12}},
-	}
-	for i := range variants {
-		variants[i].Mode = openql.RealisticQubits
-		variants[i].Platform = platform
-		variants[i].Optimize = true
+	variants := make([]openql.CompileOptions, 4)
+	for i, v := range []struct{ lookahead, policy string }{
+		{"true", "asap"}, {"true", "alap"}, {"4", "asap"}, {"12", "alap"},
+	} {
+		variants[i] = openql.CompileOptions{
+			Mode:     openql.RealisticQubits,
+			Platform: platform,
+			Passes: fmt.Sprintf("decompose,optimize,map(lookahead=%s),lower-swaps,optimize-lowered,schedule(policy=%s),assemble",
+				v.lookahead, v.policy),
+		}
 	}
 
 	var cold, cached time.Duration

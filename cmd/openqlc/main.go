@@ -8,8 +8,7 @@
 // Usage:
 //
 //	openqlc [-platform name] [-target device.json] [-calibration cal.json]
-//	        [-emit cqasm|eqasm] [-schedule asap|alap] [-opt] [-lookahead]
-//	        [-passes spec] [-compile-workers N] file.cq
+//	        [-emit cqasm|eqasm] [-passes spec] [-compile-workers N] file.cq
 //
 // Multi-kernel programs compile kernel-by-kernel through the pipeline's
 // platform-generic prefix (decompose/optimize/fold-rotations);
@@ -24,12 +23,16 @@
 // a fresh calibration JSON onto the chosen device, which is how
 // noise-aware passes see up-to-date error rates.
 //
-// The -passes spec selects a custom pipeline from the registered passes,
-// with per-pass options — e.g. "decompose,map(lookahead=8,strategy=noise),
-// lower-swaps,schedule" routes around lossy couplers using the device
-// calibration. It must include "schedule", and "assemble" when emitting
-// eQASM. For calibrated devices the report includes the routed circuit's
-// expected success probability.
+// The -passes spec is the whole compiler configuration: it selects the
+// pipeline from the built-in passes, with per-pass options. Empty runs
+// the default flow, "decompose,optimize,map,lower-swaps,optimize-lowered,
+// schedule,assemble". Dropping "optimize" skips the peephole optimiser,
+// map(lookahead=8) turns on lookahead routing, map(strategy=noise) routes
+// around lossy couplers using the device calibration, and
+// schedule(policy=alap) schedules as late as possible. The spec must
+// include "schedule", and "assemble" after it when emitting eQASM. For
+// calibrated devices the report includes the routed circuit's expected
+// success probability.
 package main
 
 import (
@@ -48,16 +51,12 @@ func main() {
 	platformName := flag.String("platform", "superconducting",
 		"target device preset: "+strings.Join(target.PresetNames(), ", "))
 	targetPath := flag.String("target", "", "device JSON file (overrides -platform; see examples/devices/)")
-	configPath := flag.String("config", "", "deprecated alias for -target")
 	calibPath := flag.String("calibration", "", "calibration JSON file overlaid onto the device")
 	emit := flag.String("emit", "cqasm", "output format: cqasm or eqasm")
-	schedule := flag.String("schedule", "asap", "scheduling policy: asap or alap")
-	opt := flag.Bool("opt", true, "run the peephole optimiser (default pipeline only)")
-	lookahead := flag.Bool("lookahead", false, "use lookahead routing")
 	passes := flag.String("passes", "",
 		"comma-separated pass pipeline with optional per-pass options, e.g. "+
-			`"decompose,map(lookahead=8,strategy=noise),lower-swaps,schedule" `+
-			"(default: the standard flow; available: "+
+			`"decompose,map(lookahead=8,strategy=noise),lower-swaps,schedule(policy=alap)" `+
+			"(default: "+compiler.DefaultPassSpec+"; available: "+
 			strings.Join(compiler.PassNames(), ", ")+")")
 	stats := flag.Bool("stats", true, "print per-pass compilation statistics to stderr")
 	compileWorkers := flag.Int("compile-workers", 1,
@@ -68,6 +67,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// eQASM emission needs the assemble pass, which only runs for
+	// realistic targets.
+	var mode openql.QubitMode
+	switch *emit {
+	case "cqasm":
+		mode = openql.PerfectQubits
+	case "eqasm":
+		mode = openql.RealisticQubits
+	default:
+		fatal(fmt.Errorf("unknown emit format %q (available: cqasm, eqasm)", *emit))
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -77,32 +87,18 @@ func main() {
 		fatal(err)
 	}
 
-	dev, err := loadDevice(*targetPath, *configPath, *platformName, *calibPath, c.NumQubits)
+	dev, err := loadDevice(*targetPath, *platformName, *calibPath, c.NumQubits)
 	if err != nil {
 		fatal(err)
 	}
 	platform := compiler.PlatformFor(dev)
 
-	policy := compiler.ASAP
-	if *schedule == "alap" {
-		policy = compiler.ALAP
-	}
-	// eQASM emission needs the assemble pass, which only runs for
-	// realistic targets.
-	mode := openql.PerfectQubits
-	if *emit == "eqasm" {
-		mode = openql.RealisticQubits
-	}
-
 	prog := openql.ProgramFromCircuit(circuitName(c.Name, flag.Arg(0)), c)
 	compiled, err := prog.Compile(openql.CompileOptions{
-		Mode:     mode,
-		Target:   dev,
-		Optimize: *opt,
-		Policy:   policy,
-		Mapping:  compiler.MapOptions{Lookahead: *lookahead},
-		Passes:   *passes,
-		Workers:  *compileWorkers,
+		Mode:    mode,
+		Target:  dev,
+		Passes:  *passes,
+		Workers: *compileWorkers,
 	})
 	if err != nil {
 		fatal(err)
@@ -125,23 +121,17 @@ func main() {
 		}
 	}
 
-	switch *emit {
-	case "cqasm":
-		fmt.Print(compiled.CQASM)
-	case "eqasm":
+	if mode == openql.RealisticQubits {
 		fmt.Print(compiled.EQASM.String())
-	default:
-		fatal(fmt.Errorf("unknown emit format %q", *emit))
+	} else {
+		fmt.Print(compiled.CQASM)
 	}
 }
 
 // loadDevice resolves the compilation target: a device JSON file when
 // given, else the named preset (perfect sized to the circuit), with an
 // optional calibration overlay.
-func loadDevice(targetPath, configPath, preset, calibPath string, circuitQubits int) (*target.Device, error) {
-	if targetPath == "" {
-		targetPath = configPath
-	}
+func loadDevice(targetPath, preset, calibPath string, circuitQubits int) (*target.Device, error) {
 	var dev *target.Device
 	var err error
 	switch {

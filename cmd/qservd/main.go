@@ -85,10 +85,12 @@
 // counter. Counts for registers wider than 63 qubits are keyed by
 // bitstring in the result view, exactly like narrow ones.
 //
-// The optional "passes" field selects the compiler pass pipeline per job,
-// including per-pass options such as map(strategy=noise) for
-// calibration-weighted routing; -passes sets the default for every gate
-// stack. "target" submits a full device description for one job and
+// The optional "passes" field is a job's whole compiler configuration:
+// the pass pipeline with per-pass options such as map(strategy=noise)
+// for calibration-weighted routing or schedule(policy=alap); -passes
+// sets the default for every gate stack, and empty selects the standard
+// flow (compiler.DefaultPassSpec). A spec with no "schedule", or no
+// "assemble" after it on a realistic stack, is refused at submit. "target" submits a full device description for one job and
 // "calibration" overlays fresh calibration data onto the job's device —
 // both are validated at submit time (400 on invalid input) and key the
 // full-artefact compile cache through the device content hash, so
@@ -168,7 +170,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed for per-job seed derivation")
 	passes := flag.String("passes", "",
 		"default compiler pass pipeline for the gate stacks (available: "+
-			strings.Join(compiler.PassNames(), ", ")+"); empty selects the standard flow")
+			strings.Join(compiler.PassNames(), ", ")+"); empty selects "+compiler.DefaultPassSpec)
 	targetPath := flag.String("target", "",
 		"device JSON file served as an additional gate backend (see examples/devices/)")
 	calibPath := flag.String("calibration", "",

@@ -32,28 +32,30 @@
 // and -target/-calibration flags on cmd/qx, cmd/qservd and cmd/openqlc.
 //
 // The compiler is a configurable pass pipeline rather than a hard-wired
-// sequence: compiler.Pass instances (decompose, optimize, map,
-// map-noise, lower-swaps, optimize-lowered, fold-rotations, schedule,
-// assemble, plus anything registered via compiler.RegisterPass) execute
-// over a shared compiler.PassContext under a compiler.Pipeline, which
-// records a CompileReport of per-pass wall time, gate count, depth and
-// added SWAPs. Pass specs carry per-pass options —
-// "map(lookahead=8,strategy=noise)" — parsed up front with
-// position-carrying errors, so malformed specs fail at submission, not
-// mid-compile. The map-noise pass (equivalently map(strategy=noise))
-// weighs placement and routing by calibration edge fidelity instead of
-// hop count: it routes around lossy couplers to maximise
-// compiler.ExpectedSuccess, and degenerates gate-for-gate to the
-// hop-count mapper on uniform calibrations (both differentially tested).
-// openql.Program.Compile runs the default pipeline — reproducing the
+// sequence: a fixed table of compiler.Pass built-ins (decompose,
+// optimize, map, lower-swaps, optimize-lowered, fold-rotations, schedule,
+// assemble) executes over a shared compiler.PassContext under a
+// compiler.Pipeline, which records a CompileReport of per-pass wall time,
+// gate count, depth and added SWAPs. The pass spec is the compiler's one
+// configuration: per-pass options — "map(lookahead=8,strategy=noise)",
+// "map(placement=greedy)", "schedule(policy=alap)" — are parsed up front
+// with position-carrying errors, so malformed specs and options that
+// could have no effect fail at submission, not mid-compile.
+// map(strategy=noise) weighs placement and routing by calibration edge
+// fidelity instead of hop count: it routes around lossy couplers to
+// maximise compiler.ExpectedSuccess, and degenerates gate-for-gate to the
+// hop-count mapper on uniform calibrations (both differentially tested;
+// the two mappers share one routing loop and differ only in cost model).
+// An empty spec selects compiler.DefaultPassSpec — reproducing the
 // classic decompose/optimize/map/schedule flow gate for gate, enforced by
 // a differential test — and a pass spec string selects custom pipelines
 // end to end: openql.CompileOptions.Passes, core.Stack.Passes (part of
-// the compile fingerprint, so the qserv compile cache keys on it),
-// per-job "passes" in the qserv API, and -passes flags on cmd/qx,
-// cmd/qservd and cmd/openqlc. Per-pass metrics surface in core.Report,
-// qserv job views and /metrics (run counters and a wall-time histogram
-// per backend and pass), and the CLI pass reports.
+// the compile fingerprint in canonical form, so the qserv compile cache
+// keys equivalent spellings on one entry), per-job "passes" in the qserv
+// API, and -passes flags on cmd/qx, cmd/qservd and cmd/openqlc. Per-pass
+// metrics surface in core.Report, qserv job views and /metrics (run
+// counters and a wall-time histogram per backend and pass), and the CLI
+// pass reports.
 //
 // Compilation itself is two-level (compiler.Pipeline.Split): the
 // platform-generic prefix of a pipeline — the leading decompose/

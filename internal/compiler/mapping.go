@@ -44,11 +44,52 @@ type MapResult struct {
 	MeasurePhys map[int]int
 }
 
+// window returns the number of upcoming two-qubit gates routing
+// consults when scoring a SWAP: 0 without Lookahead, else
+// LookaheadWindow (default 5).
+func (o MapOptions) window() int {
+	switch {
+	case !o.Lookahead:
+		return 0
+	case o.LookaheadWindow <= 0:
+		return 5
+	default:
+		return o.LookaheadWindow
+	}
+}
+
 // MapCircuit places the logical qubits of c onto the platform's topology
 // and inserts SWAP chains so that every two-qubit gate acts on adjacent
 // physical qubits — the "placement and routing of qubits" stage of §2.6.
+// SWAP chains follow hop-count shortest paths; under Lookahead each SWAP
+// steps whichever endpoint leaves the upcoming two-qubit gates closest.
 // Gates of arity ≥ 3 must be decomposed first.
 func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, error) {
+	return route(c, p, opts, func(topo *topology.Topology) costModel {
+		m := costModel{path: topo.ShortestPath}
+		if window := opts.window(); window > 0 {
+			m.score = func(l2p []int, _ twoQ, upcoming []twoQ, swap [2]int) float64 {
+				return float64(lookaheadCost(topo, l2p, upcoming, window, swap))
+			}
+		}
+		return m
+	})
+}
+
+// costModel is what tells the two routers apart: the path a SWAP chain
+// follows between two physical qubits, and the score deciding which
+// endpoint of the current gate steps along it (lower wins; nil always
+// steps the front endpoint).
+type costModel struct {
+	path  func(a, b int) []int
+	score func(l2p []int, cur twoQ, upcoming []twoQ, swap [2]int) float64
+}
+
+// route is the routing loop both mappers share: validation and
+// placement, the operand remap with its measure/cond-bit bindings, SWAP
+// emission along the cost model's paths, and the MapResult. model builds
+// the cost model once the circuit has been vetted against the topology.
+func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topology.Topology) costModel) (*MapResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,6 +117,7 @@ func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, e
 			return nil, fmt.Errorf("compiler: mapping requires decomposed circuits; found %d-qubit gate %q", len(g.Qubits), g.Name)
 		}
 	}
+	m := model(topo)
 
 	var l2p []int
 	switch opts.Placement {
@@ -86,11 +128,6 @@ func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, e
 	}
 	p2l := invert(l2p, topo.N)
 	initial := append([]int(nil), l2p...)
-
-	window := opts.LookaheadWindow
-	if window <= 0 {
-		window = 5
-	}
 
 	out := circuit.New(c.Name+"_mapped", topo.N)
 	swaps := 0
@@ -104,6 +141,19 @@ func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, e
 	nextTwoQ := 0
 
 	measurePhys := map[int]int{}
+	// bindCond points a conditional gate at the classical bit's physical
+	// home: where the producing measurement happened, else the operand's
+	// current position.
+	bindCond := func(ng *circuit.Gate, g circuit.Gate) {
+		if !ng.HasCond {
+			return
+		}
+		if p, ok := measurePhys[g.CondBit]; ok {
+			ng.CondBit = p
+		} else {
+			ng.CondBit = l2p[g.CondBit]
+		}
+	}
 	for gi, g := range c.Gates {
 		for nextTwoQ < len(upcoming) && upcoming[nextTwoQ].idx <= gi {
 			nextTwoQ++
@@ -122,23 +172,15 @@ func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, e
 					measurePhys[l] = l2p[l]
 				}
 			}
-			if ng.HasCond {
-				// The classical bit lives where the producing
-				// measurement physically happened.
-				if p, ok := measurePhys[g.CondBit]; ok {
-					ng.CondBit = p
-				} else {
-					ng.CondBit = l2p[g.CondBit]
-				}
-			}
+			bindCond(&ng, g)
 			out.AddGate(ng)
 			continue
 		}
 		la, lb := g.Qubits[0], g.Qubits[1]
+		cur := twoQ{gi, la, lb}
 		pa, pb := l2p[la], l2p[lb]
 		for !topo.Adjacent(pa, pb) {
-			// Choose which endpoint to step toward the other.
-			path := topo.ShortestPath(pa, pb)
+			path := m.path(pa, pb)
 			if path == nil {
 				return nil, fmt.Errorf("compiler: qubits %d and %d are disconnected", pa, pb)
 			}
@@ -146,27 +188,17 @@ func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, e
 			stepA := [2]int{pa, path[1]}
 			stepB := [2]int{pb, path[len(path)-2]}
 			chosen := stepA
-			if opts.Lookahead {
-				costA := lookaheadCost(topo, l2p, upcoming[nextTwoQ:], window, stepA)
-				costB := lookaheadCost(topo, l2p, upcoming[nextTwoQ:], window, stepB)
-				if costB < costA {
-					chosen = stepB
-				}
+			if m.score != nil && m.score(l2p, cur, upcoming[nextTwoQ:], stepB) < m.score(l2p, cur, upcoming[nextTwoQ:], stepA) {
+				chosen = stepB
 			}
-			emitSwap(out, chosen[0], chosen[1])
+			out.SWAP(chosen[0], chosen[1])
 			swaps++
 			applySwap(l2p, p2l, chosen[0], chosen[1])
 			pa, pb = l2p[la], l2p[lb]
 		}
 		ng := g.Clone()
 		ng.Qubits[0], ng.Qubits[1] = pa, pb
-		if ng.HasCond {
-			if p, ok := measurePhys[g.CondBit]; ok {
-				ng.CondBit = p
-			} else {
-				ng.CondBit = l2p[g.CondBit]
-			}
-		}
+		bindCond(&ng, g)
 		out.AddGate(ng)
 	}
 
@@ -220,10 +252,6 @@ func applySwap(l2p, p2l []int, pa, pb int) {
 	if lb >= 0 {
 		l2p[lb] = pa
 	}
-}
-
-func emitSwap(out *circuit.Circuit, a, b int) {
-	out.SWAP(a, b)
 }
 
 // twoQ records the position and logical operands of a two-qubit gate, for

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"repro/internal/circuit"
@@ -41,18 +40,20 @@ func edgeRisk(p float64) float64 {
 }
 
 // noiseWeights is the per-call routing state: symmetric per-edge swap
-// costs and the all-pairs weighted distances derived from them. It is
-// rebuilt per MapCircuitNoise call — nothing is cached on the shared
-// topology, keeping concurrent compilations race-free.
+// costs, the all-pairs weighted distances derived from them and the
+// lookahead window. It is rebuilt per MapCircuitNoise call — nothing is
+// cached on the shared topology, keeping concurrent compilations
+// race-free.
 type noiseWeights struct {
-	topo  *topology.Topology
-	swap  [][]float64 // swap[a][b]: cost of one SWAP across edge (a,b); +Inf when not adjacent
-	wdist [][]float64 // all-pairs weighted distances over swap costs
+	topo   *topology.Topology
+	swap   [][]float64 // swap[a][b]: cost of one SWAP across edge (a,b); +Inf when not adjacent
+	wdist  [][]float64 // all-pairs weighted distances over swap costs
+	window int         // upcoming two-qubit gates lookahead scores (MapOptions.window)
 }
 
-func newNoiseWeights(topo *topology.Topology, cal *target.Calibration) *noiseWeights {
+func newNoiseWeights(topo *topology.Topology, cal *target.Calibration, window int) *noiseWeights {
 	n := topo.N
-	w := &noiseWeights{topo: topo}
+	w := &noiseWeights{topo: topo, window: window}
 	w.swap = make([][]float64, n)
 	for a := 0; a < n; a++ {
 		w.swap[a] = make([]float64, n)
@@ -147,7 +148,7 @@ func (w *noiseWeights) path(a, b int) []int {
 // weighted distances the current and upcoming two-qubit gates would see
 // under the post-swap layout (the current gate dominates; future gates
 // are discounted like the hop router's lookahead window).
-func (w *noiseWeights) lookahead(l2p []int, cur twoQ, upcoming []twoQ, window int, swap [2]int) float64 {
+func (w *noiseWeights) lookahead(l2p []int, cur twoQ, upcoming []twoQ, swap [2]int) float64 {
 	scratch := append([]int(nil), l2p...)
 	for l, p := range scratch {
 		if p == swap[0] {
@@ -157,10 +158,10 @@ func (w *noiseWeights) lookahead(l2p []int, cur twoQ, upcoming []twoQ, window in
 		}
 	}
 	cost := w.swap[swap[0]][swap[1]]
-	cost += float64(window+1) * w.wdist[scratch[cur.a]][scratch[cur.b]]
-	for i := 0; i < len(upcoming) && i < window; i++ {
+	cost += float64(w.window+1) * w.wdist[scratch[cur.a]][scratch[cur.b]]
+	for i := 0; i < len(upcoming) && i < w.window; i++ {
 		g := upcoming[i]
-		cost += float64(window-i) * w.wdist[scratch[g.a]][scratch[g.b]]
+		cost += float64(w.window-i) * w.wdist[scratch[g.a]][scratch[g.b]]
 	}
 	return cost
 }
@@ -169,141 +170,21 @@ func (w *noiseWeights) lookahead(l2p []int, cur twoQ, upcoming []twoQ, window in
 // weighs every routing decision by the platform's calibration data: SWAP
 // chains prefer high-fidelity couplers even when that costs extra hops,
 // maximising the routed circuit's expected success probability (see
-// ExpectedSuccess). Without a topology, without calibration, or under a
-// calibration whose edges are uniform — no routing signal — it
+// ExpectedSuccess). Swap-direction scoring always weighs the current
+// gate's edge costs — that is what noise-aware routing is — while the
+// future-gate window is only consulted under Lookahead, mirroring the
+// hop router's toggle. Without a topology, without calibration, or under
+// a calibration whose edges are uniform — no routing signal — it
 // delegates to MapCircuit and returns bit-identical results.
 func MapCircuitNoise(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, error) {
 	cal := p.Calibration()
 	if p.Topology == nil || cal == nil || cal.UniformEdges(p.Topology) {
 		return MapCircuit(c, p, opts)
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	topo := p.Topology
-	if c.NumQubits > topo.N {
-		return nil, fmt.Errorf("compiler: circuit needs %d qubits, topology has %d", c.NumQubits, topo.N)
-	}
-	for _, g := range c.Gates {
-		if g.IsUnitary() && len(g.Qubits) > 2 {
-			return nil, fmt.Errorf("compiler: mapping requires decomposed circuits; found %d-qubit gate %q", len(g.Qubits), g.Name)
-		}
-	}
-	w := newNoiseWeights(topo, cal)
-
-	var l2p []int
-	switch opts.Placement {
-	case GreedyPlacement:
-		l2p = greedyPlacement(c, topo)
-	default:
-		l2p = identityLayout(topo.N)
-	}
-	p2l := invert(l2p, topo.N)
-	initial := append([]int(nil), l2p...)
-
-	// Swap-direction scoring always weighs the current gate's edge costs
-	// — that is what noise-aware routing is — but the future-gate window
-	// is only consulted under Lookahead, mirroring the hop router's
-	// toggle.
-	window := 0
-	if opts.Lookahead {
-		window = opts.LookaheadWindow
-		if window <= 0 {
-			window = 5
-		}
-	}
-
-	out := circuit.New(c.Name+"_mapped", topo.N)
-	swaps := 0
-	var upcoming []twoQ
-	for i, g := range c.Gates {
-		if g.IsTwoQubit() {
-			upcoming = append(upcoming, twoQ{i, g.Qubits[0], g.Qubits[1]})
-		}
-	}
-	nextTwoQ := 0
-
-	measurePhys := map[int]int{}
-	for gi, g := range c.Gates {
-		for nextTwoQ < len(upcoming) && upcoming[nextTwoQ].idx <= gi {
-			nextTwoQ++
-		}
-		if !g.IsTwoQubit() {
-			ng := g.Clone()
-			for i, q := range ng.Qubits {
-				ng.Qubits[i] = l2p[q]
-			}
-			switch g.Name {
-			case circuit.OpMeasure:
-				measurePhys[g.Qubits[0]] = ng.Qubits[0]
-			case circuit.OpMeasureAll:
-				for l := 0; l < c.NumQubits; l++ {
-					measurePhys[l] = l2p[l]
-				}
-			}
-			if ng.HasCond {
-				if p, ok := measurePhys[g.CondBit]; ok {
-					ng.CondBit = p
-				} else {
-					ng.CondBit = l2p[g.CondBit]
-				}
-			}
-			out.AddGate(ng)
-			continue
-		}
-		la, lb := g.Qubits[0], g.Qubits[1]
-		cur := twoQ{gi, la, lb}
-		pa, pb := l2p[la], l2p[lb]
-		for !topo.Adjacent(pa, pb) {
-			path := w.path(pa, pb)
-			if path == nil {
-				return nil, fmt.Errorf("compiler: qubits %d and %d are disconnected", pa, pb)
-			}
-			// Step an endpoint one edge along the weighted-shortest path,
-			// whichever end the lookahead scores cheaper (front by
-			// default, mirroring the hop router's preference).
-			stepA := [2]int{pa, path[1]}
-			stepB := [2]int{pb, path[len(path)-2]}
-			chosen := stepA
-			if costA, costB := w.lookahead(l2p, cur, upcoming[nextTwoQ:], window, stepA),
-				w.lookahead(l2p, cur, upcoming[nextTwoQ:], window, stepB); costB < costA {
-				chosen = stepB
-			}
-			emitSwap(out, chosen[0], chosen[1])
-			swaps++
-			applySwap(l2p, p2l, chosen[0], chosen[1])
-			pa, pb = l2p[la], l2p[lb]
-		}
-		ng := g.Clone()
-		ng.Qubits[0], ng.Qubits[1] = pa, pb
-		if ng.HasCond {
-			if p, ok := measurePhys[g.CondBit]; ok {
-				ng.CondBit = p
-			} else {
-				ng.CondBit = l2p[g.CondBit]
-			}
-		}
-		out.AddGate(ng)
-	}
-
-	origDepth := c.Depth()
-	factor := 1.0
-	if origDepth > 0 {
-		factor = float64(out.Depth()) / float64(origDepth)
-	}
-	for l := 0; l < c.NumQubits; l++ {
-		if _, ok := measurePhys[l]; !ok {
-			measurePhys[l] = l2p[l]
-		}
-	}
-	return &MapResult{
-		Circuit:       out,
-		InitialLayout: initial,
-		FinalLayout:   l2p,
-		AddedSwaps:    swaps,
-		LatencyFactor: factor,
-		MeasurePhys:   measurePhys,
-	}, nil
+	return route(c, p, opts, func(topo *topology.Topology) costModel {
+		w := newNoiseWeights(topo, cal, opts.window())
+		return costModel{path: w.path, score: w.lookahead}
+	})
 }
 
 // ExpectedSuccess estimates the probability a physical (routed) circuit

@@ -196,9 +196,8 @@ func TestMapNoiseBeatsHopOnSkewedCalibrations(t *testing.T) {
 	}
 }
 
-// The map-noise registry pass produces identical pipeline artefacts to
-// map on uniform calibrations, and the map(strategy=noise) spelling is
-// the same pass.
+// map(strategy=noise) produces identical pipeline artefacts to map on
+// uniform calibrations.
 func TestMapNoisePassPipelineEquivalence(t *testing.T) {
 	p := Superconducting()
 	rng := rand.New(rand.NewSource(3))
@@ -216,13 +215,9 @@ func TestMapNoisePassPipelineEquivalence(t *testing.T) {
 		return ctx, rep
 	}
 	base, _ := run("decompose,map,lower-swaps,schedule")
-	noise, _ := run("decompose,map-noise,lower-swaps,schedule")
-	opt, _ := run("decompose,map(strategy=noise),lower-swaps,schedule")
+	noise, _ := run("decompose,map(strategy=noise),lower-swaps,schedule")
 	if !sameGates(base.Circuit, noise.Circuit) {
-		t.Error("map-noise on uniform calibration differs from map")
-	}
-	if !sameGates(noise.Circuit, opt.Circuit) {
-		t.Error("map(strategy=noise) differs from map-noise")
+		t.Error("map(strategy=noise) on uniform calibration differs from map")
 	}
 	if base.Schedule.Makespan != noise.Schedule.Makespan {
 		t.Errorf("makespans differ: %d vs %d", base.Schedule.Makespan, noise.Schedule.Makespan)

@@ -1,29 +1,32 @@
 package compiler
 
 // Built-in passes: the classic decompose/optimize/map/schedule stages of
-// the hard-wired compiler, each wrapped as a registry entry so pipelines
-// can reorder, repeat or omit them per compilation.
+// the hard-wired compiler, each a table entry so pipelines can reorder,
+// repeat or omit them per compilation.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
-func init() {
-	// decompose, optimize and fold-rotations are platform-generic: their
-	// output depends only on the circuit and the native gate set, so a
-	// leading run of them forms the cacheable prefix of a pipeline (see
-	// Pipeline.Split). Everything from mapping onward is variant-specific
-	// — topology, calibration, scheduling policy, per-pass options.
-	RegisterPass(NewGenericPass("decompose", runDecompose))
-	RegisterPass(NewGenericPass("optimize", runOptimize))
-	RegisterPass(NewOptionPass("map", runMap, checkMapOptions(true)))
-	RegisterPass(NewOptionPass("map-noise", runMapNoise, checkMapOptions(false)))
-	RegisterPass(NewPass("lower-swaps", runLowerSwaps))
-	RegisterPass(NewPass("optimize-lowered", runOptimizeLowered))
-	RegisterPass(NewGenericPass("fold-rotations", runFoldRotations))
-	RegisterPass(NewPass("schedule", runSchedule))
-	RegisterPass(NewPass("assemble", runAssemble))
+// builtins is the fixed, read-only table of passes a spec can name, in
+// the order of the default pipeline. decompose, optimize and
+// fold-rotations are platform-generic: their output depends only on the
+// circuit and the native gate set, so a leading run of them forms the
+// cacheable prefix of a pipeline (see Pipeline.Split). Everything from
+// mapping onward is variant-specific — topology, calibration, scheduling
+// policy, per-pass options.
+var builtins = []*builtin{
+	{name: "decompose", run: runDecompose, generic: true},
+	{name: "optimize", run: runOptimize, generic: true},
+	{name: "map", run: runMap, check: checkMapOptions},
+	{name: "lower-swaps", run: runLowerSwaps},
+	{name: "optimize-lowered", run: runOptimizeLowered},
+	{name: "fold-rotations", run: runFoldRotations, generic: true},
+	{name: "schedule", run: runSchedule, check: checkScheduleOptions},
+	{name: "assemble", run: runAssemble},
 }
 
 // runDecompose rewrites every gate the platform does not support natively
@@ -50,34 +53,30 @@ func runFoldRotations(ctx *PassContext) error {
 	return nil
 }
 
-// mapOptionsFrom overlays a map pass's spec options onto the base
-// MapOptions from the context and resolves the routing strategy:
-// placement=trivial|greedy, lookahead=<bool|window>, window=<int>,
-// strategy=hop|noise.
-func mapOptionsFrom(base MapOptions, o PassOptions, allowStrategy bool) (MapOptions, string, error) {
-	opts := base
-	strategy := "hop"
-	// Validate keys in sorted order so the reported unknown option is
-	// deterministic when a spec carries several.
+// checkOptionKeys rejects any option key outside avail, checking keys
+// in sorted order so the reported unknown option is deterministic when a
+// spec carries several.
+func checkOptionKeys(o PassOptions, avail ...string) error {
 	keys := make([]string, 0, len(o))
 	for key := range o {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		switch key {
-		case "placement", "lookahead", "window":
-		case "strategy":
-			if !allowStrategy {
-				return opts, "", fmt.Errorf("unknown option %q (available: placement, lookahead, window)", key)
-			}
-		default:
-			avail := "placement, lookahead, window"
-			if allowStrategy {
-				avail += ", strategy"
-			}
-			return opts, "", fmt.Errorf("unknown option %q (available: %s)", key, avail)
+		if !slices.Contains(avail, key) {
+			return fmt.Errorf("unknown option %q (available: %s)", key, strings.Join(avail, ", "))
 		}
+	}
+	return nil
+}
+
+// mapOptionsFrom resolves a map pass's spec options to MapOptions and the
+// routing strategy: placement=trivial|greedy, lookahead=<bool|window>,
+// window=<int>, strategy=hop|noise.
+func mapOptionsFrom(o PassOptions) (MapOptions, string, error) {
+	var opts MapOptions
+	if err := checkOptionKeys(o, "placement", "lookahead", "window", "strategy"); err != nil {
+		return opts, "", err
 	}
 	switch v := o.String("placement", ""); v {
 	case "":
@@ -109,23 +108,22 @@ func mapOptionsFrom(base MapOptions, o PassOptions, allowStrategy bool) (MapOpti
 		if n < 0 {
 			return opts, "", fmt.Errorf("option window=%d must be positive", n)
 		}
+		if !opts.Lookahead {
+			return opts, "", fmt.Errorf("option window=%d has no effect without lookahead", n)
+		}
 		opts.LookaheadWindow = n
 	}
-	switch v := o.String("strategy", "hop"); v {
-	case "hop", "noise":
-		strategy = v
-	default:
-		return opts, "", fmt.Errorf("option strategy=%q is not hop or noise", v)
+	strategy := o.String("strategy", "hop")
+	if strategy != "hop" && strategy != "noise" {
+		return opts, "", fmt.Errorf("option strategy=%q is not hop or noise", strategy)
 	}
 	return opts, strategy, nil
 }
 
 // checkMapOptions validates a map pass's options at spec-parse time.
-func checkMapOptions(allowStrategy bool) func(PassOptions) error {
-	return func(o PassOptions) error {
-		_, _, err := mapOptionsFrom(MapOptions{}, o, allowStrategy)
-		return err
-	}
+func checkMapOptions(o PassOptions) error {
+	_, _, err := mapOptionsFrom(o)
+	return err
 }
 
 // runMap places logical qubits onto the platform topology and routes
@@ -137,36 +135,15 @@ func runMap(ctx *PassContext) error {
 	if ctx.Platform.Topology == nil {
 		return nil
 	}
-	opts, strategy, err := mapOptionsFrom(ctx.Mapping, ctx.Options, true)
+	opts, strategy, err := mapOptionsFrom(ctx.Options)
 	if err != nil {
 		return err
 	}
-	var mr *MapResult
+	mapper := MapCircuit
 	if strategy == "noise" {
-		mr, err = MapCircuitNoise(ctx.Circuit, ctx.Platform, opts)
-	} else {
-		mr, err = MapCircuit(ctx.Circuit, ctx.Platform, opts)
+		mapper = MapCircuitNoise
 	}
-	if err != nil {
-		return err
-	}
-	ctx.MapResult = mr
-	ctx.Circuit = mr.Circuit
-	return nil
-}
-
-// runMapNoise is the noise-aware mapping pass: placement and routing
-// weighted by calibration edge fidelity instead of hop count (see
-// MapCircuitNoise). Equivalent to map(strategy=noise).
-func runMapNoise(ctx *PassContext) error {
-	if ctx.Platform.Topology == nil {
-		return nil
-	}
-	opts, _, err := mapOptionsFrom(ctx.Mapping, ctx.Options, false)
-	if err != nil {
-		return err
-	}
-	mr, err := MapCircuitNoise(ctx.Circuit, ctx.Platform, opts)
+	mr, err := mapper(ctx.Circuit, ctx.Platform, opts)
 	if err != nil {
 		return err
 	}
@@ -204,10 +181,37 @@ func runOptimizeLowered(ctx *PassContext) error {
 	return nil
 }
 
+// schedulePolicyFrom resolves a schedule pass's spec options to the
+// scheduling policy: policy=asap|alap, ASAP by default.
+func schedulePolicyFrom(o PassOptions) (Policy, error) {
+	if err := checkOptionKeys(o, "policy"); err != nil {
+		return ASAP, err
+	}
+	switch v := o.String("policy", "asap"); v {
+	case "asap":
+		return ASAP, nil
+	case "alap":
+		return ALAP, nil
+	default:
+		return ASAP, fmt.Errorf("option policy=%q is not asap or alap", v)
+	}
+}
+
+// checkScheduleOptions validates a schedule pass's options at spec-parse
+// time.
+func checkScheduleOptions(o PassOptions) error {
+	_, err := schedulePolicyFrom(o)
+	return err
+}
+
 // runSchedule assigns start cycles under the platform's gate durations
-// and control-channel limits.
+// and control-channel limits, with the policy the spec selects.
 func runSchedule(ctx *PassContext) error {
-	sched, err := ScheduleCircuit(ctx.Circuit, ctx.Platform, ctx.Policy)
+	policy, err := schedulePolicyFrom(ctx.Options)
+	if err != nil {
+		return err
+	}
+	sched, err := ScheduleCircuit(ctx.Circuit, ctx.Platform, policy)
 	if err != nil {
 		return err
 	}

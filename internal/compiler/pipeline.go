@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/circuit"
 )
 
 // Pass is one retargetable stage of the compiler pipeline (Fig 4): it
-// reads and rewrites the artefacts carried by a PassContext. Passes must
-// be stateless — one registered instance is shared by every concurrent
-// compilation — with all per-run configuration read from the context.
+// reads and rewrites the artefacts carried by a PassContext. Passes are
+// stateless — one table entry is shared by every concurrent compilation —
+// with all per-run configuration read from the context, the pass's spec
+// options included.
 type Pass interface {
 	Name() string
 	Run(ctx *PassContext) error
@@ -26,10 +26,6 @@ type Pass interface {
 type PassContext struct {
 	// Platform is the compilation target; never nil.
 	Platform *Platform
-	// Mapping configures the map pass.
-	Mapping MapOptions
-	// Policy configures the schedule pass.
-	Policy Policy
 	// Assemble enables target-assembly passes (realistic targets); when
 	// false the assemble pass is a no-op, matching perfect-qubit targets
 	// that execute cQASM directly.
@@ -42,8 +38,9 @@ type PassContext struct {
 	// ProgramName labels assembly output.
 	ProgramName string
 	// Options carries the current pass's spec options (e.g. the
-	// lookahead=8 of "map(lookahead=8)"); the pipeline sets it before
-	// each pass runs. Nil when the entry carried none.
+	// lookahead=8 of "map(lookahead=8)"), the only per-pass
+	// configuration; the pipeline sets it before each pass runs. Nil when
+	// the entry carried none.
 	Options PassOptions
 
 	// Circuit is the gate stream being rewritten; every pass leaves it
@@ -56,124 +53,73 @@ type PassContext struct {
 	SwapsLowered bool
 	// Schedule is set by the schedule pass.
 	Schedule *Schedule
-	// Assembled holds the output of assembly passes registered from
-	// higher layers (the openql layer's "assemble" pass stores an
-	// *eqasm.Program); the compiler core never inspects it.
+	// Assembled holds the output of the injected Assembler (the openql
+	// layer stores an *eqasm.Program); the compiler core never inspects
+	// it.
 	Assembled any
 }
 
-// passFunc adapts a function to the Pass interface for the built-ins.
-type passFunc struct {
+// builtin is one entry of the fixed pass table (see builtins).
+type builtin struct {
 	name string
-	fn   func(ctx *PassContext) error
-}
-
-func (p passFunc) Name() string               { return p.name }
-func (p passFunc) Run(ctx *PassContext) error { return p.fn(ctx) }
-
-// NewPass wraps a named function as a Pass.
-func NewPass(name string, fn func(ctx *PassContext) error) Pass {
-	return passFunc{name: name, fn: fn}
-}
-
-// optionPass is a passFunc that also validates per-pass spec options at
-// parse time (see OptionsChecker).
-type optionPass struct {
-	passFunc
+	run  func(ctx *PassContext) error
+	// check validates the pass's spec options at parse time; nil when
+	// the pass takes none.
 	check func(PassOptions) error
+	// generic marks a platform-generic pass: its output depends only on
+	// the circuit and the platform's native gate set (Platform.Gates /
+	// Platform.Supports) — never on topology, timings, control limits,
+	// calibration data or spec options. The leading run of such passes is
+	// the cacheable prefix of a pipeline (see Pipeline.Split and
+	// PrefixArtefact), cached across mapping, scheduling and calibration
+	// variants, so any hidden dependency would serve stale artefacts.
+	generic bool
 }
 
-func (p optionPass) CheckOptions(opts PassOptions) error { return p.check(opts) }
+func (p *builtin) Name() string               { return p.name }
+func (p *builtin) Run(ctx *PassContext) error { return p.run(ctx) }
 
-// NewOptionPass wraps a named function as a Pass whose spec options are
-// validated by check when the spec is parsed.
-func NewOptionPass(name string, fn func(ctx *PassContext) error, check func(PassOptions) error) Pass {
-	return optionPass{passFunc{name: name, fn: fn}, check}
-}
-
-// platformGeneric is the marker interface of passes whose output depends
-// only on the circuit and the platform's native gate set (Platform.Gates
-// / Platform.Supports) — never on topology, timings, control limits,
-// calibration data, mapping or scheduling configuration. The leading run
-// of such passes is the cacheable prefix of a pipeline (see
-// Pipeline.Split and PrefixArtefact).
-type platformGeneric interface {
-	PlatformGeneric()
-}
-
-// genericPass is a passFunc marked platform-generic.
-type genericPass struct{ passFunc }
-
-func (genericPass) PlatformGeneric() {}
-
-// NewGenericPass wraps a named function as a platform-generic Pass. Only
-// mark a pass generic when its Run reads nothing from the PassContext
-// beyond Circuit and the platform's gate set: generic passes are cached
-// across mapping, scheduling and calibration variants, so any hidden
-// dependency would serve stale artefacts.
-func NewGenericPass(name string, fn func(ctx *PassContext) error) Pass {
-	return genericPass{passFunc{name: name, fn: fn}}
-}
-
-// IsGeneric reports whether a pass is marked platform-generic.
+// IsGeneric reports whether a pass is platform-generic.
 func IsGeneric(p Pass) bool {
-	_, ok := p.(platformGeneric)
-	return ok
+	b, ok := p.(*builtin)
+	return ok && b.generic
 }
 
-var (
-	passMu       sync.RWMutex
-	passRegistry = map[string]Pass{}
-)
-
-// RegisterPass adds a pass to the named-pass registry, making it
-// selectable in pass specs. It panics on a duplicate or empty name;
-// registration happens at init time.
-func RegisterPass(p Pass) {
-	name := p.Name()
-	if name == "" || strings.ContainsAny(name, ", \t\n") {
-		panic(fmt.Sprintf("compiler: invalid pass name %q", name))
+// lookupPass finds a built-in pass by name (nil when there is none).
+func lookupPass(name string) *builtin {
+	for _, p := range builtins {
+		if p.name == name {
+			return p
+		}
 	}
-	passMu.Lock()
-	defer passMu.Unlock()
-	if _, dup := passRegistry[name]; dup {
-		panic(fmt.Sprintf("compiler: duplicate pass %q", name))
-	}
-	passRegistry[name] = p
+	return nil
 }
 
-// PassByName looks a pass up in the registry.
+// PassByName looks a built-in pass up by name.
 func PassByName(name string) (Pass, bool) {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	p, ok := passRegistry[name]
-	return p, ok
+	if p := lookupPass(name); p != nil {
+		return p, true
+	}
+	return nil, false
 }
 
-// PassNames returns the sorted names of every registered pass.
+// PassNames returns the sorted names of every built-in pass.
 func PassNames() []string {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	out := make([]string, 0, len(passRegistry))
-	for name := range passRegistry {
-		out = append(out, name)
+	out := make([]string, len(builtins))
+	for i, p := range builtins {
+		out[i] = p.name
 	}
 	sort.Strings(out)
 	return out
 }
 
-// DefaultPassSpec returns the pass sequence equivalent to the classic
-// hard-wired compiler flow: decompose to primitives, (optionally)
-// optimise, map to the topology, lower routing SWAPs to primitives,
-// re-optimise the lowered SWAP chains (optimize-lowered no-ops when
-// lower-swaps had nothing to do, exactly like the classic flow),
-// schedule, assemble.
-func DefaultPassSpec(optimize bool) string {
-	if optimize {
-		return "decompose,optimize,map,lower-swaps,optimize-lowered,schedule,assemble"
-	}
-	return "decompose,map,lower-swaps,schedule,assemble"
-}
+// DefaultPassSpec is the pipeline an empty pass spec selects, equivalent
+// to the classic hard-wired compiler flow: decompose to primitives,
+// optimise, map to the topology (hop-count routing, trivial placement, no
+// lookahead), lower routing SWAPs to primitives, re-optimise the lowered
+// SWAP chains (optimize-lowered no-ops when lower-swaps had nothing to
+// do, exactly like the classic flow), schedule ASAP, assemble.
+const DefaultPassSpec = "decompose,optimize,map,lower-swaps,optimize-lowered,schedule,assemble"
 
 // PassMetrics records one pass execution: wall time plus the circuit-size
 // observables that make compile-path hot spots and pass effectiveness
@@ -280,6 +226,33 @@ func (pl *Pipeline) Passes() []string {
 
 // Len returns the number of passes in the pipeline.
 func (pl *Pipeline) Len() int { return len(pl.passes) }
+
+// Canonical renders the whole pipeline the way Split renders its halves
+// (options sorted by key, no whitespace), so equivalent spellings of one
+// spec render equal.
+func (pl *Pipeline) Canonical() string { return canonicalSpec(pl.passes) }
+
+// CheckStages verifies, before anything runs, that the pipeline yields
+// what execution needs: a "schedule" pass and, when assemble is set (a
+// realistic target executing eQASM), an "assemble" pass after it.
+func (pl *Pipeline) CheckStages(assemble bool) error {
+	scheduled, assembled := false, false
+	for _, bp := range pl.passes {
+		switch bp.Pass.Name() {
+		case "schedule":
+			scheduled = true
+		case "assemble":
+			assembled = assembled || scheduled
+		}
+	}
+	switch {
+	case !scheduled:
+		return fmt.Errorf("compiler: pass spec %q has no schedule; include the \"schedule\" pass", pl.Spec)
+	case assemble && !assembled:
+		return fmt.Errorf("compiler: pass spec %q produces no eQASM for a realistic target; include the \"assemble\" pass after \"schedule\"", pl.Spec)
+	}
+	return nil
+}
 
 // Split partitions the pipeline into its platform-generic prefix — the
 // longest leading run of passes marked generic (see NewGenericPass) —

@@ -45,20 +45,6 @@ func TestParsePassSpecErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterPassRejectsDuplicatesAndBadNames(t *testing.T) {
-	for _, name := range []string{"", "has space", "has,comma", "decompose"} {
-		name := name
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterPass(%q) did not panic", name)
-				}
-			}()
-			RegisterPass(NewPass(name, func(*PassContext) error { return nil }))
-		}()
-	}
-}
-
 func TestPipelineRunRecordsMetrics(t *testing.T) {
 	c := circuit.New("pipe", 3).Toffoli(0, 1, 2).H(0).H(0)
 	pl, err := NewPipeline("decompose,optimize,map,lower-swaps,schedule")
@@ -138,13 +124,50 @@ func TestPipelineReportsFailingPass(t *testing.T) {
 }
 
 func TestDefaultPassSpecParses(t *testing.T) {
-	for _, optimize := range []bool{true, false} {
-		spec := DefaultPassSpec(optimize)
-		if _, err := ParsePassSpec(spec); err != nil {
-			t.Errorf("default spec (optimize=%v) does not parse: %v", optimize, err)
+	pl, err := NewPipeline(DefaultPassSpec)
+	if err != nil {
+		t.Fatalf("default spec does not parse: %v", err)
+	}
+	// The default is its own canonical rendering, so a stack naming it
+	// explicitly keys the same compile-cache entries as one naming none.
+	if got := pl.Canonical(); got != DefaultPassSpec {
+		t.Errorf("default spec renders canonically as %q", got)
+	}
+	if !strings.Contains(DefaultPassSpec, "optimize,") {
+		t.Errorf("default spec %q does not optimise", DefaultPassSpec)
+	}
+}
+
+// CheckStages refuses, before anything runs, pipelines that cannot yield
+// an executable artefact: no schedule, or — for a realistic target — no
+// assemble after the schedule.
+func TestCheckStages(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		assemble bool
+		wantMsg  string // empty: accepted
+	}{
+		{DefaultPassSpec, true, ""},
+		{DefaultPassSpec, false, ""},
+		{"decompose,schedule", false, ""},
+		{"decompose,schedule,assemble,schedule", true, ""},
+		{"decompose,optimize", false, `include the "schedule" pass`},
+		{"decompose,assemble", true, `include the "schedule" pass`},
+		{"decompose,map,schedule", true, `include the "assemble" pass`},
+		{"decompose,assemble,schedule", true, `include the "assemble" pass`},
+		{"decompose,assemble,schedule", false, ""},
+	} {
+		pl, err := NewPipeline(tc.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(spec, "optimize") != optimize {
-			t.Errorf("default spec (optimize=%v) = %q", optimize, spec)
+		err = pl.CheckStages(tc.assemble)
+		if tc.wantMsg == "" {
+			if err != nil {
+				t.Errorf("%s (assemble=%v): %v", tc.spec, tc.assemble, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
+			t.Errorf("%s (assemble=%v): error %v, want %q", tc.spec, tc.assemble, err, tc.wantMsg)
 		}
 	}
 }

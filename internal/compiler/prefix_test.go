@@ -13,12 +13,12 @@ func TestPipelineSplit(t *testing.T) {
 		suffix string
 	}{
 		{
-			spec:   DefaultPassSpec(true),
+			spec:   DefaultPassSpec,
 			prefix: "decompose,optimize",
 			suffix: "map,lower-swaps,optimize-lowered,schedule,assemble",
 		},
 		{
-			spec:   DefaultPassSpec(false),
+			spec:   "decompose,map,lower-swaps,schedule,assemble",
 			prefix: "decompose",
 			suffix: "map,lower-swaps,schedule,assemble",
 		},

@@ -75,7 +75,7 @@ func specErr(spec string, pos int, format string, args ...any) error {
 }
 
 // ParseSpec tokenises a pass spec — comma-separated entries of the form
-// name or name(key=value,...) — without consulting the pass registry.
+// name or name(key=value,...) — without consulting the pass table.
 // Whitespace around names, keys and values is ignored. All syntax errors
 // carry the spec position (see SpecError).
 func ParseSpec(spec string) ([]SpecEntry, error) {
@@ -179,23 +179,17 @@ func skipSpace(s string, i int) int {
 	return i
 }
 
-// OptionsChecker is implemented by passes that accept per-pass options;
-// ResolveSpec calls it at parse time so unknown keys and malformed
-// values are rejected before any compilation starts (and, in qserv, at
-// job submission with a 400).
-type OptionsChecker interface {
-	CheckOptions(opts PassOptions) error
-}
-
-// BoundPass is a registry pass bound to the options of one spec entry.
+// BoundPass is a built-in pass bound to the options of one spec entry.
 type BoundPass struct {
 	Pass    Pass
 	Options PassOptions
 }
 
 // ResolveSpec parses a pass spec and resolves every entry against the
-// pass registry, validating options with each pass's OptionsChecker.
-// Errors carry the spec position.
+// built-in passes, validating each entry's options at parse time so
+// unknown keys and malformed values are rejected before any compilation
+// starts (and, in qserv, at job submission with a 400). Errors carry the
+// spec position.
 func ResolveSpec(spec string) ([]BoundPass, error) {
 	entries, err := ParseSpec(spec)
 	if err != nil {
@@ -203,17 +197,16 @@ func ResolveSpec(spec string) ([]BoundPass, error) {
 	}
 	bound := make([]BoundPass, 0, len(entries))
 	for _, e := range entries {
-		p, ok := PassByName(e.Name)
-		if !ok {
+		p := lookupPass(e.Name)
+		if p == nil {
 			return nil, specErr(spec, e.Pos, "unknown pass %q (available: %s)",
 				e.Name, strings.Join(PassNames(), ", "))
 		}
 		if len(e.Options) > 0 {
-			checker, ok := p.(OptionsChecker)
-			if !ok {
+			if p.check == nil {
 				return nil, specErr(spec, e.Pos, "pass %q takes no options", e.Name)
 			}
-			if err := checker.CheckOptions(e.Options); err != nil {
+			if err := p.check(e.Options); err != nil {
 				return nil, specErr(spec, e.Pos, "pass %q: %v", e.Name, err)
 			}
 		}
@@ -222,7 +215,7 @@ func ResolveSpec(spec string) ([]BoundPass, error) {
 	return bound, nil
 }
 
-// ParsePassSpec resolves a pass spec against the registry and returns
+// ParsePassSpec resolves a pass spec against the built-ins and returns
 // the passes in order, discarding per-pass options — the entry point for
 // callers that only need to know the spec is valid. Unknown names, bad
 // syntax and invalid options are all rejected here, at parse time.

@@ -2,8 +2,11 @@ package compiler
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/circuit"
 )
 
 func TestParseSpecEntriesAndOptions(t *testing.T) {
@@ -83,10 +86,16 @@ func TestResolveSpecValidatesOptions(t *testing.T) {
 		{"decompose(x=1),schedule", "takes no options"},
 		{"map(zoom=2)", "unknown option"},
 		{"map(strategy=warp)", "not hop or noise"},
-		{"map-noise(strategy=noise)", "unknown option"},
+		{"map-noise", "unknown pass"},
+		{"map(strategy=noise,zoom=2)", "unknown option"},
 		{"map(lookahead=maybe)", "lookahead"},
 		{"map(lookahead=-2)", "positive"},
 		{"map(window=-1)", "positive"},
+		{"map(window=4)", "option window=4 has no effect without lookahead"},
+		{"map(lookahead=false,window=4)", "option window=4 has no effect without lookahead"},
+		{"map(strategy=noise,window=4)", "option window=4 has no effect without lookahead"},
+		{"schedule(policy=late)", "not asap or alap"},
+		{"schedule(order=asap)", "unknown option \"order\" (available: policy)"},
 		{"map(placement=random)", "not trivial or greedy"},
 	} {
 		_, err := ResolveSpec(tc.spec)
@@ -94,11 +103,12 @@ func TestResolveSpecValidatesOptions(t *testing.T) {
 			t.Errorf("spec %q: error %v, want substring %q", tc.spec, err, tc.wantMsg)
 		}
 	}
-	bound, err := ResolveSpec("decompose,map-noise(lookahead=4,placement=greedy),schedule")
+	bound, err := ResolveSpec("decompose,map(strategy=noise,lookahead=4,placement=greedy),schedule(policy=alap)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bound) != 3 || bound[1].Pass.Name() != "map-noise" || bound[1].Options["lookahead"] != "4" {
+	if len(bound) != 3 || bound[1].Pass.Name() != "map" || bound[1].Options["strategy"] != "noise" ||
+		bound[1].Options["lookahead"] != "4" || bound[2].Options["policy"] != "alap" {
 		t.Errorf("bound = %+v", bound)
 	}
 }
@@ -125,26 +135,55 @@ func TestPassOptionsGetters(t *testing.T) {
 	}
 }
 
-// mapOptionsFrom overlays spec options onto the context's MapOptions.
+// mapOptionsFrom resolves a map pass's spec options; absent options
+// leave MapOptions at the default (trivial placement, hop routing, no
+// lookahead).
 func TestMapOptionsOverlay(t *testing.T) {
-	base := MapOptions{Placement: TrivialPlacement}
-	opts, strategy, err := mapOptionsFrom(base, PassOptions{
-		"lookahead": "8", "placement": "greedy", "strategy": "noise",
-	}, true)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		opts     PassOptions
+		want     MapOptions
+		strategy string
+	}{
+		{nil, MapOptions{}, "hop"},
+		{PassOptions{"lookahead": "8", "placement": "greedy", "strategy": "noise"},
+			MapOptions{Placement: GreedyPlacement, Lookahead: true, LookaheadWindow: 8}, "noise"},
+		{PassOptions{"lookahead": "true", "window": "3"}, MapOptions{Lookahead: true, LookaheadWindow: 3}, "hop"},
+		{PassOptions{"lookahead": "false"}, MapOptions{}, "hop"},
+		{PassOptions{"placement": "trivial", "strategy": "hop"}, MapOptions{}, "hop"},
+	} {
+		opts, strategy, err := mapOptionsFrom(tc.opts)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.opts, err)
+		}
+		if opts != tc.want || strategy != tc.strategy {
+			t.Errorf("%v: opts %+v strategy %s, want %+v strategy %s", tc.opts, opts, strategy, tc.want, tc.strategy)
+		}
 	}
-	if !opts.Lookahead || opts.LookaheadWindow != 8 || opts.Placement != GreedyPlacement || strategy != "noise" {
-		t.Errorf("opts = %+v strategy %s", opts, strategy)
-	}
-	opts, strategy, err = mapOptionsFrom(MapOptions{Lookahead: true, LookaheadWindow: 3}, PassOptions{"lookahead": "false"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Lookahead {
-		t.Errorf("lookahead=false did not disable lookahead: %+v", opts)
-	}
-	if strategy != "hop" {
-		t.Errorf("strategy defaulted to %q, want hop", strategy)
+}
+
+// schedule(policy=…) selects the scheduling policy; ASAP by default.
+func TestSchedulePolicyOption(t *testing.T) {
+	for spec, want := range map[string]Policy{
+		"schedule":                  ASAP,
+		"schedule(policy=asap)":     ASAP,
+		"schedule(policy=alap)":     ALAP,
+		"map,schedule(policy=alap)": ALAP,
+	} {
+		pl, err := NewPipeline(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := circuit.New("s", 3).H(0).CNOT(0, 1).H(2).Measure(0)
+		ctx := &PassContext{Platform: Superconducting(), Circuit: c}
+		if _, err := pl.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		sched, err := ScheduleCircuit(ctx.Circuit, ctx.Platform, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.Schedule.Policy != want || !reflect.DeepEqual(ctx.Schedule, sched) {
+			t.Errorf("%s: scheduled %s, want the %s schedule", spec, ctx.Schedule.Policy, want)
+		}
 	}
 }

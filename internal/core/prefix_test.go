@@ -3,32 +3,28 @@ package core
 import (
 	"testing"
 
-	"repro/internal/compiler"
 	"repro/internal/target"
 )
 
 // TestPrefixFingerprintInvariance pins the two-level cache-key contract:
 // every configuration change that only affects the variant suffix —
-// recalibration, scheduling policy, mapping options, a suffix-only pass
-// change — must rotate CompileFingerprint (full artefacts are stale) but
+// recalibration, a scheduling-policy or mapping-option spec variant, a
+// suffix-only pass change — must rotate CompileFingerprint (full artefacts are stale) but
 // leave PrefixFingerprint unchanged (prefix artefacts stay live), while
 // a gate-set change must rotate both.
 func TestPrefixFingerprintInvariance(t *testing.T) {
 	base := NewSuperconducting(1)
 
 	suffixOnly := []struct {
-		name string
-		mod  func(*Stack)
+		name, passes string
 	}{
-		{"policy", func(s *Stack) { s.Policy = compiler.ALAP }},
-		{"mapping", func(s *Stack) { s.Mapping = compiler.MapOptions{Lookahead: true, LookaheadWindow: 4} }},
-		{"suffix-pass-options", func(s *Stack) {
-			s.Passes = "decompose,optimize,map(strategy=noise),lower-swaps,optimize-lowered,schedule,assemble"
-		}},
+		{"policy", "decompose,optimize,map,lower-swaps,optimize-lowered,schedule(policy=alap),assemble"},
+		{"mapping", "decompose,optimize,map(lookahead=4),lower-swaps,optimize-lowered,schedule,assemble"},
+		{"suffix-pass-options", "decompose,optimize,map(strategy=noise),lower-swaps,optimize-lowered,schedule,assemble"},
 	}
 	for _, tc := range suffixOnly {
 		v := NewSuperconducting(1)
-		tc.mod(v)
+		v.Passes = tc.passes
 		if v.CompileFingerprint() == base.CompileFingerprint() {
 			t.Errorf("%s: CompileFingerprint must rotate", tc.name)
 		}
@@ -69,7 +65,7 @@ func TestPrefixFingerprintInvariance(t *testing.T) {
 
 	// A prefix pass change rotates the prefix fingerprint.
 	noOpt := NewSuperconducting(1)
-	noOpt.Optimize = false
+	noOpt.Passes = "decompose,map,lower-swaps,schedule,assemble"
 	if noOpt.PrefixFingerprint() == base.PrefixFingerprint() {
 		t.Error("dropping optimize must rotate the prefix fingerprint")
 	}

@@ -35,13 +35,9 @@ type Stack struct {
 	Microcode *microarch.Config `fp:"-"` // drives eQASM execution, not compilation; nil for perfect-qubit stacks
 	Noise     *qx.NoiseModel    `fp:"-"` // applied by the simulator at run time; nil for perfect qubits
 	Seed      int64             `fp:"-"` // seeds execution PRNGs; compiled artefacts are seed-independent
-	// Optimize and Policy configure the compiler.
-	Optimize bool
-	Policy   compiler.Policy
-	Mapping  compiler.MapOptions
-	// Passes is a comma-separated compiler pass spec overriding the
-	// default pipeline (see openql.CompileOptions.Passes); empty selects
-	// the default derived from Optimize. Part of CompileFingerprint: two
+	// Passes is the compiler configuration: a comma-separated pass spec
+	// with per-pass options (see openql.CompileOptions.Passes); empty
+	// selects compiler.DefaultPassSpec. Part of CompileFingerprint: two
 	// stacks with different pass specs compile differently.
 	Passes string
 	// Engine pins the qx execution engine; nil runs qx.Auto. Differential
@@ -115,7 +111,6 @@ func NewStackForDevice(dev *target.Device, seed int64) (*Stack, error) {
 		Mode:     openql.PerfectQubits,
 		Platform: compiler.PlatformFor(dev),
 		Seed:     seed,
-		Optimize: true,
 	}
 	if dev.Calibration == nil {
 		return s, nil
@@ -128,9 +123,9 @@ func NewStackForDevice(dev *target.Device, seed int64) (*Stack, error) {
 
 // WithDevice rebuilds the stack for a different device description —
 // the device decides mode, platform, noise model and microcode — while
-// carrying over every compiler and execution tuning knob (optimize,
-// policy, mapping, pass spec, engine, shot/kernel/compile parallelism,
-// the shared compile gate and prefix cache). This is how per-job target
+// carrying over every compiler and execution tuning knob (pass spec,
+// engine, shot/kernel/compile parallelism, the shared compile gate and
+// prefix cache). This is how per-job target
 // and calibration overrides materialise in qserv, and how a running
 // service re-calibrates a backend in place: the rebuilt stack's device
 // hash keys fresh full-artefact cache entries while its prefix entries
@@ -140,9 +135,6 @@ func (s *Stack) WithDevice(dev *target.Device) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Optimize = s.Optimize
-	out.Policy = s.Policy
-	out.Mapping = s.Mapping
 	out.Passes = s.Passes
 	out.Engine = s.Engine
 	out.ParallelShots = s.ParallelShots
@@ -305,9 +297,6 @@ func (s *Stack) Compile(p *openql.Program) (*openql.Compiled, error) {
 	return p.Compile(openql.CompileOptions{
 		Mode:        s.Mode,
 		Platform:    s.Platform,
-		Optimize:    s.Optimize,
-		Policy:      s.Policy,
-		Mapping:     s.Mapping,
 		Passes:      s.Passes,
 		Workers:     s.CompileWorkers,
 		CompileGate: s.CompileGate,
@@ -397,14 +386,14 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 // never change them — so this is the stack half of a compiled-circuit
 // cache key (seed, noise and engine are deliberately excluded: they
 // affect execution, not compilation, and keying the cache on them would
-// recompile identical programs). Every compile-relevant field is spelled
-// out explicitly: a new MapOptions member must be added here by hand, so
-// it can never silently alias cache keys the way reflective %+v
-// formatting could drop it. The pass spec is canonicalised — an empty
-// Passes resolves to the default pipeline for Optimize, and Optimize
-// itself only enters through that resolution — so a stack configured
-// with the literal default spec shares cache entries with one configured
-// with none. The device content hash (topology, gate set, timings AND
+// recompile identical programs). It keys on the name, mode, platform,
+// device content hash and pass spec — the spec being the compiler's one
+// configuration. The spec is canonicalised: an empty Passes resolves to
+// compiler.DefaultPassSpec, and a non-empty one to the canonical
+// rendering (compiler.Pipeline.Canonical, the form Split renders its
+// halves in), so equivalent spellings — whitespace, option order — and
+// the literal default spec share cache entries with their canonical
+// form. The device content hash (topology, gate set, timings AND
 // calibration — see target.Device.Hash) is folded in, so re-calibrating
 // a device changes the compile fingerprint and invalidates cached
 // compiles built against the stale calibration.
@@ -413,35 +402,37 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 // compile cache; PrefixFingerprint keys the platform-generic prefix
 // level, which deliberately depends on much less — so a fingerprint
 // rotation that leaves the prefix fingerprint unchanged (recalibration,
-// a scheduling-policy or mapping-option change, a different suffix pass
-// spec) recompiles suffix-only against the cached prefix artefacts.
+// a different suffix pass spec or suffix options) recompiles
+// suffix-only against the cached prefix artefacts.
 func (s *Stack) CompileFingerprint() string {
-	passes := s.Passes
-	if passes == "" {
-		passes = compiler.DefaultPassSpec(s.Optimize)
+	passes := compiler.DefaultPassSpec
+	if s.Passes != "" {
+		// Only an explicit spec is parsed: the default path does no
+		// per-job parsing.
+		passes = s.Passes
+		if pl, err := compiler.NewPipeline(s.Passes); err == nil {
+			passes = pl.Canonical()
+		}
 	}
-	return fmt.Sprintf("%s|%s|%s|q%d|dev=%s|sched=%s|place=%d|la=%v|law=%d|passes=%s",
+	return fmt.Sprintf("%s|%s|%s|q%d|dev=%s|passes=%s",
 		s.Name, s.Mode, s.Platform.Name, s.Platform.NumQubits,
-		s.Platform.ContentHash(),
-		s.Policy,
-		s.Mapping.Placement, s.Mapping.Lookahead, s.Mapping.LookaheadWindow,
-		passes)
+		s.Platform.ContentHash(), passes)
 }
 
 // PrefixFingerprint identifies everything the platform-generic prefix of
 // the stack's compile pipeline depends on: the canonical prefix pass
 // spec and the platform's gate-set hash. Unlike CompileFingerprint it
-// excludes the device content hash (and with it the calibration table),
-// the scheduling policy and every mapping option — none of which the
-// prefix passes can observe — so two stacks that differ only in those
-// share prefix artefacts, and re-calibrating a device leaves its prefix
-// entries live while rotating the full-artefact entries. Combined with a
-// kernel's canonical text this is the prefix-cache key (see
-// compiler.PrefixKey).
+// excludes the device content hash (and with it the calibration table)
+// and the variant suffix of the spec — mapping and scheduling passes and
+// their options, none of which the prefix passes can observe — so two
+// stacks that differ only in those share prefix artefacts, and
+// re-calibrating a device leaves its prefix entries live while rotating
+// the full-artefact entries. Combined with a kernel's canonical text
+// this is the prefix-cache key (see compiler.PrefixKey).
 func (s *Stack) PrefixFingerprint() string {
 	spec := s.Passes
 	if spec == "" {
-		spec = compiler.DefaultPassSpec(s.Optimize)
+		spec = compiler.DefaultPassSpec
 	}
 	prefixSpec := spec
 	if pl, err := compiler.NewPipeline(spec); err == nil {

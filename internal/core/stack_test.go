@@ -236,35 +236,36 @@ func TestPerfectVsRealisticFidelity(t *testing.T) {
 	}
 }
 
-// CompileFingerprint must separate every compile-relevant knob with an
-// explicit field — no two distinct configurations may alias — while
-// excluding execution-only settings (engine, seed, shots parallelism).
+// CompileFingerprint must separate every compile-relevant configuration
+// — each a pass-spec variant — so no two distinct configurations alias,
+// while excluding execution-only settings (engine, seed, shots
+// parallelism).
 func TestCompileFingerprintExplicitFields(t *testing.T) {
 	base := func() *Stack { return NewPerfect(4, 1) }
-	mutations := []struct {
-		name string
-		mut  func(s *Stack)
+	variants := []struct {
+		name, passes string
 	}{
-		{"optimize", func(s *Stack) { s.Optimize = !s.Optimize }},
-		{"policy", func(s *Stack) { s.Policy = compiler.ALAP }},
-		{"placement", func(s *Stack) { s.Mapping.Placement = compiler.GreedyPlacement }},
-		{"lookahead", func(s *Stack) { s.Mapping.Lookahead = true }},
-		{"lookahead-window", func(s *Stack) { s.Mapping.LookaheadWindow = 9 }},
-		{"passes", func(s *Stack) { s.Passes = "decompose,schedule" }},
+		{"optimize", "decompose,map,lower-swaps,schedule,assemble"},
+		{"policy", "decompose,optimize,map,lower-swaps,optimize-lowered,schedule(policy=alap),assemble"},
+		{"placement", "decompose,optimize,map(placement=greedy),lower-swaps,optimize-lowered,schedule,assemble"},
+		{"lookahead", "decompose,optimize,map(lookahead=true),lower-swaps,optimize-lowered,schedule,assemble"},
+		{"lookahead-window", "decompose,optimize,map(lookahead=9),lower-swaps,optimize-lowered,schedule,assemble"},
+		{"strategy", "decompose,optimize,map(strategy=noise),lower-swaps,optimize-lowered,schedule,assemble"},
+		{"passes", "decompose,schedule"},
 	}
 	ref := base().CompileFingerprint()
 	seen := map[string]string{"": ref}
-	for _, m := range mutations {
+	for _, v := range variants {
 		s := base()
-		m.mut(s)
+		s.Passes = v.passes
 		fp := s.CompileFingerprint()
 		if fp == ref {
-			t.Errorf("%s: mutation does not change the compile fingerprint", m.name)
+			t.Errorf("%s: variant does not change the compile fingerprint", v.name)
 		}
 		if prev, dup := seen[fp]; dup {
-			t.Errorf("%s aliases %q: %s", m.name, prev, fp)
+			t.Errorf("%s aliases %q: %s", v.name, prev, fp)
 		}
-		seen[fp] = m.name
+		seen[fp] = v.name
 	}
 	// Execution-only settings must NOT change the compile fingerprint —
 	// the compile cache would needlessly fragment.
@@ -276,18 +277,32 @@ func TestCompileFingerprintExplicitFields(t *testing.T) {
 	if s.CompileFingerprint() != ref {
 		t.Error("execution-only settings leaked into the compile fingerprint")
 	}
-	// Canonicalisation: an explicit spec equal to the resolved default
-	// must share the fingerprint (and thus cache entries) with the
-	// default-configured stack, and Optimize is irrelevant once an
-	// explicit spec overrides it.
+	// Canonicalisation: an explicit spec equal to the default must share
+	// the fingerprint (and thus cache entries) with the default-configured
+	// stack.
 	c := base()
-	c.Passes = compiler.DefaultPassSpec(c.Optimize)
+	c.Passes = compiler.DefaultPassSpec
 	if c.CompileFingerprint() != ref {
 		t.Error("explicit default spec fragments the compile fingerprint")
 	}
-	c.Optimize = !c.Optimize
-	if c.CompileFingerprint() != ref {
-		t.Error("Optimize leaked into the fingerprint despite an explicit pass spec")
+}
+
+// Equivalent spellings of one pass spec — whitespace, option order —
+// compile identically, so they must key one full-artefact cache entry
+// instead of compiling twice.
+func TestCompileFingerprintCanonicalSpec(t *testing.T) {
+	for _, tc := range []struct{ a, b string }{
+		{"decompose, optimize,map,lower-swaps,optimize-lowered,schedule,assemble", ""},
+		{"decompose,map(window=4,lookahead=true),schedule", "decompose,map(lookahead=true,window=4),schedule"},
+		{" decompose , map( strategy=noise , placement=greedy ), schedule( policy = alap )",
+			"decompose,map(placement=greedy,strategy=noise),schedule(policy=alap)"},
+	} {
+		a, b := NewSuperconducting(1), NewSuperconducting(1)
+		a.Passes, b.Passes = tc.a, tc.b
+		if a.CompileFingerprint() != b.CompileFingerprint() {
+			t.Errorf("%q and %q key different compile-cache entries:\n%s\n%s",
+				tc.a, tc.b, a.CompileFingerprint(), b.CompileFingerprint())
+		}
 	}
 }
 

@@ -292,19 +292,13 @@ type CompileOptions struct {
 	// The device's calibration table is what noise-aware passes read.
 	Target   *target.Device
 	Platform *compiler.Platform
-	// Optimize selects the default pass pipeline with the peephole
-	// optimiser included; ignored when Passes is set.
-	Optimize bool
-	// Policy selects ASAP or ALAP scheduling.
-	Policy compiler.Policy
-	// Mapping configures placement and routing (used when the platform
-	// has a topology).
-	Mapping compiler.MapOptions
-	// Passes is a comma-separated pass spec (e.g.
-	// "decompose,optimize,map,lower-swaps,optimize-lowered,schedule,assemble")
-	// overriding the default pipeline; names must be registered with the
-	// compiler pass registry. The spec must include "schedule" (execution
-	// needs a timed circuit) and, on realistic targets, "assemble".
+	// Passes is the compiler configuration: a comma-separated pass spec
+	// with per-pass options (e.g. "decompose,optimize,map(lookahead=8,
+	// strategy=noise),lower-swaps,optimize-lowered,schedule(policy=alap),
+	// assemble"); empty selects compiler.DefaultPassSpec. The spec must
+	// include "schedule" (execution needs a timed circuit) and, on
+	// realistic targets, "assemble" after it — checked before anything
+	// compiles.
 	Passes string
 	// Workers bounds the number of kernels compiled concurrently through
 	// the pipeline's platform-generic prefix (decompose/optimize/
@@ -471,10 +465,11 @@ func assembleEQASM(ctx *compiler.PassContext) error {
 }
 
 // Compile lowers the program for the given target by running a compiler
-// pass pipeline: by default decompose to the platform's primitives,
-// optionally optimise, map to the topology, lower routing SWAPs,
-// schedule, and (for realistic targets) assemble eQASM. Options.Passes
-// selects a custom pipeline from the registered passes instead.
+// pass pipeline: by default (compiler.DefaultPassSpec) decompose to the
+// platform's primitives, optimise, map to the topology, lower routing
+// SWAPs, schedule, and (for realistic targets) assemble eQASM.
+// Options.Passes selects a custom pipeline from the built-in passes
+// instead.
 //
 // Compilation is two-level: the pipeline's platform-generic prefix
 // (decompose, optimize, fold-rotations) runs per kernel — concurrently
@@ -495,10 +490,13 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 	}
 	spec := opts.Passes
 	if spec == "" {
-		spec = compiler.DefaultPassSpec(opts.Optimize)
+		spec = compiler.DefaultPassSpec
 	}
 	pipeline, err := compiler.NewPipeline(spec)
 	if err != nil {
+		return nil, err
+	}
+	if err := pipeline.CheckStages(opts.Mode == RealisticQubits); err != nil {
 		return nil, err
 	}
 	prefix, suffix := pipeline.Split()
@@ -522,8 +520,6 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 	}
 	ctx := &compiler.PassContext{
 		Platform:    opts.Platform,
-		Mapping:     opts.Mapping,
-		Policy:      opts.Policy,
 		Assemble:    opts.Mode == RealisticQubits,
 		Assembler:   assembleEQASM,
 		ProgramName: p.Name,
@@ -535,23 +531,17 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 	}
 	report.Passes = append(report.Passes, sufReport.Passes...)
 	report.TotalNs += sufReport.TotalNs
-	if ctx.Schedule == nil {
-		return nil, fmt.Errorf("openql: pass spec %q produced no schedule; include the \"schedule\" pass", spec)
-	}
+	// CheckStages guaranteed the schedule and, on realistic targets, the
+	// eQASM the assemble pass stores.
+	eq, _ := ctx.Assembled.(*eqasm.Program)
 	out := &Compiled{
 		Mode:      opts.Mode,
 		Circuit:   ctx.Circuit,
 		CQASM:     cqasm.PrintCircuit(ctx.Circuit),
 		Schedule:  ctx.Schedule,
+		EQASM:     eq,
 		MapResult: ctx.MapResult,
 		Report:    report,
-	}
-	if opts.Mode == RealisticQubits {
-		prog, _ := ctx.Assembled.(*eqasm.Program)
-		if prog == nil {
-			return nil, fmt.Errorf("openql: pass spec %q produced no eQASM for a realistic target; include the \"assemble\" pass", spec)
-		}
-		out.EQASM = prog
 	}
 	out.Binds = newBindTable(out)
 	return out, nil

@@ -108,7 +108,6 @@ func TestCompileRealistic(t *testing.T) {
 	compiled, err := bellProgram().Compile(CompileOptions{
 		Mode:     RealisticQubits,
 		Platform: compiler.Superconducting(),
-		Optimize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +133,11 @@ func TestCompileRealistic(t *testing.T) {
 func TestCompileOptimizeShrinks(t *testing.T) {
 	p := NewProgram("redundant", 1)
 	p.AddKernel(NewKernel("k", 1).H(0).H(0).X(0).X(0))
-	plain, err := p.Compile(CompileOptions{})
+	plain, err := p.Compile(CompileOptions{Passes: "decompose,map,lower-swaps,schedule,assemble"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := p.Compile(CompileOptions{Optimize: true})
+	opt, err := p.Compile(CompileOptions{Passes: compiler.DefaultPassSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +171,32 @@ func TestSanitize(t *testing.T) {
 	}
 }
 
+// legacyOptions are the knobs of the pre-pass-manager compiler; the pass
+// spec now expresses each of them (see legacySpec).
+type legacyOptions struct {
+	Mode     QubitMode
+	Platform *compiler.Platform
+	Optimize bool
+	Policy   compiler.Policy
+	Mapping  compiler.MapOptions
+}
+
+// legacySpec renders legacy knobs (trivial placement, lookahead on or
+// off) as the equivalent pass spec.
+func legacySpec(opts legacyOptions) string {
+	optimize, relower := "", ""
+	if opts.Optimize {
+		optimize, relower = "optimize,", "optimize-lowered,"
+	}
+	return fmt.Sprintf("decompose,%smap(lookahead=%v),lower-swaps,%sschedule(policy=%s),assemble",
+		optimize, opts.Mapping.Lookahead, relower, opts.Policy)
+}
+
 // compileLegacy is a verbatim copy of the pre-pass-manager Program.Compile
 // — the hard-wired decompose/optimize/map/schedule chain. It is the
-// reference implementation the default pass pipeline must reproduce
-// gate for gate.
-func compileLegacy(p *Program, opts CompileOptions) (*Compiled, error) {
+// reference implementation the pass pipeline must reproduce gate for
+// gate.
+func compileLegacy(p *Program, opts legacyOptions) (*Compiled, error) {
 	if opts.Platform == nil {
 		opts.Platform = compiler.Perfect(p.NumQubits)
 	}
@@ -250,9 +270,11 @@ func diffCorpus(n int, seed int64) []*Program {
 }
 
 // TestDefaultPipelineMatchesLegacy is the refactor's safety net: across a
-// randomized corpus and all three platform presets, the default pass
-// pipeline must emit a compiled artefact — circuit, schedule, eQASM, map
-// result — identical to the pre-refactor hard-wired compiler.
+// randomized corpus and all three platform presets, the pass pipeline
+// must emit a compiled artefact — circuit, schedule, eQASM, map result —
+// identical to the pre-refactor hard-wired compiler at every point of its
+// knob grid (optimize × policy × lookahead), each point compiled as the
+// spec that expresses it.
 func TestDefaultPipelineMatchesLegacy(t *testing.T) {
 	// nativeSwap is a topology-constrained platform with a primitive swap
 	// gate: the one configuration class where the classic compiler skipped
@@ -285,15 +307,19 @@ func TestDefaultPipelineMatchesLegacy(t *testing.T) {
 		for _, optimize := range []bool{true, false} {
 			for _, policy := range []compiler.Policy{compiler.ASAP, compiler.ALAP} {
 				for pi, prog := range diffCorpus(tc.qubits, 42) {
-					opts := CompileOptions{
+					legacy := legacyOptions{
 						Mode:     tc.mode,
 						Platform: tc.platform(tc.qubits),
 						Optimize: optimize,
 						Policy:   policy,
 						Mapping:  compiler.MapOptions{Lookahead: pi%2 == 0},
 					}
-					want, errLegacy := compileLegacy(prog, opts)
-					got, errNew := prog.Compile(opts)
+					want, errLegacy := compileLegacy(prog, legacy)
+					got, errNew := prog.Compile(CompileOptions{
+						Mode:     legacy.Mode,
+						Platform: legacy.Platform,
+						Passes:   legacySpec(legacy),
+					})
 					label := fmt.Sprintf("%s/opt=%v/%s/%s", tc.name, optimize, policy, prog.Name)
 					if (errLegacy == nil) != (errNew == nil) {
 						t.Fatalf("%s: error mismatch: legacy %v, pipeline %v", label, errLegacy, errNew)

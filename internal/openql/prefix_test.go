@@ -96,8 +96,7 @@ func TestParallelKernelCompileDeterministic(t *testing.T) {
 		base := CompileOptions{
 			Mode:     tc.mode,
 			Platform: platformFor(tc.name, 5),
-			Optimize: true,
-			Mapping:  compiler.MapOptions{Lookahead: true},
+			Passes:   "decompose,optimize,map(lookahead=true),lower-swaps,optimize-lowered,schedule,assemble",
 		}
 		want, err := prog.Compile(base)
 		if err != nil {
@@ -134,7 +133,6 @@ func TestPrefixCacheSuffixOnlyRecompile(t *testing.T) {
 	base := CompileOptions{
 		Mode:        RealisticQubits,
 		Platform:    compiler.Superconducting(),
-		Optimize:    true,
 		PrefixCache: cache,
 	}
 	cold, err := prog.Compile(base)
@@ -149,8 +147,8 @@ func TestPrefixCacheSuffixOnlyRecompile(t *testing.T) {
 	}
 
 	variants := []CompileOptions{base, base, base}
-	variants[0].Policy = compiler.ALAP
-	variants[1].Mapping = compiler.MapOptions{Lookahead: true, LookaheadWindow: 4}
+	variants[0].Passes = "decompose,optimize,map,lower-swaps,optimize-lowered,schedule(policy=alap),assemble"
+	variants[1].Passes = "decompose,optimize,map(lookahead=true,window=4),lower-swaps,optimize-lowered,schedule,assemble"
 	variants[2].Passes = "decompose,optimize,map(strategy=noise),lower-swaps,optimize-lowered,schedule,assemble"
 	for i, opts := range variants {
 		warm, err := prog.Compile(opts)
@@ -201,12 +199,11 @@ func TestPrefixCacheKeysMatchDerivation(t *testing.T) {
 	if _, err := prog.Compile(CompileOptions{
 		Mode:        RealisticQubits,
 		Platform:    platform,
-		Optimize:    true,
 		PrefixCache: cache,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := compiler.NewPipeline(compiler.DefaultPassSpec(true))
+	pl, err := compiler.NewPipeline(compiler.DefaultPassSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +234,7 @@ func TestKernelBoundaryBarrier(t *testing.T) {
 	joined := NewProgram("joined", 1)
 	joined.AddKernel(NewKernel("ab", 1).X(0).H(0).H(0).X(0))
 
-	opts := CompileOptions{Mode: PerfectQubits, Platform: compiler.Perfect(1), Optimize: true}
+	opts := CompileOptions{Mode: PerfectQubits, Platform: compiler.Perfect(1)}
 	compiledSplit, err := split.Compile(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/target"
 )
 
 // gatedStack is a session-capable gate backend whose ordinary jobs run
@@ -34,6 +35,17 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	cqasm, _ := json.Marshal(bellCQASM)
 	gate := `{"cqasm":` + string(cqasm) + `,"backend":"perfect","shots":8}`
 	unknownBackend := `{"cqasm":` + string(cqasm) + `,"backend":"nope"}`
+	// withPasses is a gate job compiling through spec, plus extra fields.
+	withPasses := func(spec, extra string) string {
+		return `{"cqasm":` + string(cqasm) + `,"shots":8,"passes":"` + spec + `"` + extra + `}`
+	}
+	calibrated, err := json.Marshal(target.Superconducting())
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSchedule := withPasses("decompose,optimize", "")
+	noAssemble := withPasses("decompose,optimize,map,lower-swaps,schedule", "")
+	noAssembleOnTarget := withPasses("decompose,optimize,map,lower-swaps,schedule", `,"target":`+string(calibrated))
 
 	// open starts a service over one perfect-stack lane and pins a
 	// concrete-program session on it.
@@ -71,12 +83,16 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	stoppedSvc, stopped, stoppedSess := open(Config{}, NewStackBackend(core.NewPerfect(2, 3)))
 	stoppedSvc.Stop()
 
+	// realistic: a calibrated transmon lane, which executes eQASM.
+	_, realistic, realisticSess := open(Config{}, NewStackBackend(core.NewSuperconducting(3)))
+
 	type service struct {
 		h    http.Handler
 		sess string
 	}
 	svcs := map[string]service{
 		"live": {live, liveSess}, "full": {full, fullSess}, "stopped": {stopped, stoppedSess},
+		"realistic": {realistic, realisticSess},
 	}
 	cases := []struct {
 		svc, route, body string
@@ -96,6 +112,19 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"live", "bind", `{"backend":"nope","values":{}}`, http.StatusAccepted, false},
 
 		{"live", "unknown-bind", `{"values":{}}`, http.StatusNotFound, false},
+
+		// Pass specs that cannot yield an executable artefact on the
+		// routed stack are refused at submit, not failed in the worker:
+		// no schedule anywhere, no assemble after it on a realistic
+		// stack — the backend's own or a calibrated target override.
+		{"live", "submit", withPasses("map-noise", ""), http.StatusBadRequest, false},
+		{"live", "submit", noSchedule, http.StatusBadRequest, false},
+		{"live", "sessions", noSchedule, http.StatusBadRequest, false},
+		{"live", "submit", noAssemble, http.StatusAccepted, false},
+		{"live", "submit", noAssembleOnTarget, http.StatusBadRequest, false},
+		{"realistic", "submit", noAssemble, http.StatusBadRequest, false},
+		{"realistic", "sessions", noAssemble, http.StatusBadRequest, false},
+		{"realistic", "submit", withPasses("decompose,map,schedule(policy=alap),assemble", ""), http.StatusAccepted, false},
 
 		{"stopped", "submit", gate, http.StatusServiceUnavailable, false},
 		{"stopped", "sessions", gate, http.StatusServiceUnavailable, false},

@@ -185,6 +185,29 @@ func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, e
 	return stack, nil
 }
 
+// checkStages refuses, at submit, a job pass spec that cannot yield what
+// the routed gate backend executes (compiler.Pipeline.CheckStages): no
+// "schedule", or no "assemble" after it when the job's stack — device
+// overrides applied — is realistic. Without it such a job would be
+// admitted and fail in the worker.
+func checkStages(req *Request, b Backend) error {
+	sb, ok := b.(interface {
+		resolveStack(*Request, *CompileEnv) (*core.Stack, error)
+	})
+	if req.Passes == "" || !ok {
+		return nil
+	}
+	stack, err := sb.resolveStack(req, nil)
+	if err != nil {
+		return err
+	}
+	pl, err := compiler.NewPipeline(stack.Passes)
+	if err != nil {
+		return err
+	}
+	return pl.CheckStages(stack.Mode == openql.RealisticQubits)
+}
+
 // compileOn compiles the program on the resolved stack through the
 // shared full-artefact cache (a nil cache compiles uncached), attaching
 // a "compile" phase span under span when tracing is live.

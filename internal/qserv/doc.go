@@ -97,20 +97,22 @@
 //
 // Gate compilation runs through the pass-manager compiler rather than a
 // fixed sequence: each backend stack compiles with a pipeline of named
-// passes (decompose, optimize, map, map-noise, lower-swaps, schedule,
-// assemble, …), configured service-wide by Config.Passes and per job
-// through Request.Passes / the JSON "passes" field — per-job compilation
-// strategies over the same backends. Specs carry per-pass options, e.g.
-// "map(lookahead=8,strategy=noise)" for calibration-weighted routing
-// that avoids lossy couplers (the map-noise pass; it degenerates to
-// plain hop-count mapping on uniform calibrations). Malformed specs,
-// unknown pass names and invalid options are rejected at submit time
-// with position-carrying errors; a spec lacking a required stage
-// (schedule, or assemble on realistic stacks) fails the job at compile
-// time with a clear error. The pass spec is part of
-// core.Stack.CompileFingerprint, so jobs with different pipelines key
-// distinct compile-cache entries and can never alias each other's
-// artefacts. Every compiled artefact carries a compiler.CompileReport —
+// passes (decompose, optimize, map, lower-swaps, optimize-lowered,
+// fold-rotations, schedule, assemble), configured service-wide by
+// Config.Passes and per job through Request.Passes / the JSON "passes"
+// field — per-job compilation strategies over the same backends. The
+// spec is the whole compiler configuration: per-pass options select
+// e.g. calibration-weighted routing that avoids lossy couplers
+// ("map(lookahead=8,strategy=noise)"; it degenerates to plain hop-count
+// mapping on uniform calibrations) or as-late-as-possible scheduling
+// ("schedule(policy=alap)"). Malformed specs, unknown pass names and
+// invalid or no-op options are rejected at submit time with
+// position-carrying errors, and so is a spec lacking a required stage —
+// schedule, or assemble after it on a realistic stack (the routed
+// backend's, or a calibrated target override's). The canonical spec is
+// part of core.Stack.CompileFingerprint, so jobs with different pipelines
+// key distinct compile-cache entries and can never alias each other's
+// artefacts, while equivalent spellings of one spec share an entry. Every compiled artefact carries a compiler.CompileReport —
 // per-pass wall time, gate count, depth, added SWAPs — which
 // GET /jobs/{id} returns with the job and GET /metrics aggregates per
 // backend and pass (cache hits excluded: they skipped the pipeline) as

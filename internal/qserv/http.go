@@ -25,8 +25,9 @@ type SubmitRequest struct {
 	// optional per-pass options (e.g. "decompose,optimize,
 	// map(lookahead=8,strategy=noise),lower-swaps,schedule,assemble");
 	// empty uses the backend's configured pipeline. Malformed specs,
-	// unknown pass names and invalid options are rejected at submit time
-	// with 400.
+	// unknown pass names, invalid options and specs missing a stage the
+	// target executes (schedule; assemble after it on realistic stacks)
+	// are rejected at submit time with 400.
 	Passes string `json:"passes,omitempty"`
 	// Target is a full device description in the device-JSON schema (see
 	// GET /backends or examples/devices/) replacing the backend's device

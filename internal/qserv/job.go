@@ -88,8 +88,9 @@ func (r *Request) validate() error {
 	}
 	if r.Passes != "" {
 		// Reject malformed specs, unknown pass names and invalid pass
-		// options at submit time; mode-dependent checks (schedule/assemble
-		// presence) surface when the job compiles.
+		// options at submit time; the target-dependent stage check
+		// (schedule/assemble presence) runs once the job has routed to a
+		// backend (checkStages).
 		if _, err := compiler.ParsePassSpec(r.Passes); err != nil {
 			return err
 		}

@@ -675,14 +675,10 @@ func TestPerJobPassSelection(t *testing.T) {
 		t.Fatalf("job compile report missing or wrong: %+v", rep)
 	}
 
-	// A spec that compiles but lacks the schedule pass fails the job with
-	// a clear error rather than crashing a worker.
-	j, err := s.Submit(Request{Program: bellProgram("nosched"), Backend: "perfect",
-		Passes: "decompose,optimize"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(ctx); err == nil || !strings.Contains(err.Error(), "schedule") {
+	// A spec that parses but lacks the schedule pass is refused at
+	// submit with a clear error rather than failing in a worker.
+	if _, err := s.Submit(Request{Program: bellProgram("nosched"), Backend: "perfect",
+		Passes: "decompose,optimize"}); err == nil || !strings.Contains(err.Error(), "schedule") {
 		t.Errorf("schedule-less job error = %v", err)
 	}
 }

@@ -575,7 +575,7 @@ func (s *Service) acceptingLocked() error {
 
 // resolve validates a submit or session-open request, applies the
 // default shot count and routes it to a backend pool, vetting any device
-// override against that backend.
+// override and pass spec against that backend.
 func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -593,6 +593,9 @@ func (s *Service) resolve(req *Request) (*backendPool, error) {
 		return nil, err
 	}
 	if err := validateDeviceOverrides(req, pool.b); err != nil {
+		return nil, err
+	}
+	if err := checkStages(req, pool.b); err != nil {
 		return nil, err
 	}
 	return pool, nil
