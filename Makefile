@@ -22,6 +22,7 @@ BENCH_TOLERANCE ?= 0.20
 OBS_OVERHEAD_CEILING ?= 5
 PARAM_BIND_CEILING ?= 10
 STAB_VS_DENSE_CEILING ?= 1
+MEASURED_VS_SAMPLED_CEILING ?= 2000
 
 # The bench-baseline/bench-gate recipes pipe `go test` into benchgate;
 # without pipefail a failing benchmark run would exit 0 through the pipe
@@ -91,13 +92,18 @@ bench-baseline:
 # BenchmarkObsOverhead's observability overhead under
 # $(OBS_OVERHEAD_CEILING)%, BenchmarkParamBindVsRecompile's bind cost
 # under $(PARAM_BIND_CEILING)% of a full recompile (the ≥10x parametric
-# speedup floor).
+# speedup floor), BenchmarkStabilizerVsDense's 22-qubit tableau batch
+# under $(STAB_VS_DENSE_CEILING)% of the dense batch, and
+# BenchmarkMeasuredShots's measured batch under
+# $(MEASURED_VS_SAMPLED_CEILING)% of the measurement-free one (the dense
+# engine's execute-once snapshot path).
 bench-gate:
 	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run=^$$ . \
 		| $(GO) run ./cmd/benchgate -baseline BENCH_5.json -emit BENCH_5.current.json \
 			-tolerance $(BENCH_TOLERANCE) -ceiling overhead_pct=$(OBS_OVERHEAD_CEILING) \
 			-ceiling bind_vs_compile_pct=$(PARAM_BIND_CEILING) \
-			-ceiling stabilizer_vs_dense_pct=$(STAB_VS_DENSE_CEILING)
+			-ceiling stabilizer_vs_dense_pct=$(STAB_VS_DENSE_CEILING) \
+			-ceiling measured_vs_sampled_pct=$(MEASURED_VS_SAMPLED_CEILING)
 
 # Coverage gates on the layers every other layer builds on: the
 # device/target contract, the pass-manager compiler, the observability

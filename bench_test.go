@@ -466,6 +466,59 @@ func BenchmarkStabilizerVsDense(b *testing.B) {
 	report(fmt.Sprintf("E24 stabilizer vs dense (%d-shot Clifford batches)", shots), rows)
 }
 
+// BenchmarkMeasuredShots times the optimized engine's perfect measured
+// path against its measurement-free sampler on the same program: the
+// stackbench sessions shape, a 6-qubit h·rz(kπ)·h layer, a cnot ladder
+// and three phases, with and without a terminal measure per qubit. The
+// snapshot path runs the unitary prefix once and replays only the
+// measurements per shot, so the measured batch costs a small multiple of
+// the sampled one instead of one full execution per shot. The ratio is
+// reported as measured_vs_sampled_pct and gated in CI by
+// `benchgate -ceiling measured_vs_sampled_pct=2000`.
+func BenchmarkMeasuredShots(b *testing.B) {
+	const n, shots = 6, 64
+	rng := rand.New(rand.NewSource(1))
+	sampled := circuit.New("ansatz", n)
+	for q := 0; q < n; q++ {
+		sampled.H(q).RZ(q, float64(rng.Intn(4))*math.Pi).H(q)
+	}
+	for i := 0; i < 2*n; i++ {
+		p := rng.Perm(n)
+		sampled.CNOT(p[0], p[1])
+	}
+	for j := 0; j < n/2; j++ {
+		sampled.RZ(rng.Intn(n), rng.Float64()*2*math.Pi)
+	}
+	measured := sampled.Clone()
+	for q := 0; q < n; q++ {
+		measured.Measure(q)
+	}
+	sim := qx.NewWithEngine(1, qx.Optimized())
+	// Both arms run inside this one leaf so the metric lands on a parsed
+	// result line; min over iterations damps scheduler noise.
+	minMeasured := time.Duration(math.MaxInt64)
+	minSampled := time.Duration(math.MaxInt64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if _, err := sim.Run(measured, shots); err != nil {
+			b.Fatal(err)
+		}
+		minMeasured = min(minMeasured, time.Since(start))
+		start = time.Now()
+		if _, err := sim.Run(sampled, shots); err != nil {
+			b.Fatal(err)
+		}
+		minSampled = min(minSampled, time.Since(start))
+	}
+	pct := 100 * float64(minMeasured) / float64(minSampled)
+	b.ReportMetric(pct, "measured_vs_sampled_pct")
+	report(fmt.Sprintf("measured vs sampled shots (%d-qubit ansatz, %d shots, optimized engine)", n, shots),
+		fmt.Sprintf("measured %8.1f µs/batch  sampled %8.1f µs/batch  measured_vs_sampled_pct %.1f (ceiling 2000)\n",
+			float64(minMeasured.Nanoseconds())/1e3, float64(minSampled.Nanoseconds())/1e3, pct))
+}
+
 // E9 — §2.1/§2.7: error-rate sweep on realistic qubits, from today's
 // 10⁻² to the 10⁻⁵/10⁻⁶ the paper says must be understood.
 func BenchmarkE9_ErrorRateSweep(b *testing.B) {

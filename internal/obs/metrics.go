@@ -62,7 +62,6 @@ type metric struct {
 	buckets     []float64     // histogram upper bounds (shared with family)
 	counts      []atomic.Uint64
 	sumBits     atomic.Uint64
-	total       atomic.Uint64
 }
 
 // newFamily registers a family, panicking on schema errors.
@@ -148,9 +147,6 @@ func (c *Counter) Add(v float64) { c.m.addFloat(v) }
 // should use Inc/Add.
 func (c *Counter) Set(v float64) { c.m.bits.Store(math.Float64bits(v)) }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.m.bits.Load()) }
-
 // Gauge is a value that can go up and down.
 type Gauge struct{ m *metric }
 
@@ -159,9 +155,6 @@ func (g *Gauge) Set(v float64) { g.m.bits.Store(math.Float64bits(v)) }
 
 // Add adds v (may be negative).
 func (g *Gauge) Add(v float64) { g.m.addFloat(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.m.bits.Load()) }
 
 // Histogram counts observations into fixed buckets with ascending upper
 // bounds (inclusive, Prometheus "le" semantics) plus an implicit +Inf
@@ -174,7 +167,6 @@ func (h *Histogram) Observe(v float64) {
 	// First index whose upper bound admits v; len(buckets) is +Inf.
 	i := sort.SearchFloat64s(m.buckets, v)
 	m.counts[i].Add(1)
-	m.total.Add(1)
 	for {
 		old := m.sumBits.Load()
 		if m.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -186,12 +178,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveSeconds records a duration given in nanoseconds as seconds —
 // the convention every latency histogram in the service follows.
 func (h *Histogram) ObserveSeconds(ns int64) { h.Observe(float64(ns) / 1e9) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.m.total.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.m.sumBits.Load()) }
 
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }

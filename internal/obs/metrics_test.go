@@ -37,23 +37,38 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != workers*perWorker {
-		t.Errorf("counter = %v, want %d", got, workers*perWorker)
+	got := scrape(t, r)
+	if v := got["ops_total"]; v != workers*perWorker {
+		t.Errorf("counter = %v, want %d", v, workers*perWorker)
 	}
-	sum := cv.With("a").Value() + cv.With("b").Value()
-	if sum != 2*workers*perWorker {
+	if sum := Sum(got, "labeled_total"); sum != 2*workers*perWorker {
 		t.Errorf("labeled counters sum = %v, want %d", sum, 2*workers*perWorker)
 	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %v, want 0", got)
+	if v := got["depth"]; v != 0 {
+		t.Errorf("gauge = %v, want 0", v)
 	}
-	if got := h.Count(); got != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
+	if v := got["lat_seconds_count"]; v != workers*perWorker {
+		t.Errorf("histogram count = %v, want %d", v, workers*perWorker)
 	}
 	wantSum := float64(workers*perWorker) * 1e-5
-	if got := h.Sum(); math.Abs(got-wantSum)/wantSum > 1e-9 {
-		t.Errorf("histogram sum = %v, want %v", got, wantSum)
+	if v := got["lat_seconds_sum"]; math.Abs(v-wantSum)/wantSum > 1e-9 {
+		t.Errorf("histogram sum = %v, want %v", v, wantSum)
 	}
+}
+
+// scrape renders the registry and parses the exposition back: the one
+// read path for metric values.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }
 
 // Observations landing exactly on a bucket's upper bound must count
@@ -72,8 +87,8 @@ func TestHistogramBucketEdges(t *testing.T) {
 			t.Errorf("bucket %d count = %d, want %d", i, got, want)
 		}
 	}
-	if got, want := h.Count(), uint64(8); got != want {
-		t.Errorf("count = %d, want %d", got, want)
+	if got := scrape(t, r)["edges_count"]; got != 8 {
+		t.Errorf("count = %v, want 8", got)
 	}
 }
 

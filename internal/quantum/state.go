@@ -71,6 +71,16 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// CopyFrom overwrites the amplitudes with src's without allocating, so
+// a scratch state can be reloaded from a snapshot once per shot. Both
+// states must have the same qubit count; s keeps its own parallelism.
+func (s *State) CopyFrom(src *State) {
+	if s.n != src.n {
+		panic("quantum: qubit count mismatch in CopyFrom")
+	}
+	copy(s.amps, src.amps)
+}
+
 // Reset returns the state to |0...0>.
 func (s *State) Reset() {
 	for i := range s.amps {

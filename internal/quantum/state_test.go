@@ -246,6 +246,27 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+func TestCopyFromReloadsSnapshot(t *testing.T) {
+	base := NewState(2)
+	base.ApplyOne(H, 0)
+	scratch := NewState(2)
+	scratch.SetParallelism(3)
+	scratch.CopyFrom(base)
+	if math.Abs(scratch.Fidelity(base)-1) > 1e-12 || scratch.Parallelism() != 3 {
+		t.Errorf("CopyFrom: fidelity %v, parallelism %d", scratch.Fidelity(base), scratch.Parallelism())
+	}
+	scratch.ApplyOne(X, 1)
+	if base.Amplitude(2) != 0 {
+		t.Error("snapshot mutated through the copy")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyFrom accepted a qubit count mismatch")
+		}
+	}()
+	scratch.CopyFrom(NewState(3))
+}
+
 func TestStateString(t *testing.T) {
 	s := NewState(2)
 	if got := s.String(); got == "" {

@@ -22,10 +22,16 @@
 //     against.
 //   - Optimized: compiles the circuit once per run into a typed op table
 //     with precomputed matrices, lowers the common gate set to
-//     specialized bit-twiddling kernels, applies amplitudes
-//     chunk-parallel across goroutines on large states, and samples
-//     deterministic multi-shot runs through a cumulative distribution
-//     with binary search.
+//     specialized bit-twiddling kernels and applies amplitudes
+//     chunk-parallel across goroutines on large states. Perfect
+//     (noise-free) runs execute once, not once per shot: the prefix
+//     before the first measure, measure_all or prep_z draws nothing from
+//     the PRNG, so it runs once into a base state, and each shot replays
+//     only the tail on a copy of it — the stabilizer engine's snapshot
+//     path, with the same draws as a full re-execution. A circuit with
+//     no measurement samples its executed state through a cumulative
+//     distribution with binary search. Noisy runs replay every shot in
+//     full, because noise draws precede the first measurement.
 //   - Stabilizer: an Aaronson–Gottesman CHP tableau —
 //     n destabilizer and n stabilizer generators as packed X/Z bit rows
 //     plus a sign — O(n) per Clifford gate and O(n²) per measurement,

@@ -58,9 +58,12 @@ const (
 	// tested against.
 	EngineReference = "reference"
 	// EngineOptimized is the fast dense engine: specialized bit-twiddling
-	// kernels, a precompiled per-circuit op/matrix table, chunk-parallel
-	// amplitude application and O(log dim) cumulative sampling. Seeded
-	// counts are identical to the reference engine.
+	// kernels, a precompiled per-circuit op/matrix table and
+	// chunk-parallel amplitude application. Without noise it executes a
+	// circuit once — the draw-free prefix before the first measure or
+	// prep_z — and replays only the tail per shot, or samples the state
+	// in O(log dim) when nothing is measured. Seeded counts are identical
+	// to the reference engine.
 	EngineOptimized = "optimized"
 	// EngineStabilizer is the Aaronson–Gottesman tableau engine for
 	// Clifford(+measurement) circuits: polynomial in qubit count, so GHZ,

@@ -13,12 +13,21 @@ import (
 // and lowers the common gate set to specialized bit-twiddling kernels
 // (X/Y/diagonal/CNOT/CZ/CPhase/SWAP and controlled single-qubit gates)
 // instead of generic dense matrix multiplies. States it executes on have
-// chunk-parallel kernel application enabled, and deterministic multi-shot
-// sampling goes through the cumulative-distribution binary-search sampler.
+// chunk-parallel kernel application enabled.
 //
-// Every substitution is probability-preserving at the bit level, so the
-// engine produces seeded counts identical to the reference engine — the
-// differential tests in engine_test.go enforce this.
+// Perfect runs execute the circuit once, not once per shot. Everything
+// before the first measure, measure_all or prep_z (the program's
+// tailStart) draws nothing from the PRNG, so it runs once into a base
+// state; each shot then copies the base into one reused scratch state
+// and replays only the tail. A circuit with no measurement samples the
+// executed state through the cumulative-distribution binary-search
+// sampler instead. Noisy runs replay the whole circuit per shot, since
+// noise draws come before the first measurement.
+//
+// Every substitution is probability-preserving at the bit level and the
+// tail replay makes the same PRNG draws on bit-identical amplitudes, so
+// the engine produces seeded counts identical to the reference engine —
+// the differential tests in engine_test.go enforce this.
 type optimizedEngine struct{}
 
 // Name returns "optimized".
@@ -31,11 +40,14 @@ func (optimizedEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.Stat
 		return nil, err
 	}
 	st := newDenseState(c.NumQubits, env)
-	prog.executeOnce(st, env)
+	prog.executeOnce(st, prog.ops, env, map[int]int{})
 	return st, nil
 }
 
-// Run executes the circuit for the given number of shots.
+// Run executes the circuit for the given number of shots. Perfect runs
+// take the snapshot path: the prefix ops[:tailStart] runs once, and each
+// shot replays only ops[tailStart:] on a copy of that base state, with
+// one scratch state and one bits map reused across shots.
 func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result, error) {
 	noisy := env.noisy()
 	prog, err := compileDense(c, env.Fusion && !noisy)
@@ -43,43 +55,49 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 		return nil, err
 	}
 	res := &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
+	bits := map[int]int{}
 
-	// Deterministic fast path: one execution, then O(log dim) sampling
-	// per shot. The readout-error pass is statically a no-op here (no
-	// noise), so it is hoisted out entirely.
-	if !noisy && !prog.hasMeasure {
+	if !noisy {
+		// The prefix is draw-free, so running it once is draw-for-draw
+		// identical to the reference engine's per-shot re-execution.
+		base := newDenseState(c.NumQubits, env)
+		prog.executeOnce(base, prog.ops[:prog.tailStart], env, bits)
+		if !prog.hasMeasure {
+			// No bit is ever read out: the tail (empty, or prep_z only)
+			// runs once like the prefix, then O(log dim) sampling per
+			// shot. The readout-error pass is statically a no-op here.
+			prog.executeOnce(base, prog.ops[prog.tailStart:], env, bits)
+			sampler := newCumSampler(base)
+			for i := 0; i < shots; i++ {
+				res.Counts[sampler.sample(env.Rng)]++
+			}
+			return res, nil
+		}
 		st := newDenseState(c.NumQubits, env)
-		prog.executeOnce(st, env)
-		sampler := newCumSampler(st)
+		tail := prog.ops[prog.tailStart:]
 		for i := 0; i < shots; i++ {
-			res.Counts[sampler.sample(env.Rng)]++
+			st.CopyFrom(base)
+			clear(bits)
+			prog.executeOnce(st, tail, env, bits)
+			res.countBits(bits)
 		}
 		return res, nil
 	}
 
+	// Noisy path: every shot replays the whole circuit from |0…0>.
 	st := newDenseState(c.NumQubits, env)
 	for i := 0; i < shots; i++ {
 		st.Reset()
-		bits, errs := prog.executeOnce(st, env)
-		res.GateErrorsInjected += errs
-		idx := 0
+		clear(bits)
+		res.GateErrorsInjected += prog.executeOnce(st, prog.ops, env, bits)
 		if prog.hasMeasure {
 			// Readout error was already applied per measurement gate;
 			// unmeasured qubits are never read out, so no register-wide
 			// flip pass here.
-			//qlint:nondeterministic-ok order-independent: ORs disjoint bits into an index; any visit order builds the same mask
-			for q, b := range bits {
-				if b == 1 {
-					idx |= 1 << uint(q)
-				}
-			}
-		} else {
-			idx = st.MeasureAll(env.Rng)
-			if noisy {
-				idx = applyEnvReadoutError(env, idx, c.NumQubits)
-			}
+			res.countBits(bits)
+			continue
 		}
-		res.Counts[idx]++
+		res.Counts[applyEnvReadoutError(env, st.MeasureAll(env.Rng), c.NumQubits)]++
 	}
 	return res, nil
 }
@@ -137,13 +155,18 @@ type denseProgram struct {
 	numQubits  int
 	ops        []denseOp
 	hasMeasure bool
+	// tailStart indexes the first op that consumes PRNG on the perfect
+	// path (measure, measure_all, prep_z), or len(ops) if none does;
+	// everything before it is the shot-invariant prefix Run executes
+	// once.
+	tailStart int
 }
 
 // compileDense lowers a validated circuit into the engine's op table,
 // fusing single-qubit runs when fusion is on (perfect mode only — with
 // noise each physical gate must see its own error channel).
 func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
-	prog := &denseProgram{numQubits: c.NumQubits, ops: make([]denseOp, 0, len(c.Gates))}
+	prog := &denseProgram{numQubits: c.NumQubits, ops: make([]denseOp, 0, len(c.Gates)), tailStart: -1}
 	if fusion {
 		for _, eop := range fuseSingleQubitRuns(c.Gates) {
 			if eop.fused != nil {
@@ -165,6 +188,9 @@ func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
 				return nil, err
 			}
 		}
+	}
+	if prog.tailStart < 0 {
+		prog.tailStart = len(prog.ops)
 	}
 	return prog, nil
 }
@@ -232,20 +258,23 @@ func (p *denseProgram) lower(g circuit.Gate) error {
 		op.kind = kGeneric
 		op.mat = m
 	}
+	if p.tailStart < 0 && (op.kind == kMeasure || op.kind == kMeasureAll || op.kind == kPrepZ) {
+		p.tailStart = len(p.ops)
+	}
 	p.ops = append(p.ops, op)
 	return nil
 }
 
-// executeOnce runs the compiled ops on st, returning measured bits per
-// qubit and the number of injected errors. It mirrors the reference
-// engine's walk exactly — same gate order, same PRNG consumption points —
-// differing only in how each unitary reaches the amplitudes.
-func (p *denseProgram) executeOnce(st *quantum.State, env *ExecEnv) (map[int]int, int) {
-	bits := map[int]int{}
+// executeOnce runs the given op span on st, recording measured bits per
+// qubit into bits (latest measurement wins), and returns the number of
+// injected errors. It mirrors the reference engine's walk exactly — same
+// gate order, same PRNG consumption points — differing only in how each
+// unitary reaches the amplitudes.
+func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEnv, bits map[int]int) int {
 	injected := 0
 	noisy := env.noisy()
-	for i := range p.ops {
-		op := &p.ops[i]
+	for i := range ops {
+		op := &ops[i]
 		switch op.kind {
 		case kMeasure:
 			q := op.qubits[0]
@@ -304,7 +333,7 @@ func (p *denseProgram) executeOnce(st *quantum.State, env *ExecEnv) (map[int]int
 			}
 		}
 	}
-	return bits, injected
+	return injected
 }
 
 // shotWorkers returns the effective worker count for parallel shot

@@ -89,11 +89,13 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 	// per-shot re-execution.
 	if !noisy {
 		base := newTableau(n)
-		prog.execute(base, prog.ops[:prog.tailStart], env, map[int]int{}, false)
+		bits := map[int]int{}
+		prog.execute(base, prog.ops[:prog.tailStart], env, bits, false)
+		t := newTableau(n)
 		tail := prog.ops[prog.tailStart:]
 		for i := 0; i < shots; i++ {
-			t := base.clone()
-			bits := map[int]int{}
+			t.copyFrom(base)
+			clear(bits)
 			prog.execute(t, tail, env, bits, false)
 			res.countBits(bits)
 		}

@@ -144,6 +144,18 @@ func TestStabilizerAgreesWithMeasurement(t *testing.T) {
 			t.Fatalf("seed %d (n=%d): counts diverge:\noptimized  %v\nstabilizer %v", seed, n, ra.Counts, rs.Counts)
 		}
 	}
+	for _, tc := range tailEdgeCircuits() {
+		if !tc.clifford {
+			continue
+		}
+		for _, seed := range []int64{42, 123, 456} {
+			ra, err := NewWithEngine(seed, Reference()).Run(tc.c, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRunMatches(t, tc, seed, Stabilizer(), ra)
+		}
+	}
 }
 
 // And under Clifford-compatible noise: the stochastic Pauli-channel

@@ -156,6 +156,128 @@ func TestEnginesAgreeWithMeasurement(t *testing.T) {
 			t.Fatalf("seed %d: counts diverge:\nreference %v\noptimized %v", seed, ra.Counts, rb.Counts)
 		}
 	}
+	for _, tc := range tailEdgeCircuits() {
+		for _, seed := range []int64{42, 123, 456} {
+			ref := NewWithEngine(seed, Reference())
+			ref.EnableFusion = tc.fusion
+			ra, err := ref.Run(tc.c, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRunMatches(t, tc, seed, Optimized(), ra)
+		}
+	}
+}
+
+// tailEdgeCase is a circuit that puts the snapshot path's tailStart at
+// an edge: the first PRNG-consuming op at index 0, a terminal
+// measure_all, ops after the first measurement, a fused prefix.
+type tailEdgeCase struct {
+	name     string
+	c        *circuit.Circuit
+	fusion   bool // run with EnableFusion
+	clifford bool // the stabilizer engine accepts it
+}
+
+func tailEdgeCircuits() []tailEdgeCase {
+	return []tailEdgeCase{
+		{name: "measure-first", clifford: true,
+			c: circuit.New("measure-first", 3).Measure(0).H(0).CNOT(0, 1).H(2).Measure(0).Measure(1).Measure(2)},
+		{name: "prep-first", clifford: true,
+			c: circuit.New("prep-first", 3).PrepZ(1).H(0).CNOT(0, 1).H(2).Measure(0).Measure(1).Measure(2)},
+		{name: "terminal-measure-all", clifford: true,
+			c: circuit.New("terminal-measure-all", 3).H(0).CNOT(0, 1).H(2).S(2).H(2).MeasureAll()},
+		{name: "unitary-after-measure", clifford: true,
+			c: circuit.New("unitary-after-measure", 3).H(0).Measure(0).H(0).CNOT(0, 1).H(2).Measure(0).Measure(1).Measure(2)},
+		{name: "cond-after-terminal", clifford: true,
+			c: circuit.New("cond-after-terminal", 3).H(0).H(1).Measure(0).Measure(1).
+				AddGate(circuit.Gate{Name: "x", Qubits: []int{2}, HasCond: true, CondBit: 0}).
+				AddGate(circuit.Gate{Name: "h", Qubits: []int{2}, HasCond: true, CondBit: 1}).
+				Measure(2)},
+		{name: "fused-prefix", fusion: true,
+			c: circuit.New("fused-prefix", 3).RX(0, 0.7).RY(0, 1.1).T(0).H(1).RZ(1, 0.3).RX(1, 2.2).
+				CNOT(0, 1).RY(2, 0.4).RX(2, 1.9).Measure(0).Measure(1).Measure(2)},
+		{name: "stackbench-ansatz", c: basisAnsatz(6, rand.New(rand.NewSource(7)))},
+	}
+}
+
+// basisAnsatz has the shape of the stackbench sessions program: h·rz(kπ)·h
+// on every qubit (X^k up to phase), a 2n-step cnot ladder, n/2 random
+// phases and a terminal measure per qubit. Its outcome is one basis
+// state, so the counts map holds a single key whatever the shot count.
+func basisAnsatz(n int, rng *rand.Rand) *circuit.Circuit {
+	c := circuit.New("ansatz", n)
+	for q := 0; q < n; q++ {
+		c.H(q).RZ(q, float64(rng.Intn(4))*math.Pi).H(q)
+	}
+	for i := 0; i < 2*n; i++ {
+		p := rng.Perm(n)
+		c.CNOT(p[0], p[1])
+	}
+	for j := 0; j < n/2; j++ {
+		c.RZ(rng.Intn(n), rng.Float64()*2*math.Pi)
+	}
+	for q := 0; q < n; q++ {
+		c.Measure(q)
+	}
+	return c
+}
+
+// assertRunMatches runs tc on eng at seed and requires counts identical
+// to want, both from Run and from a one-worker RunParallel.
+func assertRunMatches(t *testing.T, tc tailEdgeCase, seed int64, eng Engine, want *Result) {
+	t.Helper()
+	sim := NewWithEngine(seed, eng)
+	sim.EnableFusion = tc.fusion
+	got, err := sim.Run(tc.c, want.Shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Counts, got.Counts) {
+		t.Fatalf("%s seed %d: counts diverge:\nwant         %v\n%-12s %v", tc.name, seed, want.Counts, eng.Name(), got.Counts)
+	}
+	par := NewWithEngine(seed, eng)
+	par.EnableFusion = tc.fusion
+	one, err := par.RunParallel(tc.c, want.Shots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Counts, one.Counts) {
+		t.Fatalf("%s seed %d: %s RunParallel(workers=1) %v differs from Run %v", tc.name, seed, eng.Name(), one.Counts, got.Counts)
+	}
+}
+
+// The perfect measured shot loop replays the measurement tail on one
+// reused scratch state (or tableau) and bits map, so a run allocates the
+// same whatever its shot count. Each circuit has one or two outcomes, so
+// the counts map does not grow with shots either.
+func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
+	ghz := circuit.GHZ(5).X(1).X(3)
+	for q := 0; q < 5; q++ {
+		ghz.Measure(q)
+	}
+	cases := []struct {
+		name string
+		eng  Engine
+		c    *circuit.Circuit
+	}{
+		{"optimized/ansatz", Optimized(), basisAnsatz(6, rand.New(rand.NewSource(3)))},
+		{"optimized/masked-ghz", Optimized(), ghz},
+		{"stabilizer/masked-ghz", Stabilizer(), ghz},
+	}
+	for _, tc := range cases {
+		allocs := func(shots int) float64 {
+			sim := NewWithEngine(1, tc.eng)
+			return testing.AllocsPerRun(20, func() {
+				if _, err := sim.Run(tc.c, shots); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(64), allocs(1024); few != many {
+			t.Errorf("%s: %.1f allocs at 64 shots, %.1f at 1024: the shot loop allocates", tc.name, few, many)
+		}
+	}
 }
 
 // And on noisy circuits: the per-shot trajectory path must consume the

@@ -43,20 +43,13 @@ func newTableau(n int) *tableau {
 	return t
 }
 
-// clone deep-copies the tableau (used to snapshot the pre-measurement
-// state for multi-shot replay).
-func (t *tableau) clone() *tableau {
-	c := &tableau{
-		n: t.n,
-		w: t.w,
-		x: make([]uint64, len(t.x)),
-		z: make([]uint64, len(t.z)),
-		r: make([]uint8, len(t.r)),
-	}
-	copy(c.x, t.x)
-	copy(c.z, t.z)
-	copy(c.r, t.r)
-	return c
+// copyFrom overwrites t with src, a tableau of the same size, without
+// allocating: the per-shot reload of the pre-measurement snapshot in
+// multi-shot replay.
+func (t *tableau) copyFrom(src *tableau) {
+	copy(t.x, src.x)
+	copy(t.z, src.z)
+	copy(t.r, src.r)
 }
 
 func (t *tableau) xbit(row, q int) bool {
