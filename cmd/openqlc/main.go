@@ -124,7 +124,7 @@ func main() {
 	if mode == openql.RealisticQubits {
 		fmt.Print(compiled.EQASM.String())
 	} else {
-		fmt.Print(compiled.CQASM)
+		fmt.Print(compiled.CQASM())
 	}
 }
 

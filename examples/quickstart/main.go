@@ -35,7 +35,11 @@ func main() {
 	// 3. Realistic qubits: the same program through the experimental
 	// stack — compiler → eQASM → micro-architecture → noisy QX (Fig 2a).
 	sc := core.NewSuperconducting(42)
-	rep2, err := sc.Execute(program, 2048)
+	compiled, err := sc.Compile(program)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep2, err := sc.RunCompiled(compiled, program.NumQubits, 2048, sc.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,5 +48,5 @@ func main() {
 	fmt.Printf("mapping: %d SWAPs inserted (Surface-17 NN constraint)\n", rep2.Mapping.AddedSwaps)
 	fmt.Printf("timing: %d ns per shot, %d pulses\n", rep2.Trace.TotalNs, len(rep2.Trace.Pulses))
 	fmt.Println("\n=== eQASM (executable assembly) ===")
-	fmt.Println(rep2.EQASM)
+	fmt.Println(compiled.EQASM.String())
 }

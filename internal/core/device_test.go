@@ -103,7 +103,11 @@ func TestCustomDeviceExecutes(t *testing.T) {
 	k := openql.NewKernel("bell", 4)
 	k.H(0).CNOT(0, 3).MeasureAll() // distance-3 pair forces routing
 	p.AddKernel(k)
-	rep, err := stack.Execute(p, 64)
+	compiled, err := stack.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := stack.RunCompiled(compiled, p.NumQubits, 64, stack.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestCustomDeviceExecutes(t *testing.T) {
 	if rep.Mapping == nil || rep.Mapping.AddedSwaps == 0 {
 		t.Error("linear custom device did not require routing")
 	}
-	if rep.EQASM == "" {
+	if compiled.EQASM == nil || compiled.EQASM.String() == "" {
 		t.Error("realistic custom device produced no eQASM")
 	}
 }

@@ -250,8 +250,6 @@ func NewSemiconducting(seed int64) *Stack {
 type Report struct {
 	Stack    string
 	Mode     openql.QubitMode
-	CQASM    string
-	EQASM    string // empty for perfect stacks
 	Result   *qx.Result
 	Trace    *microarch.Trace    // nil for perfect stacks
 	Schedule *compiler.Schedule  // timed program
@@ -331,7 +329,6 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	report := &Report{
 		Stack:    s.Name,
 		Mode:     s.Mode,
-		CQASM:    compiled.CQASM,
 		Schedule: compiled.Schedule,
 		Mapping:  compiled.MapResult,
 		Compile:  compiled.Report,
@@ -371,7 +368,6 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		return nil, err
 	}
 	report.ExecNs = time.Since(execStart).Nanoseconds()
-	report.EQASM = compiled.EQASM.String()
 	report.Result = toLogical(run.Result, logicalQubits, compiled.MapResult)
 	report.Trace = run.Trace
 	if run.Trace != nil {

@@ -19,11 +19,15 @@ func bell() *openql.Program {
 
 func TestPerfectStackBell(t *testing.T) {
 	s := NewPerfect(2, 1)
-	rep, err := s.Execute(bell(), 2000)
+	compiled, err := s.Compile(bell())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EQASM != "" || rep.Trace != nil {
+	rep, err := s.RunCompiled(compiled, 2, 2000, s.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled.EQASM != nil || rep.Trace != nil {
 		t.Error("perfect stack should not touch the micro-architecture")
 	}
 	p00 := rep.Result.Probability(0)
@@ -31,7 +35,7 @@ func TestPerfectStackBell(t *testing.T) {
 	if math.Abs(p00-0.5) > 0.05 || math.Abs(p11-0.5) > 0.05 {
 		t.Errorf("Bell stats p00=%v p11=%v", p00, p11)
 	}
-	if !strings.Contains(rep.CQASM, "cnot") {
+	if !strings.Contains(compiled.CQASM(), "cnot") {
 		t.Error("cQASM artefact missing")
 	}
 	if rep.WallNs <= 0 {
@@ -42,11 +46,15 @@ func TestPerfectStackBell(t *testing.T) {
 func TestSuperconductingStackBell(t *testing.T) {
 	s := NewSuperconducting(2)
 	const shots = 500
-	rep, err := s.Execute(bell(), shots)
+	compiled, err := s.Compile(bell())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.EQASM == "" || rep.Trace == nil {
+	rep, err := s.RunCompiled(compiled, 2, shots, s.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled.EQASM == nil || rep.Trace == nil {
 		t.Fatal("realistic stack must produce eQASM and a pulse trace")
 	}
 	// Realistic qubits: correct outcomes dominate but errors exist. The
@@ -59,7 +67,7 @@ func TestSuperconductingStackBell(t *testing.T) {
 	if float64(good)/shots < 0.5 {
 		t.Errorf("too noisy: %d/%d correlated outcomes", good, shots)
 	}
-	if !strings.Contains(rep.EQASM, "bs ") {
+	if !strings.Contains(compiled.EQASM.String(), "bs ") {
 		t.Error("eQASM bundles missing")
 	}
 	if rep.Mapping == nil {

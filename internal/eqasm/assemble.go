@@ -3,7 +3,7 @@ package eqasm
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/compiler"
@@ -129,32 +129,48 @@ func opcodeFor(g circuit.Gate) (string, bool, error) {
 // slots key on the canonical expression text, so two ops merge only when
 // their angles are the same function of the symbols — equal placeholder
 // literals must never collapse distinct expressions into one masked op.
+// Literals are rendered by strconv, byte-identical to %.17g: a key is
+// built for every gate of every assembled cycle.
 func gateParamsKey(g circuit.Gate) string {
-	parts := make([]string, len(g.Params))
+	var b []byte
 	for i, p := range g.Params {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		if g.Symbolic(i) {
-			parts[i] = "E:" + g.Exprs[i].String()
+			b = append(b, "E:"...)
+			b = append(b, g.Exprs[i].String()...)
 		} else {
-			parts[i] = fmt.Sprintf("%.17g", p)
+			b = strconv.AppendFloat(b, p, 'g', 17, 64)
 		}
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
+// qubitsKey keys a single-qubit mask register by its sorted qubits.
 func qubitsKey(qs []int) string {
-	parts := make([]string, len(qs))
+	b := append(make([]byte, 0, 2+3*len(qs)), "s:"...)
 	for i, q := range qs {
-		parts[i] = fmt.Sprintf("%d", q)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(q), 10)
 	}
-	return "s:" + strings.Join(parts, ",")
+	return string(b)
 }
 
+// pairsKey keys a two-qubit mask register by its sorted pairs.
 func pairsKey(pairs [][2]int) string {
-	parts := make([]string, len(pairs))
+	b := append(make([]byte, 0, 2+6*len(pairs)), "t:"...)
 	for i, p := range pairs {
-		parts[i] = fmt.Sprintf("%d-%d", p[0], p[1])
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p[0]), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(p[1]), 10)
 	}
-	return "t:" + strings.Join(parts, ",")
+	return string(b)
 }
 
 // maskAlloc allocates mask registers with content reuse and FIFO

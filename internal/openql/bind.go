@@ -102,9 +102,8 @@ func (c *Compiled) IsParametric() bool { return c.Binds != nil }
 // symbols, the eQASM instruction list and the bundles that carry symbols
 // are cloned, so a bind is O(#slots + #gates) pointer work with no pass
 // re-runs. Schedule, mapping result and compile report are shared with
-// the symbolic artefact. The bound copy's CQASM is re-rendered lazily by
-// callers that need it; the field keeps the symbolic text (with $symbol
-// parameters) as the canonical form of the program.
+// the symbolic artefact. The bound copy's CQASM renders the bound
+// circuit, with every $symbol parameter replaced by its value.
 //
 // vals must bind exactly the symbols of the program: missing and unknown
 // names both fail, so optimiser typos surface immediately.

@@ -324,7 +324,6 @@ type CompileOptions struct {
 type Compiled struct {
 	Mode      QubitMode
 	Circuit   *circuit.Circuit    // final gate-level circuit (mapped if applicable)
-	CQASM     string              // cQASM of the final circuit
 	Schedule  *compiler.Schedule  // timed bundles
 	EQASM     *eqasm.Program      // executable assembly (realistic targets)
 	MapResult *compiler.MapResult // routing statistics, nil for all-to-all
@@ -336,6 +335,10 @@ type Compiled struct {
 	// nil table means the artefact is concrete and ready to execute.
 	Binds *BindTable
 }
+
+// CQASM renders the final circuit as cQASM. Nothing on the execution
+// path reads the text, so it is rendered only when asked for.
+func (c *Compiled) CQASM() string { return cqasm.PrintCircuit(c.Circuit) }
 
 // compilePrefix runs every kernel through the pipeline's platform-generic
 // prefix — across workers when allowed, consulting the prefix cache when
@@ -537,7 +540,6 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 	out := &Compiled{
 		Mode:      opts.Mode,
 		Circuit:   ctx.Circuit,
-		CQASM:     cqasm.PrintCircuit(ctx.Circuit),
 		Schedule:  ctx.Schedule,
 		EQASM:     eq,
 		MapResult: ctx.MapResult,

@@ -99,7 +99,7 @@ func TestCompilePerfect(t *testing.T) {
 	if compiled.Schedule == nil || compiled.Schedule.Makespan == 0 {
 		t.Error("no schedule produced")
 	}
-	if compiled.CQASM == "" {
+	if compiled.CQASM() == "" {
 		t.Error("no cQASM artefact")
 	}
 }
@@ -232,7 +232,6 @@ func compileLegacy(p *Program, opts legacyOptions) (*Compiled, error) {
 	}
 	out.Circuit = c
 	out.Schedule = sched
-	out.CQASM = cqasm.PrintCircuit(c)
 	if opts.Mode == RealisticQubits {
 		prog, err := eqasm.Assemble(sched, opts.Platform)
 		if err != nil {
@@ -331,7 +330,7 @@ func TestDefaultPipelineMatchesLegacy(t *testing.T) {
 						t.Fatalf("%s: circuits diverge\nlegacy:\n%s\npipeline:\n%s",
 							label, want.Circuit, got.Circuit)
 					}
-					if got.CQASM != want.CQASM {
+					if got.CQASM() != want.CQASM() {
 						t.Fatalf("%s: cQASM diverges", label)
 					}
 					if !reflect.DeepEqual(got.Schedule, want.Schedule) {

@@ -65,7 +65,7 @@ func multiKernelProgram(n int) *Program {
 
 func assertSameCompiled(t *testing.T, label string, want, got *Compiled) {
 	t.Helper()
-	if want.CQASM != got.CQASM {
+	if want.CQASM() != got.CQASM() {
 		t.Fatalf("%s: compiled cQASM differs", label)
 	}
 	if want.Schedule.Makespan != got.Schedule.Makespan {

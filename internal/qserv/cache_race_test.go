@@ -87,7 +87,8 @@ func TestCanonicalTextDistinguishesPrograms(t *testing.T) {
 //     across a recalibration.
 func TestTwoLevelCacheConcurrentOverrides(t *testing.T) {
 	s := New(Config{Seed: 99, RetainJobs: -1, QueueSize: 4096})
-	s.AddBackend(NewStackBackend(core.NewSuperconducting(99)), 4)
+	backend := NewStackBackend(core.NewSuperconducting(99))
+	s.AddBackend(backend, 4)
 	s.Start()
 	defer s.Stop()
 
@@ -156,7 +157,17 @@ func TestTwoLevelCacheConcurrentOverrides(t *testing.T) {
 			if !ok {
 				t.Fatalf("job %s vanished", ids[combo][0])
 			}
-			rep := job.Result().Report
+			// The artefact the job ran is the full-cache entry under
+			// the job's key.
+			stack, err := backend.resolveStack(&job.Req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, hit, err := s.Cache().GetOrCompile(cacheKey(stack.CompileFingerprint(), canonicalText(prog)),
+				func() (*openql.Compiled, error) { return nil, fmt.Errorf("job %s's artefact is not cached", job.ID) })
+			if err != nil || !hit {
+				t.Fatalf("combo %d: cache lookup: hit=%v err=%v", combo, hit, err)
+			}
 			truthDev := dev
 			if cal != nil {
 				truthDev = dev.WithCalibration(cal)
@@ -171,10 +182,10 @@ func TestTwoLevelCacheConcurrentOverrides(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("cal=%d spec=%d", ci, si)
-			if compiled.CQASM != rep.CQASM {
+			if compiled.CQASM() != cached.CQASM() {
 				t.Errorf("%s: cached artefact's cQASM differs from ground truth", label)
 			}
-			if compiled.EQASM.String() != rep.EQASM {
+			if compiled.EQASM.String() != cached.EQASM.String() {
 				t.Errorf("%s: cached artefact's eQASM differs from ground truth", label)
 			}
 		}

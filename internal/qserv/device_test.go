@@ -110,7 +110,7 @@ func TestPerJobTargetOverride(t *testing.T) {
 	if res == nil || res.Report == nil || res.Report.Result == nil {
 		t.Fatal("targeted job returned no report")
 	}
-	if res.Report.EQASM == "" {
+	if res.Report.Trace == nil {
 		t.Error("calibrated target did not execute through the realistic path")
 	}
 	if res.Report.Stack != "lab-chip" {

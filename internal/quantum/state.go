@@ -316,13 +316,20 @@ func (s *State) Probabilities() []float64 {
 // MeasureQubit performs a projective Z-measurement of qubit q, collapsing
 // the state, and returns the outcome (0 or 1).
 func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
-	p1 := s.ProbOne(q)
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
+	outcome := DrawOutcome(rng, s.ProbOne(q))
 	s.ProjectQubit(q, outcome)
 	return outcome
+}
+
+// DrawOutcome draws one Z-measurement outcome: 1 when a uniform draw
+// from rng falls below p1, the probability of reading 1, else 0. Every
+// dense measurement draws through it, so an engine that replays a stored
+// p1 consumes the PRNG exactly as MeasureQubit would.
+func DrawOutcome(rng *rand.Rand, p1 float64) int {
+	if rng.Float64() < p1 {
+		return 1
+	}
+	return 0
 }
 
 // ProjectQubit projects qubit q onto the given outcome and renormalises.

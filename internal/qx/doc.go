@@ -24,14 +24,26 @@
 //     with precomputed matrices, lowers the common gate set to
 //     specialized bit-twiddling kernels and applies amplitudes
 //     chunk-parallel across goroutines on large states. Perfect
-//     (noise-free) runs execute once, not once per shot: the prefix
-//     before the first measure, measure_all or prep_z draws nothing from
-//     the PRNG, so it runs once into a base state, and each shot replays
-//     only the tail on a copy of it — the stabilizer engine's snapshot
-//     path, with the same draws as a full re-execution. A circuit with
-//     no measurement samples its executed state through a cumulative
-//     distribution with binary search. Noisy runs replay every shot in
-//     full, because noise draws precede the first measurement.
+//     (noise-free) runs simulate each measurement-outcome history once,
+//     not once per shot. Only measure and prep_z draw from the PRNG
+//     (measure_all is lowered to one measure per qubit), so the ops
+//     between two draws depend only on the outcomes drawn so far. The
+//     run keeps an outcome tree: a node holds the state just before its
+//     history's next draw, that draw's P(1) and the bits measured on
+//     the way, and a child is built the first time a shot draws its
+//     outcome — a clone of the parent, projected, run up to the next
+//     draw. A later shot down the same history only draws and compares
+//     at each node. The amplitudes cached beyond the root stay below
+//     1<<18 (4 MiB); a shot that reaches a child past the cap copies its
+//     node into one scratch state and replays the rest of the circuit,
+//     so at 18 or more qubits every shot replays from the first draw.
+//     The counts are exact: each shot makes the reference engine's
+//     draws in the same order, through the same quantum.DrawOutcome
+//     comparison, against P(1) values computed on bit-identical states.
+//     A circuit with no measurement samples its executed state through
+//     a cumulative distribution with binary search. Noisy runs replay
+//     every shot in full, because noise draws come between the
+//     measurements.
 //   - Stabilizer: an Aaronson–Gottesman CHP tableau —
 //     n destabilizer and n stabilizer generators as packed X/Z bit rows
 //     plus a sign — O(n) per Clifford gate and O(n²) per measurement,

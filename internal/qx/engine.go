@@ -59,11 +59,13 @@ const (
 	EngineReference = "reference"
 	// EngineOptimized is the fast dense engine: specialized bit-twiddling
 	// kernels, a precompiled per-circuit op/matrix table and
-	// chunk-parallel amplitude application. Without noise it executes a
-	// circuit once — the draw-free prefix before the first measure or
-	// prep_z — and replays only the tail per shot, or samples the state
-	// in O(log dim) when nothing is measured. Seeded counts are identical
-	// to the reference engine.
+	// chunk-parallel amplitude application. Without noise it simulates
+	// each measurement-outcome history once, in a lazily built outcome
+	// tree whose cached amplitudes stay under a 4 MiB cap, so a later
+	// shot down the same history only draws and compares; or it samples
+	// the state in O(log dim) when nothing is measured. Seeded counts are
+	// identical to the reference engine: a shot makes the same draws
+	// against the same P(1) values on bit-identical states.
 	EngineOptimized = "optimized"
 	// EngineStabilizer is the Aaronson–Gottesman tableau engine for
 	// Clifford(+measurement) circuits: polynomial in qubit count, so GHZ,

@@ -15,19 +15,27 @@ import (
 // instead of generic dense matrix multiplies. States it executes on have
 // chunk-parallel kernel application enabled.
 //
-// Perfect runs execute the circuit once, not once per shot. Everything
-// before the first measure, measure_all or prep_z (the program's
-// tailStart) draws nothing from the PRNG, so it runs once into a base
-// state; each shot then copies the base into one reused scratch state
-// and replays only the tail. A circuit with no measurement samples the
+// Perfect runs simulate each measurement-outcome history once, not once
+// per shot. Only measure and prep_z draw from the PRNG, so the ops
+// between two draws are a deterministic function of the outcomes drawn
+// so far. The run keeps an outcome tree: a node holds the state just
+// before a history's next draw, that draw's P(1) and the bits measured
+// on the way; its two children are built lazily, the first time a shot
+// draws that outcome. Every later shot that takes the same history only
+// draws and compares at each node, then counts the leaf's bits. The
+// amplitudes cached beyond the root stay below treeAmpCap; a shot that
+// reaches a child the cap keeps unbuilt replays the rest of the circuit
+// on one scratch state. A circuit with no measurement samples the
 // executed state through the cumulative-distribution binary-search
 // sampler instead. Noisy runs replay the whole circuit per shot, since
-// noise draws come before the first measurement.
+// noise draws come between the measurements.
 //
-// Every substitution is probability-preserving at the bit level and the
-// tail replay makes the same PRNG draws on bit-identical amplitudes, so
-// the engine produces seeded counts identical to the reference engine —
-// the differential tests in engine_test.go enforce this.
+// Every substitution is probability-preserving at the bit level, and a
+// shot through the tree makes the same draws in the same order as the
+// reference engine, against P(1) values computed on bit-identical
+// states. So the engine produces seeded counts identical to the
+// reference engine — the differential tests in engine_test.go enforce
+// this.
 type optimizedEngine struct{}
 
 // Name returns "optimized".
@@ -40,14 +48,14 @@ func (optimizedEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.Stat
 		return nil, err
 	}
 	st := newDenseState(c.NumQubits, env)
-	prog.executeOnce(st, prog.ops, env, map[int]int{})
+	bits := 0
+	prog.executeOnce(st, prog.ops, env, &bits)
 	return st, nil
 }
 
-// Run executes the circuit for the given number of shots. Perfect runs
-// take the snapshot path: the prefix ops[:tailStart] runs once, and each
-// shot replays only ops[tailStart:] on a copy of that base state, with
-// one scratch state and one bits map reused across shots.
+// Run executes the circuit for the given number of shots. Perfect
+// measured runs walk the outcome tree (runTree); perfect runs without a
+// measurement execute once and sample; noisy runs replay every shot.
 func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result, error) {
 	noisy := env.noisy()
 	prog, err := compileDense(c, env.Fusion && !noisy)
@@ -55,31 +63,21 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 		return nil, err
 	}
 	res := &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
-	bits := map[int]int{}
 
 	if !noisy {
-		// The prefix is draw-free, so running it once is draw-for-draw
-		// identical to the reference engine's per-shot re-execution.
-		base := newDenseState(c.NumQubits, env)
-		prog.executeOnce(base, prog.ops[:prog.tailStart], env, bits)
-		if !prog.hasMeasure {
-			// No bit is ever read out: the tail (empty, or prep_z only)
-			// runs once like the prefix, then O(log dim) sampling per
-			// shot. The readout-error pass is statically a no-op here.
-			prog.executeOnce(base, prog.ops[prog.tailStart:], env, bits)
-			sampler := newCumSampler(base)
-			for i := 0; i < shots; i++ {
-				res.Counts[sampler.sample(env.Rng)]++
-			}
+		if prog.hasMeasure {
+			prog.runTree(res, shots, env)
 			return res, nil
 		}
+		// No bit is ever read out: the circuit (prep_z draws included)
+		// runs once, then O(log dim) sampling per shot. The readout-error
+		// pass is statically a no-op here.
 		st := newDenseState(c.NumQubits, env)
-		tail := prog.ops[prog.tailStart:]
+		bits := 0
+		prog.executeOnce(st, prog.ops, env, &bits)
+		sampler := newCumSampler(st)
 		for i := 0; i < shots; i++ {
-			st.CopyFrom(base)
-			clear(bits)
-			prog.executeOnce(st, tail, env, bits)
-			res.countBits(bits)
+			res.Counts[sampler.sample(env.Rng)]++
 		}
 		return res, nil
 	}
@@ -88,19 +86,123 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 	st := newDenseState(c.NumQubits, env)
 	for i := 0; i < shots; i++ {
 		st.Reset()
-		clear(bits)
-		res.GateErrorsInjected += prog.executeOnce(st, prog.ops, env, bits)
+		bits := 0
+		res.GateErrorsInjected += prog.executeOnce(st, prog.ops, env, &bits)
 		if prog.hasMeasure {
 			// Readout error was already applied per measurement gate;
 			// unmeasured qubits are never read out, so no register-wide
 			// flip pass here.
-			res.countBits(bits)
+			res.Counts[bits]++
 			continue
 		}
 		res.Counts[applyEnvReadoutError(env, st.MeasureAll(env.Rng), c.NumQubits)]++
 	}
 	return res, nil
 }
+
+// treeAmpCap bounds the amplitudes a perfect run's outcome tree caches
+// beyond its root: the cached total stays below 1<<18 complex128 values
+// (4 MiB). At 18 or more qubits no inner node fits, so every shot
+// replays the circuit from the root's first draw on.
+const treeAmpCap = 1 << 18
+
+// outcomeNode is one measurement-outcome history of a perfect run. An
+// inner node holds the state just before the history's next draw, that
+// draw's P(1) and the bits measured so far; a leaf, past the last draw,
+// holds only the bits. child[b] follows outcome b, nil until a shot first
+// draws it.
+type outcomeNode struct {
+	st    *quantum.State
+	p1    float64
+	bits  int
+	child [2]*outcomeNode
+}
+
+// runTree is the perfect measured shot loop. The ops before the first
+// draw run once into the root; each shot then walks from the root,
+// drawing one outcome per node through quantum.DrawOutcome (the draw
+// State.MeasureQubit makes) and building a missing child on first visit.
+// Once the cap stops a child from being built, the shot copies its node
+// into one scratch state, applies the outcome and replays the remaining
+// ops with executeOnce.
+func (p *denseProgram) runTree(res *Result, shots int, env *ExecEnv) {
+	st := newDenseState(p.numQubits, env)
+	bits := 0
+	p.executeOnce(st, p.ops[:p.draws[0]], env, &bits)
+	root := &outcomeNode{st: st, p1: st.ProbOne(p.ops[p.draws[0]].qubits[0])}
+	cached := 0
+	var scratch *quantum.State
+shots:
+	for i := 0; i < shots; i++ {
+		n := root
+		for k, at := range p.draws {
+			b := quantum.DrawOutcome(env.Rng, n.p1)
+			next := n.child[b]
+			if next == nil {
+				if next = p.grow(n, k, b, env, &cached); next == nil {
+					if scratch == nil {
+						scratch = newDenseState(p.numQubits, env)
+					}
+					scratch.CopyFrom(n.st)
+					bits := p.collapse(scratch, at, b, n.bits)
+					p.executeOnce(scratch, p.ops[at+1:], env, &bits)
+					res.Counts[bits]++
+					continue shots
+				}
+				n.child[b] = next
+			}
+			n = next
+		}
+		res.Counts[n.bits]++
+	}
+}
+
+// grow builds the child of parent, the node at draw k, for outcome b: a
+// leaf after the last draw, else a clone of the parent's state with the
+// outcome applied and the draw-free ops up to the next draw executed. It
+// returns nil when the clone would take the cached amplitudes to the
+// cap.
+func (p *denseProgram) grow(parent *outcomeNode, k, b int, env *ExecEnv, cached *int) *outcomeNode {
+	at := p.draws[k]
+	if k+1 == len(p.draws) {
+		return &outcomeNode{bits: p.record(at, b, parent.bits)}
+	}
+	dim := parent.st.Dim()
+	if *cached+dim >= treeAmpCap {
+		return nil
+	}
+	*cached += dim
+	st := parent.st.Clone()
+	bits := p.collapse(st, at, b, parent.bits)
+	next := p.draws[k+1]
+	p.executeOnce(st, p.ops[at+1:next], env, &bits)
+	return &outcomeNode{st: st, p1: st.ProbOne(p.ops[next].qubits[0]), bits: bits}
+}
+
+// collapse applies outcome b of the draw op at index at to st — the
+// projection, and for prep_z the flip back to |0> — and returns bits as
+// that op leaves them.
+func (p *denseProgram) collapse(st *quantum.State, at, b, bits int) int {
+	q := p.ops[at].qubits[0]
+	st.ProjectQubit(q, b)
+	if p.ops[at].kind == kPrepZ && b == 1 {
+		st.ApplyX(q)
+	}
+	return p.record(at, b, bits)
+}
+
+// record returns bits with outcome b of the draw op at index at
+// recorded: a measure sets its qubit's bit to b, a prep_z records
+// nothing.
+func (p *denseProgram) record(at, b, bits int) int {
+	if p.ops[at].kind != kMeasure {
+		return bits
+	}
+	return withBit(bits, p.ops[at].qubits[0], b)
+}
+
+// withBit returns the measured-bits mask with qubit q's bit set to b.
+func withBit(bits, q, b int) int { return bits&^(1<<uint(q)) | b<<uint(q) }
 
 // newDenseState returns a fresh zero state with kernel parallelism from
 // the environment's worker budget (machine-sized by default).
@@ -129,7 +231,6 @@ const (
 	kSWAP                        // qubit exchange
 	kControlled                  // controlled single-qubit matrix (crz, toffoli)
 	kMeasure                     // projective measurement of qubits[0]
-	kMeasureAll                  // measure every qubit
 	kPrepZ                       // reset qubits[0] to |0>
 	kWait                        // explicit idle (decoherence under noise)
 	kNop                         // barrier, display
@@ -155,18 +256,16 @@ type denseProgram struct {
 	numQubits  int
 	ops        []denseOp
 	hasMeasure bool
-	// tailStart indexes the first op that consumes PRNG on the perfect
-	// path (measure, measure_all, prep_z), or len(ops) if none does;
-	// everything before it is the shot-invariant prefix Run executes
-	// once.
-	tailStart int
+	// draws indexes, in order, the ops that consume PRNG on the perfect
+	// path (measure and prep_z): the levels of the outcome tree.
+	draws []int
 }
 
 // compileDense lowers a validated circuit into the engine's op table,
 // fusing single-qubit runs when fusion is on (perfect mode only — with
 // noise each physical gate must see its own error channel).
 func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
-	prog := &denseProgram{numQubits: c.NumQubits, ops: make([]denseOp, 0, len(c.Gates)), tailStart: -1}
+	prog := &denseProgram{numQubits: c.NumQubits, ops: make([]denseOp, 0, len(c.Gates))}
 	if fusion {
 		for _, eop := range fuseSingleQubitRuns(c.Gates) {
 			if eop.fused != nil {
@@ -189,23 +288,28 @@ func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
 			}
 		}
 	}
-	if prog.tailStart < 0 {
-		prog.tailStart = len(prog.ops)
-	}
 	return prog, nil
 }
 
 // lower appends the compiled form of one gate, precomputing its matrix or
 // diagonal entries from the same registry constructors the reference
-// engine calls, so both engines apply bit-identical unitaries.
+// engine calls, so both engines apply bit-identical unitaries. A
+// measure_all becomes one measure per qubit in qubit order — the
+// reference engine's measure_all loop.
 func (p *denseProgram) lower(g circuit.Gate) error {
 	op := denseOp{qubits: g.Qubits, hasCond: g.HasCond, condBit: g.CondBit}
 	switch g.Name {
+	case circuit.OpMeasureAll:
+		qubits := make([]int, p.numQubits)
+		for q := range qubits {
+			qubits[q] = q
+			p.draws = append(p.draws, len(p.ops))
+			p.ops = append(p.ops, denseOp{kind: kMeasure, qubits: qubits[q : q+1]})
+			p.hasMeasure = true
+		}
+		return nil
 	case circuit.OpMeasure:
 		op.kind = kMeasure
-		p.hasMeasure = true
-	case circuit.OpMeasureAll:
-		op.kind = kMeasureAll
 		p.hasMeasure = true
 	case circuit.OpPrepZ:
 		op.kind = kPrepZ
@@ -258,19 +362,20 @@ func (p *denseProgram) lower(g circuit.Gate) error {
 		op.kind = kGeneric
 		op.mat = m
 	}
-	if p.tailStart < 0 && (op.kind == kMeasure || op.kind == kMeasureAll || op.kind == kPrepZ) {
-		p.tailStart = len(p.ops)
+	if op.kind == kMeasure || op.kind == kPrepZ {
+		p.draws = append(p.draws, len(p.ops))
 	}
 	p.ops = append(p.ops, op)
 	return nil
 }
 
-// executeOnce runs the given op span on st, recording measured bits per
-// qubit into bits (latest measurement wins), and returns the number of
-// injected errors. It mirrors the reference engine's walk exactly — same
-// gate order, same PRNG consumption points — differing only in how each
+// executeOnce runs the given op span on st, recording measured bits into
+// the mask bits — bit q is qubit q's latest measurement, the basis index
+// the reference engine counts — and returns the number of injected
+// errors. It mirrors the reference engine's walk exactly — same gate
+// order, same PRNG consumption points — differing only in how each
 // unitary reaches the amplitudes.
-func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEnv, bits map[int]int) int {
+func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEnv, bits *int) int {
 	injected := 0
 	noisy := env.noisy()
 	for i := range ops {
@@ -282,15 +387,7 @@ func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEn
 			if noisy {
 				b = flipReadoutBit(env, b)
 			}
-			bits[q] = b
-		case kMeasureAll:
-			for q := 0; q < p.numQubits; q++ {
-				b := st.MeasureQubit(q, env.Rng)
-				if noisy {
-					b = flipReadoutBit(env, b)
-				}
-				bits[q] = b
-			}
+			*bits = withBit(*bits, q, b)
 		case kPrepZ:
 			q := op.qubits[0]
 			if st.MeasureQubit(q, env.Rng) == 1 {
@@ -302,7 +399,7 @@ func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEn
 			}
 		case kNop:
 		default:
-			if op.hasCond && bits[op.condBit] != 1 {
+			if op.hasCond && *bits>>uint(op.condBit)&1 != 1 {
 				continue
 			}
 			switch op.kind {

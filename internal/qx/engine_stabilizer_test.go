@@ -149,7 +149,7 @@ func TestStabilizerAgreesWithMeasurement(t *testing.T) {
 			continue
 		}
 		for _, seed := range []int64{42, 123, 456} {
-			ra, err := NewWithEngine(seed, Reference()).Run(tc.c, 200)
+			ra, err := NewWithEngine(seed, Reference()).Run(tc.c, tc.shots)
 			if err != nil {
 				t.Fatal(err)
 			}

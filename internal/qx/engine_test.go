@@ -160,7 +160,7 @@ func TestEnginesAgreeWithMeasurement(t *testing.T) {
 		for _, seed := range []int64{42, 123, 456} {
 			ref := NewWithEngine(seed, Reference())
 			ref.EnableFusion = tc.fusion
-			ra, err := ref.Run(tc.c, 200)
+			ra, err := ref.Run(tc.c, tc.shots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,18 +169,28 @@ func TestEnginesAgreeWithMeasurement(t *testing.T) {
 	}
 }
 
-// tailEdgeCase is a circuit that puts the snapshot path's tailStart at
-// an edge: the first PRNG-consuming op at index 0, a terminal
-// measure_all, ops after the first measurement, a fused prefix.
+// tailEdgeCase is a circuit that puts the measured shot path at an
+// edge: the first PRNG-consuming op at index 0, a terminal measure_all,
+// ops after the first measurement, a fused prefix, mid-circuit
+// measurements that conditionals read, more outcome histories than the
+// optimized engine's outcome tree may cache.
 type tailEdgeCase struct {
 	name     string
 	c        *circuit.Circuit
+	shots    int  // 200 unless set
 	fusion   bool // run with EnableFusion
 	clifford bool // the stabilizer engine accepts it
 }
 
 func tailEdgeCircuits() []tailEdgeCase {
-	return []tailEdgeCase{
+	allH := circuit.New("wide-all-h", 12)
+	for q := 0; q < 12; q++ {
+		allH.H(q)
+	}
+	for q := 0; q < 12; q++ {
+		allH.Measure(q)
+	}
+	cases := []tailEdgeCase{
 		{name: "measure-first", clifford: true,
 			c: circuit.New("measure-first", 3).Measure(0).H(0).CNOT(0, 1).H(2).Measure(0).Measure(1).Measure(2)},
 		{name: "prep-first", clifford: true,
@@ -198,7 +208,73 @@ func tailEdgeCircuits() []tailEdgeCase {
 			c: circuit.New("fused-prefix", 3).RX(0, 0.7).RY(0, 1.1).T(0).H(1).RZ(1, 0.3).RX(1, 2.2).
 				CNOT(0, 1).RY(2, 0.4).RX(2, 1.9).Measure(0).Measure(1).Measure(2)},
 		{name: "stackbench-ansatz", c: basisAnsatz(6, rand.New(rand.NewSource(7)))},
+		// The shape ASAP scheduling gives eQASM: a qubit no gate touches
+		// is measured in the first bundle, ahead of the entangling body.
+		{name: "idle-measure-first", clifford: true,
+			c: circuit.New("idle-measure-first", 4).Measure(3).H(0).CNOT(0, 1).CNOT(1, 2).S(2).H(2).
+				Measure(0).Measure(1).Measure(2).Measure(3)},
+		{name: "early-measured-ansatz", c: measureFirst(0, basisAnsatz(6, rand.New(rand.NewSource(7))))},
+		{name: "random-mid-measures", c: midMeasureCircuit(4, 10, rand.New(rand.NewSource(11)), false)},
+		{name: "random-mid-measures-clifford", clifford: true,
+			c: midMeasureCircuit(5, 10, rand.New(rand.NewSource(12)), true)},
+		{name: "prep-superposed", clifford: true,
+			c: circuit.New("prep-superposed", 3).H(0).CNOT(0, 1).H(2).PrepZ(0).H(0).CNOT(0, 2).
+				Measure(0).Measure(1).Measure(2)},
+		{name: "mid-measure-all", clifford: true,
+			c: circuit.New("mid-measure-all", 3).H(0).CNOT(0, 1).H(2).MeasureAll().H(0).
+				AddGate(circuit.Gate{Name: "x", Qubits: []int{1}, HasCond: true, CondBit: 2}).
+				CNOT(0, 2).Measure(0).Measure(1).Measure(2)},
+		// 12 qubits and 512 shots of uniform outcomes pass the outcome
+		// tree's amplitude cap, so most shots take the replay fallback.
+		{name: "wide-all-h", clifford: true, shots: 512, c: allH},
 	}
+	for i := range cases {
+		if cases[i].shots == 0 {
+			cases[i].shots = 200
+		}
+	}
+	return cases
+}
+
+// measureFirst returns c with a measurement of qubit q, still idle,
+// ahead of every gate.
+func measureFirst(q int, c *circuit.Circuit) *circuit.Circuit {
+	return circuit.New(c.Name, c.NumQubits).Measure(q).Append(c)
+}
+
+// midMeasureCircuit interleaves random single- and two-qubit layers with
+// measurements of random qubits, each layer followed by gates
+// conditioned on a random already-measured bit. clifford keeps every
+// gate in the Clifford group.
+func midMeasureCircuit(n, depth int, rng *rand.Rand, clifford bool) *circuit.Circuit {
+	c := circuit.New("mid-measures", n)
+	var measured []int
+	for d := 0; d < depth; d++ {
+		for q := 0; q < n; q++ {
+			switch rng.Intn(3) {
+			case 0:
+				c.H(q)
+			case 1:
+				if clifford {
+					c.S(q)
+				} else {
+					c.RY(q, rng.Float64()*math.Pi)
+				}
+			}
+		}
+		p := rng.Perm(n)
+		c.CNOT(p[0], p[1])
+		m := rng.Intn(n)
+		c.Measure(m)
+		measured = append(measured, m)
+		bit := measured[rng.Intn(len(measured))]
+		c.AddGate(circuit.Gate{Name: "x", Qubits: []int{rng.Intn(n)}, HasCond: true, CondBit: bit})
+		c.AddGate(circuit.Gate{Name: "h", Qubits: []int{rng.Intn(n)}, HasCond: true, CondBit: bit})
+	}
+	for q := 0; q < n; q++ {
+		c.Measure(q)
+	}
+	return c
 }
 
 // basisAnsatz has the shape of the stackbench sessions program: h·rz(kπ)·h
@@ -247,10 +323,11 @@ func assertRunMatches(t *testing.T, tc tailEdgeCase, seed int64, eng Engine, wan
 	}
 }
 
-// The perfect measured shot loop replays the measurement tail on one
-// reused scratch state (or tableau) and bits map, so a run allocates the
-// same whatever its shot count. Each circuit has one or two outcomes, so
-// the counts map does not grow with shots either.
+// The perfect measured shot loop allocates only while it builds the
+// outcome tree (optimized) or sets up its one scratch tableau and bits
+// map (stabilizer), so a run allocates the same whatever its shot count.
+// Each circuit has one or two outcome histories, so neither the tree nor
+// the counts map grows with shots.
 func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 	ghz := circuit.GHZ(5).X(1).X(3)
 	for q := 0; q < 5; q++ {
@@ -262,6 +339,7 @@ func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 		c    *circuit.Circuit
 	}{
 		{"optimized/ansatz", Optimized(), basisAnsatz(6, rand.New(rand.NewSource(3)))},
+		{"optimized/idle-measure-first", Optimized(), measureFirst(0, basisAnsatz(6, rand.New(rand.NewSource(3))))},
 		{"optimized/masked-ghz", Optimized(), ghz},
 		{"stabilizer/masked-ghz", Stabilizer(), ghz},
 	}
