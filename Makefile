@@ -96,9 +96,9 @@ bench-baseline:
 # speedup floor), BenchmarkStabilizerVsDense's 22-qubit tableau batch
 # under $(STAB_VS_DENSE_CEILING)% of the dense batch, and
 # BenchmarkMeasuredShots's measured batch under
-# $(MEASURED_VS_SAMPLED_CEILING)% of the measurement-free one and its
-# batch that measures an idle qubit first under
-# $(EARLY_MEASURED_CEILING)% (the dense engine's outcome tree).
+# $(MEASURED_VS_SAMPLED_CEILING)% of the measurement-free one and
+# BenchmarkEarlyMeasuredShots's batch that measures an idle qubit first
+# under $(EARLY_MEASURED_CEILING)% (the dense engine's outcome tree).
 bench-gate:
 	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run=^$$ . \
 		| $(GO) run ./cmd/benchgate -baseline BENCH_5.json -emit BENCH_5.current.json \

@@ -33,10 +33,12 @@
 //     the way, and a child is built the first time a shot draws its
 //     outcome — a clone of the parent, projected, run up to the next
 //     draw. A later shot down the same history only draws and compares
-//     at each node. The amplitudes cached beyond the root stay below
-//     1<<18 (4 MiB); a shot that reaches a child past the cap copies its
-//     node into one scratch state and replays the rest of the circuit,
-//     so at 18 or more qubits every shot replays from the first draw.
+//     at each node. The tree's memory beyond the root stays below 1<<18
+//     complex128 values (4 MiB): each node is charged its amplitudes plus
+//     64 values for its headers, so no run builds more than 4096 nodes.
+//     A shot that reaches a child past the cap copies its node into one
+//     scratch state and replays the rest of the circuit, so at 18 or
+//     more qubits every shot replays from the first draw.
 //     The counts are exact: each shot makes the reference engine's
 //     draws in the same order, through the same quantum.DrawOutcome
 //     comparison, against P(1) values computed on bit-identical states.

@@ -61,8 +61,8 @@ const (
 	// kernels, a precompiled per-circuit op/matrix table and
 	// chunk-parallel amplitude application. Without noise it simulates
 	// each measurement-outcome history once, in a lazily built outcome
-	// tree whose cached amplitudes stay under a 4 MiB cap, so a later
-	// shot down the same history only draws and compares; or it samples
+	// tree whose memory, node headers included, stays under 4 MiB, so a
+	// later shot down the same history only draws and compares; or it samples
 	// the state in O(log dim) when nothing is measured. Seeded counts are
 	// identical to the reference engine: a shot makes the same draws
 	// against the same P(1) values on bit-identical states.

@@ -23,9 +23,10 @@ import (
 // on the way; its two children are built lazily, the first time a shot
 // draws that outcome. Every later shot that takes the same history only
 // draws and compares at each node, then counts the leaf's bits. The
-// amplitudes cached beyond the root stay below treeAmpCap; a shot that
-// reaches a child the cap keeps unbuilt replays the rest of the circuit
-// on one scratch state. A circuit with no measurement samples the
+// memory the tree holds beyond its root stays below treeAmpCap amplitudes
+// (4 MiB), each node charged its state plus treeNodeCost for its headers;
+// a shot that reaches a child the cap keeps unbuilt replays the rest of
+// the circuit on one scratch state. A circuit with no measurement samples the
 // executed state through the cumulative-distribution binary-search
 // sampler instead. Noisy runs replay the whole circuit per shot, since
 // noise draws come between the measurements.
@@ -100,19 +101,27 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 	return res, nil
 }
 
-// treeAmpCap bounds the amplitudes a perfect run's outcome tree caches
-// beyond its root: the cached total stays below 1<<18 complex128 values
-// (4 MiB). At 18 or more qubits no inner node fits, so every shot
-// replays the circuit from the root's first draw on.
-const treeAmpCap = 1 << 18
+// treeAmpCap bounds what a perfect run's outcome tree holds beyond its
+// root, in complex128 values: every node built is charged treeNodeCost,
+// an inner node its state's amplitudes on top, and the total stays below
+// 1<<18 (4 MiB). A node's own headers — the outcomeNode and the State —
+// take well under treeNodeCost values (1 KiB), so the bound holds for the
+// tree's whole footprint, and no run builds more than 4096 nodes. At 18
+// or more qubits no inner node fits, so every shot replays the circuit
+// from the root's first draw on.
+const (
+	treeAmpCap   = 1 << 18
+	treeNodeCost = 64
+)
 
 // outcomeNode is one measurement-outcome history of a perfect run. An
-// inner node holds the state just before the history's next draw, that
-// draw's P(1) and the bits measured so far; a leaf, past the last draw,
-// holds only the bits. child[b] follows outcome b, nil until a shot first
-// draws it.
+// inner node holds the state just before the history's next draw, the
+// index at of that draw op, its P(1) and the bits measured so far; a
+// leaf, past the last draw, holds only the bits and at == len(ops).
+// child[b] follows outcome b, nil until a shot first draws it.
 type outcomeNode struct {
 	st    *quantum.State
+	at    int
 	p1    float64
 	bits  int
 	child [2]*outcomeNode
@@ -124,28 +133,29 @@ type outcomeNode struct {
 // State.MeasureQubit makes) and building a missing child on first visit.
 // Once the cap stops a child from being built, the shot copies its node
 // into one scratch state, applies the outcome and replays the remaining
-// ops with executeOnce.
-func (p *denseProgram) runTree(res *Result, shots int, env *ExecEnv) {
+// ops with executeOnce. It returns the tree's root.
+func (p *denseProgram) runTree(res *Result, shots int, env *ExecEnv) *outcomeNode {
 	st := newDenseState(p.numQubits, env)
 	bits := 0
-	p.executeOnce(st, p.ops[:p.draws[0]], env, &bits)
-	root := &outcomeNode{st: st, p1: st.ProbOne(p.ops[p.draws[0]].qubits[0])}
+	at := p.nextDraw(0)
+	p.executeOnce(st, p.ops[:at], env, &bits)
+	root := &outcomeNode{st: st, at: at, p1: st.ProbOne(p.ops[at].qubits[0])}
 	cached := 0
 	var scratch *quantum.State
 shots:
 	for i := 0; i < shots; i++ {
 		n := root
-		for k, at := range p.draws {
+		for n.at < len(p.ops) {
 			b := quantum.DrawOutcome(env.Rng, n.p1)
 			next := n.child[b]
 			if next == nil {
-				if next = p.grow(n, k, b, env, &cached); next == nil {
+				if next = p.grow(n, b, env, &cached); next == nil {
 					if scratch == nil {
 						scratch = newDenseState(p.numQubits, env)
 					}
 					scratch.CopyFrom(n.st)
-					bits := p.collapse(scratch, at, b, n.bits)
-					p.executeOnce(scratch, p.ops[at+1:], env, &bits)
+					bits := p.collapse(scratch, &p.ops[n.at], b, n.bits, env)
+					p.executeOnce(scratch, p.ops[n.at+1:], env, &bits)
 					res.Counts[bits]++
 					continue shots
 				}
@@ -155,50 +165,64 @@ shots:
 		}
 		res.Counts[n.bits]++
 	}
+	return root
 }
 
-// grow builds the child of parent, the node at draw k, for outcome b: a
-// leaf after the last draw, else a clone of the parent's state with the
+// grow builds the child of the inner node parent for outcome b: a leaf
+// after the last draw, else a clone of the parent's state with the
 // outcome applied and the draw-free ops up to the next draw executed. It
-// returns nil when the clone would take the cached amplitudes to the
-// cap.
-func (p *denseProgram) grow(parent *outcomeNode, k, b int, env *ExecEnv, cached *int) *outcomeNode {
-	at := p.draws[k]
-	if k+1 == len(p.draws) {
-		return &outcomeNode{bits: p.record(at, b, parent.bits)}
+// returns nil when the node would take the tree's charge (treeAmpCap) to
+// the cap.
+func (p *denseProgram) grow(parent *outcomeNode, b int, env *ExecEnv, cached *int) *outcomeNode {
+	op := &p.ops[parent.at]
+	next := p.nextDraw(parent.at + 1)
+	leaf := next == len(p.ops)
+	cost := treeNodeCost
+	if !leaf {
+		cost += parent.st.Dim()
 	}
-	dim := parent.st.Dim()
-	if *cached+dim >= treeAmpCap {
+	if *cached+cost >= treeAmpCap {
 		return nil
 	}
-	*cached += dim
-	st := parent.st.Clone()
-	bits := p.collapse(st, at, b, parent.bits)
-	next := p.draws[k+1]
-	p.executeOnce(st, p.ops[at+1:next], env, &bits)
-	return &outcomeNode{st: st, p1: st.ProbOne(p.ops[next].qubits[0]), bits: bits}
-}
-
-// collapse applies outcome b of the draw op at index at to st — the
-// projection, and for prep_z the flip back to |0> — and returns bits as
-// that op leaves them.
-func (p *denseProgram) collapse(st *quantum.State, at, b, bits int) int {
-	q := p.ops[at].qubits[0]
-	st.ProjectQubit(q, b)
-	if p.ops[at].kind == kPrepZ && b == 1 {
-		st.ApplyX(q)
+	*cached += cost
+	if leaf {
+		return &outcomeNode{at: next, bits: p.collapse(nil, op, b, parent.bits, env)}
 	}
-	return p.record(at, b, bits)
+	st := parent.st.Clone()
+	bits := p.collapse(st, op, b, parent.bits, env)
+	p.executeOnce(st, p.ops[parent.at+1:next], env, &bits)
+	return &outcomeNode{st: st, at: next, p1: st.ProbOne(p.ops[next].qubits[0]), bits: bits}
 }
 
-// record returns bits with outcome b of the draw op at index at
-// recorded: a measure sets its qubit's bit to b, a prep_z records
-// nothing.
-func (p *denseProgram) record(at, b, bits int) int {
-	if p.ops[at].kind != kMeasure {
+// nextDraw returns the index of the first op at or after from that draws
+// from the PRNG on the perfect path — a measure or prep_z — or len(ops).
+func (p *denseProgram) nextDraw(from int) int {
+	for from < len(p.ops) && p.ops[from].kind != kMeasure && p.ops[from].kind != kPrepZ {
+		from++
+	}
+	return from
+}
+
+// collapse is what outcome b of the draw op (a measure or prep_z) does:
+// it projects st onto b, flips a prep_z's 1 back to |0>, and returns bits
+// as the op leaves them — a measure sets its qubit's bit to b, after the
+// readout flip on noisy runs; a prep_z records nothing. A nil st (an
+// outcome-tree leaf, which keeps no state) updates only the bits.
+func (p *denseProgram) collapse(st *quantum.State, op *denseOp, b, bits int, env *ExecEnv) int {
+	q := op.qubits[0]
+	if st != nil {
+		st.ProjectQubit(q, b)
+		if op.kind == kPrepZ && b == 1 {
+			st.ApplyX(q)
+		}
+	}
+	if op.kind != kMeasure {
 		return bits
 	}
-	return withBit(bits, p.ops[at].qubits[0], b)
+	if env.noisy() {
+		b = flipReadoutBit(env, b)
+	}
+	return withBit(bits, q, b)
 }
 
 // withBit returns the measured-bits mask with qubit q's bit set to b.
@@ -256,9 +280,6 @@ type denseProgram struct {
 	numQubits  int
 	ops        []denseOp
 	hasMeasure bool
-	// draws indexes, in order, the ops that consume PRNG on the perfect
-	// path (measure and prep_z): the levels of the outcome tree.
-	draws []int
 }
 
 // compileDense lowers a validated circuit into the engine's op table,
@@ -303,7 +324,6 @@ func (p *denseProgram) lower(g circuit.Gate) error {
 		qubits := make([]int, p.numQubits)
 		for q := range qubits {
 			qubits[q] = q
-			p.draws = append(p.draws, len(p.ops))
 			p.ops = append(p.ops, denseOp{kind: kMeasure, qubits: qubits[q : q+1]})
 			p.hasMeasure = true
 		}
@@ -362,9 +382,6 @@ func (p *denseProgram) lower(g circuit.Gate) error {
 		op.kind = kGeneric
 		op.mat = m
 	}
-	if op.kind == kMeasure || op.kind == kPrepZ {
-		p.draws = append(p.draws, len(p.ops))
-	}
 	p.ops = append(p.ops, op)
 	return nil
 }
@@ -381,18 +398,9 @@ func (p *denseProgram) executeOnce(st *quantum.State, ops []denseOp, env *ExecEn
 	for i := range ops {
 		op := &ops[i]
 		switch op.kind {
-		case kMeasure:
-			q := op.qubits[0]
-			b := st.MeasureQubit(q, env.Rng)
-			if noisy {
-				b = flipReadoutBit(env, b)
-			}
-			*bits = withBit(*bits, q, b)
-		case kPrepZ:
-			q := op.qubits[0]
-			if st.MeasureQubit(q, env.Rng) == 1 {
-				st.ApplyX(q)
-			}
+		case kMeasure, kPrepZ:
+			b := quantum.DrawOutcome(env.Rng, st.ProbOne(op.qubits[0]))
+			*bits = p.collapse(st, op, b, *bits, env)
 		case kWait:
 			if noisy {
 				applyEnvWait(env, st, p.numQubits, op.cycles)

@@ -358,6 +358,46 @@ func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 	}
 }
 
+// The outcome tree charges every node a fixed header cost on top of its
+// amplitudes, so a narrow circuit with many mid-circuit measurements —
+// far more distinct histories than shots on a tiny state — stops at
+// treeAmpCap/treeNodeCost nodes and replays the rest per shot, instead
+// of caching a node per history step. Counts stay the reference's.
+func TestOutcomeTreeNodeBound(t *testing.T) {
+	const shots = 2048
+	c := circuit.New("coin-flips", 1)
+	for i := 0; i < 40; i++ {
+		c.H(0).Measure(0)
+	}
+	p, err := compileDense(c, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Counts: map[int]int{}}
+	root := p.runTree(res, shots, &ExecEnv{Rng: rand.New(rand.NewSource(1))})
+	nodes := 0
+	var walk func(n *outcomeNode)
+	walk = func(n *outcomeNode) {
+		for _, ch := range n.child {
+			if ch != nil {
+				nodes++
+				walk(ch)
+			}
+		}
+	}
+	walk(root)
+	if limit := treeAmpCap / treeNodeCost; nodes >= limit {
+		t.Errorf("the tree holds %d nodes beyond its root, want fewer than %d", nodes, limit)
+	}
+	want, err := NewWithEngine(1, Reference()).Run(c, shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Counts, want.Counts) {
+		t.Errorf("counts %v, reference %v", res.Counts, want.Counts)
+	}
+}
+
 // And on noisy circuits: the per-shot trajectory path must consume the
 // PRNG identically gate for gate.
 func TestEnginesAgreeOnNoisyCircuits(t *testing.T) {
