@@ -23,6 +23,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/cqasm"
 	"repro/internal/embed"
 	"repro/internal/eqasm"
 	"repro/internal/genome"
@@ -848,6 +849,124 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	b.ReportMetric(float64(len(compiled.Circuit.Gates)), "gates")
 	report("E19 pass-manager compile pipeline (QFT-8 on Surface-17, lookahead routing)",
 		compiled.Report.String())
+}
+
+// coldStack is the cold benchmark mix's device as a stack: a 7-qubit
+// transmon patch with the superconducting preset's gate set and timings
+// and a zero-error calibration, so every job runs the realistic path
+// (eQASM through the micro-architecture) without drawing noise.
+func coldStack(tb testing.TB) *core.Stack {
+	tb.Helper()
+	topo := topology.New("transmon7", 7)
+	for _, e := range [][2]int{{0, 2}, {0, 3}, {1, 3}, {1, 4}, {2, 5}, {3, 5}, {3, 6}, {4, 6}} {
+		topo.AddEdge(e[0], e[1])
+	}
+	stack, err := core.NewStackForDevice(&target.Device{
+		Name:        "transmon7",
+		NumQubits:   7,
+		CycleTimeNs: 20,
+		Gates:       target.NISQGates(1, 2, 15, 10),
+		Topology:    topo,
+		Calibration: target.Uniform(7, topo, target.QubitCalibration{}, 0),
+	}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stack.KernelWorkers = 1
+	return stack
+}
+
+// coldJobCQASM renders one request of the cold mix: a 5-qubit QFT
+// without final swaps on a random basis state, each qubit's phase undone
+// by an rz and an h, a random X mask on top, every qubit measured, and a
+// random phase on the fresh qubit 0 in front that makes the text unique.
+func coldJobCQASM(rng *rand.Rand) string {
+	const n = 5
+	var b strings.Builder
+	fmt.Fprintf(&b, "version 1.0\nqubits %d\n.cold\nrz q[0], %.17g\n", n, rng.Float64()*2*math.Pi)
+	in := make([]bool, n)
+	for q := range in {
+		if in[q] = rng.Intn(2) == 1; in[q] {
+			fmt.Fprintf(&b, "x q[%d]\n", q)
+		}
+	}
+	for j := 0; j < n; j++ {
+		fmt.Fprintf(&b, "h q[%d]\n", j)
+		for k := j + 1; k < n; k++ {
+			fmt.Fprintf(&b, "cr q[%d], q[%d], %.17g\n", k, j, math.Pi/float64(int(1)<<(k-j)))
+		}
+	}
+	for j := 0; j < n; j++ {
+		var phi float64
+		for k := j; k < n; k++ {
+			if in[k] {
+				phi += math.Pi / float64(int(1)<<(k-j))
+			}
+		}
+		fmt.Fprintf(&b, "rz q[%d], %.17g\nh q[%d]\n", j, -phi, j)
+	}
+	for q := 0; q < n; q++ {
+		if rng.Intn(2) == 1 {
+			fmt.Fprintf(&b, "x q[%d]\n", q)
+		}
+	}
+	for q := 0; q < n; q++ {
+		fmt.Fprintf(&b, "measure q[%d]\n", q)
+	}
+	return b.String()
+}
+
+// coldJobShots is the shot count the cold mix gives each job.
+const coldJobShots = 16
+
+// parseColdJob turns a cold request's text into the program the service
+// compiles, the way qserv's gate backends do.
+func parseColdJob(tb testing.TB, text string) *openql.Program {
+	tb.Helper()
+	prog, err := cqasm.Parse(text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := prog.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	flat, err := prog.Flatten()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return openql.ProgramFromCircuit("cold", flat)
+}
+
+// BenchmarkColdJob is one job of the stackbench cold mix without the
+// service around it: parse the cQASM text, compile it through the whole
+// default pipeline (both cache levels miss), and run it at 16 shots
+// through eQASM and the micro-architecture. Run it with -benchmem: the
+// allocs/op figure is what benchgate holds.
+func BenchmarkColdJob(b *testing.B) {
+	stack := coldStack(b)
+	rng := rand.New(rand.NewSource(5))
+	texts := make([]string, 16)
+	for i := range texts {
+		texts[i] = coldJobCQASM(rng)
+	}
+	job := func(text string) {
+		prog := parseColdJob(b, text)
+		compiled, err := stack.Compile(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := stack.RunCompiled(compiled, prog.NumQubits, coldJobShots, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first compile on a device builds its routing tables; keep it
+	// out of the timed loop.
+	job(texts[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job(texts[i%len(texts)])
+	}
 }
 
 // E20 — the noise-aware mapping pass (ISSUE 4): hop-count routing versus
