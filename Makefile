@@ -99,6 +99,10 @@ bench-baseline:
 # $(MEASURED_VS_SAMPLED_CEILING)% of the measurement-free one and
 # BenchmarkEarlyMeasuredShots's batch that measures an idle qubit first
 # under $(EARLY_MEASURED_CEILING)% (the dense engine's outcome tree).
+# BenchmarkColdJob (one job of stackbench's cold mix: parse, compile, a
+# 16-shot run through the micro-architecture) is held by the relative
+# ns/op and allocs/op check; the tier-1 TestColdJobAllocs holds its
+# absolute allocation ceilings.
 bench-gate:
 	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run=^$$ . \
 		| $(GO) run ./cmd/benchgate -baseline BENCH_5.json -emit BENCH_5.current.json \

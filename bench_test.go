@@ -969,6 +969,44 @@ func BenchmarkColdJob(b *testing.B) {
 	}
 }
 
+// Allocation ceilings of one cold-mix job, from the counts measured
+// before the compile path stopped rebuilding circuits gate by gate
+// (6,594 allocations to compile, 1,917 to run): the compile must stay at
+// half or less, the run below.
+const (
+	coldCompileAllocCeiling = 6594 / 2
+	coldRunAllocCeiling     = 1917 - 1
+)
+
+// TestColdJobAllocs holds the lean cold path in place: a cold-mix job's
+// compile and its 16-shot run through the micro-architecture stay under
+// allocation ceilings.
+func TestColdJobAllocs(t *testing.T) {
+	stack := coldStack(t)
+	prog := parseColdJob(t, coldJobCQASM(rand.New(rand.NewSource(5))))
+	// The first compile also builds the device's routing tables.
+	compiled, err := stack.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := testing.AllocsPerRun(10, func() {
+		if _, err := stack.Compile(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run := testing.AllocsPerRun(10, func() {
+		if _, err := stack.RunCompiled(compiled, prog.NumQubits, coldJobShots, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if compile > coldCompileAllocCeiling {
+		t.Errorf("compiling a cold job takes %.0f allocations, ceiling %d", compile, coldCompileAllocCeiling)
+	}
+	if run > coldRunAllocCeiling {
+		t.Errorf("running a cold job takes %.0f allocations, ceiling %d", run, coldRunAllocCeiling)
+	}
+}
+
 // E20 — the noise-aware mapping pass (ISSUE 4): hop-count routing versus
 // calibration-weighted routing on a Surface-17 device with skewed edge
 // errors. Reports routing cost (swaps) and the expected-success-

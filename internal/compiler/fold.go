@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -18,18 +19,17 @@ import (
 //	rz q[0]; cnot q[0], q[1]; rz q[0]
 //
 // fold into one rotation. Folding runs to a fixpoint together with
-// zero-angle removal; the input circuit is not modified.
+// zero-angle removal; the input circuit is not modified (a folded
+// rotation gets fresh parameter slices before its angle changes).
 func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
-	gates := make([]circuit.Gate, len(c.Gates))
-	for i, g := range c.Gates {
-		gates[i] = g.Clone()
-	}
+	gates := slices.Clone(c.Gates)
 	removed := make([]bool, len(gates))
 	for i := 0; i < len(gates); i++ {
 		if removed[i] || gates[i].Name != "rz" || gates[i].HasCond {
 			continue
 		}
 		q := gates[i].Qubits[0]
+		owned := false
 	scan:
 		for j := i + 1; j < len(gates); j++ {
 			if removed[j] {
@@ -49,6 +49,10 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 				break
 			}
 			if o.Name == "rz" && o.Qubits[0] == q {
+				if !owned {
+					ownParams(&gates[i])
+					owned = true
+				}
 				if gates[i].Symbolic(0) || o.Symbolic(0) {
 					// Folding symbolic with literal z-rotations keeps a
 					// symbolic sum; literals land in the constant term.
@@ -64,7 +68,7 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 			}
 		}
 	}
-	out := circuit.New(c.Name, c.NumQubits)
+	out := gates[:0]
 	for i, g := range gates {
 		if removed[i] {
 			continue
@@ -72,9 +76,9 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 		if g.Name == "rz" && !g.HasCond && !g.Symbolic(0) && math.Abs(normalizeAngle(g.Params[0])) < 1e-12 {
 			continue
 		}
-		out.AddGate(g)
+		out = append(out, g)
 	}
-	return out
+	return &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: out}
 }
 
 // zCommute describes on which operand positions a unitary gate commutes

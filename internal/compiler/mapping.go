@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -101,7 +102,7 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 			mp[q] = q
 		}
 		return &MapResult{
-			Circuit:       c.Clone(),
+			Circuit:       &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: slices.Clone(c.Gates)},
 			InitialLayout: layout,
 			FinalLayout:   append([]int(nil), layout...),
 			LatencyFactor: 1,
@@ -129,7 +130,25 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 	p2l := invert(l2p, topo.N)
 	initial := append([]int(nil), l2p...)
 
-	out := circuit.New(c.Name+"_mapped", topo.N)
+	// Every input gate is emitted with its operands remapped, so their
+	// slices are cut from one array; parameter slices are shared.
+	gates := make([]circuit.Gate, 0, len(c.Gates))
+	operands := 0
+	for _, g := range c.Gates {
+		operands += len(g.Qubits)
+	}
+	arena := make([]int, operands)
+	remap := func(g circuit.Gate) circuit.Gate {
+		if n := len(g.Qubits); n > 0 {
+			qs := arena[:n:n]
+			arena = arena[n:]
+			for i, q := range g.Qubits {
+				qs[i] = l2p[q]
+			}
+			g.Qubits = qs
+		}
+		return g
+	}
 	swaps := 0
 	// Pre-extract the positions of two-qubit gates for lookahead.
 	var upcoming []twoQ
@@ -160,10 +179,7 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 		}
 		if !g.IsTwoQubit() {
 			// Remap operands and emit; record measurement bindings.
-			ng := g.Clone()
-			for i, q := range ng.Qubits {
-				ng.Qubits[i] = l2p[q]
-			}
+			ng := remap(g)
 			switch g.Name {
 			case circuit.OpMeasure:
 				measurePhys[g.Qubits[0]] = ng.Qubits[0]
@@ -173,7 +189,7 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 				}
 			}
 			bindCond(&ng, g)
-			out.AddGate(ng)
+			gates = append(gates, ng)
 			continue
 		}
 		la, lb := g.Qubits[0], g.Qubits[1]
@@ -191,16 +207,16 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 			if m.score != nil && m.score(l2p, cur, upcoming[nextTwoQ:], stepB) < m.score(l2p, cur, upcoming[nextTwoQ:], stepA) {
 				chosen = stepB
 			}
-			out.SWAP(chosen[0], chosen[1])
+			gates = append(gates, circuit.Gate{Name: "swap", Qubits: []int{chosen[0], chosen[1]}})
 			swaps++
 			applySwap(l2p, p2l, chosen[0], chosen[1])
 			pa, pb = l2p[la], l2p[lb]
 		}
-		ng := g.Clone()
-		ng.Qubits[0], ng.Qubits[1] = pa, pb
+		ng := remap(g)
 		bindCond(&ng, g)
-		out.AddGate(ng)
+		gates = append(gates, ng)
 	}
+	out := &circuit.Circuit{Name: c.Name + "_mapped", NumQubits: topo.N, Gates: gates}
 
 	origDepth := c.Depth()
 	factor := 1.0

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -10,15 +11,19 @@ import (
 // adjacent self-inverse pairs, merging of consecutive rotations about the
 // same axis, and removal of identity gates and zero-angle rotations.
 // "Adjacent" means no intervening gate touches any of the pair's qubits.
+// The input is not modified: Optimize copies the gate list once and
+// filters that copy in place, giving a merged rotation fresh parameter
+// slices before it changes them.
 func Optimize(c *circuit.Circuit) *circuit.Circuit {
-	out := c.Clone()
+	gates := slices.Clone(c.Gates)
+	removed := make([]bool, len(gates))
 	for {
-		n := len(out.Gates)
-		out = cancelPairs(out)
-		out = mergeRotations(out)
-		out = dropIdentities(out)
-		if len(out.Gates) == n {
-			return out
+		n := len(gates)
+		gates = cancelPairs(gates, removed[:len(gates)])
+		gates = mergeRotations(gates, removed[:len(gates)])
+		gates = dropIdentities(gates)
+		if len(gates) == n {
+			return &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: gates}
 		}
 	}
 }
@@ -37,18 +42,14 @@ var rotationGates = map[string]bool{"rx": true, "ry": true, "rz": true, "phase":
 // nextOnQubits returns the index of the first gate after i that shares a
 // qubit with g, or -1. blocked reports whether a non-unitary op intervened.
 func nextOnQubits(gates []circuit.Gate, i int) (int, bool) {
-	g := gates[i]
-	qset := map[int]bool{}
-	for _, q := range g.Qubits {
-		qset[q] = true
-	}
+	qs := gates[i].Qubits
 	for j := i + 1; j < len(gates); j++ {
 		other := gates[j]
 		if other.Name == circuit.OpBarrier || other.Name == circuit.OpMeasureAll {
 			return j, true
 		}
 		for _, q := range other.Qubits {
-			if qset[q] {
+			if slices.Contains(qs, q) {
 				return j, !other.IsUnitary()
 			}
 		}
@@ -56,21 +57,21 @@ func nextOnQubits(gates []circuit.Gate, i int) (int, bool) {
 	return -1, false
 }
 
-func sameOperands(a, b circuit.Gate) bool {
-	if len(a.Qubits) != len(b.Qubits) {
-		return false
-	}
-	for i := range a.Qubits {
-		if a.Qubits[i] != b.Qubits[i] {
-			return false
+// compact drops the gates marked removed, in place, and clears the marks.
+func compact(gates []circuit.Gate, removed []bool) []circuit.Gate {
+	out := gates[:0]
+	for i, g := range gates {
+		if !removed[i] {
+			out = append(out, g)
 		}
+		removed[i] = false
 	}
-	return true
+	return out
 }
 
-func cancelPairs(c *circuit.Circuit) *circuit.Circuit {
-	gates := c.Gates
-	removed := make([]bool, len(gates))
+// cancelPairs removes adjacent self-inverse pairs; removed is cleared
+// scratch space, one flag per gate.
+func cancelPairs(gates []circuit.Gate, removed []bool) []circuit.Gate {
 	for i := 0; i < len(gates); i++ {
 		if removed[i] {
 			continue
@@ -88,63 +89,67 @@ func cancelPairs(c *circuit.Circuit) *circuit.Circuit {
 		if other.HasCond {
 			continue // conditional gates fire data-dependently; keep both
 		}
-		if other.Name == inv && sameOperands(g, other) {
+		if other.Name == inv && slices.Equal(g.Qubits, other.Qubits) {
 			removed[i], removed[j] = true, true
 		}
 	}
-	out := circuit.New(c.Name, c.NumQubits)
-	for i, g := range gates {
-		if !removed[i] {
-			out.AddGate(g)
-		}
-	}
-	return out
+	return compact(gates, removed)
 }
 
-func mergeRotations(c *circuit.Circuit) *circuit.Circuit {
-	gates := c.Gates
-	removed := make([]bool, len(gates))
-	out := circuit.New(c.Name, c.NumQubits)
+// mergeRotations folds each rotation's following same-kind rotations on
+// the same operands into it; removed is cleared scratch space.
+func mergeRotations(gates []circuit.Gate, removed []bool) []circuit.Gate {
 	for i := 0; i < len(gates); i++ {
 		if removed[i] {
 			continue
 		}
-		g := gates[i].Clone()
-		if rotationGates[g.Name] && !g.HasCond {
-			// Absorb following rotations of the same kind on the same
-			// operands. pos tracks the scan position without disturbing
-			// the outer loop, so skipped-over gates on other qubits are
-			// still emitted in order.
-			pos := i
-			for {
-				j, blocked := nextOnQubits(gates, pos)
-				if j < 0 || blocked || removed[j] {
-					break
-				}
-				other := gates[j]
-				if other.Name != g.Name || !sameOperands(g, other) || other.HasCond {
-					break
-				}
-				if g.Symbolic(0) || other.Symbolic(0) {
-					// Merging a symbolic slot keeps the sum symbolic (a
-					// literal contributes to the constant term), so the
-					// bind table stays exact across the merge.
-					setSlot(&g, 0, slotExpr(g, 0).Add(slotExpr(other, 0)))
-				} else {
-					g.Params[0] += other.Params[0]
-				}
-				removed[j] = true
-				pos = j
-			}
+		g := &gates[i]
+		if !rotationGates[g.Name] || g.HasCond {
+			continue
 		}
-		out.AddGate(g)
+		// Absorb following rotations of the same kind on the same
+		// operands. pos tracks the scan position without disturbing the
+		// outer loop, so skipped-over gates on other qubits stay in order.
+		owned := false
+		pos := i
+		for {
+			j, blocked := nextOnQubits(gates, pos)
+			if j < 0 || blocked || removed[j] {
+				break
+			}
+			other := gates[j]
+			if other.Name != g.Name || !slices.Equal(g.Qubits, other.Qubits) || other.HasCond {
+				break
+			}
+			if !owned {
+				ownParams(g)
+				owned = true
+			}
+			if g.Symbolic(0) || other.Symbolic(0) {
+				// Merging a symbolic slot keeps the sum symbolic (a
+				// literal contributes to the constant term), so the
+				// bind table stays exact across the merge.
+				setSlot(g, 0, slotExpr(*g, 0).Add(slotExpr(other, 0)))
+			} else {
+				g.Params[0] += other.Params[0]
+			}
+			removed[j] = true
+			pos = j
+		}
 	}
-	return out
+	return compact(gates, removed)
 }
 
-func dropIdentities(c *circuit.Circuit) *circuit.Circuit {
-	out := circuit.New(c.Name, c.NumQubits)
-	for _, g := range c.Gates {
+// ownParams gives g fresh parameter slices, so a pass may rewrite them
+// without touching the gate it was copied from.
+func ownParams(g *circuit.Gate) {
+	g.Params = slices.Clone(g.Params)
+	g.Exprs = slices.Clone(g.Exprs)
+}
+
+func dropIdentities(gates []circuit.Gate) []circuit.Gate {
+	out := gates[:0]
+	for _, g := range gates {
 		// Identities are no-ops whether or not they are conditional.
 		if g.Name == "i" {
 			continue
@@ -154,7 +159,7 @@ func dropIdentities(c *circuit.Circuit) *circuit.Circuit {
 		if rotationGates[g.Name] && !g.Symbolic(0) && math.Abs(normalizeAngle(g.Params[0])) < 1e-12 {
 			continue
 		}
-		out.AddGate(g)
+		out = append(out, g)
 	}
 	return out
 }

@@ -14,6 +14,14 @@ import (
 // stateless — one table entry is shared by every concurrent compilation —
 // with all per-run configuration read from the context, the pass's spec
 // options included.
+//
+// A pass mutates only what it allocated during this compile. Its input
+// circuit may be the caller's program, a prefix-cache entry or part of
+// a cached artefact, all shared across goroutines, so a pass builds its
+// output as new gate slices, may copy gate values into them (sharing
+// their operand and parameter slices), and gives a gate fresh slices
+// before changing its operands or parameters. Artefacts are immutable
+// once returned.
 type Pass interface {
 	Name() string
 	Run(ctx *PassContext) error

@@ -20,9 +20,9 @@ import (
 // PrefixArtefact is the output of one kernel's run through a pipeline's
 // platform-generic prefix: the rewritten circuit plus the per-pass
 // metrics recorded while building it. Artefacts are shared across
-// compilations by the prefix cache and must be treated as immutable —
-// consumers concatenate via circuit.Append, which deep-copies gates, and
-// never rewrite the stored circuit in place.
+// compilations by the prefix cache and are immutable: consumers copy the
+// stored gates by value into their own slices, and the passes that read
+// them never rewrite a gate they did not allocate (see Pass).
 type PrefixArtefact struct {
 	// Circuit is the kernel circuit after the prefix passes; immutable.
 	Circuit *circuit.Circuit

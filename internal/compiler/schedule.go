@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -42,73 +43,50 @@ type Schedule struct {
 	Makespan  int             // total cycles
 }
 
-// Bundles groups scheduled gates by start cycle, in cycle order —
-// the bundle view matches cQASM's { g | g } syntax and eQASM's
-// instruction bundles.
-func (s *Schedule) Bundles() map[int][]ScheduledGate {
-	out := map[int][]ScheduledGate{}
-	for _, sg := range s.Gates {
-		out[sg.Cycle] = append(out[sg.Cycle], sg)
-	}
-	return out
-}
-
-// Cycles returns the sorted list of start cycles that have gates.
-func (s *Schedule) Cycles() []int {
-	set := map[int]bool{}
-	for _, sg := range s.Gates {
-		set[sg.Cycle] = true
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ScheduleCircuit assigns start cycles to every gate of c under the
 // platform's gate durations, the qubit-dependency constraint, and the
 // platform's control-channel limit (MaxParallelOps). Barriers synchronise
-// all qubits.
+// all qubits. Scheduled gates share their operand and parameter slices
+// with c's gates.
 func ScheduleCircuit(c *circuit.Circuit, p *Platform, policy Policy) (*Schedule, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	asap := scheduleASAP(c, p)
 	if policy == ASAP {
-		return asap, nil
+		return scheduleASAP(c.Gates, c.NumQubits, p), nil
 	}
 	// ALAP: schedule the reversed gate list ASAP, then mirror the times
 	// inside the same makespan.
-	rev := circuit.New(c.Name, c.NumQubits)
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		rev.AddGate(c.Gates[i].Clone())
-	}
-	revSched := scheduleASAP(rev, p)
+	rev := slices.Clone(c.Gates)
+	slices.Reverse(rev)
+	revSched := scheduleASAP(rev, c.NumQubits, p)
 	makespan := revSched.Makespan
 	out := &Schedule{NumQubits: c.NumQubits, Policy: ALAP, Makespan: makespan}
 	// revSched.Gates[i] corresponds to c.Gates[len-1-i].
 	n := len(c.Gates)
 	out.Gates = make([]ScheduledGate, n)
 	for i, sg := range revSched.Gates {
-		mirrored := ScheduledGate{
+		out.Gates[n-1-i] = ScheduledGate{
 			Gate:     sg.Gate,
 			Duration: sg.Duration,
 			Cycle:    makespan - sg.Cycle - sg.Duration,
 		}
-		out.Gates[n-1-i] = mirrored
 	}
-	sort.SliceStable(out.Gates, func(i, j int) bool { return out.Gates[i].Cycle < out.Gates[j].Cycle })
+	sortByCycle(out.Gates)
 	return out, nil
 }
 
-func scheduleASAP(c *circuit.Circuit, p *Platform) *Schedule {
-	qubitFree := make([]int, c.NumQubits) // first free cycle per qubit
+// sortByCycle orders scheduled gates by start cycle, stably.
+func sortByCycle(gates []ScheduledGate) {
+	slices.SortStableFunc(gates, func(a, b ScheduledGate) int { return a.Cycle - b.Cycle })
+}
+
+func scheduleASAP(gates []circuit.Gate, numQubits int, p *Platform) *Schedule {
+	qubitFree := make([]int, numQubits) // first free cycle per qubit
 	// busy[cycle] counts operations executing in that cycle, for the
-	// control-channel constraint.
-	busy := map[int]int{}
-	out := &Schedule{NumQubits: c.NumQubits, Policy: ASAP}
+	// control-channel constraint; it grows with the schedule.
+	var busy []int
+	out := &Schedule{NumQubits: numQubits, Policy: ASAP, Gates: make([]ScheduledGate, 0, len(gates))}
 	allFree := func() int {
 		max := 0
 		for _, f := range qubitFree {
@@ -118,7 +96,7 @@ func scheduleASAP(c *circuit.Circuit, p *Platform) *Schedule {
 		}
 		return max
 	}
-	for _, g := range c.Gates {
+	for _, g := range gates {
 		dur := p.Duration(g.Name)
 		var start int
 		var qubits []int
@@ -151,7 +129,7 @@ func scheduleASAP(c *circuit.Circuit, p *Platform) *Schedule {
 		if p.MaxParallelOps > 0 {
 			for {
 				ok := true
-				for t := start; t < start+dur; t++ {
+				for t := start; t < start+dur && t < len(busy); t++ {
 					if busy[t] >= p.MaxParallelOps {
 						ok = false
 						break
@@ -161,6 +139,9 @@ func scheduleASAP(c *circuit.Circuit, p *Platform) *Schedule {
 					break
 				}
 				start++
+			}
+			if end := start + dur; end > len(busy) {
+				busy = append(busy, make([]int, end-len(busy))...)
 			}
 			for t := start; t < start+dur; t++ {
 				busy[t]++
@@ -179,9 +160,9 @@ func scheduleASAP(c *circuit.Circuit, p *Platform) *Schedule {
 		if end > out.Makespan {
 			out.Makespan = end
 		}
-		out.Gates = append(out.Gates, ScheduledGate{Gate: g.Clone(), Cycle: start, Duration: dur})
+		out.Gates = append(out.Gates, ScheduledGate{Gate: g, Cycle: start, Duration: dur})
 	}
-	sort.SliceStable(out.Gates, func(i, j int) bool { return out.Gates[i].Cycle < out.Gates[j].Cycle })
+	sortByCycle(out.Gates)
 	return out
 }
 

@@ -2,8 +2,8 @@ package eqasm
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/compiler"
@@ -14,24 +14,55 @@ import (
 // one masked operation; mask registers are allocated with reuse; bundle
 // pre-intervals encode the schedule's timing. This is the cQASM→eQASM
 // back-end pass of §3.1.
+//
+// The schedule's gates are sorted by cycle, so each bundle is one
+// contiguous run of them. The program's operations and mask contents are
+// cut from backing arrays sized by the schedule, and its ops share their
+// parameter slices with the scheduled gates.
 func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 	prog := &Program{Name: "assembled", NumQubits: s.NumQubits}
-	salloc := newMaskAlloc(NumSRegs)
-	talloc := newMaskAlloc(NumTRegs)
+	salloc := newMaskAlloc[int](NumSRegs)
+	talloc := newMaskAlloc[[2]int](NumTRegs)
 
-	cycles := s.Cycles()
-	bundles := s.Bundles()
-	prevIssue := 0
-	for ci, cycle := range cycles {
-		// Group this cycle's gates by opcode+params.
-		type groupKey struct {
-			name   string
-			params string
-			twoQ   bool
+	cycles, operands, pairCount := 0, 0, 0
+	for i, sg := range s.Gates {
+		if i == 0 || sg.Cycle != s.Gates[i-1].Cycle {
+			cycles++
 		}
-		groups := map[groupKey][]circuit.Gate{}
-		var order []groupKey
-		for _, sg := range bundles[cycle] {
+		switch {
+		case sg.Gate.Name == circuit.OpMeasureAll:
+			operands += s.NumQubits
+		case len(sg.Gate.Qubits) == 2:
+			pairCount++
+		default:
+			operands += len(sg.Gate.Qubits)
+		}
+	}
+	prog.Instrs = make([]Instr, 0, 2*cycles+1)
+	ops := make([]QOp, 0, len(s.Gates))
+	qubits := make([]int, 0, operands)
+	pairs := make([][2]int, 0, pairCount)
+
+	// groups are one bundle's distinct (opcode, parameters) operations in
+	// order of first appearance; member[i] is the group of run[i].
+	type group struct {
+		name  string
+		twoQ  bool
+		first circuit.Gate
+	}
+	var groups []group
+	var member []int
+	prevIssue := 0
+	for start := 0; start < len(s.Gates); {
+		cycle := s.Gates[start].Cycle
+		end := start + 1
+		for end < len(s.Gates) && s.Gates[end].Cycle == cycle {
+			end++
+		}
+		run := s.Gates[start:end]
+		start = end
+		groups, member = groups[:0], member[:0]
+		for _, sg := range run {
 			g := sg.Gate
 			name, twoQ, err := opcodeFor(g)
 			if err != nil {
@@ -40,62 +71,70 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 			if len(p.Gates) > 0 && g.IsUnitary() && !p.Supports(g.Name) {
 				return nil, fmt.Errorf("eqasm: gate %q is not primitive on platform %s; decompose first", g.Name, p.Name)
 			}
-			key := groupKey{name: name, params: gateParamsKey(g), twoQ: twoQ}
-			if _, seen := groups[key]; !seen {
-				order = append(order, key)
+			k := slices.IndexFunc(groups, func(gr group) bool {
+				return gr.name == name && gr.twoQ == twoQ && sameParams(gr.first, g)
+			})
+			if k < 0 {
+				k = len(groups)
+				groups = append(groups, group{name: name, twoQ: twoQ, first: g})
 			}
-			groups[key] = append(groups[key], g)
+			member = append(member, k)
 		}
-		if len(order) == 0 {
-			continue
-		}
-		var ops []QOp
-		for _, key := range order {
-			gs := groups[key]
-			if key.twoQ {
-				pairs := make([][2]int, len(gs))
-				for i, g := range gs {
-					pairs[i] = [2]int{g.Qubits[0], g.Qubits[1]}
-				}
-				sort.Slice(pairs, func(a, b int) bool {
-					if pairs[a][0] != pairs[b][0] {
-						return pairs[a][0] < pairs[b][0]
+		opsStart := len(ops)
+		for k, gr := range groups {
+			op := QOp{Name: gr.name, TwoQ: gr.twoQ, Params: gr.first.Params, Exprs: gr.first.Exprs}
+			if gr.twoQ {
+				from := len(pairs)
+				for i, sg := range run {
+					if member[i] == k {
+						pairs = append(pairs, [2]int{sg.Gate.Qubits[0], sg.Gate.Qubits[1]})
 					}
-					return pairs[a][1] < pairs[b][1]
-				})
-				reg, fresh := talloc.get(pairsKey(pairs))
-				if fresh {
-					prog.Instrs = append(prog.Instrs, SMIT{Reg: reg, Pairs: pairs})
 				}
-				ops = append(ops, QOp{Name: key.name, TwoQ: true, Reg: reg, Params: gs[0].Params, Exprs: gs[0].Exprs})
+				mask := pairs[from:len(pairs):len(pairs)]
+				slices.SortFunc(mask, func(a, b [2]int) int {
+					if a[0] != b[0] {
+						return a[0] - b[0]
+					}
+					return a[1] - b[1]
+				})
+				reg, fresh := talloc.get(mask)
+				if fresh {
+					prog.Instrs = append(prog.Instrs, SMIT{Reg: reg, Pairs: mask})
+				} else {
+					pairs = pairs[:from]
+				}
+				op.Reg = reg
 			} else {
-				var qubits []int
-				for _, g := range gs {
-					if g.Name == circuit.OpMeasureAll {
+				from := len(qubits)
+				for i, sg := range run {
+					if member[i] != k {
+						continue
+					}
+					if sg.Gate.Name == circuit.OpMeasureAll {
 						for q := 0; q < s.NumQubits; q++ {
 							qubits = append(qubits, q)
 						}
 						continue
 					}
-					qubits = append(qubits, g.Qubits...)
+					qubits = append(qubits, sg.Gate.Qubits...)
 				}
-				sort.Ints(qubits)
-				reg, fresh := salloc.get(qubitsKey(qubits))
+				mask := qubits[from:len(qubits):len(qubits)]
+				slices.Sort(mask)
+				reg, fresh := salloc.get(mask)
 				if fresh {
-					prog.Instrs = append(prog.Instrs, SMIS{Reg: reg, Qubits: qubits})
+					prog.Instrs = append(prog.Instrs, SMIS{Reg: reg, Qubits: mask})
+				} else {
+					qubits = qubits[:from]
 				}
-				ops = append(ops, QOp{Name: key.name, TwoQ: false, Reg: reg, Params: gs[0].Params, Exprs: gs[0].Exprs})
+				op.Reg = reg
 			}
+			ops = append(ops, op)
 		}
-		pre := cycle - prevIssue
-		if ci == 0 {
-			pre = cycle
-		}
-		prog.Instrs = append(prog.Instrs, Bundle{PreWait: pre, Ops: ops})
+		prog.Instrs = append(prog.Instrs, Bundle{PreWait: cycle - prevIssue, Ops: ops[opsStart:len(ops):len(ops)]})
 		prevIssue = cycle
 	}
 	// Trailing wait so the program's cycle count matches the makespan.
-	if tail := s.Makespan - prevIssue; tail > 0 && len(cycles) > 0 {
+	if tail := s.Makespan - prevIssue; tail > 0 && len(s.Gates) > 0 {
 		prog.Instrs = append(prog.Instrs, QWait{Cycles: tail})
 	}
 	return prog, nil
@@ -125,78 +164,52 @@ func opcodeFor(g circuit.Gate) (string, bool, error) {
 	return "", false, fmt.Errorf("eqasm: cannot encode %d-qubit gate %q", len(g.Qubits), g.Name)
 }
 
-// gateParamsKey keys a gate's parameters for same-cycle merging. Symbolic
-// slots key on the canonical expression text, so two ops merge only when
-// their angles are the same function of the symbols — equal placeholder
-// literals must never collapse distinct expressions into one masked op.
-// Literals are rendered by strconv, byte-identical to %.17g: a key is
-// built for every gate of every assembled cycle.
-func gateParamsKey(g circuit.Gate) string {
-	var b []byte
-	for i, p := range g.Params {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if g.Symbolic(i) {
-			b = append(b, "E:"...)
-			b = append(b, g.Exprs[i].String()...)
-		} else {
-			b = strconv.AppendFloat(b, p, 'g', 17, 64)
+// sameParams reports whether two gates may share one masked operation:
+// slot for slot, symbolic slots carry the same canonical expression and
+// literal slots the same value bit for bit (any two NaNs match). Equal
+// placeholder literals never merge distinct expressions.
+func sameParams(a, b circuit.Gate) bool {
+	if len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i, x := range a.Params {
+		sa, sb := a.Symbolic(i), b.Symbolic(i)
+		switch {
+		case sa != sb:
+			return false
+		case sa:
+			if a.Exprs[i].String() != b.Exprs[i].String() {
+				return false
+			}
+		case math.Float64bits(x) != math.Float64bits(b.Params[i]) && !(math.IsNaN(x) && math.IsNaN(b.Params[i])):
+			return false
 		}
 	}
-	return string(b)
-}
-
-// qubitsKey keys a single-qubit mask register by its sorted qubits.
-func qubitsKey(qs []int) string {
-	b := append(make([]byte, 0, 2+3*len(qs)), "s:"...)
-	for i, q := range qs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(q), 10)
-	}
-	return string(b)
-}
-
-// pairsKey keys a two-qubit mask register by its sorted pairs.
-func pairsKey(pairs [][2]int) string {
-	b := append(make([]byte, 0, 2+6*len(pairs)), "t:"...)
-	for i, p := range pairs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(p[0]), 10)
-		b = append(b, '-')
-		b = strconv.AppendInt(b, int64(p[1]), 10)
-	}
-	return string(b)
+	return true
 }
 
 // maskAlloc allocates mask registers with content reuse and FIFO
 // eviction.
-type maskAlloc struct {
-	size  int
-	byKey map[string]int
-	keyOf []string
+type maskAlloc[T comparable] struct {
+	masks [][]T
+	set   []bool
 	next  int
 }
 
-func newMaskAlloc(size int) *maskAlloc {
-	return &maskAlloc{size: size, byKey: map[string]int{}, keyOf: make([]string, size)}
+func newMaskAlloc[T comparable](size int) *maskAlloc[T] {
+	return &maskAlloc[T]{masks: make([][]T, size), set: make([]bool, size)}
 }
 
-// get returns the register holding key, allocating (fresh=true) if absent.
-func (a *maskAlloc) get(key string) (reg int, fresh bool) {
-	if r, ok := a.byKey[key]; ok {
-		return r, false
+// get returns the register holding mask, allocating (fresh=true) if no
+// register does. A fresh register keeps mask, which must not change.
+func (a *maskAlloc[T]) get(mask []T) (reg int, fresh bool) {
+	for r, m := range a.masks {
+		if a.set[r] && slices.Equal(m, mask) {
+			return r, false
+		}
 	}
 	r := a.next
-	a.next = (a.next + 1) % a.size
-	if old := a.keyOf[r]; old != "" {
-		delete(a.byKey, old)
-	}
-	a.keyOf[r] = key
-	a.byKey[key] = r
+	a.next = (a.next + 1) % len(a.masks)
+	a.masks[r], a.set[r] = mask, true
 	return r, true
 }

@@ -9,7 +9,6 @@ package eqasm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/circuit"
@@ -148,59 +147,74 @@ type Event struct {
 }
 
 // Timeline expands the program into cycle-stamped events, resolving mask
-// registers. It validates register indices and use-before-set.
+// registers. It validates register indices, use-before-set and timing:
+// a negative wait or bundle pre-interval is an error, so events come out
+// in cycle order.
 func (p *Program) Timeline() ([]Event, error) {
-	sregs := make(map[int][]int)
-	tregs := make(map[int][][2]int)
+	var (
+		sregs [NumSRegs][]int
+		tregs [NumTRegs][][2]int
+		sset  [NumSRegs]bool
+		tset  [NumTRegs]bool
+	)
+	nOps := 0
+	for _, in := range p.Instrs {
+		if b, ok := in.(Bundle); ok {
+			nOps += len(b.Ops)
+		}
+	}
+	events := make([]Event, 0, nOps)
+	// Every event's operands are cut from one array, grown as needed.
+	operands := make([]int, 0, nOps)
 	cycle := 0
-	var events []Event
 	for idx, in := range p.Instrs {
 		switch i := in.(type) {
 		case SMIS:
 			if i.Reg < 0 || i.Reg >= NumSRegs {
 				return nil, fmt.Errorf("eqasm: instr %d: s register %d out of range", idx, i.Reg)
 			}
-			sregs[i.Reg] = append([]int(nil), i.Qubits...)
+			sregs[i.Reg], sset[i.Reg] = i.Qubits, true
 		case SMIT:
 			if i.Reg < 0 || i.Reg >= NumTRegs {
 				return nil, fmt.Errorf("eqasm: instr %d: t register %d out of range", idx, i.Reg)
 			}
-			tregs[i.Reg] = append([][2]int(nil), i.Pairs...)
+			tregs[i.Reg], tset[i.Reg] = i.Pairs, true
 		case QWait:
 			if i.Cycles < 0 {
 				return nil, fmt.Errorf("eqasm: instr %d: negative wait", idx)
 			}
 			cycle += i.Cycles
 		case Bundle:
+			if i.PreWait < 0 {
+				return nil, fmt.Errorf("eqasm: instr %d: negative bundle pre-interval %d", idx, i.PreWait)
+			}
 			cycle += i.PreWait
 			for _, op := range i.Ops {
-				ev := Event{Cycle: cycle, Op: op.Name, TwoQ: op.TwoQ, Params: op.Params}
+				from := len(operands)
 				if op.TwoQ {
-					pairs, ok := tregs[op.Reg]
-					if !ok {
+					if op.Reg < 0 || op.Reg >= NumTRegs || !tset[op.Reg] {
 						return nil, fmt.Errorf("eqasm: instr %d: t%d used before set", idx, op.Reg)
 					}
-					for _, pr := range pairs {
-						ev.Qubits = append(ev.Qubits, pr[0], pr[1])
+					for _, pr := range tregs[op.Reg] {
+						operands = append(operands, pr[0], pr[1])
 					}
 				} else {
-					qs, ok := sregs[op.Reg]
-					if !ok {
+					if op.Reg < 0 || op.Reg >= NumSRegs || !sset[op.Reg] {
 						return nil, fmt.Errorf("eqasm: instr %d: s%d used before set", idx, op.Reg)
 					}
-					ev.Qubits = append([]int(nil), qs...)
+					operands = append(operands, sregs[op.Reg]...)
 				}
-				for _, q := range ev.Qubits {
+				qs := operands[from:len(operands):len(operands)]
+				for _, q := range qs {
 					if q < 0 || q >= p.NumQubits {
 						return nil, fmt.Errorf("eqasm: instr %d: qubit %d out of range", idx, q)
 					}
 				}
-				events = append(events, ev)
+				events = append(events, Event{Cycle: cycle, Op: op.Name, Qubits: qs, TwoQ: op.TwoQ, Params: op.Params})
 			}
 		default:
 			return nil, fmt.Errorf("eqasm: instr %d: unknown instruction type %T", idx, in)
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].Cycle < events[b].Cycle })
 	return events, nil
 }

@@ -113,22 +113,22 @@ func TestAssembleRejectsNonPrimitive(t *testing.T) {
 }
 
 func TestMaskRegisterReuse(t *testing.T) {
-	a := newMaskAlloc(2)
-	r1, fresh1 := a.get("a")
+	a := newMaskAlloc[int](2)
+	r1, fresh1 := a.get([]int{0})
 	if !fresh1 {
 		t.Error("first get should be fresh")
 	}
-	r2, _ := a.get("b")
+	r2, _ := a.get([]int{1, 2})
 	if r1 == r2 {
 		t.Error("distinct keys share a register")
 	}
-	r1b, fresh := a.get("a")
+	r1b, fresh := a.get([]int{0})
 	if fresh || r1b != r1 {
 		t.Error("repeat get should hit cache")
 	}
 	// Third distinct key evicts FIFO.
-	a.get("c")
-	_, freshA := a.get("a")
+	a.get([]int{1})
+	_, freshA := a.get([]int{0})
 	if !freshA {
 		t.Error("evicted key should be fresh again")
 	}
@@ -161,6 +161,29 @@ func TestTimelineQubitBounds(t *testing.T) {
 	}}
 	if _, err := p.Timeline(); err == nil {
 		t.Error("out-of-range qubit accepted")
+	}
+}
+
+// A negative bundle pre-interval built in code is rejected like a
+// negative qwait (the parser already refuses "bs -1"), naming the
+// instruction, rather than giving its pulses negative start times.
+func TestTimelineRejectsNegativePreWait(t *testing.T) {
+	p := &Program{NumQubits: 2, Instrs: []Instr{
+		SMIS{Reg: 0, Qubits: []int{0}},
+		Bundle{PreWait: 2, Ops: []QOp{{Name: "x90", Reg: 0}}},
+		Bundle{PreWait: -1, Ops: []QOp{{Name: "y90", Reg: 0}}},
+	}}
+	_, err := p.Timeline()
+	if err == nil || !strings.Contains(err.Error(), "instr 2") || !strings.Contains(err.Error(), "pre-interval") {
+		t.Fatalf("negative pre-interval: err = %v, want an error naming instr 2", err)
+	}
+	p.Instrs[2] = Bundle{PreWait: 0, Ops: []QOp{{Name: "y90", Reg: 0}}}
+	events, err := p.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Cycle != 2 || events[1].Cycle != 2 {
+		t.Errorf("events %+v, want x90 and y90 both at cycle 2", events)
 	}
 }
 

@@ -13,7 +13,7 @@ package microarch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/eqasm"
@@ -184,29 +184,40 @@ func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
 // state-vector cost proportional to the active circuit rather than the
 // full chip.
 func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots int) (*qx.Result, error) {
-	used := map[int]bool{}
+	// compactOf[q] is physical qubit q's index in the compact register,
+	// -1 for a qubit no gate touches; touched qubits are marked 0 first
+	// and then numbered in order.
+	compactOf := make([]int, prog.NumQubits)
+	for q := range compactOf {
+		compactOf[q] = -1
+	}
+	operands := 0
 	for _, g := range gates {
+		operands += len(g.Qubits)
 		for _, q := range g.Qubits {
-			used[q] = true
+			compactOf[q] = 0
 		}
 	}
-	phys := make([]int, 0, len(used))
-	for q := 0; q < prog.NumQubits; q++ {
-		if used[q] {
+	phys := make([]int, 0, prog.NumQubits)
+	for q, c := range compactOf {
+		if c == 0 {
+			compactOf[q] = len(phys)
 			phys = append(phys, q)
 		}
 	}
-	compactOf := map[int]int{}
-	for i, q := range phys {
-		compactOf[q] = i
-	}
-	c := circuit.New(prog.Name, len(phys))
-	for _, g := range gates {
-		ng := g.Clone()
-		for i, q := range ng.Qubits {
-			ng.Qubits[i] = compactOf[q]
+	// The compact gates share their parameters with the decoded ones and
+	// take their operands from one array.
+	c := &circuit.Circuit{Name: prog.Name, NumQubits: len(phys), Gates: make([]circuit.Gate, len(gates))}
+	arena := make([]int, operands)
+	for i, g := range gates {
+		ng := g
+		if len(g.Qubits) > 0 {
+			ng.Qubits, arena = arena[:len(g.Qubits):len(g.Qubits)], arena[len(g.Qubits):]
+			for k, q := range g.Qubits {
+				ng.Qubits[k] = compactOf[q]
+			}
 		}
-		c.AddGate(ng)
+		c.Gates[i] = ng
 	}
 	var (
 		res *qx.Result
@@ -244,7 +255,8 @@ func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots in
 
 // decode expands timeline events through the microcode unit and the
 // timing control unit, producing the pulse trace and the equivalent gate
-// sequence in event order.
+// sequence in event order. The gates' operands are runs of the events'
+// operand slices.
 func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []circuit.Gate, error) {
 	trace := &Trace{
 		Config:        m.Config.Name,
@@ -252,8 +264,15 @@ func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []c
 		InstrCount:    len(prog.Instrs),
 		EventCount:    len(events),
 	}
-	queueFill := map[int]int{}
-	var gates []circuit.Gate
+	nPulses, nGates := 0, 0
+	for _, ev := range events {
+		nPulses += len(ev.Qubits) * len(m.Config.Microcode[ev.Op])
+		nGates += len(ev.Qubits) / groupWidth(ev)
+	}
+	trace.Pulses = make([]Pulse, 0, nPulses)
+	gates := make([]circuit.Gate, 0, nGates)
+	// queueFill counts the codewords queued per qubit within one event.
+	queueFill := make([]int, prog.NumQubits)
 	endCycle := 0
 	for _, ev := range events {
 		ops, ok := m.Config.Microcode[ev.Op]
@@ -261,8 +280,9 @@ func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []c
 			return nil, nil, fmt.Errorf("microarch: no microcode for opcode %q on %s", ev.Op, m.Config.Name)
 		}
 		// Expand per qubit (or per pair for two-qubit ops).
-		operands := operandGroups(ev)
-		for _, group := range operands {
+		w := groupWidth(ev)
+		for i := 0; i+w <= len(ev.Qubits); i += w {
+			group := ev.Qubits[i : i+w : i+w]
 			cycle := ev.Cycle
 			for _, mo := range ops {
 				for _, q := range group {
@@ -296,32 +316,23 @@ func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []c
 		}
 		// Queues drain as the timing control unit releases codewords.
 		for q, fill := range queueFill {
-			if fill > trace.MaxQueueFill {
-				trace.MaxQueueFill = fill
-			}
+			trace.MaxQueueFill = max(trace.MaxQueueFill, fill)
 			queueFill[q] = 0
 		}
 	}
 	trace.TotalCycles = endCycle
 	trace.TotalNs = endCycle * m.Config.CycleTimeNs
-	sort.SliceStable(trace.Pulses, func(i, j int) bool { return trace.Pulses[i].StartNs < trace.Pulses[j].StartNs })
+	slices.SortStableFunc(trace.Pulses, func(a, b Pulse) int { return a.StartNs - b.StartNs })
 	return trace, gates, nil
 }
 
-// operandGroups splits an event's flattened operand list into per-gate
-// groups: singletons for one-qubit ops, pairs for two-qubit ops.
-func operandGroups(ev eqasm.Event) [][]int {
-	var out [][]int
+// groupWidth is the operand count of one gate of an event: pairs for
+// two-qubit ops, single qubits otherwise.
+func groupWidth(ev eqasm.Event) int {
 	if ev.TwoQ {
-		for i := 0; i+1 < len(ev.Qubits); i += 2 {
-			out = append(out, []int{ev.Qubits[i], ev.Qubits[i+1]})
-		}
-	} else {
-		for _, q := range ev.Qubits {
-			out = append(out, []int{q})
-		}
+		return 2
 	}
-	return out
+	return 1
 }
 
 // eventGate converts a decoded event group back into an IR gate for the
@@ -329,9 +340,9 @@ func operandGroups(ev eqasm.Event) [][]int {
 func eventGate(ev eqasm.Event, group []int) (circuit.Gate, error) {
 	switch ev.Op {
 	case "measz":
-		return circuit.Gate{Name: circuit.OpMeasure, Qubits: []int{group[0]}}, nil
+		return circuit.Gate{Name: circuit.OpMeasure, Qubits: group[:1:1]}, nil
 	case "prepz":
-		return circuit.Gate{Name: circuit.OpPrepZ, Qubits: []int{group[0]}}, nil
+		return circuit.Gate{Name: circuit.OpPrepZ, Qubits: group[:1:1]}, nil
 	default:
 		return circuit.NewGate(ev.Op, group, ev.Params...)
 	}

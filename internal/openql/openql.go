@@ -320,7 +320,12 @@ type CompileOptions struct {
 }
 
 // Compiled is the full output of the compiler: every intermediate
-// artefact of Fig 4's flow.
+// artefact of Fig 4's flow. It is immutable once Compile returns — the
+// compile caches share one Compiled across jobs and goroutines — and its
+// circuit, schedule and eQASM share gate operand and parameter slices
+// with each other, with cached prefix artefacts and with the source
+// program's kernels. A consumer that needs a changed artefact copies
+// what it changes, as BindArtefact does.
 type Compiled struct {
 	Mode      QubitMode
 	Circuit   *circuit.Circuit    // final gate-level circuit (mapped if applicable)
@@ -366,11 +371,13 @@ func (p *Program) compilePrefix(prefix *compiler.Pipeline, opts *CompileOptions,
 			// concurrent gated compilations cannot deadlock.
 			opts.CompileGate.Acquire()
 			defer opts.CompileGate.Release()
-			// Unroll straight into the program-width circuit: one gate
-			// clone per iteration, no intermediate kernel-width copy.
-			kc := circuit.New(k.Name, p.NumQubits)
+			// Unroll straight into the program-width circuit. The gates
+			// share their operand and parameter slices with the kernel's:
+			// passes never mutate a gate they did not allocate.
+			kc := &circuit.Circuit{Name: k.Name, NumQubits: p.NumQubits,
+				Gates: make([]circuit.Gate, 0, k.Iterations*len(k.c.Gates))}
 			for it := 0; it < k.Iterations; it++ {
-				kc.Append(k.c)
+				kc.Gates = append(kc.Gates, k.c.Gates...)
 			}
 			ctx := &compiler.PassContext{
 				Platform:    opts.Platform,
@@ -516,9 +523,15 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		full = circuit.New(p.Name, p.NumQubits)
+		// Concatenate the immutable prefix artefacts by value: the suffix
+		// passes copy any gate they change.
+		n := 0
 		for _, a := range arts {
-			full.Append(a.Circuit)
+			n += len(a.Circuit.Gates)
+		}
+		full = &circuit.Circuit{Name: p.Name, NumQubits: p.NumQubits, Gates: make([]circuit.Gate, 0, n)}
+		for _, a := range arts {
+			full.Gates = append(full.Gates, a.Circuit.Gates...)
 		}
 	}
 	ctx := &compiler.PassContext{
