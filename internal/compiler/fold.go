@@ -29,7 +29,6 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 			continue
 		}
 		q := gates[i].Qubits[0]
-		owned := false
 	scan:
 		for j := i + 1; j < len(gates); j++ {
 			if removed[j] {
@@ -49,10 +48,7 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 				break
 			}
 			if o.Name == "rz" && o.Qubits[0] == q {
-				if !owned {
-					ownParams(&gates[i])
-					owned = true
-				}
+				ownParams(&gates[i])
 				if gates[i].Symbolic(0) || o.Symbolic(0) {
 					// Folding symbolic with literal z-rotations keeps a
 					// symbolic sum; literals land in the constant term.

@@ -110,7 +110,6 @@ func mergeRotations(gates []circuit.Gate, removed []bool) []circuit.Gate {
 		// Absorb following rotations of the same kind on the same
 		// operands. pos tracks the scan position without disturbing the
 		// outer loop, so skipped-over gates on other qubits stay in order.
-		owned := false
 		pos := i
 		for {
 			j, blocked := nextOnQubits(gates, pos)
@@ -121,10 +120,7 @@ func mergeRotations(gates []circuit.Gate, removed []bool) []circuit.Gate {
 			if other.Name != g.Name || !slices.Equal(g.Qubits, other.Qubits) || other.HasCond {
 				break
 			}
-			if !owned {
-				ownParams(g)
-				owned = true
-			}
+			ownParams(g)
 			if g.Symbolic(0) || other.Symbolic(0) {
 				// Merging a symbolic slot keeps the sum symbolic (a
 				// literal contributes to the constant term), so the
