@@ -98,7 +98,7 @@ bench-baseline:
 # BenchmarkMeasuredShots's measured batch under
 # $(MEASURED_VS_SAMPLED_CEILING)% of the measurement-free one and
 # BenchmarkEarlyMeasuredShots's batch that measures an idle qubit first
-# under $(EARLY_MEASURED_CEILING)% (the dense engine's outcome tree).
+# under $(EARLY_MEASURED_CEILING)% (the outcome tree both qx engines share).
 # BenchmarkColdJob (one job of stackbench's cold mix: parse, compile, a
 # 16-shot run through the micro-architecture) is held by the relative
 # ns/op and allocs/op check; the tier-1 TestColdJobAllocs holds its

@@ -23,29 +23,12 @@
 //   - Optimized: compiles the circuit once per run into a typed op table
 //     with precomputed matrices, lowers the common gate set to
 //     specialized bit-twiddling kernels and applies amplitudes
-//     chunk-parallel across goroutines on large states. Perfect
-//     (noise-free) runs simulate each measurement-outcome history once,
-//     not once per shot. Only measure and prep_z draw from the PRNG
-//     (measure_all is lowered to one measure per qubit), so the ops
-//     between two draws depend only on the outcomes drawn so far. The
-//     run keeps an outcome tree: a node holds the state just before its
-//     history's next draw, that draw's P(1) and the bits measured on
-//     the way, and a child is built the first time a shot draws its
-//     outcome — a clone of the parent, projected, run up to the next
-//     draw. A later shot down the same history only draws and compares
-//     at each node. The tree's memory beyond the root stays below 1<<18
-//     complex128 values (4 MiB): each node is charged its amplitudes plus
-//     64 values for its headers, so no run builds more than 4096 nodes.
-//     A shot that reaches a child past the cap copies its node into one
-//     scratch state and replays the rest of the circuit, so at 18 or
-//     more qubits every shot replays from the first draw.
-//     The counts are exact: each shot makes the reference engine's
-//     draws in the same order, through the same quantum.DrawOutcome
-//     comparison, against P(1) values computed on bit-identical states.
-//     A circuit with no measurement samples its executed state through
-//     a cumulative distribution with binary search. Noisy runs replay
-//     every shot in full, because noise draws come between the
-//     measurements.
+//     chunk-parallel across goroutines on large states. Perfect measured
+//     runs walk the outcome tree described below, each node holding a
+//     state vector. A circuit with no measurement samples its executed
+//     state through a cumulative distribution with binary search. Noisy
+//     runs replay every shot in full on one reset state, because noise
+//     draws come between the measurements.
 //   - Stabilizer: an Aaronson–Gottesman CHP tableau —
 //     n destabilizer and n stabilizer generators as packed X/Z bit rows
 //     plus a sign — O(n) per Clifford gate and O(n²) per measurement,
@@ -54,8 +37,10 @@
 //     with noise, only tableau-compatible models: stochastic Pauli
 //     channels — depolarizing, T2 dephasing, readout flips — are fine,
 //     amplitude damping (T1) is rejected because a non-unital channel
-//     has no stabilizer unravelling. Results for registers wider than
-//     63 qubits land in Result.WideCounts, keyed by bitstring.
+//     has no stabilizer unravelling. Perfect measured runs walk the same
+//     outcome tree, each node holding a tableau. Noisy runs replay every
+//     shot on one tableau reset to |0…0>. Results for registers wider
+//     than 63 qubits land in Result.WideCounts, keyed by bitstring.
 //   - Auto (the default): a Dispatcher that inspects each circuit at run
 //     time and picks Stabilizer when circuit.IsClifford holds and the
 //     noise model is CliffordCompatible, Optimized otherwise. RunState
@@ -73,6 +58,30 @@
 // Measurement, measure_all, prep_z, feed-forward conditions, barriers
 // and classical display ops are all tableau-executable and do not break
 // Cliffordness; t, toffoli, fredkin and unbound symbolic angles do.
+//
+// The outcome tree (tree.go) is the one perfect measured shot loop of
+// both Optimized and Stabilizer. Only measure and prep_z draw from the
+// PRNG on a perfect run (both engines lower measure_all to one measure
+// per qubit), so the ops between two draws depend only on the outcomes
+// drawn so far, and each measurement-outcome history is simulated once,
+// not once per shot. A node holds the engine's state just before its
+// history's next random draw, that draw's P(1) and the bits measured on
+// the way, as one packed-word mask on registers of any width; a child is
+// built the first time a shot draws its outcome — a clone of the parent,
+// collapsed, run up to the next random draw. A forced draw (P(1) exactly
+// 0 or 1) does not branch: it is applied when its node is built, and a
+// shot only consumes its PRNG value, so a surface-code cycle, whose
+// syndrome draws are all forced, is one node. A later shot down a known
+// history only draws and compares at each node. The tree's memory beyond
+// the root stays below 1<<18 complex128 values (4 MiB): each node is
+// charged 64 values for its headers plus its state — a state vector its
+// amplitudes, a tableau its row words — so no run builds more than 4096
+// nodes. A shot that reaches a child past the cap copies its node into
+// one scratch state and runs the rest of its history there, so at 18 or
+// more dense qubits every shot replays from the first random draw. The
+// counts are exact: each shot makes the reference engine's draws in the
+// same order, through the same quantum.DrawOutcome comparison, against
+// P(1) values computed on states that history makes identical.
 //
 // All engines produce identical seeded counts on circuits they share:
 // the stabilizer engine draws from the PRNG at exactly the points the

@@ -60,17 +60,20 @@ const (
 	// EngineOptimized is the fast dense engine: specialized bit-twiddling
 	// kernels, a precompiled per-circuit op/matrix table and
 	// chunk-parallel amplitude application. Without noise it simulates
-	// each measurement-outcome history once, in a lazily built outcome
-	// tree whose memory, node headers included, stays under 4 MiB, so a
-	// later shot down the same history only draws and compares; or it samples
-	// the state in O(log dim) when nothing is measured. Seeded counts are
-	// identical to the reference engine: a shot makes the same draws
-	// against the same P(1) values on bit-identical states.
+	// each measurement-outcome history once, in the outcome tree it shares
+	// with the stabilizer engine, whose memory, node headers included,
+	// stays under 4 MiB, so a later shot down the same history only draws
+	// and compares; or it samples the state in O(log dim) when nothing is
+	// measured. Seeded counts are identical to the reference engine: a
+	// shot makes the same draws against the same P(1) values on
+	// bit-identical states.
 	EngineOptimized = "optimized"
 	// EngineStabilizer is the Aaronson–Gottesman tableau engine for
 	// Clifford(+measurement) circuits: polynomial in qubit count, so GHZ,
-	// surface-code and RB workloads run at 100+ qubits. Seeded counts are
-	// identical to the dense engines on any circuit both can execute.
+	// surface-code and RB workloads run at 100+ qubits. Without noise its
+	// measured runs walk the same outcome tree, each node holding a
+	// tableau charged its rows. Seeded counts are identical to the dense
+	// engines on any circuit both can execute.
 	EngineStabilizer = "stabilizer"
 	// EngineAuto dispatches per circuit: the stabilizer tableau when the
 	// circuit is Clifford and the noise model is Clifford-compatible, the

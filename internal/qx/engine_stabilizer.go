@@ -17,12 +17,15 @@ import (
 // conditionals and Pauli-channel noise (depolarizing, dephasing,
 // readout); amplitude-damping noise is rejected up front.
 //
-// The engine walks gates in circuit order and consumes the ExecEnv PRNG
-// at exactly the same points as the dense engines — one draw per
-// measurement against P(1), the same noise-channel draw pattern, one
-// draw per deterministic-path sample — so seeded counts agree
-// bit-for-bit with reference/optimized wherever those can run at all.
-// The differential tests in engine_stabilizer_test.go enforce this.
+// Perfect measured runs walk the outcome tree the optimized engine
+// shares (runTree), each node holding a tableau charged its rows, so a
+// history of deterministic syndrome draws is simulated once per run, not
+// once per shot. The engine walks gates in circuit order and consumes
+// the ExecEnv PRNG at exactly the same points as the dense engines — one
+// draw per measurement against P(1), the same noise-channel draw
+// pattern, one draw per deterministic-path sample — so seeded counts
+// agree bit-for-bit with reference/optimized wherever those can run at
+// all. The differential tests in engine_stabilizer_test.go enforce this.
 type stabilizerEngine struct{}
 
 // Name returns "stabilizer".
@@ -41,7 +44,7 @@ func (stabilizerEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.Sta
 	if err := stabNoiseCompatible(env.Noise); err != nil {
 		return nil, err
 	}
-	if _, err := compileStab(c); err != nil {
+	if _, err := compile(c, lowerClifford); err != nil {
 		return nil, err
 	}
 	if c.NumQubits > maxStabStateQubits {
@@ -55,69 +58,52 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 	if err := stabNoiseCompatible(env.Noise); err != nil {
 		return nil, err
 	}
-	prog, err := compileStab(c)
+	prog, err := compile(c, lowerClifford)
 	if err != nil {
 		return nil, err
 	}
 	n := c.NumQubits
 	res := &Result{NumQubits: n, Shots: shots, Counts: map[int]int{}}
-	wide := n > 63
-	if wide {
+	if n > 63 {
 		res.WideCounts = map[string]int{}
 	}
+	r := &stabRun{tableau: newTableau(n), p: prog, env: env}
+	bits := make([]uint64, r.w)
 	noisy := env.noisy()
+
+	if !noisy && prog.hasMeasure {
+		runTree(res, shots, env, prog.draws, r)
+		return res, nil
+	}
 
 	// Deterministic fast path, mirroring the dense engines: one
 	// execution, then one uniform draw per shot over the state's
 	// computational-basis support.
-	if !noisy && !prog.hasMeasure {
-		t := newTableau(n)
-		prog.execute(t, prog.ops, env, map[int]int{}, false)
-		sampler := newSupportSampler(t)
-		buf := make([]uint64, t.w)
-		for i := 0; i < shots; i++ {
-			sampler.sample(env.Rng, buf)
-			res.countWords(buf)
-		}
-		return res, nil
-	}
-
-	// Perfect measured circuits: snapshot the tableau just before the
-	// first PRNG-consuming operation and replay only the measurement
-	// tail per shot. The prefix is pure Clifford (no draws), so running
-	// it once is draw-for-draw identical to the dense engines' full
-	// per-shot re-execution.
 	if !noisy {
-		base := newTableau(n)
-		bits := map[int]int{}
-		prog.execute(base, prog.ops[:prog.tailStart], env, bits, false)
-		t := newTableau(n)
-		tail := prog.ops[prog.tailStart:]
+		r.run(0, len(prog.ops), bits)
+		sampler := newSupportSampler(r.tableau)
 		for i := 0; i < shots; i++ {
-			t.copyFrom(base)
-			clear(bits)
-			prog.execute(t, tail, env, bits, false)
-			res.countBits(bits)
+			sampler.sample(env.Rng, bits)
+			res.countWords(bits, 1)
 		}
 		return res, nil
 	}
 
 	// Noisy path: noise draws precede the first measurement, so every
-	// shot replays the whole circuit on a fresh tableau.
+	// shot replays the whole circuit on one tableau reset to |0…0>.
+	zero := newTableau(n)
 	for i := 0; i < shots; i++ {
-		t := newTableau(n)
-		bits := map[int]int{}
-		res.GateErrorsInjected += prog.execute(t, prog.ops, env, bits, true)
-		if prog.hasMeasure {
-			// Readout error was already applied per measurement gate.
-			res.countBits(bits)
-			continue
+		r.tableau.copyFrom(zero)
+		clear(bits)
+		res.GateErrorsInjected += r.run(0, len(prog.ops), bits)
+		if !prog.hasMeasure {
+			sampler := newSupportSampler(r.tableau)
+			sampler.sample(env.Rng, bits)
+			tabReadoutError(env, bits, n)
 		}
-		sampler := newSupportSampler(t)
-		buf := make([]uint64, t.w)
-		sampler.sample(env.Rng, buf)
-		tabReadoutError(env, buf, n)
-		res.countWords(buf)
+		// Readout error on measured circuits was already applied per
+		// measurement gate.
+		res.countWords(bits, 1)
 	}
 	return res, nil
 }
@@ -131,119 +117,63 @@ func stabNoiseCompatible(nm *NoiseModel) error {
 	return fmt.Errorf("qx: stabilizer engine cannot apply amplitude-damping (T1) noise — only Pauli channels (depolarizing, dephasing, readout error) stay Clifford; the default (auto) engine runs this noise model on a dense engine")
 }
 
-// stabKind discriminates the stabilizer engine's op table.
-type stabKind uint8
+// stabProgram is a circuit compiled for the stabilizer engine: each
+// unitary lowered to tableau generators by circuit.CliffordDecompose.
+type stabProgram = program[[]circuit.CliffordGate]
 
-const (
-	sUnitary    stabKind = iota // Clifford generator word
-	sMeasure                    // projective measurement of qubits[0]
-	sMeasureAll                 // measure every qubit
-	sPrepZ                      // reset qubits[0] to |0>
-	sWait                       // explicit idle (decoherence under noise)
-	sNop                        // barrier, display
-)
-
-// stabOp is one compiled operation: for unitaries, the gate lowered to
-// tableau generators by circuit.CliffordDecompose.
-type stabOp struct {
-	kind    stabKind
-	gens    []circuit.CliffordGate
-	qubits  []int
-	hasCond bool
-	condBit int
-	cycles  float64
-}
-
-// stabProgram is a circuit compiled for the stabilizer engine.
-type stabProgram struct {
-	numQubits  int
-	ops        []stabOp
-	hasMeasure bool
-	// tailStart indexes the first op that consumes PRNG on the perfect
-	// path (measure, measure_all, prep_z); everything before it is the
-	// shot-invariant prefix the snapshot optimisation runs once.
-	tailStart int
-}
-
-// compileStab lowers a validated circuit into the tableau op table,
-// failing on the first gate outside the Clifford group.
-func compileStab(c *circuit.Circuit) (*stabProgram, error) {
-	prog := &stabProgram{numQubits: c.NumQubits, ops: make([]stabOp, 0, len(c.Gates)), tailStart: -1}
-	for _, g := range c.Gates {
-		op := stabOp{qubits: g.Qubits, hasCond: g.HasCond, condBit: g.CondBit}
-		switch g.Name {
-		case circuit.OpMeasure:
-			op.kind = sMeasure
-			prog.hasMeasure = true
-		case circuit.OpMeasureAll:
-			op.kind = sMeasureAll
-			prog.hasMeasure = true
-		case circuit.OpPrepZ:
-			op.kind = sPrepZ
-		case circuit.OpWait:
-			op.kind = sWait
-			if len(g.Params) > 0 {
-				op.cycles = g.Params[0]
-			}
-		case circuit.OpBarrier, circuit.OpDisplay:
-			op.kind = sNop
-		default:
-			gens, ok := circuit.CliffordDecompose(g)
-			if !ok {
-				return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; the default (auto) engine runs it on a dense engine", g.String())
-			}
-			op.kind = sUnitary
-			op.gens = gens
-		}
-		if prog.tailStart < 0 && (op.kind == sMeasure || op.kind == sMeasureAll || op.kind == sPrepZ) {
-			prog.tailStart = len(prog.ops)
-		}
-		prog.ops = append(prog.ops, op)
+// lowerClifford decomposes one unitary into tableau generators, failing
+// on a gate outside the Clifford group.
+func lowerClifford(g circuit.Gate) ([]circuit.CliffordGate, error) {
+	gens, ok := circuit.CliffordDecompose(g)
+	if !ok {
+		return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; the default (auto) engine runs it on a dense engine", g.String())
 	}
-	if prog.tailStart < 0 {
-		prog.tailStart = len(prog.ops)
-	}
-	return prog, nil
+	return gens, nil
 }
 
-// execute runs the given op span on t, mirroring the dense engines'
-// walk: same gate order, same PRNG consumption points. It returns the
-// number of injected Pauli errors.
-func (p *stabProgram) execute(t *tableau, ops []stabOp, env *ExecEnv, bits map[int]int, noisy bool) int {
+// stabRun is a tableau under one compiled program and ExecEnv: the
+// stabilizer engine's treeState, whose prob and project are the
+// tableau's own.
+type stabRun struct {
+	*tableau
+	p   *stabProgram
+	env *ExecEnv
+}
+
+func (r *stabRun) clone() *stabRun {
+	return &stabRun{tableau: r.tableau.clone(), p: r.p, env: r.env}
+}
+func (r *stabRun) copyFrom(src *stabRun) { r.tableau.copyFrom(src.tableau) }
+func (r *stabRun) flip(q int)            { r.applyX(q) }
+
+// cost charges the tableau's X and Z row words as complex128 values
+// (two uint64 words each) plus its sign bytes, so the tree's cap counts
+// rows.
+func (r *stabRun) cost() int { return len(r.x) + (len(r.r)+15)/16 }
+
+// run executes ops [from, to) on the tableau, mirroring the dense
+// engines' walk: same gate order, same PRNG consumption points. It
+// returns the number of injected Pauli errors.
+func (r *stabRun) run(from, to int, bits []uint64) int {
+	t, env := r.tableau, r.env
+	noisy := env.noisy()
 	injected := 0
-	for i := range ops {
-		op := &ops[i]
+	for i := from; i < to; i++ {
+		op := &r.p.ops[i]
 		switch op.kind {
-		case sMeasure:
-			q := op.qubits[0]
-			b := t.measureQubit(q, env.Rng)
+		case opMeasure, opPrepZ:
+			d := op.draw(i)
+			collapse(r, d, quantum.DrawOutcome(env.Rng, t.prob(d.q)), bits, env)
+		case opWait:
 			if noisy {
-				b = flipReadoutBit(env, b)
+				tabWait(env, t, r.p.numQubits, op.cycles)
 			}
-			bits[q] = b
-		case sMeasureAll:
-			for q := 0; q < p.numQubits; q++ {
-				b := t.measureQubit(q, env.Rng)
-				if noisy {
-					b = flipReadoutBit(env, b)
-				}
-				bits[q] = b
-			}
-		case sPrepZ:
-			q := op.qubits[0]
-			if t.measureQubit(q, env.Rng) == 1 {
-				t.applyX(q)
-			}
-		case sWait:
-			if noisy {
-				tabWait(env, t, p.numQubits, op.cycles)
-			}
-		case sNop:
+		case opNop:
 		default:
-			if op.hasCond && bits[op.condBit] != 1 {
+			if op.hasCond && bitAt(bits, op.condBit) != 1 {
 				continue
 			}
-			for _, gen := range op.gens {
+			for _, gen := range op.gate {
 				t.applyGen(gen)
 			}
 			if noisy {

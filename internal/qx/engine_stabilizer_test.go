@@ -126,7 +126,7 @@ func TestStabilizerAgreesOnPerfectCliffordCircuits(t *testing.T) {
 }
 
 // Same contract with mid-circuit measurement, feed-forward and resets —
-// the snapshot-and-replay path.
+// the outcome-tree path.
 func TestStabilizerAgreesWithMeasurement(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 50))

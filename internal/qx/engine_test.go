@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -324,28 +325,38 @@ func assertRunMatches(t *testing.T, tc tailEdgeCase, seed int64, eng Engine, wan
 }
 
 // The perfect measured shot loop allocates only while it builds the
-// outcome tree (optimized) or sets up its one scratch tableau and bits
-// map (stabilizer), so a run allocates the same whatever its shot count.
-// Each circuit has one or two outcome histories, so neither the tree nor
-// the counts map grows with shots.
+// outcome tree both engines share, and the stabilizer's noisy loop
+// resets one tableau and one bit mask, so a run allocates the same
+// whatever its shot count. Each circuit has one or two outcome
+// histories, so neither the tree nor the counts map grows with shots:
+// dephasing on a computational-basis state changes no measured bit.
 func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 	ghz := circuit.GHZ(5).X(1).X(3)
 	for q := 0; q < 5; q++ {
 		ghz.Measure(q)
 	}
+	wide := circuit.GHZ(66)
+	for q := 0; q < 66; q++ {
+		wide.Measure(q)
+	}
+	basis := circuit.New("basis", 3).X(0).CNOT(0, 1).H(2).H(2).Measure(0).Measure(1).Measure(2)
+	dephasing := &NoiseModel{T2: 20_000, GateTimeNs: 20}
 	cases := []struct {
-		name string
-		eng  Engine
-		c    *circuit.Circuit
+		name  string
+		eng   Engine
+		c     *circuit.Circuit
+		noise *NoiseModel
 	}{
-		{"optimized/ansatz", Optimized(), basisAnsatz(6, rand.New(rand.NewSource(3)))},
-		{"optimized/idle-measure-first", Optimized(), measureFirst(0, basisAnsatz(6, rand.New(rand.NewSource(3))))},
-		{"optimized/masked-ghz", Optimized(), ghz},
-		{"stabilizer/masked-ghz", Stabilizer(), ghz},
+		{"optimized/ansatz", Optimized(), basisAnsatz(6, rand.New(rand.NewSource(3))), nil},
+		{"optimized/idle-measure-first", Optimized(), measureFirst(0, basisAnsatz(6, rand.New(rand.NewSource(3)))), nil},
+		{"optimized/masked-ghz", Optimized(), ghz, nil},
+		{"stabilizer/masked-ghz", Stabilizer(), ghz, nil},
+		{"stabilizer/wide-measured-ghz", Stabilizer(), wide, nil},
+		{"stabilizer/noisy-dephasing", Stabilizer(), basis, dephasing},
 	}
 	for _, tc := range cases {
 		allocs := func(shots int) float64 {
-			sim := NewWithEngine(1, tc.eng)
+			sim := NewNoisyWithEngine(1, tc.noise, tc.eng)
 			return testing.AllocsPerRun(20, func() {
 				if _, err := sim.Run(tc.c, shots); err != nil {
 					t.Fatal(err)
@@ -359,42 +370,147 @@ func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 }
 
 // The outcome tree charges every node a fixed header cost on top of its
-// amplitudes, so a narrow circuit with many mid-circuit measurements —
-// far more distinct histories than shots on a tiny state — stops at
-// treeAmpCap/treeNodeCost nodes and replays the rest per shot, instead
-// of caching a node per history step. Counts stay the reference's.
+// state, so a circuit with many mid-circuit measurements — far more
+// distinct histories than shots — stops at treeAmpCap/treeNodeCost
+// nodes and replays the rest per shot, instead of caching a node per
+// history step. A tableau node is charged its rows: on a 70-qubit
+// register the tree's footprint, measured here from the tableaux it
+// holds, stays under treeAmpCap. Counts stay the reference's.
 func TestOutcomeTreeNodeBound(t *testing.T) {
 	const shots = 2048
-	c := circuit.New("coin-flips", 1)
-	for i := 0; i < 40; i++ {
-		c.H(0).Measure(0)
+	coinFlips := func(n int) *circuit.Circuit {
+		c := circuit.New("coin-flips", n)
+		for i := 0; i < 40; i++ {
+			c.H(0).Measure(0)
+		}
+		return c
+	}
+	cases := []struct {
+		name       string
+		c          *circuit.Circuit
+		stabilizer bool
+	}{
+		{"optimized/coin-flips", coinFlips(1), false},
+		{"stabilizer/coin-flips", coinFlips(1), true},
+		{"stabilizer/wide-coin-flips", coinFlips(70), true},
+	}
+	for _, tc := range cases {
+		res, nodes, footprint := treeRun(t, tc.c, shots, tc.stabilizer)
+		t.Logf("%s: %d nodes, %d complex128 values", tc.name, nodes, footprint)
+		if limit := treeAmpCap / treeNodeCost; nodes >= limit {
+			t.Errorf("%s: the tree holds %d nodes beyond its root, want fewer than %d", tc.name, nodes, limit)
+		}
+		if footprint >= treeAmpCap {
+			t.Errorf("%s: the tree's %d nodes take %d complex128 values, want fewer than %d", tc.name, nodes, footprint, treeAmpCap)
+		}
+		if res.WideCounts == nil {
+			assertReferenceCounts(t, tc.name, tc.c, res)
+			continue
+		}
+		total, rest := 0, strings.Repeat("0", tc.c.NumQubits-1)
+		for bits, n := range res.WideCounts {
+			if bits[:len(rest)] != rest {
+				t.Errorf("%s: outcome %s sets a qubit other than 0", tc.name, bits)
+			}
+			total += n
+		}
+		if total != shots {
+			t.Errorf("%s: %d shots counted, want %d", tc.name, total, shots)
+		}
+	}
+}
+
+// A forced draw — P(1) exactly 0 or 1 — does not branch the outcome
+// tree. The measured 8-qubit GHZ makes one random draw and then seven
+// forced ones, so its tree holds two leaves beyond the root; a circuit
+// whose every draw is forced, resets included, is a root alone; a reset
+// that draws at random branches once, and every later draw, a second
+// reset included, is forced. Counts stay the reference's.
+func TestOutcomeTreeSettlesForcedDraws(t *testing.T) {
+	ghz := circuit.GHZ(8)
+	for q := 0; q < 8; q++ {
+		ghz.Measure(q)
+	}
+	basis := circuit.New("basis", 3).X(0).CNOT(0, 1).Measure(0).Measure(1).PrepZ(1).Measure(1).Measure(2)
+	reset := circuit.New("reset-bell", 2).H(0).CNOT(0, 1).PrepZ(0).Measure(0).Measure(1).X(0).PrepZ(0).Measure(0)
+	for _, tc := range []struct {
+		name  string
+		c     *circuit.Circuit
+		nodes int
+	}{{"ghz8", ghz, 2}, {"basis", basis, 0}, {"reset-bell", reset, 2}} {
+		for _, stabilizer := range []bool{false, true} {
+			res, nodes, _ := treeRun(t, tc.c, 256, stabilizer)
+			if nodes != tc.nodes {
+				t.Errorf("%s (stabilizer %v): the tree holds %d nodes beyond its root, want %d", tc.name, stabilizer, nodes, tc.nodes)
+			}
+			assertReferenceCounts(t, tc.name, tc.c, res)
+		}
+	}
+}
+
+// treeRun runs c's perfect measured shots through the outcome tree on
+// the optimized or the stabilizer engine's state, seeded 1, and returns
+// the result, the number of nodes the tree holds beyond its root and
+// the memory they take in complex128 values: each node's header
+// allowance and measured bits, plus its state — measured from the state
+// itself, not through cost — unless it is a leaf, which holds none.
+func treeRun(t *testing.T, c *circuit.Circuit, shots int, stabilizer bool) (res *Result, nodes, footprint int) {
+	t.Helper()
+	env := &ExecEnv{Rng: rand.New(rand.NewSource(1))}
+	res = &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
+	if c.NumQubits > 63 {
+		res.WideCounts = map[string]int{}
+	}
+	if stabilizer {
+		p, err := compile(c, lowerClifford)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := runTree(res, shots, env, p.draws, &stabRun{tableau: newTableau(c.NumQubits), p: p, env: env})
+		nodes, footprint = treeFootprint(root, func(r *stabRun) int {
+			return (8*len(r.x) + 8*len(r.z) + len(r.r) + 15) / 16
+		})
+		return res, nodes, footprint
 	}
 	p, err := compileDense(c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{Counts: map[int]int{}}
-	root := p.runTree(res, shots, &ExecEnv{Rng: rand.New(rand.NewSource(1))})
-	nodes := 0
-	var walk func(n *outcomeNode)
-	walk = func(n *outcomeNode) {
+	root := runTree(res, shots, env, p.draws, newDenseRun(p, env))
+	nodes, footprint = treeFootprint(root, func(r *denseRun) int { return r.st.Dim() })
+	return res, nodes, footprint
+}
+
+func treeFootprint[S comparable](root *outcomeNode[S], size func(S) int) (nodes, footprint int) {
+	var zero S
+	var walk func(n *outcomeNode[S])
+	walk = func(n *outcomeNode[S]) {
 		for _, ch := range n.child {
-			if ch != nil {
-				nodes++
-				walk(ch)
+			if ch == nil {
+				continue
 			}
+			nodes++
+			footprint += treeNodeCost + (len(ch.bits)+1)/2
+			if ch.st != zero {
+				footprint += size(ch.st)
+			}
+			walk(ch)
 		}
 	}
 	walk(root)
-	if limit := treeAmpCap / treeNodeCost; nodes >= limit {
-		t.Errorf("the tree holds %d nodes beyond its root, want fewer than %d", nodes, limit)
-	}
-	want, err := NewWithEngine(1, Reference()).Run(c, shots)
+	return nodes, footprint
+}
+
+// assertReferenceCounts requires res to hold the counts the reference
+// engine reads for c at seed 1.
+func assertReferenceCounts(t *testing.T, name string, c *circuit.Circuit, res *Result) {
+	t.Helper()
+	want, err := NewWithEngine(1, Reference()).Run(c, res.Shots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Counts, want.Counts) {
-		t.Errorf("counts %v, reference %v", res.Counts, want.Counts)
+		t.Errorf("%s: counts %v, reference %v", name, res.Counts, want.Counts)
 	}
 }
 

@@ -92,36 +92,14 @@ func (r *Result) Top(k int) []Outcome {
 	return out
 }
 
-// countWords tallies one outcome delivered as packed register words.
-func (r *Result) countWords(words []uint64) {
+// countWords tallies k shots of one outcome delivered as packed register
+// words.
+func (r *Result) countWords(words []uint64, k int) {
 	if r.WideCounts != nil {
-		r.WideCounts[wordsBitString(words, r.NumQubits)]++
+		r.WideCounts[wordsBitString(words, r.NumQubits)] += k
 		return
 	}
-	r.Counts[int(words[0])]++
-}
-
-// countBits tallies one outcome delivered as a measured-bits map.
-func (r *Result) countBits(bits map[int]int) {
-	if r.WideCounts != nil {
-		words := make([]uint64, (r.NumQubits+63)/64)
-		//qlint:nondeterministic-ok order-independent: ORs disjoint bits into packed words; any visit order builds the same mask
-		for q, b := range bits {
-			if b == 1 {
-				words[q>>6] |= 1 << (uint(q) & 63)
-			}
-		}
-		r.WideCounts[wordsBitString(words, r.NumQubits)]++
-		return
-	}
-	idx := 0
-	//qlint:nondeterministic-ok order-independent: ORs disjoint bits into an index; any visit order builds the same mask
-	for q, b := range bits {
-		if b == 1 {
-			idx |= 1 << uint(q)
-		}
-	}
-	r.Counts[idx]++
+	r.Counts[int(words[0])] += k
 }
 
 // wordsBitString renders packed register words as an n-character

@@ -105,14 +105,15 @@ func (s *Simulator) RunState(c *circuit.Circuit) (*quantum.State, error) {
 
 // Run executes the circuit for the given number of shots and aggregates
 // measured outcomes. If the circuit contains no measurement at all, every
-// qubit is measured at the end of each shot.
+// qubit is measured at the end of each shot. It is RunParallel with one
+// worker: a single batch on this simulator's PRNG.
 func (s *Simulator) Run(c *circuit.Circuit, shots int) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if shots <= 0 {
-		return nil, fmt.Errorf("qx: shots must be positive, got %d", shots)
-	}
+	return s.RunParallel(c, shots, 1)
+}
+
+// run executes a validated circuit's shots as one batch on the engine
+// and stamps the result's wall time.
+func (s *Simulator) run(c *circuit.Circuit, shots int) (*Result, error) {
 	start := time.Now()
 	res, err := s.engine().Run(c, shots, s.env())
 	if res != nil {
@@ -125,10 +126,10 @@ func (s *Simulator) Run(c *circuit.Circuit, shots int) (*Result, error) {
 // RunParallel executes the circuit's shots split across worker
 // goroutines, each running on its own Simulator with this simulator's
 // configuration and a derived seed. workers <= 0 sizes the pool to the
-// machine's cores. Each call draws a fresh batch seed from the
-// simulator's PRNG, so repeated calls produce independent batches (like
-// repeated Run calls) while staying deterministic from the construction
-// seed.
+// machine's cores. With more than one worker, each call draws a fresh
+// batch seed from the simulator's PRNG, so repeated calls produce
+// independent batches (like repeated Run calls) while staying
+// deterministic from the construction seed; with one, it is Run.
 //
 // The merged counts are deterministic for a fixed (seed, workers) pair
 // but differ from a serial Run with the same seed: each worker draws from
@@ -144,15 +145,10 @@ func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result
 		return nil, fmt.Errorf("qx: shots must be positive, got %d", shots)
 	}
 	workers = shotWorkers(workers, shots)
-	start := time.Now()
 	if workers <= 1 {
-		res, err := s.engine().Run(c, shots, s.env())
-		if res != nil {
-			res.ElapsedNs = time.Since(start).Nanoseconds()
-			res.Batches = 1
-		}
-		return res, err
+		return s.run(c, shots)
 	}
+	start := time.Now()
 	batchSeed := s.rng.Int63()
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
@@ -174,7 +170,7 @@ func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result
 				seed:          workerSeed(batchSeed, w),
 			}
 			sub.rng = rand.New(rand.NewSource(sub.seed))
-			results[w], errs[w] = sub.Run(c, n)
+			results[w], errs[w] = sub.run(c, n)
 		}(w, n)
 	}
 	wg.Wait()

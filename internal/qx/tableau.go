@@ -3,6 +3,7 @@ package qx
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Aaronson–Gottesman stabilizer tableau (the CHP algorithm,
@@ -43,9 +44,14 @@ func newTableau(n int) *tableau {
 	return t
 }
 
+// clone returns an independent copy of t.
+func (t *tableau) clone() *tableau {
+	return &tableau{n: t.n, w: t.w, x: slices.Clone(t.x), z: slices.Clone(t.z), r: slices.Clone(t.r)}
+}
+
 // copyFrom overwrites t with src, a tableau of the same size, without
-// allocating: the per-shot reload of the pre-measurement snapshot in
-// multi-shot replay.
+// allocating: a noisy shot's reset to |0...0> and the outcome tree's
+// scratch reload.
 func (t *tableau) copyFrom(src *tableau) {
 	copy(t.x, src.x)
 	copy(t.z, src.z)
@@ -211,24 +217,26 @@ func (t *tableau) rowmult(h, i int) {
 	t.r[h] = uint8(tot >> 1)
 }
 
-// measureProb returns the probability that measuring qubit q in the
-// computational basis yields 1 — always 0, 0.5 or 1 for a stabilizer
-// state — together with the index of the pivot stabilizer row when the
-// outcome is random (pivot = -1 when deterministic).
-func (t *tableau) measureProb(q int) (p1 float64, pivot int) {
+// pivot returns the first stabilizer row that anticommutes with Z_q —
+// one with X support on q — or -1 when measuring q is deterministic.
+func (t *tableau) pivot(q int) int {
 	for i := t.n; i < 2*t.n; i++ {
 		if t.xbit(i, q) {
-			return 0.5, i
+			return i
 		}
 	}
-	return float64(t.deterministicOutcome(q)), -1
+	return -1
 }
 
-// deterministicOutcome computes the forced measurement result of qubit q
-// when no stabilizer anticommutes with Z_q: the product of the
-// stabilizers whose destabilizer partners have X support on q fixes
-// Z_q's sign.
-func (t *tableau) deterministicOutcome(q int) int {
+// prob returns the probability that measuring qubit q in the
+// computational basis yields 1 — always 0, 0.5 or 1 for a stabilizer
+// state. When no stabilizer anticommutes with Z_q the outcome is forced:
+// the product of the stabilizers whose destabilizer partners have X
+// support on q, built in the scratch row, fixes Z_q's sign.
+func (t *tableau) prob(q int) float64 {
+	if t.pivot(q) >= 0 {
+		return 0.5
+	}
 	s := 2 * t.n // scratch row
 	sw := s * t.w
 	for k := 0; k < t.w; k++ {
@@ -241,13 +249,19 @@ func (t *tableau) deterministicOutcome(q int) int {
 			t.rowmult(s, t.n+i)
 		}
 	}
-	return int(t.r[s])
+	return float64(t.r[s])
 }
 
-// collapse projects the state after a random measurement of qubit q with
-// the given outcome, where pivot is the anticommuting stabilizer row
-// found by measureProb.
-func (t *tableau) collapse(q, pivot, outcome int) {
+// project collapses the state onto the given outcome of measuring qubit
+// q, which must have nonzero probability. A forced outcome leaves the
+// tableau as it is; a random one multiplies the pivot stabilizer row —
+// the first that anticommutes with Z_q — into every other row that
+// does.
+func (t *tableau) project(q, outcome int) {
+	pivot := t.pivot(q)
+	if pivot < 0 {
+		return
+	}
 	for i := 0; i < 2*t.n; i++ {
 		if i != pivot && t.xbit(i, q) {
 			t.rowmult(i, pivot)
@@ -265,34 +279,6 @@ func (t *tableau) collapse(q, pivot, outcome int) {
 	}
 	t.z[pw+(q>>6)] |= 1 << (uint(q) & 63)
 	t.r[pivot] = uint8(outcome)
-}
-
-// measureQubit measures qubit q, collapsing the state. It consumes
-// exactly one rng.Float64 draw compared against P(1), mirroring the
-// dense engines' quantum.State.MeasureQubit draw-for-draw so seeded
-// runs agree bit-for-bit across engines.
-func (t *tableau) measureQubit(q int, rng *rand.Rand) int {
-	p1, pivot := t.measureProb(q)
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
-	if pivot >= 0 {
-		t.collapse(q, pivot, outcome)
-	}
-	return outcome
-}
-
-// measureForced is measureQubit with the random branch pinned to 0 and
-// no rng draw; it is used to extract one reference element of the
-// state's computational-basis support.
-func (t *tableau) measureForced(q int) int {
-	p1, pivot := t.measureProb(q)
-	if pivot >= 0 {
-		t.collapse(q, pivot, 0)
-		return 0
-	}
-	return int(p1)
 }
 
 // supportSampler samples computational-basis outcomes of a stabilizer
@@ -351,8 +337,11 @@ func newSupportSampler(t *tableau) *supportSampler {
 	// with all pivot bits clear.
 	s.base = make([]uint64, t.w)
 	for q := 0; q < t.n; q++ {
-		if t.measureForced(q) == 1 {
+		switch t.prob(q) {
+		case 1:
 			s.base[q>>6] |= 1 << (uint(q) & 63)
+		case 0.5:
+			t.project(q, 0)
 		}
 	}
 	for _, v := range s.vecs {
