@@ -137,7 +137,8 @@ cover:
 # cache, pass and session families populated, that the Clifford Bell job
 # was dispatched to the stabilizer engine with no flag set, that the
 # trace endpoint serves the span tree for the submitted job's X-Trace-Id,
-# and that /metrics is the only metrics surface (GET /stats is a 404).
+# that /metrics is the only metrics surface (GET /stats is a 404), and
+# that a program the cQASM parser refuses is a 400 at submit.
 metrics-smoke:
 	$(GO) build -o bin/qservd ./cmd/qservd
 	@./bin/qservd -addr 127.0.0.1:18080 -log-level warn & pid=$$!; \
@@ -164,7 +165,10 @@ metrics-smoke:
 		|| { echo "metrics-smoke: trace endpoint missing queue.wait span"; exit 1; }; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18080/stats); \
 	[ "$$code" = 404 ] || { echo "metrics-smoke: GET /stats = $$code, want 404"; exit 1; }; \
-	echo "metrics-smoke: /metrics, /jobs/{id}/trace and the /stats 404 OK"
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST http://127.0.0.1:18080/submit \
+		-d '{"cqasm":"version 1.0\nqubits 2\nfoo q[0]","backend":"perfect"}'); \
+	[ "$$code" = 400 ] || { echo "metrics-smoke: POST /submit of an unparsable program = $$code, want 400"; exit 1; }; \
+	echo "metrics-smoke: /metrics, /jobs/{id}/trace, the /stats 404 and the unparsable-program 400 OK"
 
 # Load-harness smoke — the required CI job. Builds qload, proves the
 # workload generator is byte-reproducible for a fixed (scenario, seed)

@@ -8,9 +8,13 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -1004,6 +1008,80 @@ func TestColdJobAllocs(t *testing.T) {
 	}
 	if run > coldRunAllocCeiling {
 		t.Errorf("running a cold job takes %.0f allocations, ceiling %d", run, coldRunAllocCeiling)
+	}
+}
+
+// Ceilings of the per-job overhead of a cache-hot job: what one resubmit
+// and its long-poll allocate through the HTTP API, in the server and the
+// in-process client together. Before admission parsed each cQASM text
+// once into a memoised program, responses went compact and the qx PRNG
+// was reseeded instead of rebuilt, such a job took 544 allocations and
+// 68,088 bytes; the ceilings are half of each.
+const (
+	hotJobAllocCeiling = 544 / 2
+	hotJobByteCeiling  = 68088 / 2
+)
+
+// TestHotJobAllocs drives cache-hot resubmits of one 5-qubit qft, the
+// shape of stackbench's hot mix, through Service.Handler(): a POST
+// /submit and a long-polling GET /jobs/{id} per job, 64 shots on the
+// perfect stack. Allocation counts are process-wide, so the worker's
+// share is included.
+func TestHotJobAllocs(t *testing.T) {
+	s := qserv.New(qserv.Config{})
+	s.AddBackend(qserv.NewStackBackend(core.NewPerfect(10, 1)), 1)
+	s.Start()
+	defer s.Stop()
+	h := s.Handler()
+	text, err := json.Marshal(coldJobCQASM(rand.New(rand.NewSource(5))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"name":"qft","cqasm":` + string(text) + `,"backend":"perfect","shots":64}`
+	// http.NewRequest rather than httptest.NewRequest: the latter parses
+	// a serialised request through a fresh 4 KB bufio.Reader, a client
+	// cost that would hide the server's.
+	serve := func(method, target string, body io.Reader) *httptest.ResponseRecorder {
+		req, err := http.NewRequest(method, target, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	job := func() {
+		rec := serve(http.MethodPost, "/submit", strings.NewReader(body))
+		var sub struct{ ID string }
+		if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &sub) != nil {
+			t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+		}
+		rec = serve(http.MethodGet, "/jobs/"+sub.ID+"?wait=10s", nil)
+		var view struct{ Status string }
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &view) != nil || view.Status != "done" {
+			t.Fatalf("poll: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	// The first job compiles; the rest are full-artefact cache hits.
+	for i := 0; i < 20; i++ {
+		job()
+	}
+	const jobs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / jobs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("hot job: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > hotJobAllocCeiling {
+		t.Errorf("a cache-hot job takes %.0f allocations, ceiling %d", allocs, hotJobAllocCeiling)
+	}
+	if bytes > hotJobByteCeiling {
+		t.Errorf("a cache-hot job allocates %.0f bytes, ceiling %d", bytes, hotJobByteCeiling)
 	}
 }
 

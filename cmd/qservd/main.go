@@ -23,8 +23,8 @@
 //	                    {"cqasm": "...", "backend": "superconducting", "calibration": {<calibration JSON>}}
 //	                    {"qubo": {"n": 3, "terms": [{"i":0,"j":0,"v":-1}]}, "backend": "annealer"}
 //	                    the 202 response carries the job's X-Trace-Id
-//	GET  /jobs/{id}     job status, result, trace_id, and the per-pass
-//	                    compile report
+//	GET  /jobs/{id}     job status, result, engine and trace_id; the
+//	                    per-pass compile account is in the trace
 //	GET  /jobs/{id}/trace
 //	                    the job's span tree: queue wait, compile (cache
 //	                    level, per-kernel prefix, per-pass suffix),

@@ -304,10 +304,12 @@ func (s *Stack) Compile(p *openql.Program) (*openql.Compiled, error) {
 
 // RunCompiled executes an already-compiled program for the given number of
 // shots, seeding a fresh simulator (and, on realistic stacks, a fresh
-// micro-architecture machine) per call. logicalQubits is the qubit count
-// of the source program, needed to translate outcomes back to logical
-// order. It is safe for concurrent use: the Stack is only read, and all
-// mutable execution state is created per call.
+// micro-architecture machine) per call; the simulator reseeds a recycled
+// PRNG and releases it when the run ends (qx.Simulator.Release).
+// logicalQubits is the qubit count of the source program, needed to
+// translate outcomes back to logical order. It is safe for concurrent
+// use: the Stack is only read, and all mutable execution state is owned
+// by the call.
 func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int, seed int64) (*Report, error) {
 	if compiled.IsParametric() {
 		return nil, fmt.Errorf("core: program has unbound parameters %v; bind the artefact (BindArtefact) before execution", compiled.Symbols())
@@ -338,6 +340,7 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	parallel := shots >= s.parallelShotThreshold()
 	if s.Mode == openql.PerfectQubits {
 		sim := qx.NewWithEngine(seed, engine)
+		defer sim.Release()
 		sim.KernelWorkers = s.KernelWorkers
 		var (
 			res *qx.Result
@@ -357,6 +360,7 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	}
 	// Realistic path: eQASM through the micro-architecture onto noisy QX.
 	backend := qx.NewNoisyWithEngine(seed, s.Noise, engine)
+	defer backend.Release()
 	backend.KernelWorkers = s.KernelWorkers
 	machine := microarch.New(s.Microcode, backend)
 	if parallel {

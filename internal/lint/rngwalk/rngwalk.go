@@ -30,12 +30,11 @@ import (
 var (
 	// Packages scopes the analyzer to the engine layer.
 	Packages = []string{"repro/internal/qx"}
-	// AllowNewIn names the functions (or methods — RunParallel constructs
-	// the per-worker PRNGs inside its worker closures) that may construct
-	// PRNGs: the Simulator constructor seeds the canonical stream, and
-	// RunParallel derives per-worker streams from a batch seed drawn off
-	// it. Closures are attributed to their enclosing declaration.
-	AllowNewIn = []string{"New", "RunParallel"}
+	// AllowNewIn names the functions (or methods) that may construct
+	// PRNGs: the Simulator constructor, which seeds the canonical stream
+	// (RunParallel's per-worker simulators come from it too). Closures
+	// are attributed to their enclosing declaration.
+	AllowNewIn = []string{"New"}
 	// EngineInterface is the interface whose implementations' methods
 	// must not draw from a PRNG directly.
 	EngineInterface = "Engine"
@@ -56,8 +55,7 @@ func run(pass *lint.Pass) (any, error) {
 	}
 	iface := engineInterface(pass.Pkg)
 	// Walk whole declaration bodies, closures included: a FuncLit inherits
-	// its enclosing function's privileges (RunParallel seeds per-worker
-	// PRNGs inside goroutine closures) and its obligations (an engine
+	// its enclosing function's privileges and its obligations (an engine
 	// method cannot launder a direct draw through a closure).
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {

@@ -48,7 +48,7 @@ func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// RunParallel is the other blessed site: deriving per-worker streams.
+// RunParallel is not blessed: its per-worker streams come from New.
 func RunParallel(seed int64) []*rand.Rand {
-	return []*rand.Rand{rand.New(rand.NewSource(seed + 1))}
+	return []*rand.Rand{rand.New(rand.NewSource(seed + 1))} // want `rand\.New outside` `rand\.NewSource outside`
 }

@@ -46,6 +46,20 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	noSchedule := withPasses("decompose,optimize", "")
 	noAssemble := withPasses("decompose,optimize,map,lower-swaps,schedule", "")
 	noAssembleOnTarget := withPasses("decompose,optimize,map,lower-swaps,schedule", `,"target":`+string(calibrated))
+	// Programs the cQASM parser refuses, each with the words its 400
+	// must carry.
+	program := func(text string) string {
+		b, _ := json.Marshal(text)
+		return `{"cqasm":` + string(b) + `,"backend":"perfect","shots":8}`
+	}
+	unknownGate := program("version 1.0\nqubits 2\nfoo q[0]\nmeasure q[0]\n")
+	outOfRange := program("version 1.0\nqubits 2\nh q[5]\nmeasure q[0]\n")
+	garbage := program("this is not cQASM")
+	problems := map[string]string{
+		unknownGate: `unknown gate "foo"`,
+		outOfRange:  "qubit 5 out of range",
+		garbage:     `line 1: bad operand "is not cQASM"`,
+	}
 
 	// open starts a service over one perfect-stack lane and pins a
 	// concrete-program session on it.
@@ -130,6 +144,15 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"stopped", "sessions", gate, http.StatusServiceUnavailable, false},
 		{"stopped", "bind", `{"values":{}}`, http.StatusServiceUnavailable, false},
 
+		// The cQASM is parsed at admission: a program the parser
+		// refuses never becomes a job.
+		{"live", "submit", unknownGate, http.StatusBadRequest, false},
+		{"live", "sessions", unknownGate, http.StatusBadRequest, false},
+		{"live", "submit", outOfRange, http.StatusBadRequest, false},
+		{"live", "sessions", outOfRange, http.StatusBadRequest, false},
+		{"live", "submit", garbage, http.StatusBadRequest, false},
+		{"live", "sessions", garbage, http.StatusBadRequest, false},
+
 		// Opening a session compiles on the request goroutine and never
 		// enters a queue, so a full lane does not refuse it.
 		{"full", "submit", gate, http.StatusServiceUnavailable, true},
@@ -152,6 +175,12 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		}
 		if got := rec.Header().Get("Retry-After") == "1"; got != c.retryAfter {
 			t.Errorf("%s: Retry-After %q, want set=%v", name, rec.Header().Get("Retry-After"), c.retryAfter)
+		}
+		if problem, ok := problems[c.body]; ok {
+			var e struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, problem) {
+				t.Errorf("%s: error %q does not name the problem %q", name, e.Error, problem)
+			}
 		}
 	}
 }

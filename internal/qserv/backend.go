@@ -1,6 +1,7 @@
 package qserv
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -210,8 +211,9 @@ func checkStages(req *Request, b Backend) error {
 
 // compileOn compiles the program on the resolved stack through the
 // shared full-artefact cache (a nil cache compiles uncached), attaching
-// a "compile" phase span under span when tracing is live.
-func compileOn(stack *core.Stack, p *openql.Program, cache *CompileCache, span *obs.Span) (*openql.Compiled, bool, error) {
+// a "compile" phase span under span when tracing is live. canon is the
+// program's canonicalText when admission already computed it, else "".
+func compileOn(stack *core.Stack, p *openql.Program, canon string, cache *CompileCache, span *obs.Span) (*openql.Compiled, bool, error) {
 	var (
 		compiled *openql.Compiled
 		hit      bool
@@ -226,7 +228,10 @@ func compileOn(stack *core.Stack, p *openql.Program, cache *CompileCache, span *
 		// Keyed on the compile fingerprint only. Symbolic programs hash their expressions, not any bound values,
 		// so every binding of one parameterised program keys this same
 		// entry.
-		key := cacheKey(stack.CompileFingerprint(), canonicalText(p))
+		if canon == "" {
+			canon = canonicalText(p)
+		}
+		key := cacheKey(stack.CompileFingerprint(), canon)
 		compiled, hit, err = cache.GetOrCompile(key, func() (*openql.Compiled, error) {
 			return stack.Compile(p)
 		})
@@ -320,12 +325,13 @@ func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Sta
 }
 
 // compile is the gate backends' one compile path, shared by Run and
-// CompileForSession: materialise the program, resolve the request's
-// stack and compile through the shared caches under env's span.
+// CompileForSession: resolve the request's stack and compile its program
+// through the shared caches under env's span. A cQASM request carries
+// the program admission parsed from its text (Service.resolve).
 func (b *StackBackend) compile(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
-	p, err := b.program(r)
-	if err != nil {
-		return nil, nil, nil, false, err
+	p := r.Program
+	if p == nil {
+		return nil, nil, nil, false, errors.New("qserv: gate request carries no program; cQASM text is parsed at admission (Service.Submit, Service.OpenSession)")
 	}
 	stack, err := b.resolveStack(r, env)
 	if err != nil {
@@ -335,7 +341,7 @@ func (b *StackBackend) compile(r *Request, env *CompileEnv) (*core.Stack, *openq
 	if env != nil {
 		cache = env.Cache
 	}
-	compiled, hit, err := compileOn(stack, p, cache, env.span())
+	compiled, hit, err := compileOn(stack, p, r.canon, cache, env.span())
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
@@ -405,23 +411,18 @@ func canonicalText(p *openql.Program) string {
 	return b.String()
 }
 
-// program materialises the request's gate payload as an OpenQL program.
-func (b *StackBackend) program(r *Request) (*openql.Program, error) {
-	if r.Program != nil {
-		return r.Program, nil
-	}
-	prog, err := cqasm.Parse(r.CQASM)
+// parseCQASM parses and validates cQASM text (cqasm.Parse validates) and
+// lifts its flattened circuit into an OpenQL program named name
+// ("cqasm" when empty).
+func parseCQASM(name, text string) (*openql.Program, error) {
+	prog, err := cqasm.Parse(text)
 	if err != nil {
-		return nil, err
-	}
-	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	flat, err := prog.Flatten()
 	if err != nil {
 		return nil, err
 	}
-	name := r.Name
 	if name == "" {
 		name = "cqasm"
 	}

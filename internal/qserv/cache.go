@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
 	"sync"
 
 	"repro/internal/compiler"
@@ -21,11 +22,33 @@ func cacheKey(stackFingerprint, programText string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// programMemoSize bounds the admission memo of parsed cQASM programs.
+const programMemoSize = 256
+
+// parsedProgram is one admitted cQASM text lifted into an OpenQL program,
+// with the canonical kernel text (canonicalText) its compile-cache keys
+// are built from. Memoised programs are shared by every job that
+// submits the same text under the same name, read-only like every
+// compile input (see the ownership rule on compiler.Pass).
+type parsedProgram struct {
+	prog  *openql.Program
+	canon string
+}
+
+// programKey keys the admission memo by everything the parsed program
+// depends on: a SHA-256 over the program name, length-prefixed so no
+// (name, text) pair can alias another, and the cQASM text.
+func programKey(name, text string) string {
+	sum := sha256.Sum256([]byte(strconv.Itoa(len(name)) + ":" + name + text))
+	return string(sum[:])
+}
+
 // flightCache is a bounded LRU cache with singleflight semantics over
 // values of type V: concurrent lookups of the same missing key are
 // deduplicated — one caller computes, the rest wait for its result.
 // It backs both levels of the two-level compile cache (full artefacts
-// and platform-generic prefix artefacts).
+// and platform-generic prefix artefacts) and the admission memo of
+// parsed programs.
 type flightCache[V any] struct {
 	mu      sync.Mutex
 	max     int

@@ -3,6 +3,7 @@ package qserv
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -189,5 +190,83 @@ func TestTwoLevelCacheConcurrentOverrides(t *testing.T) {
 				t.Errorf("%s: cached artefact's eQASM differs from ground truth", label)
 			}
 		}
+	}
+}
+
+// TestResubmitsShareOneParsedProgram races resubmits of one cQASM text
+// (run it under -race): admission parses the text once, every job reads
+// the one memoised program, and each job's seeded counts equal those of
+// the same text parsed afresh and run straight on the stack.
+func TestResubmitsShareOneParsedProgram(t *testing.T) {
+	const text = `version 1.0
+qubits 3
+.mix
+h q[0]
+rx q[1], 0.7
+cnot q[0], q[2]
+t q[2]
+h q[2]
+measure q[0]
+measure q[1]
+measure q[2]
+`
+	stack := core.NewPerfect(3, 1)
+	s := New(Config{})
+	s.AddBackend(NewStackBackend(stack), 2)
+	s.Start()
+	defer s.Stop()
+
+	const clients, perClient, shots = 6, 5, 64
+	jobs := make([]*Job, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				n := c*perClient + i
+				j, err := s.Submit(Request{Name: "mix", CQASM: text, Shots: shots, Seed: int64(100 + n)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				jobs[n] = j
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := s.programs.stats(); st.Misses != 1 || st.Hits != uint64(len(jobs)-1) {
+		t.Errorf("admission memo: %+v, want 1 parse and %d reuses", st, len(jobs)-1)
+	}
+
+	fresh, err := parseCQASM("mix", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := stack.Compile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := jobs[0].Req.Program
+	for n, j := range jobs {
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if j.Req.Program != shared || j.Req.CQASM != "" {
+			t.Errorf("job %d does not carry the one memoised program in place of its text", n)
+		}
+		want, err := stack.RunCompiled(compiled, fresh.NumQubits, shots, int64(100+n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Result().Report.Result.Counts; !reflect.DeepEqual(got, want.Result.Counts) {
+			t.Errorf("job %d: counts %v, a freshly parsed run gives %v", n, got, want.Result.Counts)
+		}
+	}
+	if got, want := canonicalText(shared), canonicalText(fresh); got != want {
+		t.Error("the memoised program changed while its jobs ran")
 	}
 }

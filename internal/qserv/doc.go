@@ -27,6 +27,15 @@
 // *qubo.QUBO (annealing jobs), plus a target backend name and a shot
 // count, and comes back as a job ID to poll or await. Completed jobs
 // stay queryable up to a retention bound, then the oldest are evicted.
+// cQASM text is parsed, validated and flattened at admission, not on the
+// worker: a program the parser refuses (unknown gate, qubit out of
+// range, text that is not cQASM) is a 400 naming the problem, and the
+// admitted request carries the parsed program in place of its text. A
+// bounded memo keyed by a SHA-256 of the program name and text keeps
+// each parsed program, with the canonical kernel text its compile-cache
+// keys are built from, so an accelerator host that offloads the same
+// kernel again and again parses it once; memoised programs are shared
+// read-only, like every compile input.
 //
 // Admission is one path with two plans. Submit (POST /submit) and
 // BindSession (POST /sessions/{id}/bind) only build a job and call the
@@ -112,12 +121,15 @@
 // backend's, or a calibrated target override's). The canonical spec is
 // part of core.Stack.CompileFingerprint, so jobs with different pipelines
 // key distinct compile-cache entries and can never alias each other's
-// artefacts, while equivalent spellings of one spec share an entry. Every compiled artefact carries a compiler.CompileReport —
-// per-pass wall time, gate count, depth, added SWAPs — which
-// GET /jobs/{id} returns with the job and GET /metrics aggregates per
-// backend and pass (cache hits excluded: they skipped the pipeline) as
-// run counters and a wall-time histogram per pass, so operators can see
-// where compile time goes — averages and tails — pass by pass.
+// artefacts, while equivalent spellings of one spec share an entry.
+// Every compiled artefact carries a compiler.CompileReport — per-pass
+// wall time, gate count, depth, added SWAPs — which the job's trace
+// renders as per-kernel and per-pass spans and GET /metrics aggregates
+// per backend and pass (cache hits excluded: they skipped the pipeline)
+// as run counters and a wall-time histogram per pass, so operators can
+// see where compile time goes — averages and tails — pass by pass.
+// GET /jobs/{id} stays small: it names the engine and the result, not
+// the report.
 //
 // # Execution engines and parallel shots
 //
@@ -275,8 +287,10 @@
 // qserv_compile_cache_skips_total{level="prefix"} counting kernels
 // served suffix-only) and per-pass compile timings — so operators can
 // see where the time went, the service-level analogue of the host's
-// Amdahl accounting in internal/accel. Job compile reports carry the
-// per-kernel breakdown ("kernels", "prefix_hits", "compile_workers").
+// Amdahl accounting in internal/accel. A job's trace carries the
+// per-kernel breakdown: one "kernel:<name>" span per kernel, marked
+// prefix_cached when its prefix artefact came from the cache. Every
+// response body is compact JSON.
 // cmd/qservd wires the default heterogeneous system behind this API
 // (-prefix-cache and -compile-workers size the new layer), can serve
 // any device JSON file as an extra backend via -target, and adds

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/qubo"
 	"repro/internal/qx"
 	"repro/internal/target"
@@ -101,13 +101,13 @@ type JobView struct {
 	ElapsedMs    float64    `json:"elapsed_ms,omitempty"`
 	// Engine names the qx engine that executed the job's shots: the
 	// auto engine's dispatch target (stabilizer for Clifford circuits
-	// under tableau-compatible noise, optimized otherwise).
-	Engine string `json:"engine,omitempty"`
-	// CompileReport is the per-pass account (wall time, gate count,
-	// depth, added SWAPs) of the compile pipeline behind a gate job's
-	// result; on a cache hit it describes the original compilation.
-	CompileReport *compiler.CompileReport `json:"compile_report,omitempty"`
-	Result        *ResultView             `json:"result,omitempty"`
+	// under tableau-compatible noise, optimized otherwise). The compile
+	// pipeline's per-pass account is not part of the view: the job's
+	// trace (GET /jobs/{id}/trace) carries one span per kernel and per
+	// pass, and /metrics aggregates pass times in
+	// qserv_compile_pass_seconds.
+	Engine string      `json:"engine,omitempty"`
+	Result *ResultView `json:"result,omitempty"`
 }
 
 // ResultView is the JSON rendering of a job result.
@@ -152,7 +152,6 @@ func viewJob(j *Job) JobView {
 	if res := j.Result(); res != nil {
 		rv := &ResultView{}
 		if res.Report != nil {
-			v.CompileReport = res.Report.Compile
 			v.Engine = res.Report.Engine
 		}
 		if res.Report != nil && res.Report.Result != nil {
@@ -267,9 +266,11 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 			s.met.httpRequests.With(r.Method, pattern, strconv.Itoa(rec.code)).Inc()
 			s.met.httpSecs.With(pattern).ObserveSeconds(elapsed.Nanoseconds())
 		}
-		s.log.Debug("http request",
-			"method", r.Method, "path", r.URL.Path, "pattern", pattern,
-			"status", rec.code, "duration_ms", float64(elapsed.Nanoseconds())/1e6)
+		if s.log.Enabled(r.Context(), slog.LevelDebug) {
+			s.log.Debug("http request",
+				"method", r.Method, "path", r.URL.Path, "pattern", pattern,
+				"status", rec.code, "duration_ms", float64(elapsed.Nanoseconds())/1e6)
+		}
 	})
 }
 
@@ -425,12 +426,11 @@ func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]BackendView{"backends": s.Backends()})
 }
 
+// writeJSON answers with v as compact JSON, one line.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -32,11 +32,17 @@ const (
 type Request struct {
 	// Name labels the job in views and logs; optional.
 	Name string
-	// CQASM is gate-job source text, parsed and lifted into an OpenQL
-	// program on the worker.
+	// CQASM is gate-job source text. Admission (Submit, OpenSession)
+	// parses and validates it and replaces it with the lifted Program;
+	// resubmitting a text under the same Name reuses one memoised
+	// program.
 	CQASM string
-	// Program is a gate job submitted programmatically.
+	// Program is a gate job submitted programmatically, or the program
+	// admission lifted from CQASM. Either way the service only reads it.
 	Program *openql.Program
+	// canon is Program's canonicalText when admission lifted it from
+	// CQASM ("" otherwise: the compile path computes it).
+	canon string
 	// QUBO is an annealing job.
 	QUBO *qubo.QUBO
 	// Backend names the target backend; empty routes to the first backend

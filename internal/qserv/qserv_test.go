@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/anneal"
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/openql"
@@ -712,7 +714,8 @@ func TestStatsCompilePassMetrics(t *testing.T) {
 }
 
 // The HTTP surface: "passes" field accepted and echoed, bad specs are a
-// 400, and the job view carries the per-pass compile report.
+// 400, and the job's trace shows the spec ran: one kernel span for the
+// platform-generic prefix and, in order, one pass span per suffix pass.
 func TestHTTPPassesField(t *testing.T) {
 	s := twoBackendService(t, Config{Seed: 5})
 	srv := httptest.NewServer(s.Handler())
@@ -747,11 +750,40 @@ func TestHTTPPassesField(t *testing.T) {
 	if jv.Passes != spec {
 		t.Errorf("job view passes = %q, want %q", jv.Passes, spec)
 	}
-	if jv.CompileReport == nil || len(jv.CompileReport.Passes) == 0 {
-		t.Fatal("job view missing the per-pass compile report")
+	resp, err = http.Get(srv.URL + "/jobs/" + sr.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if jv.CompileReport.PassSpec != spec {
-		t.Errorf("compile report spec = %q", jv.CompileReport.PassSpec)
+	var tv obs.TraceView
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	pl, err := compiler.NewPipeline(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, suffix := pl.Split()
+	var passSpans []string
+	kernels := 0
+	var walk func(*obs.SpanView)
+	walk = func(sv *obs.SpanView) {
+		if name, ok := strings.CutPrefix(sv.Name, "pass:"); ok {
+			passSpans = append(passSpans, name)
+		}
+		if strings.HasPrefix(sv.Name, "kernel:") {
+			kernels++
+		}
+		for _, c := range sv.Children {
+			walk(c)
+		}
+	}
+	walk(tv.Root)
+	if want := suffix.Passes(); !reflect.DeepEqual(passSpans, want) {
+		t.Errorf("trace pass spans = %v, want the suffix of %q: %v", passSpans, spec, want)
+	}
+	if kernels != 1 {
+		t.Errorf("trace has %d kernel spans, want 1 (the bell kernel's prefix compile)", kernels)
 	}
 
 	bad, _ := json.Marshal(SubmitRequest{CQASM: bellCQASM, Passes: "decompose,teleport"})

@@ -146,6 +146,8 @@ type Service struct {
 	met    *serviceMetrics
 	tracer *obs.Tracer
 	log    *slog.Logger
+	// programs memoises admission's cQASM parse (see resolve).
+	programs *flightCache[parsedProgram]
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -173,6 +175,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
+		programs: newFlightCache[parsedProgram](programMemoSize),
 		jobs:     map[string]*Job{},
 		byName:   map[string]*backendPool{},
 		sessions: map[string]*Session{},
@@ -443,6 +446,11 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 		// span — the root span's children must sum to the job latency.
 		s.met.retireSecs.ObserveSeconds(time.Since(retireStart).Nanoseconds())
 	}
+	// slog boxes every argument before it checks the level, so the
+	// per-job records are built only when Info is on.
+	if !s.log.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
 	if err != nil {
 		s.log.Info("job failed",
 			"trace_id", job.TraceID(), "job", job.ID, "backend", p.b.Name(),
@@ -548,9 +556,11 @@ func (s *Service) admit(job *Job) (*Job, error) {
 			s.met.bindsTotal.Inc()
 		}
 	}
-	s.log.Debug("job submitted",
-		"trace_id", job.TraceID(), "job", job.ID, "backend", backend,
-		"session", job.Session(), "name", job.Req.Name)
+	if s.log.Enabled(context.Background(), slog.LevelDebug) {
+		s.log.Debug("job submitted",
+			"trace_id", job.TraceID(), "job", job.ID, "backend", backend,
+			"session", job.Session(), "name", job.Req.Name)
+	}
 	return job, nil
 }
 
@@ -575,10 +585,27 @@ func (s *Service) acceptingLocked() error {
 
 // resolve validates a submit or session-open request, applies the
 // default shot count and routes it to a backend pool, vetting any device
-// override and pass spec against that backend.
+// override and pass spec against that backend. A cQASM payload is
+// parsed, validated and flattened here, so a malformed program is
+// refused at submit; the request leaves carrying the parsed program in
+// place of its text, and a resubmitted text reuses its memoised parse.
 func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
+	}
+	if req.CQASM != "" {
+		name, text := req.Name, req.CQASM
+		pp, _, err := s.programs.getOrCompute(programKey(name, text), func() (parsedProgram, error) {
+			p, err := parseCQASM(name, text)
+			if err != nil {
+				return parsedProgram{}, err
+			}
+			return parsedProgram{prog: p, canon: canonicalText(p)}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		req.Program, req.canon, req.CQASM = pp.prog, pp.canon, ""
 	}
 	if req.Shots <= 0 {
 		req.Shots = s.cfg.DefaultShots

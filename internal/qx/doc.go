@@ -109,6 +109,12 @@
 // own seeded PRNG) per job and keep all per-job simulation state
 // goroutine-local. core.Stack.RunCompiled follows this contract, so a
 // shared *core.Stack may be executed from many goroutines at once.
+// Simulator.Release, the simulator's last use, hands its PRNG to a
+// package pool from which New takes one and reseeds it: a reseeded
+// source yields exactly the stream of a fresh rand.NewSource, so seeded
+// counts do not depend on recycling, and a job that releases its
+// simulator allocates no 5 KB source. RunCompiled and RunParallel's
+// per-batch simulators release theirs.
 //
 // Engines are stateless and shared: all per-run state lives in the
 // ExecEnv and in locals. Simulator.RunParallel fans one run's shots out
@@ -129,7 +135,7 @@
 // The seeded-determinism contract — bit-identical counts across engines
 // for a fixed seed — is machine-checked by the qlint analyzer suite
 // (internal/lint, run by `make lint` and CI): rngwalk forbids global
-// math/rand draws, private PRNG construction outside New/RunParallel,
+// math/rand draws, private PRNG construction outside New,
 // and direct PRNG draws inside Engine methods (all randomness flows
 // from the Simulator seed through ExecEnv.Rng and the shared helpers);
 // detmap keeps map iteration order out of results and samplers.

@@ -90,14 +90,16 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 	}
 
 	// Noisy path: noise draws precede the first measurement, so every
-	// shot replays the whole circuit on one tableau reset to |0…0>.
+	// shot replays the whole circuit on one tableau reset to |0…0>; an
+	// unmeasured circuit rebuilds one sampler per shot in place.
 	zero := newTableau(n)
+	var sampler supportSampler
 	for i := 0; i < shots; i++ {
 		r.tableau.copyFrom(zero)
 		clear(bits)
 		res.GateErrorsInjected += r.run(0, len(prog.ops), bits)
 		if !prog.hasMeasure {
-			sampler := newSupportSampler(r.tableau)
+			sampler.rebuild(r.tableau)
 			sampler.sample(env.Rng, bits)
 			tabReadoutError(env, bits, n)
 		}

@@ -353,6 +353,9 @@ func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 		{"stabilizer/masked-ghz", Stabilizer(), ghz, nil},
 		{"stabilizer/wide-measured-ghz", Stabilizer(), wide, nil},
 		{"stabilizer/noisy-dephasing", Stabilizer(), basis, dephasing},
+		// Unmeasured, so every noisy shot samples a rebuilt support;
+		// dephasing keeps the outcomes to the GHZ pair.
+		{"stabilizer/noisy-unmeasured-ghz", Stabilizer(), circuit.GHZ(16), dephasing},
 	}
 	for _, tc := range cases {
 		allocs := func(shots int) float64 {
@@ -365,6 +368,21 @@ func TestMeasuredShotsAllocsIndependentOfShots(t *testing.T) {
 		}
 		if few, many := allocs(64), allocs(1024); few != many {
 			t.Errorf("%s: %.1f allocs at 64 shots, %.1f at 1024: the shot loop allocates", tc.name, few, many)
+		}
+		if tc.noise == nil {
+			continue
+		}
+		// The noisy rows' seeded counts stay the reference's.
+		got, err := NewNoisyWithEngine(1, tc.noise, tc.eng).Run(tc.c, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewNoisyWithEngine(1, tc.noise, Reference()).Run(tc.c, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Errorf("%s: counts %v, reference %v", tc.name, got.Counts, want.Counts)
 		}
 	}
 }

@@ -44,10 +44,33 @@ type Simulator struct {
 	rng  *rand.Rand
 }
 
+// rngPool holds the PRNGs of released simulators. A math/rand source is
+// about 5 KB; reseeding a recycled one gives exactly the stream a fresh
+// rand.NewSource(seed) would, without allocating it.
+var rngPool sync.Pool
+
 // New returns a perfect-qubit simulator seeded deterministically, backed
-// by the auto engine.
+// by the auto engine. Its PRNG is recycled from a released simulator
+// when one is available (see Release).
 func New(seed int64) *Simulator {
-	return &Simulator{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	rng, _ := rngPool.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	return &Simulator{seed: seed, rng: rng}
+}
+
+// Release hands the simulator's PRNG back for reuse by a later New. It is
+// the simulator's last use: neither it nor a *rand.Rand taken from Rand
+// may be used afterwards. Releasing is optional; an unreleased PRNG is
+// simply garbage collected.
+func (s *Simulator) Release() {
+	if s.rng != nil {
+		rngPool.Put(s.rng)
+		s.rng = nil
+	}
 }
 
 // NewWithEngine returns a perfect-qubit simulator backed by the given
@@ -97,10 +120,19 @@ func (s *Simulator) env() *ExecEnv {
 // application development where the full state is the artefact of
 // interest.
 func (s *Simulator) RunState(c *circuit.Circuit) (*quantum.State, error) {
-	if err := c.Validate(); err != nil {
+	if err := validate(c); err != nil {
 		return nil, err
 	}
 	return s.engine().RunState(c, s.env())
+}
+
+// validate vets a circuit for execution: Circuit.Validate, plus at least
+// one qubit, which every engine's state and outcome encoding needs.
+func validate(c *circuit.Circuit) error {
+	if c.NumQubits < 1 {
+		return fmt.Errorf("qx: circuit %q has %d qubits, need at least 1", c.Name, c.NumQubits)
+	}
+	return c.Validate()
 }
 
 // Run executes the circuit for the given number of shots and aggregates
@@ -138,7 +170,7 @@ func (s *Simulator) run(c *circuit.Circuit, shots int) (*Result, error) {
 // run their amplitude kernels serially — shot-level parallelism already
 // saturates the cores, so the two levels never multiply.
 func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	if err := validate(c); err != nil {
 		return nil, err
 	}
 	if shots <= 0 {
@@ -162,15 +194,10 @@ func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result
 		wg.Add(1)
 		go func(w, n int) {
 			defer wg.Done()
-			sub := &Simulator{
-				Noise:         s.Noise,
-				EnableFusion:  s.EnableFusion,
-				Engine:        s.Engine,
-				KernelWorkers: 1,
-				seed:          workerSeed(batchSeed, w),
-			}
-			sub.rng = rand.New(rand.NewSource(sub.seed))
+			sub := New(workerSeed(batchSeed, w))
+			sub.Noise, sub.EnableFusion, sub.Engine, sub.KernelWorkers = s.Noise, s.EnableFusion, s.Engine, 1
 			results[w], errs[w] = sub.run(c, n)
+			sub.Release()
 		}(w, n)
 	}
 	wg.Wait()

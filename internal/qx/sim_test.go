@@ -2,6 +2,8 @@ package qx
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,6 +75,28 @@ func TestRunRejectsBadShots(t *testing.T) {
 	sim := New(1)
 	if _, err := sim.Run(circuit.Bell(), 0); err == nil {
 		t.Error("shots=0 accepted")
+	}
+}
+
+// TestRunRejectsZeroQubits: a circuit on no qubits has no state to
+// simulate and no outcome to encode, so every engine refuses it with an
+// error instead of panicking, on the perfect and the noisy path and for
+// RunState.
+func TestRunRejectsZeroQubits(t *testing.T) {
+	empty := circuit.New("empty", 0)
+	for _, e := range []Engine{Auto(), Reference(), Optimized(), Stabilizer()} {
+		for _, noise := range []*NoiseModel{nil, Depolarizing(1e-3)} {
+			sim := NewNoisyWithEngine(1, noise, e)
+			if _, err := sim.Run(empty, 4); err == nil {
+				t.Errorf("%s (noise %v): zero-qubit Run accepted", e.Name(), noise != nil)
+			}
+			if _, err := sim.RunParallel(empty, 4, 2); err == nil {
+				t.Errorf("%s (noise %v): zero-qubit RunParallel accepted", e.Name(), noise != nil)
+			}
+			if _, err := sim.RunState(empty); err == nil {
+				t.Errorf("%s (noise %v): zero-qubit RunState accepted", e.Name(), noise != nil)
+			}
+		}
 	}
 }
 
@@ -248,6 +272,46 @@ func TestDeterministicSeeding(t *testing.T) {
 	for idx, n := range a.Counts {
 		if b.Counts[idx] != n {
 			t.Fatal("same seed produced different results")
+		}
+	}
+}
+
+// TestReleasedPRNGReseedsExactly: a simulator built on a released PRNG
+// draws exactly the stream of one built on a fresh source, so recycling
+// never changes seeded counts, serial or in parallel batches.
+func TestReleasedPRNGReseedsExactly(t *testing.T) {
+	c := circuit.New("d", 4).H(0).H(1).RX(2, 0.4).CNOT(2, 3).H(3)
+	fresh := &Simulator{seed: 9, rng: rand.New(rand.NewSource(9))}
+	want, err := fresh.Run(c, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParallel, err := (&Simulator{seed: 9, rng: rand.New(rand.NewSource(9))}).RunParallel(c, 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		// Leave a used PRNG behind so the next New reseeds a dirty one.
+		used := New(int64(100 + i))
+		used.Rand().Int63()
+		used.Release()
+		sim := New(9)
+		got, err := sim.Run(c, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Release()
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Fatalf("round %d: reseeded counts %v, fresh %v", i, got.Counts, want.Counts)
+		}
+		sim = New(9)
+		got, err = sim.RunParallel(c, 500, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Release()
+		if !reflect.DeepEqual(got.Counts, wantParallel.Counts) {
+			t.Fatalf("round %d: reseeded parallel counts %v, fresh %v", i, got.Counts, wantParallel.Counts)
 		}
 	}
 }

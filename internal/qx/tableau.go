@@ -294,19 +294,38 @@ type supportSampler struct {
 	w    int
 	base []uint64
 	vecs [][]uint64
+	// rows and words are the elimination's storage: vecs and rows slice
+	// words, so a rebuild for a tableau of the same size allocates
+	// nothing.
+	rows  [][]uint64
+	words []uint64
 }
 
 // newSupportSampler destructively extracts the support of t.
 func newSupportSampler(t *tableau) *supportSampler {
-	s := &supportSampler{n: t.n, w: t.w}
+	s := &supportSampler{}
+	s.rebuild(t)
+	return s
+}
+
+// rebuild destructively extracts the support of t into s, reusing the
+// storage of an earlier build.
+func (s *supportSampler) rebuild(t *tableau) {
+	s.n, s.w = t.n, t.w
+	if len(s.words) != t.n*t.w {
+		s.words = make([]uint64, t.n*t.w)
+		s.rows = make([][]uint64, 0, t.n)
+		s.vecs = make([][]uint64, 0, t.n)
+		s.base = make([]uint64, t.w)
+	}
 	// Basis of the span: the X parts of the stabilizer generators,
 	// Gauss-reduced over GF(2).
-	rows := make([][]uint64, 0, t.n)
-	for i := t.n; i < 2*t.n; i++ {
-		row := make([]uint64, t.w)
-		copy(row, t.x[i*t.w:(i+1)*t.w])
-		rows = append(rows, row)
+	copy(s.words, t.x[t.n*t.w:2*t.n*t.w])
+	rows := s.rows[:0]
+	for i := 0; i < t.n; i++ {
+		rows = append(rows, s.words[i*t.w:(i+1)*t.w:(i+1)*t.w])
 	}
+	s.vecs = s.vecs[:0]
 	for b := t.n - 1; b >= 0; b-- {
 		wb, mb := b>>6, uint64(1)<<(uint(b)&63)
 		pivot := -1
@@ -335,7 +354,7 @@ func newSupportSampler(t *tableau) *supportSampler {
 	}
 	// One support element, canonicalised to the coset representative
 	// with all pivot bits clear.
-	s.base = make([]uint64, t.w)
+	clear(s.base)
 	for q := 0; q < t.n; q++ {
 		switch t.prob(q) {
 		case 1:
@@ -350,7 +369,6 @@ func newSupportSampler(t *tableau) *supportSampler {
 			xorWords(s.base, v)
 		}
 	}
-	return s
 }
 
 // sample draws one support element uniformly into out (length w). For
