@@ -8,13 +8,7 @@
 // Usage:
 //
 //	openqlc [-platform name] [-target device.json] [-calibration cal.json]
-//	        [-emit cqasm|eqasm] [-passes spec] [-compile-workers N] file.cq
-//
-// Multi-kernel programs compile kernel-by-kernel through the pipeline's
-// platform-generic prefix (decompose/optimize/fold-rotations);
-// -compile-workers bounds how many kernels compile concurrently (0 or 1
-// is serial — identical artefacts either way), and the per-pass report
-// includes the per-kernel prefix breakdown.
+//	        [-emit cqasm|eqasm] [-passes spec] file.cq
 //
 // The compilation target is a device description: one of the built-in
 // presets (-platform perfect|superconducting|semiconducting) or a device
@@ -59,8 +53,6 @@ func main() {
 			"(default: "+compiler.DefaultPassSpec+"; available: "+
 			strings.Join(compiler.PassNames(), ", ")+")")
 	stats := flag.Bool("stats", true, "print per-pass compilation statistics to stderr")
-	compileWorkers := flag.Int("compile-workers", 1,
-		"kernels compiled concurrently through the platform-generic prefix passes (0/1 serial)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: openqlc [flags] file.cq")
@@ -95,10 +87,9 @@ func main() {
 
 	prog := openql.ProgramFromCircuit(circuitName(c.Name, flag.Arg(0)), c)
 	compiled, err := prog.Compile(openql.CompileOptions{
-		Mode:    mode,
-		Target:  dev,
-		Passes:  *passes,
-		Workers: *compileWorkers,
+		Mode:   mode,
+		Target: dev,
+		Passes: *passes,
 	})
 	if err != nil {
 		fatal(err)

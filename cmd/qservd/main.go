@@ -8,7 +8,7 @@
 // Usage:
 //
 //	qservd [-addr :8080] [-qubits 10] [-workers 2] [-queue 256] [-cache 512]
-//	       [-prefix-cache 2048] [-compile-workers N] [-shots 1024] [-seed 1]
+//	       [-prefix-cache 2048] [-shots 1024] [-seed 1]
 //	       [-passes spec]
 //	       [-session-ttl 15m] [-max-sessions 256]
 //	       [-target device.json] [-calibration cal.json]
@@ -102,12 +102,9 @@
 // (-cache), a prefix cache (-prefix-cache) holds per-kernel
 // platform-generic artefacts (decompose/optimize output) keyed by gate
 // set rather than device hash, so jobs that only change mapping,
-// scheduling or calibration recompile suffix-only. Kernels compile
-// concurrently up to the -compile-workers budget, shared service-wide
-// via one semaphore so compile parallelism never multiplies with the
-// worker pools. GET /metrics reports both cache levels
-// (qserv_compile_cache_ops_total) and per-backend prefix hits
-// (qserv_compile_cache_skips_total{level="prefix"}).
+// scheduling or calibration recompile suffix-only. GET /metrics reports
+// both cache levels (qserv_compile_cache_ops_total) and per-backend
+// prefix hits (qserv_compile_cache_skips_total{level="prefix"}).
 //
 // Parametric compilation & sessions: cQASM angles may be linear
 // expressions over $symbols (`rz q[0], 2*$gamma`); such a program
@@ -164,8 +161,6 @@ func main() {
 	cache := flag.Int("cache", 512, "compiled-circuit cache entries (negative disables)")
 	prefixCache := flag.Int("prefix-cache", 0,
 		"prefix-artefact cache entries (0 defaults to 4x -cache; negative disables)")
-	compileWorkers := flag.Int("compile-workers", 0,
-		"service-wide kernel-compile parallelism budget (0 = GOMAXPROCS; negative serial)")
 	shots := flag.Int("shots", 1024, "default shots per gate job")
 	seed := flag.Int64("seed", 1, "base seed for per-job seed derivation")
 	passes := flag.String("passes", "",
@@ -209,7 +204,6 @@ func main() {
 		DefaultShots:    *shots,
 		CacheSize:       *cache,
 		PrefixCacheSize: *prefixCache,
-		CompileWorkers:  *compileWorkers,
 		Seed:            *seed,
 		Passes:          *passes,
 		SessionTTL:      *sessionTTL,

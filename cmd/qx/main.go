@@ -4,7 +4,7 @@
 // Usage:
 //
 //	qx [-shots N] [-seed S] [-parallel W] [-passes spec]
-//	   [-compile-workers N] [-target device.json] [-calibration cal.json]
+//	   [-target device.json] [-calibration cal.json]
 //	   [-depolarizing P] [-readout P] [-state] file.cq
 //
 // Execution runs on the auto engine: Clifford circuits under
@@ -47,8 +47,6 @@ func main() {
 	passes := flag.String("passes", "",
 		"compile through this pass pipeline before executing (available: "+
 			strings.Join(compiler.PassNames(), ", ")+"); empty runs the circuit as written")
-	compileWorkers := flag.Int("compile-workers", 1,
-		"kernels compiled concurrently through the platform-generic prefix passes (0/1 serial)")
 	targetPath := flag.String("target", "",
 		"device JSON file: compile for this device and derive noise from its calibration")
 	calibPath := flag.String("calibration", "",
@@ -89,7 +87,7 @@ func main() {
 	}
 
 	if *passes != "" || dev != nil {
-		opts := openql.CompileOptions{Mode: openql.PerfectQubits, Passes: *passes, Workers: *compileWorkers}
+		opts := openql.CompileOptions{Mode: openql.PerfectQubits, Passes: *passes}
 		if dev != nil {
 			opts.Target = dev
 		} else {

@@ -60,15 +60,12 @@
 // Compilation itself is two-level (compiler.Pipeline.Split): the
 // platform-generic prefix of a pipeline — the leading decompose/
 // optimize/fold-rotations run, whose output depends only on the circuit
-// and the native gate set — compiles kernel by kernel, concurrently up
-// to a worker budget (openql.CompileOptions.Workers, core.Stack.
-// CompileWorkers, -compile-workers on the CLIs) bounded service-wide by
-// a shared compiler.WorkerGate, with the per-kernel artefacts
-// concatenated deterministically before the variant suffix (mapping,
-// scheduling, assembly) runs over the whole program. Kernel boundaries
-// are optimisation barriers, so every kernel's prefix artefact
-// (compiler.PrefixArtefact) is reusable by any program embedding the
-// same kernel. Prefix artefacts cache independently of the full
+// and the native gate set — compiles kernel by kernel, in program
+// order, and the per-kernel artefacts are concatenated before the
+// variant suffix (mapping, scheduling, assembly) runs over the whole
+// program. Kernel boundaries are optimisation barriers, so every
+// kernel's prefix artefact (compiler.PrefixArtefact) is reusable by any
+// program embedding the same kernel. Prefix artefacts cache independently of the full
 // compiled artefacts: keyed by gate-set hash + prefix spec + kernel
 // content hash (compiler.PrefixKey, openql.Kernel.ContentHash,
 // core.Stack.PrefixFingerprint) rather than the device content hash, so
@@ -107,7 +104,7 @@
 // CI benchmark (BenchmarkStabilizerVsDense) holds the 22-qubit Clifford
 // speedup above 100x through the stabilizer_vs_dense_pct ceiling gate.
 // Large shot counts fan out across CPU cores in parallel shot batches
-// (qx.Simulator.RunParallel, core.Stack.ParallelShots,
+// (qx.Simulator.RunParallel, core.ParallelShots,
 // microarch.Machine.ShotWorkers).
 //
 // Above the single-caller stack sits the concurrent accelerator service

@@ -173,9 +173,6 @@ type CompileReport struct {
 	PrefixSpec string `json:"prefix_spec,omitempty"`
 	// PrefixHits counts kernels served from the prefix cache.
 	PrefixHits int `json:"prefix_hits,omitempty"`
-	// CompileWorkers is the kernel-compile parallelism the compilation
-	// ran with (0 when it compiled in one shot).
-	CompileWorkers int `json:"compile_workers,omitempty"`
 	// Kernels is the per-kernel prefix account, in program order.
 	Kernels []KernelCompile `json:"kernels,omitempty"`
 }
@@ -198,8 +195,8 @@ func (r *CompileReport) String() string {
 	}
 	fmt.Fprintf(&b, "%-16s %12s\n", "total", time.Duration(r.TotalNs).String())
 	if len(r.Kernels) > 0 {
-		fmt.Fprintf(&b, "kernels %d  prefix %q  cache hits %d/%d  workers %d\n",
-			len(r.Kernels), r.PrefixSpec, r.PrefixHits, len(r.Kernels), r.CompileWorkers)
+		fmt.Fprintf(&b, "kernels %d  prefix %q  cache hits %d/%d\n",
+			len(r.Kernels), r.PrefixSpec, r.PrefixHits, len(r.Kernels))
 	}
 	return b.String()
 }

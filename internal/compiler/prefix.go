@@ -6,8 +6,7 @@ package compiler
 // compiled once per kernel and cached independently of the mapping,
 // scheduling and calibration configuration the variant suffix depends
 // on. This file holds the artefact type the prefix stage produces, the
-// cache interface higher layers (qserv) implement, the shared worker
-// gate that bounds kernel-compile parallelism service-wide, and the key
+// cache interface higher layers (qserv) implement, and the key
 // derivation both sides agree on.
 
 import (
@@ -56,38 +55,4 @@ func PrefixKey(gateSetHash, prefixSpec, kernelText string) string {
 	h.Write([]byte{0})
 	h.Write([]byte(kernelText))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// WorkerGate is a counting semaphore shared by every compilation of a
-// service: it bounds the total number of kernel-compile goroutines
-// across concurrent jobs, so per-program parallelism cannot multiply
-// with the worker pools above it and oversubscribe the machine. A nil
-// WorkerGate imposes no bound. Tokens are acquired one at a time around
-// each kernel's prefix run and released immediately after, so gated
-// compilations cannot deadlock (no goroutine ever holds a token while
-// waiting for another).
-type WorkerGate chan struct{}
-
-// NewWorkerGate returns a gate admitting at most n concurrent kernel
-// compilations (minimum 1).
-func NewWorkerGate(n int) WorkerGate {
-	if n < 1 {
-		n = 1
-	}
-	return make(WorkerGate, n)
-}
-
-// Acquire takes a token, blocking while n compilations are in flight.
-// A nil gate admits immediately.
-func (g WorkerGate) Acquire() {
-	if g != nil {
-		g <- struct{}{}
-	}
-}
-
-// Release returns a token taken by Acquire. A no-op on a nil gate.
-func (g WorkerGate) Release() {
-	if g != nil {
-		<-g
-	}
 }

@@ -132,22 +132,3 @@ func TestPrefixKeyDistinct(t *testing.T) {
 		t.Error("prefix keys must be deterministic")
 	}
 }
-
-func TestWorkerGateNilSafe(t *testing.T) {
-	var g WorkerGate
-	g.Acquire() // must not block or panic
-	g.Release()
-
-	g = NewWorkerGate(2)
-	g.Acquire()
-	g.Acquire()
-	done := make(chan struct{})
-	go func() {
-		g.Acquire()
-		g.Release()
-		close(done)
-	}()
-	g.Release()
-	<-done
-	g.Release()
-}

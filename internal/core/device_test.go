@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/openql"
 	"repro/internal/qx"
 	"repro/internal/target"
+	"repro/internal/topology"
 )
 
 // Re-calibrating a device must change the stack's compile fingerprint —
@@ -119,6 +121,37 @@ func TestCustomDeviceExecutes(t *testing.T) {
 	}
 	if compiled.EQASM == nil || compiled.EQASM.String() == "" {
 		t.Error("realistic custom device produced no eQASM")
+	}
+}
+
+// On a zero-error calibration the realistic path (eQASM through the
+// micro-architecture) reports the outcomes of the perfect path at every
+// register width, physical qubits 64 and above included.
+func TestRealisticMatchesPerfectOnZeroErrorDevice(t *testing.T) {
+	for _, n := range []int{8, 70} {
+		line := &target.Device{
+			Name:        fmt.Sprintf("line-%d", n),
+			NumQubits:   n,
+			CycleTimeNs: 20,
+			Gates:       target.NISQGates(1, 2, 15, 10),
+			Topology:    topology.Linear(n),
+		}
+		p := openql.NewProgram("far", n)
+		p.AddKernel(openql.NewKernel("far", n).X(n - 1).Measure(0).Measure(n - 1))
+		want := "1" + strings.Repeat("0", n-1)
+		for _, cal := range []*target.Calibration{nil, target.Uniform(n, line.Topology, target.QubitCalibration{}, 0)} {
+			stack, err := NewStackForDevice(line.WithCalibration(cal), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := stack.Execute(p, 16)
+			if err != nil {
+				t.Fatalf("%s %v: %v", line.Name, stack.Mode, err)
+			}
+			if got := rep.Result.Top(2); len(got) != 1 || got[0].Bits != want || got[0].Count != 16 {
+				t.Errorf("%s %v: outcomes %v, want 16 shots of %s", line.Name, stack.Mode, got, want)
+			}
+		}
 	}
 }
 

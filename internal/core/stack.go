@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -44,30 +43,11 @@ type Stack struct {
 	// tests pin qx.Reference or qx.Optimized here; engines execute
 	// compiled circuits and never change them.
 	Engine qx.Engine `fp:"-"`
-	// ParallelShots is the shot count at or above which RunCompiled fans
-	// shot execution out across CPU cores in parallel batches. 0 selects
-	// DefaultParallelShots; negative disables parallel batches. Parallel
-	// runs stay deterministic per (seed, core count) but draw different
-	// PRNG streams than serial runs, so tests pinning exact counts should
-	// stay below the threshold or disable it.
-	ParallelShots int `fp:"-"`
 	// KernelWorkers caps the simulator's amplitude-kernel parallelism per
 	// run (0 = machine-sized, 1 = serial). Services executing many jobs
 	// concurrently set this so per-job kernel goroutines do not multiply
 	// with their worker pools.
 	KernelWorkers int `fp:"-"`
-	// CompileWorkers bounds how many of a program's kernels compile
-	// concurrently through the pipeline's platform-generic prefix
-	// (decompose/optimize/fold-rotations); mapping and scheduling always
-	// run once over the concatenated program. 0 or 1 compiles serially.
-	// Deliberately excluded from the fingerprints: parallel and serial
-	// compilations produce identical artefacts.
-	CompileWorkers int `fp:"-"`
-	// CompileGate, when non-nil, additionally bounds kernel-compile
-	// parallelism across concurrent compilations service-wide — qserv
-	// shares one gate sized to its worker budget across all backends.
-	// Excluded from the fingerprints for the same reason.
-	CompileGate compiler.WorkerGate `fp:"-"`
 	// PrefixCache, when non-nil, caches platform-generic prefix
 	// artefacts across compiles (level 1 of the two-level compile
 	// cache); see PrefixFingerprint for what keys it. Cached artefacts
@@ -76,22 +56,12 @@ type Stack struct {
 	PrefixCache compiler.PrefixCache `fp:"-"`
 }
 
-// DefaultParallelShots is the parallel-shot-batch threshold used when
-// Stack.ParallelShots is zero. It sits above the shot counts the test
-// and example corpus pins exact counts for.
-const DefaultParallelShots = 4096
-
-// parallelShotThreshold resolves the ParallelShots setting.
-func (s *Stack) parallelShotThreshold() int {
-	switch {
-	case s.ParallelShots < 0:
-		return math.MaxInt
-	case s.ParallelShots == 0:
-		return DefaultParallelShots
-	default:
-		return s.ParallelShots
-	}
-}
+// ParallelShots is the shot count at or above which RunCompiled fans
+// shot execution out across CPU cores in parallel batches. Parallel runs
+// stay deterministic per (seed, core count) but draw different PRNG
+// streams than serial runs; the threshold sits above the shot counts the
+// test and example corpus pins exact counts for.
+const ParallelShots = 4096
 
 // NewStackForDevice builds the full-stack target for one device
 // description: the compiler platform is a view of the device, and — when
@@ -124,9 +94,8 @@ func NewStackForDevice(dev *target.Device, seed int64) (*Stack, error) {
 // WithDevice rebuilds the stack for a different device description —
 // the device decides mode, platform, noise model and microcode — while
 // carrying over every compiler and execution tuning knob (pass spec,
-// engine, shot/kernel/compile parallelism, the shared compile gate and
-// prefix cache). This is how per-job target
-// and calibration overrides materialise in qserv, and how a running
+// engine, kernel parallelism and the prefix cache). This is how per-job
+// target and calibration overrides materialise in qserv, and how a running
 // service re-calibrates a backend in place: the rebuilt stack's device
 // hash keys fresh full-artefact cache entries while its prefix entries
 // (keyed on the gate set alone) stay live.
@@ -137,10 +106,7 @@ func (s *Stack) WithDevice(dev *target.Device) (*Stack, error) {
 	}
 	out.Passes = s.Passes
 	out.Engine = s.Engine
-	out.ParallelShots = s.ParallelShots
 	out.KernelWorkers = s.KernelWorkers
-	out.CompileWorkers = s.CompileWorkers
-	out.CompileGate = s.CompileGate
 	out.PrefixCache = s.PrefixCache
 	return out, nil
 }
@@ -296,8 +262,6 @@ func (s *Stack) Compile(p *openql.Program) (*openql.Compiled, error) {
 		Mode:        s.Mode,
 		Platform:    s.Platform,
 		Passes:      s.Passes,
-		Workers:     s.CompileWorkers,
-		CompileGate: s.CompileGate,
 		PrefixCache: s.PrefixCache,
 	})
 }
@@ -337,7 +301,7 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		WallNs:   compiled.Schedule.Makespan * s.Platform.CycleTimeNs,
 		Engine:   engine.Name(),
 	}
-	parallel := shots >= s.parallelShotThreshold()
+	parallel := shots >= ParallelShots
 	if s.Mode == openql.PerfectQubits {
 		sim := qx.NewWithEngine(seed, engine)
 		defer sim.Release()

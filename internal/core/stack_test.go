@@ -178,11 +178,10 @@ func TestDefaultEngineIsAuto(t *testing.T) {
 }
 
 func TestStackParallelShots(t *testing.T) {
-	// Force the parallel-batch path with a tiny threshold on both stack
-	// modes and check the merged statistics stay coherent.
+	// Run both stack modes at the parallel-batch threshold and check the
+	// merged statistics stay coherent.
 	perfect := NewPerfect(2, 11)
-	perfect.ParallelShots = 8
-	rep, err := perfect.Execute(bell(), 64)
+	rep, err := perfect.Execute(bell(), ParallelShots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +192,12 @@ func TestStackParallelShots(t *testing.T) {
 		}
 		total += n
 	}
-	if total != 64 {
-		t.Errorf("parallel perfect run merged %d shots, want 64", total)
+	if total != ParallelShots {
+		t.Errorf("parallel perfect run merged %d shots, want %d", total, ParallelShots)
 	}
 
 	noisy := NewSuperconducting(11)
-	noisy.ParallelShots = 8
-	repN, err := noisy.Execute(bell(), 64)
+	repN, err := noisy.Execute(bell(), ParallelShots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +205,8 @@ func TestStackParallelShots(t *testing.T) {
 	for _, n := range repN.Result.Counts {
 		totalN += n
 	}
-	if totalN != 64 {
-		t.Errorf("parallel realistic run merged %d shots, want 64", totalN)
-	}
-
-	// Negative disables the threshold entirely.
-	off := NewPerfect(2, 11)
-	off.ParallelShots = -1
-	if _, err := off.Execute(bell(), 64); err != nil {
-		t.Fatal(err)
+	if totalN != ParallelShots {
+		t.Errorf("parallel realistic run merged %d shots, want %d", totalN, ParallelShots)
 	}
 }
 
@@ -246,7 +237,7 @@ func TestPerfectVsRealisticFidelity(t *testing.T) {
 
 // CompileFingerprint must separate every compile-relevant configuration
 // — each a pass-spec variant — so no two distinct configurations alias,
-// while excluding execution-only settings (engine, seed, shots
+// while excluding execution-only settings (engine, seed, kernel
 // parallelism).
 func TestCompileFingerprintExplicitFields(t *testing.T) {
 	base := func() *Stack { return NewPerfect(4, 1) }
@@ -280,7 +271,6 @@ func TestCompileFingerprintExplicitFields(t *testing.T) {
 	s := base()
 	s.Engine = qx.Reference()
 	s.Seed = 999
-	s.ParallelShots = 1
 	s.KernelWorkers = 3
 	if s.CompileFingerprint() != ref {
 		t.Error("execution-only settings leaked into the compile fingerprint")

@@ -14,6 +14,7 @@ package microarch
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/eqasm"
@@ -234,21 +235,43 @@ func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots in
 	if len(phys) == prog.NumQubits {
 		return res, nil
 	}
-	// Expand outcome indices back to physical bit positions.
+	// Expand outcomes back to physical bit positions: int indices while
+	// the physical register fits one, bitstrings (qubit 0 rightmost, as
+	// qx.Result.WideCounts keys them) once it is wider than 63 qubits.
 	full := &qx.Result{
 		NumQubits:          prog.NumQubits,
 		Shots:              res.Shots,
 		Counts:             map[int]int{},
 		GateErrorsInjected: res.GateErrorsInjected,
 	}
-	for idx, count := range res.Counts {
-		fullIdx := 0
-		for i, q := range phys {
-			if idx&(1<<uint(i)) != 0 {
-				fullIdx |= 1 << uint(q)
+	if prog.NumQubits <= 63 {
+		// The compact register is narrower still, so res has no
+		// WideCounts.
+		for idx, count := range res.Counts {
+			fullIdx := 0
+			for i, q := range phys {
+				if idx&(1<<uint(i)) != 0 {
+					fullIdx |= 1 << uint(q)
+				}
 			}
+			full.Counts[fullIdx] += count
 		}
-		full.Counts[fullIdx] += count
+		return full, nil
+	}
+	full.WideCounts = make(map[string]int, len(res.Counts)+len(res.WideCounts))
+	// Every outcome rewrites the touched positions; idle qubits stay '0'.
+	bits := []byte(strings.Repeat("0", prog.NumQubits))
+	for idx, count := range res.Counts {
+		for i, q := range phys {
+			bits[len(bits)-1-q] = '0' + byte(idx>>uint(i)&1)
+		}
+		full.WideCounts[string(bits)] += count
+	}
+	for compact, count := range res.WideCounts {
+		for i, q := range phys {
+			bits[len(bits)-1-q] = compact[len(compact)-1-i]
+		}
+		full.WideCounts[string(bits)] += count
 	}
 	return full, nil
 }

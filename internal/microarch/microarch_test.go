@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -181,27 +182,46 @@ func TestNoisyBackendThroughMicroarch(t *testing.T) {
 }
 
 func TestBackendCompactionRemapsOutcomes(t *testing.T) {
-	// A program touching only qubits 3 and 9 of a 17-qubit chip must
-	// return outcomes in the 17-qubit physical bit positions while
-	// simulating just 2 qubits internally.
-	prog := &eqasm.Program{NumQubits: 17, Instrs: []eqasm.Instr{
-		eqasm.SMIS{Reg: 0, Qubits: []int{3}},
-		eqasm.Bundle{PreWait: 0, Ops: []eqasm.QOp{{Name: "x90", Reg: 0}}},
-		eqasm.Bundle{PreWait: 1, Ops: []eqasm.QOp{{Name: "x90", Reg: 0}}},
-		eqasm.SMIS{Reg: 1, Qubits: []int{3, 9}},
-		eqasm.Bundle{PreWait: 1, Ops: []eqasm.QOp{{Name: "measz", Reg: 1}}},
-	}}
-	m := New(SuperconductingConfig(), qx.New(9))
-	report, err := m.Execute(prog, 200)
-	if err != nil {
-		t.Fatal(err)
+	// A program touching a few qubits of a chip must return outcomes in
+	// the chip's physical bit positions while simulating just the
+	// touched qubits internally — as bitstrings once the chip is wider
+	// than 63 qubits, whether the touched qubits fit an int index or not.
+	span := func(lo, hi int) []int {
+		var qs []int
+		for q := lo; q < hi; q++ {
+			qs = append(qs, q)
+		}
+		return qs
 	}
-	// Two x90 = X on qubit 3: outcome must be bit 3 set, bit 9 clear.
-	if report.Result.Counts[1<<3] != 200 {
-		t.Errorf("compacted outcome remap wrong: %v", report.Result.Counts)
-	}
-	if report.Result.NumQubits != 17 {
-		t.Errorf("result register size %d", report.Result.NumQubits)
+	for _, tc := range []struct {
+		chip, flip int
+		measured   []int
+	}{
+		{17, 3, []int{3, 9}},
+		{70, 69, []int{0, 69}},
+		{70, 69, append(span(0, 65), 69)},
+	} {
+		prog := &eqasm.Program{NumQubits: tc.chip, Instrs: []eqasm.Instr{
+			eqasm.SMIS{Reg: 0, Qubits: []int{tc.flip}},
+			eqasm.Bundle{PreWait: 0, Ops: []eqasm.QOp{{Name: "x90", Reg: 0}}},
+			eqasm.Bundle{PreWait: 1, Ops: []eqasm.QOp{{Name: "x90", Reg: 0}}},
+			eqasm.SMIS{Reg: 1, Qubits: tc.measured},
+			eqasm.Bundle{PreWait: 1, Ops: []eqasm.QOp{{Name: "measz", Reg: 1}}},
+		}}
+		m := New(SuperconductingConfig(), qx.New(9))
+		report, err := m.Execute(prog, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two x90 = X on the flipped qubit: only its bit is set.
+		want := []byte(strings.Repeat("0", tc.chip))
+		want[tc.chip-1-tc.flip] = '1'
+		if got := report.Result.Top(2); len(got) != 1 || got[0].Bits != string(want) || got[0].Count != 200 {
+			t.Errorf("%d-qubit chip, %d measured: compacted outcome remap wrong: %v", tc.chip, len(tc.measured), got)
+		}
+		if report.Result.NumQubits != tc.chip {
+			t.Errorf("%d-qubit chip: result register size %d", tc.chip, report.Result.NumQubits)
+		}
 	}
 }
 

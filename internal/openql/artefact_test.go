@@ -385,7 +385,6 @@ func TestCompileLeavesInputsAndCachesUntouched(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := *stack
-			s.CompileWorkers = 1 + w%2
 			if w%4 == 3 {
 				// An ALAP variant reuses the prefix entries with another
 				// suffix.

@@ -14,7 +14,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/compiler"
@@ -300,16 +299,6 @@ type CompileOptions struct {
 	// realistic targets, "assemble" after it — checked before anything
 	// compiles.
 	Passes string
-	// Workers bounds the number of kernels compiled concurrently through
-	// the pipeline's platform-generic prefix (decompose/optimize/
-	// fold-rotations run per kernel; mapping and scheduling always run on
-	// the concatenated program). 0 or 1 compiles serially. Parallel and
-	// serial compilations produce identical artefacts.
-	Workers int
-	// CompileGate, when non-nil, additionally bounds kernel-compile
-	// parallelism across concurrent Compile calls — the shared semaphore
-	// a service sizes to its worker budget.
-	CompileGate compiler.WorkerGate
 	// PrefixCache, when non-nil, caches per-kernel prefix artefacts
 	// across compilations (level 1 of the two-level compile cache): a
 	// recompile that only changes mapping, scheduling or calibration
@@ -345,32 +334,22 @@ type Compiled struct {
 // path reads the text, so it is rendered only when asked for.
 func (c *Compiled) CQASM() string { return cqasm.PrintCircuit(c.Circuit) }
 
-// compilePrefix runs every kernel through the pipeline's platform-generic
-// prefix — across workers when allowed, consulting the prefix cache when
-// one is configured — and folds the per-kernel accounts into the report.
-// The returned artefacts are in program order regardless of completion
-// order, so concatenation is deterministic. Prefix rows are aggregated
-// over the kernels that actually ran the passes; cache hits contribute
-// nothing (their artefact was fetched, not compiled) and are counted in
-// report.PrefixHits instead.
+// compilePrefix runs every kernel, in program order, through the
+// pipeline's platform-generic prefix, consulting the prefix cache when
+// one is configured, and folds the per-kernel accounts into the report.
+// Prefix rows are aggregated over the kernels that actually ran the
+// passes; cache hits contribute nothing (their artefact was fetched, not
+// compiled) and are counted in report.PrefixHits instead.
 func (p *Program) compilePrefix(prefix *compiler.Pipeline, opts *CompileOptions, report *compiler.CompileReport) ([]*compiler.PrefixArtefact, error) {
-	n := len(p.Kernels)
-	arts := make([]*compiler.PrefixArtefact, n)
-	hits := make([]bool, n)
-	errs := make([]error, n)
-
+	arts := make([]*compiler.PrefixArtefact, len(p.Kernels))
 	gateHash := ""
 	if opts.PrefixCache != nil {
 		gateHash = opts.Platform.GateSetHash()
 	}
-	one := func(i int) {
-		k := p.Kernels[i]
+	report.PrefixSpec = prefix.Spec
+	agg := make([]compiler.PassMetrics, 0, prefix.Len())
+	for i, k := range p.Kernels {
 		build := func() (*compiler.PrefixArtefact, error) {
-			// The gate is held only while a kernel actually compiles —
-			// never while waiting on another in-flight computation — so
-			// concurrent gated compilations cannot deadlock.
-			opts.CompileGate.Acquire()
-			defer opts.CompileGate.Release()
 			// Unroll straight into the program-width circuit. The gates
 			// share their operand and parameter slices with the kernel's:
 			// passes never mutate a gate they did not allocate.
@@ -390,57 +369,25 @@ func (p *Program) compilePrefix(prefix *compiler.Pipeline, opts *CompileOptions,
 			}
 			return &compiler.PrefixArtefact{Circuit: ctx.Circuit, Passes: rep.Passes}, nil
 		}
+		var (
+			hit bool
+			err error
+		)
 		if opts.PrefixCache == nil {
-			arts[i], errs[i] = build()
-			return
+			arts[i], err = build()
+		} else {
+			key := compiler.PrefixKey(gateHash, prefix.Spec, k.ContentHash(p.NumQubits))
+			arts[i], hit, err = opts.PrefixCache.GetOrCompute(key, build)
 		}
-		key := compiler.PrefixKey(gateHash, prefix.Spec, k.ContentHash(p.NumQubits))
-		arts[i], hits[i], errs[i] = opts.PrefixCache.GetOrCompute(key, build)
-	}
-
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		workers = 1
-		for i := range p.Kernels {
-			one(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					one(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	report.PrefixSpec = prefix.Spec
-	report.CompileWorkers = workers
-	agg := make([]compiler.PassMetrics, 0, prefix.Len())
-	for i, a := range arts {
-		kc := compiler.KernelCompile{Kernel: p.Kernels[i].Name, PrefixCached: hits[i]}
-		if hits[i] {
+		kc := compiler.KernelCompile{Kernel: k.Name, PrefixCached: hit}
+		if hit {
 			report.PrefixHits++
 		} else {
-			kc.Passes = a.Passes
-			for j, m := range a.Passes {
+			kc.Passes = arts[i].Passes
+			for j, m := range arts[i].Passes {
 				kc.WallNs += m.WallNs
 				if j == len(agg) {
 					agg = append(agg, compiler.PassMetrics{Pass: m.Pass})
@@ -482,11 +429,10 @@ func assembleEQASM(ctx *compiler.PassContext) error {
 // instead.
 //
 // Compilation is two-level: the pipeline's platform-generic prefix
-// (decompose, optimize, fold-rotations) runs per kernel — concurrently
-// when Options.Workers allows, consulting Options.PrefixCache when one
-// is supplied — and the per-kernel artefacts are concatenated in program
-// order before the variant suffix (mapping, scheduling, assembly) runs
-// over the whole program. Kernel boundaries are therefore optimisation
+// (decompose, optimize, fold-rotations) runs per kernel, in program
+// order, consulting Options.PrefixCache when one is supplied, and the
+// per-kernel artefacts are concatenated before the variant suffix
+// (mapping, scheduling, assembly) runs over the whole program. Kernel boundaries are therefore optimisation
 // barriers: the peephole passes never merge gates across kernels, which
 // both matches the kernels' role as separately-offloaded units of
 // classical control and makes every kernel's prefix artefact reusable by

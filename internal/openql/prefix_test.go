@@ -79,49 +79,6 @@ func assertSameCompiled(t *testing.T, label string, want, got *Compiled) {
 	}
 }
 
-// TestParallelKernelCompileDeterministic proves the tentpole's
-// concatenation contract: compiling kernels serially, across workers,
-// and across workers under a shared gate all produce byte-identical
-// artefacts on every preset target.
-func TestParallelKernelCompileDeterministic(t *testing.T) {
-	prog := multiKernelProgram(5)
-	for _, tc := range []struct {
-		name string
-		mode QubitMode
-		opts CompileOptions
-	}{
-		{name: "perfect", mode: PerfectQubits},
-		{name: "superconducting", mode: RealisticQubits},
-	} {
-		base := CompileOptions{
-			Mode:     tc.mode,
-			Platform: platformFor(tc.name, 5),
-			Passes:   "decompose,optimize,map(lookahead=true),lower-swaps,optimize-lowered,schedule,assemble",
-		}
-		want, err := prog.Compile(base)
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.name, err)
-		}
-		for _, workers := range []int{2, 8} {
-			opts := base
-			opts.Workers = workers
-			opts.CompileGate = compiler.NewWorkerGate(2)
-			got, err := prog.Compile(opts)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			assertSameCompiled(t, fmt.Sprintf("%s workers=%d", tc.name, workers), want, got)
-		}
-	}
-}
-
-func platformFor(name string, n int) *compiler.Platform {
-	if name == "perfect" {
-		return compiler.Perfect(n)
-	}
-	return compiler.Superconducting()
-}
-
 // TestPrefixCacheSuffixOnlyRecompile proves the two-level contract: with
 // a warm prefix cache, a recompile that only changes scheduling policy
 // or mapping options fetches every kernel's prefix artefact (PrefixHits

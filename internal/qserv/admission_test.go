@@ -35,6 +35,7 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	cqasm, _ := json.Marshal(bellCQASM)
 	gate := `{"cqasm":` + string(cqasm) + `,"backend":"perfect","shots":8}`
 	unknownBackend := `{"cqasm":` + string(cqasm) + `,"backend":"nope"}`
+	quboJob := `{"qubo":{"n":3,"terms":[{"i":0,"j":0,"v":-1}]}}`
 	// withPasses is a gate job compiling through spec, plus extra fields.
 	withPasses := func(spec, extra string) string {
 		return `{"cqasm":` + string(cqasm) + `,"shots":8,"passes":"` + spec + `"` + extra + `}`
@@ -59,6 +60,7 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		unknownGate: `unknown gate "foo"`,
 		outOfRange:  "qubit 5 out of range",
 		garbage:     `line 1: bad operand "is not cQASM"`,
+		quboJob:     "QUBO payloads have no parameters to bind",
 	}
 
 	// open starts a service over one perfect-stack lane and pins a
@@ -124,6 +126,9 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"live", "submit", unknownBackend, http.StatusBadRequest, false},
 		{"live", "sessions", unknownBackend, http.StatusBadRequest, false},
 		{"live", "bind", `{"backend":"nope","values":{}}`, http.StatusAccepted, false},
+
+		// Sessions pin gate programs: a QUBO body is refused.
+		{"live", "sessions", quboJob, http.StatusBadRequest, false},
 
 		{"live", "unknown-bind", `{"values":{}}`, http.StatusNotFound, false},
 

@@ -19,18 +19,13 @@ import (
 )
 
 // CompileEnv carries the shared compile resources the service hands each
-// backend run: the two cache levels and the service-wide kernel-compile
-// budget. A nil env (or nil fields) disables the corresponding resource.
+// backend run: the two cache levels. A nil env (or nil fields) disables
+// the corresponding resource.
 type CompileEnv struct {
 	// Cache is the full-artefact compile cache (level 2).
 	Cache *CompileCache
 	// Prefix is the platform-generic prefix-artefact cache (level 1).
 	Prefix *PrefixCache
-	// Gate bounds kernel-compile goroutines across all concurrent jobs.
-	Gate compiler.WorkerGate
-	// Workers is the per-compile kernel parallelism ceiling applied to
-	// stacks that don't set their own.
-	Workers int
 	// Span is the job's run span, under which the backend attaches
 	// compile and execute phase spans (nil — the usual shared env —
 	// disables tracing; the service hands workers a per-job copy
@@ -167,20 +162,12 @@ func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, e
 		override.Passes = r.Passes
 		stack = &override
 	}
-	// Graft the service's shared compile resources onto a copy of the
-	// stack: the prefix cache and worker gate are per-service, not
-	// per-backend, and the stack itself is shared across workers.
-	if env != nil && (env.Prefix != nil || env.Gate != nil || env.Workers > 0) {
+	// Graft the service's prefix cache onto a copy of the stack: the cache
+	// is per-service, not per-backend, and the stack itself is shared
+	// across workers.
+	if env != nil && env.Prefix != nil && stack.PrefixCache == nil {
 		run := *stack
-		if run.PrefixCache == nil && env.Prefix != nil {
-			run.PrefixCache = env.Prefix
-		}
-		if run.CompileGate == nil {
-			run.CompileGate = env.Gate
-		}
-		if run.CompileWorkers == 0 {
-			run.CompileWorkers = env.Workers
-		}
+		run.PrefixCache = env.Prefix
 		stack = &run
 	}
 	return stack, nil

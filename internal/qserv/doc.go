@@ -148,7 +148,7 @@
 // than 63 qubits are rendered into the same bitstring-keyed result map
 // as narrow ones.
 //
-// Jobs with large shot counts (core.Stack.ParallelShots, default 4096)
+// Jobs with large shot counts (at least core.ParallelShots, 4096)
 // execute as parallel shot batches: shots are split across CPU cores,
 // each batch on its own derived-seed simulator, and the counts merged —
 // so a single heavy job uses the machine even when its lane has one
@@ -156,7 +156,7 @@
 // and the chunk-parallel amplitude kernels below it (see internal/qx and
 // internal/quantum for that concurrency contract).
 //
-// # The two-level compile cache and parallel kernel compilation
+// # The two-level compile cache
 //
 // Gate backends share a two-level compile cache. Level 2 — the
 // full-artefact cache — is keyed by (canonical kernel partition, stack
@@ -183,14 +183,6 @@
 // their pipelines agree on the generic prefix. In-flight computations
 // are deduplicated at both levels (singleflight), so N simultaneous
 // submissions of one new program compile each artefact once.
-//
-// Multi-kernel programs compile their kernels concurrently through the
-// prefix passes: Config.CompileWorkers sizes a service-wide
-// compiler.WorkerGate shared by every job, so kernel-compile goroutines
-// never multiply with the worker pools above them; the per-kernel
-// artefacts concatenate deterministically (kernel boundaries are
-// optimisation barriers) before the suffix runs once over the whole
-// program. Parallel and serial compilation produce identical artefacts.
 //
 // Execution is deterministic per job: every job gets a derived seed, and
 // all mutable simulator state is created per run (see the concurrency
@@ -292,7 +284,7 @@
 // prefix_cached when its prefix artefact came from the cache. Every
 // response body is compact JSON.
 // cmd/qservd wires the default heterogeneous system behind this API
-// (-prefix-cache and -compile-workers size the new layer), can serve
+// (-prefix-cache sizes the new layer), can serve
 // any device JSON file as an extra backend via -target, and adds
 // -metrics, -trace-ring, -pprof and the -log-* flags for the
 // observability layer.

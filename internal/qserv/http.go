@@ -14,8 +14,11 @@ import (
 	"repro/internal/target"
 )
 
-// SubmitRequest is the JSON body of POST /submit. Exactly one of CQASM or
-// QUBO must be set.
+// SubmitRequest is the JSON body of POST /submit and POST /sessions.
+// Exactly one of CQASM or QUBO must be set; a session takes only CQASM (a
+// parameterised program with $name parameters), every bind executes
+// against its Target and Calibration overrides, and its Shots is the
+// default per-bind shot count.
 type SubmitRequest struct {
 	Name    string    `json:"name,omitempty"`
 	CQASM   string    `json:"cqasm,omitempty"`

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/obs"
 	"repro/internal/target"
 )
@@ -47,12 +45,6 @@ type Config struct {
 	// 0 defaults to 4× the resolved CacheSize (prefix artefacts are
 	// smaller and shared across variants); negative disables the level.
 	PrefixCacheSize int
-	// CompileWorkers is the service-wide kernel-compile parallelism
-	// budget: a shared semaphore of this many tokens bounds the total
-	// number of kernels compiling concurrently across all jobs and
-	// backends, and each compile may use up to this many workers for its
-	// own kernels. 0 defaults to GOMAXPROCS; negative compiles serially.
-	CompileWorkers int
 	// Seed is the base of the per-job seed derivation (default 1).
 	Seed int64
 	// Passes is the compiler pass spec DefaultService configures the gate
@@ -109,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PrefixCacheSize == 0 && c.CacheSize > 0 {
 		c.PrefixCacheSize = 4 * c.CacheSize
-	}
-	if c.CompileWorkers == 0 {
-		c.CompileWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -186,16 +175,7 @@ func New(cfg Config) *Service {
 	if cfg.PrefixCacheSize > 0 {
 		s.prefix = NewPrefixCache(cfg.PrefixCacheSize)
 	}
-	workers := cfg.CompileWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	s.env = &CompileEnv{
-		Cache:   s.cache,
-		Prefix:  s.prefix,
-		Gate:    compiler.NewWorkerGate(workers),
-		Workers: workers,
-	}
+	s.env = &CompileEnv{Cache: s.cache, Prefix: s.prefix}
 	s.reg = cfg.Metrics
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()

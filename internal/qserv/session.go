@@ -1,7 +1,6 @@
 package qserv
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/openql"
-	"repro/internal/target"
 )
 
 // ErrUnknownSession distinguishes lookups of unknown (or expired)
@@ -350,23 +348,6 @@ func (s *Service) viewSession(ss *Session) SessionView {
 	return v
 }
 
-// OpenSessionJSON is the JSON body of POST /sessions: the parameterised
-// program (cQASM with $name parameters) plus the same routing and
-// override fields as POST /submit. Shots is the default per-bind shot
-// count.
-type OpenSessionJSON struct {
-	Name    string `json:"name,omitempty"`
-	CQASM   string `json:"cqasm"`
-	Backend string `json:"backend,omitempty"`
-	Passes  string `json:"passes,omitempty"`
-	// Target and Calibration override the session's device exactly like
-	// their POST /submit counterparts; every bind executes against the
-	// overridden device.
-	Target      json.RawMessage     `json:"target,omitempty"`
-	Calibration *target.Calibration `json:"calibration,omitempty"`
-	Shots       int                 `json:"shots,omitempty"`
-}
-
 // BindJSON is the JSON body of POST /sessions/{id}/bind.
 type BindJSON struct {
 	Name   string             `json:"name,omitempty"`
@@ -376,19 +357,11 @@ type BindJSON struct {
 }
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
-	var or OpenSessionJSON
-	if !decodeJSON(w, r, &or) {
+	var sr SubmitRequest
+	if !decodeJSON(w, r, &sr) {
 		return
 	}
-	req, err := SubmitRequest{
-		Name:        or.Name,
-		CQASM:       or.CQASM,
-		Backend:     or.Backend,
-		Passes:      or.Passes,
-		Target:      or.Target,
-		Calibration: or.Calibration,
-		Shots:       or.Shots,
-	}.request()
+	req, err := sr.request()
 	var sess *Session
 	if err == nil {
 		sess, err = s.OpenSession(req)

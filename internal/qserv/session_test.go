@@ -274,7 +274,7 @@ measure q[0]
 measure q[1]
 `
 	// Open.
-	body, _ := json.Marshal(OpenSessionJSON{Name: "http-ansatz", CQASM: ansatz, Backend: "perfect", Shots: 32})
+	body, _ := json.Marshal(SubmitRequest{Name: "http-ansatz", CQASM: ansatz, Backend: "perfect", Shots: 32})
 	resp, err := http.Post(srv.URL+"/sessions", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
