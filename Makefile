@@ -102,7 +102,7 @@ bench-baseline:
 # BenchmarkColdJob (one job of stackbench's cold mix: parse, compile, a
 # 16-shot run through the micro-architecture) is held by the relative
 # ns/op and allocs/op check; the tier-1 TestColdJobAllocs holds its
-# absolute allocation ceilings.
+# absolute allocation and byte ceilings.
 bench-gate:
 	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run=^$$ . \
 		| $(GO) run ./cmd/benchgate -baseline BENCH_5.json -emit BENCH_5.current.json \
@@ -113,15 +113,16 @@ bench-gate:
 			-ceiling early_measured_vs_sampled_pct=$(EARLY_MEASURED_CEILING)
 
 # Coverage gates on the layers every other layer builds on: the
-# device/target contract, the pass-manager compiler, the OpenQL program
-# layer, the micro-architecture, the observability primitives, the qx
+# gate-level circuit IR, the device/target contract, the pass-manager
+# compiler, the eQASM assembler, the OpenQL program layer, the
+# micro-architecture, the observability primitives, the qx
 # engine suite with its stabilizer fast path, the loadgen scenario
 # harness, the qserv accelerator service and the qlint analyzer suite
 # (mirrors the CI step). COVER_PKGS drives one loop over the per-package
 # gates; the lint gate stays special-cased because its profile
 # aggregates over the whole internal/lint tree — the analyzer fixtures
 # exercise the framework.
-COVER_PKGS ?= target compiler openql microarch obs qx loadgen qserv
+COVER_PKGS ?= circuit target compiler eqasm openql microarch obs qx loadgen qserv
 COVER_FLOOR ?= 80.0
 COVER_AWK = /^total:/ {sub(/%/,"",$$3); if ($$3+0 < floor) {print pkg " coverage " $$3 "% is below the " floor "% gate"; exit 1} else print pkg " coverage " $$3 "%"}
 
@@ -136,7 +137,7 @@ cover:
 
 # End-to-end scrape smoke: boot qservd, submit a job over HTTP, then
 # verify /metrics serves Prometheus exposition with the job counters,
-# cache, pass and session families populated, that the Clifford Bell job
+# cache, pass, session and garbage-collector families populated, that the Clifford Bell job
 # was dispatched to the stabilizer engine with no flag set, that the
 # trace endpoint serves the span tree for the submitted job's X-Trace-Id,
 # that /metrics is the only metrics surface (GET /stats is a 404), and
@@ -158,7 +159,7 @@ metrics-smoke:
 		qserv_job_latency_seconds_bucket qserv_queue_depth \
 		qserv_compile_cache_ops_total qserv_compile_cache_entries \
 		qserv_compile_pass_seconds_count qserv_sessions_closed_total \
-		qserv_http_requests_total; do \
+		qserv_http_requests_total qserv_gc_heap_live_bytes qserv_gc_cpu_seconds; do \
 		grep -q "^$$family" bin/metrics.scrape || { echo "metrics-smoke: $$family missing from /metrics"; exit 1; }; \
 	done; \
 	grep -qF 'qserv_engine_dispatch_total{engine="stabilizer"} 1' bin/metrics.scrape \

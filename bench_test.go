@@ -945,7 +945,9 @@ func parseColdJob(tb testing.TB, text string) *openql.Program {
 // service around it: parse the cQASM text, compile it through the whole
 // default pipeline (both cache levels miss), and run it at 16 shots
 // through eQASM and the micro-architecture. Run it with -benchmem: the
-// allocs/op figure is what benchgate holds.
+// allocs/op figure is what benchgate holds, beside ns/op; the tier-1
+// TestColdJobAllocs holds the job's absolute allocation and byte
+// ceilings.
 func BenchmarkColdJob(b *testing.B) {
 	stack := coldStack(b)
 	rng := rand.New(rand.NewSource(5))
@@ -963,8 +965,8 @@ func BenchmarkColdJob(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// The first compile on a device builds its routing tables; keep it
-	// out of the timed loop.
+	// The first compile on a device builds its routing tables and its
+	// platform's lowering table; keep it out of the timed loop.
 	job(texts[0])
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -973,42 +975,77 @@ func BenchmarkColdJob(b *testing.B) {
 	}
 }
 
-// Allocation ceilings of one cold-mix job, from the counts measured
-// before the compile path stopped rebuilding circuits gate by gate
-// (6,594 allocations to compile, 1,917 to run): the compile must stay at
-// half or less, the run below.
+// Ceilings of one cold-mix job. The compile ceilings sit under what it
+// took before lowering went table-driven, scheduling emitted in cycle
+// order and the optimiser stopped copying rounds that change nothing
+// (532 allocations, 313,181 bytes). The run's allocation ceiling sits
+// under the 1,917 allocations it took before the compile path stopped
+// rebuilding circuits gate by gate, its byte ceiling under the 206,670
+// bytes it took alongside the compile figures above.
 const (
-	coldCompileAllocCeiling = 6594 / 2
+	coldCompileAllocCeiling = 400
+	coldCompileByteCeiling  = 260000
 	coldRunAllocCeiling     = 1917 - 1
+	coldRunByteCeiling      = 206670 - 1
 )
 
 // TestColdJobAllocs holds the lean cold path in place: a cold-mix job's
 // compile and its 16-shot run through the micro-architecture stay under
-// allocation ceilings.
+// allocation and byte ceilings. Bytes are what drive the collector.
 func TestColdJobAllocs(t *testing.T) {
 	stack := coldStack(t)
 	prog := parseColdJob(t, coldJobCQASM(rand.New(rand.NewSource(5))))
-	// The first compile also builds the device's routing tables.
+	// The first compile also builds the device's routing and lowering
+	// tables.
 	compiled, err := stack.Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compile := testing.AllocsPerRun(10, func() {
+	compile, compileBytes := allocsPerRun(10, func() {
 		if _, err := stack.Compile(prog); err != nil {
 			t.Fatal(err)
 		}
 	})
-	run := testing.AllocsPerRun(10, func() {
+	run, runBytes := allocsPerRun(10, func() {
 		if _, err := stack.RunCompiled(compiled, prog.NumQubits, coldJobShots, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("cold job: compile %.0f allocations, %.0f bytes; run %.0f allocations, %.0f bytes", compile, compileBytes, run, runBytes)
 	if compile > coldCompileAllocCeiling {
 		t.Errorf("compiling a cold job takes %.0f allocations, ceiling %d", compile, coldCompileAllocCeiling)
+	}
+	if compileBytes > coldCompileByteCeiling {
+		t.Errorf("compiling a cold job allocates %.0f bytes, ceiling %d", compileBytes, coldCompileByteCeiling)
 	}
 	if run > coldRunAllocCeiling {
 		t.Errorf("running a cold job takes %.0f allocations, ceiling %d", run, coldRunAllocCeiling)
 	}
+	if runBytes > coldRunByteCeiling && !raceEnabled {
+		t.Errorf("running a cold job allocates %.0f bytes, ceiling %d", runBytes, coldRunByteCeiling)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports bytes: the mean
+// allocations and bytes of one call of f, after a warm-up call, on one
+// P. It takes the least of three rounds of runs calls, because a garbage
+// collection that lands inside a round empties the sync.Pools the run
+// recycles and charges their refill to that round.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return allocs, bytes
 }
 
 // Ceilings of the per-job overhead of a cache-hot job: what one resubmit

@@ -193,7 +193,8 @@ func (c *Circuit) TwoQubitGateCount() int {
 func (c *Circuit) Depth() int {
 	busyUntil := make([]int, c.NumQubits)
 	depth := 0
-	for _, g := range c.Gates {
+	for i := range c.Gates {
+		g := &c.Gates[i]
 		switch g.Name {
 		case OpBarrier:
 			for q := range busyUntil {

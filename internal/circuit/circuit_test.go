@@ -276,3 +276,42 @@ func TestRandomCircuitProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Operand errors name the first offending operand, scanning left to
+// right: a negative qubit before a later repeat, a repeat before a later
+// negative qubit.
+func TestValidateOperandErrors(t *testing.T) {
+	for _, row := range []struct {
+		qubits []int
+		want   string
+	}{
+		{[]int{0, 1, 2}, ""},
+		{[]int{2, 0, 2}, "circuit: gate toffoli repeats qubit 2"},
+		{[]int{0, -1, 0}, "circuit: gate toffoli has negative qubit -1"},
+		{[]int{1, 1, -3}, "circuit: gate toffoli repeats qubit 1"},
+	} {
+		err := Gate{Name: "toffoli", Qubits: row.qubits}.Validate()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != row.want {
+			t.Errorf("toffoli %v: error %q, want %q", row.qubits, got, row.want)
+		}
+	}
+}
+
+func TestValidateAllocatesNothing(t *testing.T) {
+	g, err := NewGate("toffoli", []int{4, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("validating a 3-qubit gate takes %.0f allocations, want 0", allocs)
+	}
+}

@@ -5,6 +5,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,15 +85,13 @@ func (g Gate) Validate() error {
 	if g.Exprs != nil && len(g.Exprs) != len(g.Params) {
 		return fmt.Errorf("circuit: gate %s has %d params but %d param exprs", g.Name, len(g.Params), len(g.Exprs))
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("circuit: gate %s has negative qubit %d", g.Name, q)
 		}
-		if seen[q] {
+		if slices.Contains(g.Qubits[:i], q) {
 			return fmt.Errorf("circuit: gate %s repeats qubit %d", g.Name, q)
 		}
-		seen[q] = true
 	}
 	return nil
 }

@@ -4,65 +4,264 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/circuit"
 )
 
 // Decompose rewrites every gate the platform does not support natively
-// into supported primitives, applying rules recursively. It returns a new
-// circuit; the input is not modified. Native gates pass through as
-// values sharing their operand slices with the input, which no pass
-// mutates. Reversible-circuit design and gate decomposition are the
+// into supported primitives. It returns a new circuit; the input is not
+// modified. Reversible-circuit design and gate decomposition are the
 // first stages of the paper's compiler (§2.4).
+//
+// Decompose runs no rule itself: it reads the platform's lowering table
+// (see lowering), whose entry for a gate name is the full expansion of
+// the rules below into primitives, built the first time a compile on
+// the platform meets that name. A first pass over the input sums the
+// entries' sizes, so the output takes exactly one gate slice, plus one
+// backing array for the operands and one for the parameters that must
+// be computed; a second pass instantiates each entry on its source
+// gate's operands, parameters and condition, with no per-primitive
+// validation. Native gates pass through as values sharing their operand
+// slices with the input; primitives share contiguous operand runs with
+// their source gate and constant parameter slices with the table. No
+// pass mutates either.
 func Decompose(c *circuit.Circuit, p *Platform) (*circuit.Circuit, error) {
-	// Most rules expand a gate into two to five primitives, so four slots
-	// per gate to expand size the common output in one allocation.
-	size := len(c.Gates)
-	for _, g := range c.Gates {
-		if !passesThrough(g, p) {
-			size += 3
+	size, nOps, nParams := 0, 0, 0
+	for i := range c.Gates {
+		l := p.lowering(c.Gates[i].Name)
+		switch {
+		case l == nil:
+			size++
+		case l.err != nil:
+			return nil, l.err
+		default:
+			size, nOps, nParams = size+len(l.prims), nOps+l.nOps, nParams+l.nParams
 		}
 	}
 	gates := make([]circuit.Gate, 0, size)
-	// pending is the depth-first work list of one input gate's lowering,
-	// next gate last; depths[i] counts the rules applied to reach
-	// pending[i].
-	var pending []circuit.Gate
-	var depths []int
-	for _, g := range c.Gates {
-		pending, depths = append(pending, g), append(depths, 0)
-		for len(pending) > 0 {
-			top := len(pending) - 1
-			g, depth := pending[top], depths[top]
-			pending, depths = pending[:top], depths[:top]
-			if depth > maxDecomposeDepth {
-				return nil, fmt.Errorf("compiler: decomposition of %q did not terminate", g.Name)
+	var ops []int
+	if nOps > 0 {
+		ops = make([]int, nOps)
+	}
+	var params []float64
+	if nParams > 0 {
+		params = make([]float64, nParams)
+	}
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		l := p.lowering(g.Name)
+		if l == nil {
+			gates = append(gates, *g)
+			continue
+		}
+		for k := range l.prims {
+			pr := &l.prims[k]
+			// Classical control distributes over the decomposition: each
+			// primitive fires under the source gate's condition.
+			ng := circuit.Gate{Name: pr.name, Params: pr.consts, HasCond: g.HasCond, CondBit: g.CondBit}
+			if pr.run >= 0 {
+				end := pr.run + len(pr.ops)
+				ng.Qubits = g.Qubits[pr.run:end:end]
+			} else {
+				n := len(pr.ops)
+				ng.Qubits, ops = ops[:n:n], ops[n:]
+				for j, op := range pr.ops {
+					ng.Qubits[j] = g.Qubits[op]
+				}
 			}
-			if passesThrough(g, p) {
-				gates = append(gates, g)
-				continue
+			if pr.slots != nil {
+				n := len(pr.slots)
+				ng.Params, params = params[:n:n], params[n:]
+				for j, s := range pr.slots {
+					switch {
+					case s.slot < 0:
+						ng.Params[j] = s.k
+					case g.Symbolic(s.slot):
+						// A symbolic slot stays symbolic (the expression
+						// is scaled, the literal is a 0 placeholder), so
+						// decomposition preserves the bind relation
+						// exactly.
+						if ng.Exprs == nil {
+							ng.Exprs = make([]*circuit.ParamExpr, n)
+						}
+						ng.Exprs[j] = g.Exprs[s.slot].Scale(s.k)
+					default:
+						ng.Params[j] = g.Params[s.slot] * s.k
+					}
+				}
 			}
-			var err error
-			if pending, err = expand(pending, g); err != nil {
-				return nil, err
-			}
-			// Push the rule's gates so the first is lowered first. Classical
-			// control distributes over the decomposition: each primitive
-			// fires under the same condition.
-			sub := pending[top:]
-			slices.Reverse(sub)
-			for i := range sub {
-				sub[i].HasCond, sub[i].CondBit = g.HasCond, g.CondBit
-				depths = append(depths, depth+1)
-			}
+			gates = append(gates, ng)
 		}
 	}
 	return &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: gates}, nil
 }
 
+// lowering is one gate name's entry in a platform's lowering table: its
+// full expansion into the platform's primitives, or the error that
+// expansion met.
+type lowering struct {
+	prims []primitive
+	err   error
+	// nOps and nParams count the operands and parameters the primitives
+	// cannot share and an instance must write.
+	nOps, nParams int
+}
+
+// primitive is one gate of a lowering, in terms of its source gate.
+type primitive struct {
+	name string
+	// ops are the operands as positions in the source gate's Qubits;
+	// run >= 0 when they are the contiguous run starting there, which an
+	// instance shares instead of copying.
+	ops []int
+	run int
+	// consts are the parameters, shared by every instance, when none
+	// derives from a source slot; otherwise slots says how to compute
+	// each one.
+	consts []float64
+	slots  []paramSlot
+}
+
+// paramSlot is one parameter of a primitive: source slot slot scaled by
+// k, or the constant k when slot < 0.
+type paramSlot struct {
+	slot int
+	k    float64
+}
+
+// lowering returns the platform's lowering of the named gate, nil when
+// the gate passes through Decompose unchanged: non-unitary operations and
+// native gates, where a platform with an empty gate table accepts
+// everything (perfect target). Entries of registered gates are built once
+// per platform, on first use, and memoised like ContentHash; other names
+// (which fail validation anyway) are built per call so arbitrary names
+// cannot grow the table.
+func (p *Platform) lowering(name string) *lowering {
+	if circuit.IsNonUnitary(name) {
+		return nil
+	}
+	if l, ok := p.lowerings.Load(name); ok {
+		return l.(*lowering)
+	}
+	l := buildLowering(name, p)
+	if _, ok := circuit.Lookup(name); ok {
+		cached, _ := p.lowerings.LoadOrStore(name, l)
+		return cached.(*lowering)
+	}
+	return l
+}
+
+// buildLowering runs the rules on a probe gate of the named kind: its
+// operands are the positions 0..arity-1 and its parameter slot i holds
+// the symbol named i, so every primitive the rules emit reads back
+// as operand positions and slot scalings. This is the only place the
+// rules and their gate checks run.
+func buildLowering(name string, p *Platform) *lowering {
+	probe := circuit.Gate{Name: name}
+	if spec, ok := circuit.Lookup(name); ok {
+		probe.Qubits = make([]int, spec.Arity)
+		for i := range probe.Qubits {
+			probe.Qubits[i] = i
+		}
+		if spec.NumParams > 0 {
+			probe.Params = make([]float64, spec.NumParams)
+			probe.Exprs = make([]*circuit.ParamExpr, spec.NumParams)
+			for i := range probe.Exprs {
+				probe.Exprs[i] = circuit.Sym(strconv.Itoa(i))
+			}
+		}
+	}
+	if passesThrough(probe, p) {
+		return nil
+	}
+	leaves, err := expandAll(nil, probe, p)
+	if err != nil {
+		return &lowering{err: err}
+	}
+	l := &lowering{prims: make([]primitive, len(leaves))}
+	for i, leaf := range leaves {
+		pr := primitive{name: leaf.Name, ops: leaf.Qubits, run: -1, consts: leaf.Params}
+		if contiguous(leaf.Qubits) {
+			pr.run = leaf.Qubits[0]
+		} else {
+			l.nOps += len(leaf.Qubits)
+		}
+		if leaf.IsParametric() {
+			pr.consts = nil
+			pr.slots = make([]paramSlot, len(leaf.Params))
+			for j, v := range leaf.Params {
+				pr.slots[j] = paramSlot{slot: -1, k: v}
+				if leaf.Symbolic(j) {
+					pr.slots[j] = probeSlot(leaf.Exprs[j])
+				}
+			}
+			l.nParams += len(pr.slots)
+		}
+		l.prims[i] = pr
+	}
+	return l
+}
+
+// probeSlot reads a probe primitive's symbolic parameter back as a
+// scaled source slot. The rules only ever scale a slot, so anything else
+// is a programming error.
+func probeSlot(e *circuit.ParamExpr) paramSlot {
+	if len(e.Terms) == 1 && e.Const == 0 {
+		if i, err := strconv.Atoi(e.Terms[0].Sym); err == nil {
+			return paramSlot{slot: i, k: e.Terms[0].Coeff}
+		}
+	}
+	panic(fmt.Sprintf("compiler: a lowering rule emitted parameter %s, not a scaled source slot", e))
+}
+
+// contiguous reports whether qs is a non-empty run of consecutive
+// positions.
+func contiguous(qs []int) bool {
+	for i, q := range qs {
+		if q != qs[0]+i {
+			return false
+		}
+	}
+	return len(qs) > 0
+}
+
+// expandAll appends g's full expansion into the platform's primitives to
+// out, applying the rules recursively, depth first.
+func expandAll(out []circuit.Gate, g circuit.Gate, p *Platform) ([]circuit.Gate, error) {
+	// pending is the depth-first work list, next gate last; depths[i]
+	// counts the rules applied to reach pending[i].
+	pending, depths := []circuit.Gate{g}, []int{0}
+	for len(pending) > 0 {
+		top := len(pending) - 1
+		g, depth := pending[top], depths[top]
+		pending, depths = pending[:top], depths[:top]
+		if depth > maxDecomposeDepth {
+			return nil, fmt.Errorf("compiler: decomposition of %q did not terminate", g.Name)
+		}
+		if passesThrough(g, p) {
+			out = append(out, g)
+			continue
+		}
+		var err error
+		if pending, err = expand(pending, g); err != nil {
+			return nil, err
+		}
+		// Push the rule's gates so the first is lowered first, each under
+		// g's condition.
+		sub := pending[top:]
+		slices.Reverse(sub)
+		for i := range sub {
+			sub[i].HasCond, sub[i].CondBit = g.HasCond, g.CondBit
+			depths = append(depths, depth+1)
+		}
+	}
+	return out, nil
+}
+
 const maxDecomposeDepth = 16
 
-// passesThrough reports whether Decompose keeps g as it is: non-unitary
+// passesThrough reports whether the rules keep g as it is: non-unitary
 // operations and native gates, where a platform with an empty gate table
 // accepts everything (perfect target).
 func passesThrough(g circuit.Gate, p *Platform) bool {

@@ -20,8 +20,10 @@ import (
 // a cached artefact, all shared across goroutines, so a pass builds its
 // output as new gate slices, may copy gate values into them (sharing
 // their operand and parameter slices), and gives a gate fresh slices
-// before changing its operands or parameters. Artefacts are immutable
-// once returned.
+// before changing its operands or parameters. A pass that changes
+// nothing may hand its input's gate slice on, clipped to its length, so
+// no pass appends to or writes into the circuit it receives. Artefacts
+// are immutable once returned.
 type Pass interface {
 	Name() string
 	Run(ctx *PassContext) error

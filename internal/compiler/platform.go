@@ -60,6 +60,9 @@ type Platform struct {
 	// gateHashOnce/gateHash memoise GateSetHash the same way.
 	gateHashOnce sync.Once
 	gateHash     string
+	// lowerings memoises the lowering table Decompose reads, one entry
+	// per registered gate name, built on first use (see lowering).
+	lowerings sync.Map
 }
 
 // PlatformFor returns the compiler view of a device. The view shares the

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -39,8 +38,10 @@ type ScheduledGate struct {
 type Schedule struct {
 	NumQubits int
 	Policy    Policy
-	Gates     []ScheduledGate // sorted by Cycle, stable w.r.t. input order
-	Makespan  int             // total cycles
+	// Gates are sorted by Cycle by construction, stable in input order;
+	// under ALAP, gates starting in one cycle go shorter first.
+	Gates    []ScheduledGate
+	Makespan int // total cycles
 }
 
 // ScheduleCircuit assigns start cycles to every gate of c under the
@@ -52,41 +53,67 @@ func ScheduleCircuit(c *circuit.Circuit, p *Platform, policy Policy) (*Schedule,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	slots := make([]slot, len(c.Gates))
+	makespan := timeASAP(c.Gates, c.NumQubits, p, policy == ALAP, slots)
+	out := &Schedule{NumQubits: c.NumQubits, Policy: policy, Makespan: makespan}
 	if policy == ASAP {
-		return scheduleASAP(c.Gates, c.NumQubits, p), nil
+		out.Gates = inCycleOrder(c.Gates, slots, nil, makespan, 0)
+		return out, nil
 	}
-	// ALAP: schedule the reversed gate list ASAP, then mirror the times
+	// ALAP: the reversed gate list was timed ASAP; mirror those times
 	// inside the same makespan.
-	rev := slices.Clone(c.Gates)
-	slices.Reverse(rev)
-	revSched := scheduleASAP(rev, c.NumQubits, p)
-	makespan := revSched.Makespan
-	out := &Schedule{NumQubits: c.NumQubits, Policy: ALAP, Makespan: makespan}
-	// revSched.Gates[i] corresponds to c.Gates[len-1-i].
-	n := len(c.Gates)
-	out.Gates = make([]ScheduledGate, n)
-	for i, sg := range revSched.Gates {
-		out.Gates[n-1-i] = ScheduledGate{
-			Gate:     sg.Gate,
-			Duration: sg.Duration,
-			Cycle:    makespan - sg.Cycle - sg.Duration,
+	barriers := 0
+	for i, s := range slots {
+		if s.cycle < 0 {
+			barriers++
+			continue
 		}
+		slots[i].cycle = makespan - s.cycle - s.dur
 	}
-	sortByCycle(out.Gates)
+	// Mirroring a schedule sorted by start cycle has always ordered the
+	// gates of one ALAP cycle shorter first, and kept one zero-value gate
+	// at cycle 0 in place of each barrier; the pinned compile artefacts
+	// hold both.
+	out.Gates = inCycleOrder(c.Gates, slots, byDuration(slots), makespan, barriers)
 	return out, nil
 }
 
-// sortByCycle orders scheduled gates by start cycle, stably.
-func sortByCycle(gates []ScheduledGate) {
-	slices.SortStableFunc(gates, func(a, b ScheduledGate) int { return a.Cycle - b.Cycle })
+// byDuration returns the gate indices ordered by duration, stable in
+// input order (a counting sort).
+func byDuration(slots []slot) []int {
+	maxDur := 0
+	for _, s := range slots {
+		maxDur = max(maxDur, s.dur)
+	}
+	// next[d] is the position of the next gate of duration d.
+	next := make([]int, maxDur+2)
+	for _, s := range slots {
+		next[s.dur+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	order := make([]int, len(slots))
+	for i, s := range slots {
+		order[next[s.dur]] = i
+		next[s.dur]++
+	}
+	return order
 }
 
-func scheduleASAP(gates []circuit.Gate, numQubits int, p *Platform) *Schedule {
+// slot is one gate's place in a schedule: its start cycle (-1 for a
+// barrier, which takes none) and its duration.
+type slot struct{ cycle, dur int }
+
+// timeASAP writes the ASAP slot of every gate to slots and returns the
+// makespan. With rev it times the gates as if their order were
+// reversed, which is what the ALAP mirror needs.
+func timeASAP(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots []slot) int {
 	qubitFree := make([]int, numQubits) // first free cycle per qubit
 	// busy[cycle] counts operations executing in that cycle, for the
 	// control-channel constraint; it grows with the schedule.
 	var busy []int
-	out := &Schedule{NumQubits: numQubits, Policy: ASAP, Gates: make([]ScheduledGate, 0, len(gates))}
+	makespan := 0
 	allFree := func() int {
 		max := 0
 		for _, f := range qubitFree {
@@ -96,7 +123,12 @@ func scheduleASAP(gates []circuit.Gate, numQubits int, p *Platform) *Schedule {
 		}
 		return max
 	}
-	for _, g := range gates {
+	for k := range gates {
+		i := k
+		if rev {
+			i = len(gates) - 1 - k
+		}
+		g := &gates[i]
 		dur := p.Duration(g.Name)
 		var start int
 		var qubits []int
@@ -107,6 +139,7 @@ func scheduleASAP(gates []circuit.Gate, numQubits int, p *Platform) *Schedule {
 			for q := range qubitFree {
 				qubitFree[q] = t
 			}
+			slots[i] = slot{cycle: -1}
 			continue
 		case circuit.OpMeasureAll:
 			start = allFree()
@@ -157,12 +190,42 @@ func scheduleASAP(gates []circuit.Gate, numQubits int, p *Platform) *Schedule {
 				qubitFree[q] = end
 			}
 		}
-		if end > out.Makespan {
-			out.Makespan = end
+		if end > makespan {
+			makespan = end
 		}
-		out.Gates = append(out.Gates, ScheduledGate{Gate: g, Cycle: start, Duration: dur})
+		slots[i] = slot{cycle: start, dur: dur}
 	}
-	sortByCycle(out.Gates)
+	return makespan
+}
+
+// inCycleOrder emits the timed gates sorted by start cycle, stable in
+// input order (or in order, when that is non-nil), with a counting sort
+// over the cycles [0, makespan]. Barriers take no place; lead zero-value
+// gates go first.
+func inCycleOrder(gates []circuit.Gate, slots []slot, order []int, makespan, lead int) []ScheduledGate {
+	// next[c] is the output index of the next gate starting at cycle c.
+	next := make([]int, makespan+1)
+	n := lead
+	for _, s := range slots {
+		if s.cycle >= 0 {
+			next[s.cycle]++
+			n++
+		}
+	}
+	for c, at := 0, lead; c <= makespan; c++ {
+		next[c], at = at, at+next[c]
+	}
+	out := make([]ScheduledGate, n)
+	for k := range slots {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		if s := slots[i]; s.cycle >= 0 {
+			out[next[s.cycle]] = ScheduledGate{Gate: gates[i], Cycle: s.cycle, Duration: s.dur}
+			next[s.cycle]++
+		}
+	}
 	return out
 }
 

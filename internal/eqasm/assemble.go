@@ -25,7 +25,8 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 	talloc := newMaskAlloc[[2]int](NumTRegs)
 
 	cycles, operands, pairCount := 0, 0, 0
-	for i, sg := range s.Gates {
+	for i := range s.Gates {
+		sg := &s.Gates[i]
 		if i == 0 || sg.Cycle != s.Gates[i-1].Cycle {
 			cycles++
 		}
@@ -48,7 +49,7 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 	type group struct {
 		name  string
 		twoQ  bool
-		first circuit.Gate
+		first *circuit.Gate
 	}
 	var groups []group
 	var member []int
@@ -62,8 +63,8 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 		run := s.Gates[start:end]
 		start = end
 		groups, member = groups[:0], member[:0]
-		for _, sg := range run {
-			g := sg.Gate
+		for i := range run {
+			g := &run[i].Gate
 			name, twoQ, err := opcodeFor(g)
 			if err != nil {
 				return nil, err
@@ -85,9 +86,9 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 			op := QOp{Name: gr.name, TwoQ: gr.twoQ, Params: gr.first.Params, Exprs: gr.first.Exprs}
 			if gr.twoQ {
 				from := len(pairs)
-				for i, sg := range run {
+				for i := range run {
 					if member[i] == k {
-						pairs = append(pairs, [2]int{sg.Gate.Qubits[0], sg.Gate.Qubits[1]})
+						pairs = append(pairs, [2]int{run[i].Gate.Qubits[0], run[i].Gate.Qubits[1]})
 					}
 				}
 				mask := pairs[from:len(pairs):len(pairs)]
@@ -106,17 +107,18 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 				op.Reg = reg
 			} else {
 				from := len(qubits)
-				for i, sg := range run {
+				for i := range run {
 					if member[i] != k {
 						continue
 					}
-					if sg.Gate.Name == circuit.OpMeasureAll {
+					g := &run[i].Gate
+					if g.Name == circuit.OpMeasureAll {
 						for q := 0; q < s.NumQubits; q++ {
 							qubits = append(qubits, q)
 						}
 						continue
 					}
-					qubits = append(qubits, sg.Gate.Qubits...)
+					qubits = append(qubits, g.Qubits...)
 				}
 				mask := qubits[from:len(qubits):len(qubits)]
 				slices.Sort(mask)
@@ -141,7 +143,7 @@ func Assemble(s *compiler.Schedule, p *compiler.Platform) (*Program, error) {
 }
 
 // opcodeFor maps an IR gate to its eQASM opcode.
-func opcodeFor(g circuit.Gate) (string, bool, error) {
+func opcodeFor(g *circuit.Gate) (string, bool, error) {
 	if g.HasCond {
 		// Feed-forward requires the fast conditional-execution path of a
 		// richer eQASM profile; this subset targets open-loop sequences.
@@ -168,7 +170,7 @@ func opcodeFor(g circuit.Gate) (string, bool, error) {
 // slot for slot, symbolic slots carry the same canonical expression and
 // literal slots the same value bit for bit (any two NaNs match). Equal
 // placeholder literals never merge distinct expressions.
-func sameParams(a, b circuit.Gate) bool {
+func sameParams(a, b *circuit.Gate) bool {
 	if len(a.Params) != len(b.Params) {
 		return false
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	h := s.Handler()
+	runtime.GC() // so the live-heap gauge has a collection to report
 	body := scrape(t, h)
 
 	if got := metricValue(t, body, "qserv_jobs_submitted_total"); got != 3 {
@@ -126,6 +128,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if metricValue(t, body, "qserv_uptime_seconds") <= 0 {
 		t.Error("uptime not positive")
+	}
+	if metricValue(t, body, "qserv_gc_heap_live_bytes") <= 0 {
+		t.Error("live heap not positive")
+	}
+	if metricValue(t, body, "qserv_gc_cpu_seconds") < 0 {
+		t.Error("GC CPU seconds negative")
 	}
 
 	// The scrape above went through the instrumentation middleware; its

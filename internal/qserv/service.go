@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -203,8 +204,15 @@ func New(cfg Config) *Service {
 }
 
 // registerCollectors wires the scrape-time mirrors: uptime, per-backend
-// queue depth and the shared compile caches' hit/miss/entry counts.
+// queue depth, the shared compile caches' hit/miss/entry counts and the
+// garbage collector's state.
 func (s *Service) registerCollectors() {
+	s.reg.GaugeFunc("qserv_gc_heap_live_bytes",
+		"Heap bytes the last garbage collection marked live (runtime/metrics /gc/heap/live:bytes).",
+		runtimeMetric("/gc/heap/live:bytes"))
+	s.reg.GaugeFunc("qserv_gc_cpu_seconds",
+		"Estimated CPU seconds spent in garbage collection since the process started (runtime/metrics /cpu/classes/gc/total:cpu-seconds).",
+		runtimeMetric("/cpu/classes/gc/total:cpu-seconds"))
 	s.reg.GaugeFunc("qserv_uptime_seconds", "Seconds since Start.", func() float64 {
 		s.mu.Lock()
 		startedAt := s.startedAt
@@ -242,6 +250,22 @@ func (s *Service) registerCollectors() {
 			mirror("prefix", s.prefix.Stats())
 		}
 	})
+}
+
+// runtimeMetric returns a reader of one runtime/metrics value, 0 when
+// the runtime does not support it.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		sample := []metrics.Sample{{Name: name}}
+		metrics.Read(sample)
+		switch v := sample[0].Value; v.Kind() {
+		case metrics.KindUint64:
+			return float64(v.Uint64())
+		case metrics.KindFloat64:
+			return v.Float64()
+		}
+		return 0
+	}
 }
 
 // Metrics exposes the service's metric registry — the one behind

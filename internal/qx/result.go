@@ -2,6 +2,7 @@ package qx
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -42,17 +43,22 @@ func (r *Result) Probability(idx int) float64 {
 
 // Count returns the occurrence count of the outcome rendered as a
 // bitstring (qubit 0 rightmost), transparently reading Counts or
-// WideCounts. It is the register-width-independent accessor.
+// WideCounts. It is the register-width-independent accessor. A string
+// longer than the register, or holding a character other than 0 and 1,
+// names no outcome and counts 0.
 func (r *Result) Count(bits string) int {
+	if len(bits) > r.NumQubits || strings.Trim(bits, "01") != "" {
+		return 0
+	}
 	if r.WideCounts != nil {
 		return r.WideCounts[bits]
 	}
 	idx := 0
-	for _, ch := range bits {
-		idx <<= 1
-		if ch == '1' {
-			idx |= 1
+	for i := 0; i < len(bits); i++ {
+		if idx > math.MaxInt>>1 {
+			return 0 // wider than any index Counts can hold
 		}
+		idx = idx<<1 | int(bits[i]-'0')
 	}
 	return r.Counts[idx]
 }
