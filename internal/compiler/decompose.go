@@ -23,9 +23,8 @@ import (
 // be computed; a second pass instantiates each entry on its source
 // gate's operands, parameters and condition, with no per-primitive
 // validation. Native gates pass through as values sharing their operand
-// slices with the input; primitives share contiguous operand runs with
-// their source gate and constant parameter slices with the table. No
-// pass mutates either.
+// slices with the input; primitives share constant parameter slices with
+// the table. No pass mutates either.
 func Decompose(c *circuit.Circuit, p *Platform) (*circuit.Circuit, error) {
 	size, nOps, nParams := 0, 0, 0
 	for i := range c.Gates {
@@ -60,15 +59,10 @@ func Decompose(c *circuit.Circuit, p *Platform) (*circuit.Circuit, error) {
 			// Classical control distributes over the decomposition: each
 			// primitive fires under the source gate's condition.
 			ng := circuit.Gate{Name: pr.name, Params: pr.consts, HasCond: g.HasCond, CondBit: g.CondBit}
-			if pr.run >= 0 {
-				end := pr.run + len(pr.ops)
-				ng.Qubits = g.Qubits[pr.run:end:end]
-			} else {
-				n := len(pr.ops)
-				ng.Qubits, ops = ops[:n:n], ops[n:]
-				for j, op := range pr.ops {
-					ng.Qubits[j] = g.Qubits[op]
-				}
+			n := len(pr.ops)
+			ng.Qubits, ops = ops[:n:n], ops[n:]
+			for j, op := range pr.ops {
+				ng.Qubits[j] = g.Qubits[op]
 			}
 			if pr.slots != nil {
 				n := len(pr.slots)
@@ -103,19 +97,16 @@ func Decompose(c *circuit.Circuit, p *Platform) (*circuit.Circuit, error) {
 type lowering struct {
 	prims []primitive
 	err   error
-	// nOps and nParams count the operands and parameters the primitives
-	// cannot share and an instance must write.
+	// nOps and nParams count the operands and the computed parameters
+	// an instance writes.
 	nOps, nParams int
 }
 
 // primitive is one gate of a lowering, in terms of its source gate.
 type primitive struct {
 	name string
-	// ops are the operands as positions in the source gate's Qubits;
-	// run >= 0 when they are the contiguous run starting there, which an
-	// instance shares instead of copying.
+	// ops are the operands as positions in the source gate's Qubits.
 	ops []int
-	run int
 	// consts are the parameters, shared by every instance, when none
 	// derives from a source slot; otherwise slots says how to compute
 	// each one.
@@ -134,19 +125,20 @@ type paramSlot struct {
 // the gate passes through Decompose unchanged: non-unitary operations and
 // native gates, where a platform with an empty gate table accepts
 // everything (perfect target). Entries of registered gates are built once
-// per platform, on first use, and memoised like ContentHash; other names
+// per gate set, on first use, and memoised like ContentHash; other names
 // (which fail validation anyway) are built per call so arbitrary names
 // cannot grow the table.
 func (p *Platform) lowering(name string) *lowering {
 	if circuit.IsNonUnitary(name) {
 		return nil
 	}
-	if l, ok := p.lowerings.Load(name); ok {
+	table := p.loweringTable()
+	if l, ok := table.Load(name); ok {
 		return l.(*lowering)
 	}
 	l := buildLowering(name, p)
 	if _, ok := circuit.Lookup(name); ok {
-		cached, _ := p.lowerings.LoadOrStore(name, l)
+		cached, _ := table.LoadOrStore(name, l)
 		return cached.(*lowering)
 	}
 	return l
@@ -181,12 +173,8 @@ func buildLowering(name string, p *Platform) *lowering {
 	}
 	l := &lowering{prims: make([]primitive, len(leaves))}
 	for i, leaf := range leaves {
-		pr := primitive{name: leaf.Name, ops: leaf.Qubits, run: -1, consts: leaf.Params}
-		if contiguous(leaf.Qubits) {
-			pr.run = leaf.Qubits[0]
-		} else {
-			l.nOps += len(leaf.Qubits)
-		}
+		pr := primitive{name: leaf.Name, ops: leaf.Qubits, consts: leaf.Params}
+		l.nOps += len(leaf.Qubits)
 		if leaf.IsParametric() {
 			pr.consts = nil
 			pr.slots = make([]paramSlot, len(leaf.Params))
@@ -213,17 +201,6 @@ func probeSlot(e *circuit.ParamExpr) paramSlot {
 		}
 	}
 	panic(fmt.Sprintf("compiler: a lowering rule emitted parameter %s, not a scaled source slot", e))
-}
-
-// contiguous reports whether qs is a non-empty run of consecutive
-// positions.
-func contiguous(qs []int) bool {
-	for i, q := range qs {
-		if q != qs[0]+i {
-			return false
-		}
-	}
-	return len(qs) > 0
 }
 
 // expandAll appends g's full expansion into the platform's primitives to

@@ -164,12 +164,12 @@ func TestLoweringTableOnHandBuiltPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := p.lowerings.Load("toffoli")
+	l, _ := p.loweringTable().Load("toffoli")
 	second, err := Decompose(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := p.lowerings.Load("toffoli"); again != l || l == nil {
+	if again, _ := p.loweringTable().Load("toffoli"); again != l || l == nil {
 		t.Error("toffoli's lowering was rebuilt")
 	}
 	if !reflect.DeepEqual(first, second) {
@@ -179,9 +179,37 @@ func TestLoweringTableOnHandBuiltPlatform(t *testing.T) {
 	if _, err := Decompose(bad, p); err == nil || err.Error() != `compiler: no decomposition rule for gate "nosuch"` {
 		t.Errorf("unknown gate: error %v", err)
 	}
-	if _, ok := p.lowerings.Load("nosuch"); ok {
+	if _, ok := p.loweringTable().Load("nosuch"); ok {
 		t.Error("a name outside the registry entered the table")
 	}
+}
+
+// TestShareLowerings checks that a platform rebuilt for a device of the
+// same gate set reads its predecessor's table, with the same output, and
+// that one of another gate set keeps its own.
+func TestShareLowerings(t *testing.T) {
+	prev := Superconducting()
+	c := circuit.New("c", 3).Toffoli(0, 1, 2).RX(1, 0.3).SWAP(0, 2)
+	want, err := Decompose(c, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retimed := prev.Target.Clone()
+	retimed.Gates["cz"] = GateInfo{DurationCycles: 7}
+	next := PlatformFor(retimed.WithCalibration(nil))
+	next.ShareLowerings(prev)
+	if next.loweringTable() != prev.loweringTable() {
+		t.Fatal("a platform of the same gate set built its own table")
+	}
+	if got, err := Decompose(c, next); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("lowering through the shared table differs (error %v)", err)
+	}
+	other := Perfect(3)
+	other.ShareLowerings(prev)
+	if other.loweringTable() == prev.loweringTable() {
+		t.Error("a platform of another gate set took the table")
+	}
+	other.ShareLowerings(nil)
 }
 
 // TestLoweringTableConcurrentFirstUse has goroutines meet a fresh

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/target"
 	"repro/internal/topology"
@@ -60,9 +61,11 @@ type Platform struct {
 	// gateHashOnce/gateHash memoise GateSetHash the same way.
 	gateHashOnce sync.Once
 	gateHash     string
-	// lowerings memoises the lowering table Decompose reads, one entry
-	// per registered gate name, built on first use (see lowering).
-	lowerings sync.Map
+	// lowerings points at the lowering table Decompose reads, one entry
+	// per registered gate name, built on first use (see lowering). It is
+	// created on first use too, and shared between platforms of one gate
+	// set (ShareLowerings).
+	lowerings atomic.Pointer[sync.Map]
 }
 
 // PlatformFor returns the compiler view of a device. The view shares the
@@ -137,6 +140,41 @@ func (p *Platform) GateSetHash() string {
 		p.gateHash = hex.EncodeToString(h.Sum(nil))
 	})
 	return p.gateHash
+}
+
+// ShareLowerings makes p read prev's lowering table when the two
+// platforms have the same gate set, which is all a lowering depends on,
+// so a device rebuilt for a target or calibration override does not redo
+// the expansions of the platform it replaces. Call it before p is in
+// use.
+func (p *Platform) ShareLowerings(prev *Platform) {
+	if prev != nil && sameGateSet(p.Gates, prev.Gates) {
+		p.lowerings.Store(prev.loweringTable())
+	}
+}
+
+// loweringTable returns the platform's lowering table, creating it on
+// first use.
+func (p *Platform) loweringTable() *sync.Map {
+	if t := p.lowerings.Load(); t != nil {
+		return t
+	}
+	p.lowerings.CompareAndSwap(nil, new(sync.Map))
+	return p.lowerings.Load()
+}
+
+// sameGateSet reports whether a and b name the same gates.
+func sameGateSet(a, b map[string]GateInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	//qlint:nondeterministic-ok order-independent: a membership test
+	for name := range a {
+		if _, ok := b[name]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Calibration returns the device calibration table, nil for

@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -79,11 +81,19 @@ func ScheduleCircuit(c *circuit.Circuit, p *Platform, policy Policy) (*Schedule,
 }
 
 // byDuration returns the gate indices ordered by duration, stable in
-// input order (a counting sort).
+// input order (a counting sort while the durations are dense).
 func byDuration(slots []slot) []int {
 	maxDur := 0
 	for _, s := range slots {
 		maxDur = max(maxDur, s.dur)
+	}
+	if !dense(maxDur, len(slots)) {
+		order := make([]int, len(slots))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(slots[a].dur, slots[b].dur) })
+		return order
 	}
 	// next[d] is the position of the next gate of duration d.
 	next := make([]int, maxDur+2)
@@ -200,33 +210,66 @@ func timeASAP(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots 
 
 // inCycleOrder emits the timed gates sorted by start cycle, stable in
 // input order (or in order, when that is non-nil), with a counting sort
-// over the cycles [0, makespan]. Barriers take no place; lead zero-value
-// gates go first.
+// over the cycles [0, makespan] while they are dense. Barriers take no
+// place; lead zero-value gates go first.
 func inCycleOrder(gates []circuit.Gate, slots []slot, order []int, makespan, lead int) []ScheduledGate {
-	// next[c] is the output index of the next gate starting at cycle c.
-	next := make([]int, makespan+1)
 	n := lead
 	for _, s := range slots {
 		if s.cycle >= 0 {
-			next[s.cycle]++
 			n++
+		}
+	}
+	out := make([]ScheduledGate, n)
+	emit := func(at, i int) {
+		out[at] = ScheduledGate{Gate: gates[i], Cycle: slots[i].cycle, Duration: slots[i].dur}
+	}
+	if !dense(makespan, n) {
+		timed := make([]int, 0, n-lead)
+		for k := range slots {
+			i := k
+			if order != nil {
+				i = order[k]
+			}
+			if slots[i].cycle >= 0 {
+				timed = append(timed, i)
+			}
+		}
+		slices.SortStableFunc(timed, func(a, b int) int { return cmp.Compare(slots[a].cycle, slots[b].cycle) })
+		for k, i := range timed {
+			emit(lead+k, i)
+		}
+		return out
+	}
+	// next[c] is the output index of the next gate starting at cycle c.
+	next := make([]int, makespan+1)
+	for _, s := range slots {
+		if s.cycle >= 0 {
+			next[s.cycle]++
 		}
 	}
 	for c, at := 0, lead; c <= makespan; c++ {
 		next[c], at = at, at+next[c]
 	}
-	out := make([]ScheduledGate, n)
 	for k := range slots {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
-		if s := slots[i]; s.cycle >= 0 {
-			out[next[s.cycle]] = ScheduledGate{Gate: gates[i], Cycle: s.cycle, Duration: s.dur}
-			next[s.cycle]++
+		if c := slots[i].cycle; c >= 0 {
+			emit(next[c], i)
+			next[c]++
 		}
 	}
 	return out
+}
+
+// dense reports whether a counting sort over the keys [0, maxKey] keeps
+// its count array within a small multiple of the n items it orders.
+// Durations are device data, so cycle counts can dwarf the gate count;
+// past that the schedule sorts by comparison instead, and its memory
+// never grows with the cycle count.
+func dense(maxKey, n int) bool {
+	return maxKey <= 8*n+64
 }
 
 // Validate checks that no two gates overlap on a qubit and the channel

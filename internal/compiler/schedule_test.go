@@ -46,10 +46,14 @@ func stableByCycle(c *circuit.Circuit, p *Platform, policy Policy) []ScheduledGa
 // TestScheduleEmitsInCycleOrder checks both policies, with and without a
 // channel limit, on random lowered circuits with measurements, barriers,
 // whole-register measurements and conditions: the schedule comes out in
-// the stable cycle order and passes Validate.
+// the stable cycle order and passes Validate. The slow gate table makes
+// measurements long enough that the cycles outnumber the gates, which
+// sends the order through the comparison sort instead of the counting
+// sort.
 func TestScheduleEmitsInCycleOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	base := Superconducting()
+	slow := nisqGates(1, 2, 4000, 10)
 	for trial := 0; trial < 40; trial++ {
 		c := circuit.RandomCircuit(6, 1+rng.Intn(5), rng)
 		for i := 0; i < 4; i++ {
@@ -74,20 +78,47 @@ func TestScheduleEmitsInCycleOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, limit := range []int{0, 1 + rng.Intn(3)} {
-			p := &Platform{Name: "limited", NumQubits: base.NumQubits, Gates: base.Gates, MaxParallelOps: limit}
-			for _, policy := range []Policy{ASAP, ALAP} {
-				s, err := ScheduleCircuit(lowered, p, policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := stableByCycle(lowered, p, policy); !reflect.DeepEqual(s.Gates, want) {
-					t.Fatalf("trial %d, limit %d, %s: schedule order differs from the stable sort by cycle", trial, limit, policy)
-				}
-				if err := s.Validate(p); err != nil {
-					t.Fatalf("trial %d, limit %d, %s: %v", trial, limit, policy, err)
+		for _, gates := range []map[string]GateInfo{base.Gates, slow} {
+			for _, limit := range []int{0, 1 + rng.Intn(3)} {
+				p := &Platform{Name: "limited", NumQubits: base.NumQubits, Gates: gates, MaxParallelOps: limit}
+				for _, policy := range []Policy{ASAP, ALAP} {
+					s, err := ScheduleCircuit(lowered, p, policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := stableByCycle(lowered, p, policy); !reflect.DeepEqual(s.Gates, want) {
+						t.Fatalf("trial %d, limit %d, %d-cycle measure, %s: schedule order differs from the stable sort by cycle",
+							trial, limit, gates["measure"].DurationCycles, policy)
+					}
+					if err := s.Validate(p); err != nil {
+						t.Fatalf("trial %d, limit %d, %s: %v", trial, limit, policy, err)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestScheduleMemoryIndependentOfDurations schedules gates lasting 2^50
+// cycles: a count array over the cycles or the durations would exceed
+// the largest allocation the runtime allows and panic, so this passes
+// only if the scheduler's memory follows the gate count.
+func TestScheduleMemoryIndependentOfDurations(t *testing.T) {
+	const long = 1 << 50
+	p := &Platform{Name: "slow", NumQubits: 3, Gates: map[string]GateInfo{
+		"h": {DurationCycles: long}, "cnot": {DurationCycles: 3}, "measure": {DurationCycles: long},
+	}}
+	c := circuit.New("slow", 3).H(0).CNOT(0, 1).H(2).Barrier().Measure(1)
+	for _, policy := range []Policy{ASAP, ALAP} {
+		s, err := ScheduleCircuit(c, p, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stableByCycle(c, p, policy); !reflect.DeepEqual(s.Gates, want) {
+			t.Errorf("%s: schedule order differs from the stable sort by cycle", policy)
+		}
+		if s.Makespan != 2*long+3 {
+			t.Errorf("%s: makespan %d, want %d", policy, s.Makespan, 2*long+3)
 		}
 	}
 }

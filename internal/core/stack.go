@@ -94,7 +94,8 @@ func NewStackForDevice(dev *target.Device, seed int64) (*Stack, error) {
 // WithDevice rebuilds the stack for a different device description —
 // the device decides mode, platform, noise model and microcode — while
 // carrying over every compiler and execution tuning knob (pass spec,
-// engine, kernel parallelism and the prefix cache). This is how per-job
+// engine, kernel parallelism and the prefix cache), and, for the same
+// gate set, the decomposition's lowering table. This is how per-job
 // target and calibration overrides materialise in qserv, and how a running
 // service re-calibrates a backend in place: the rebuilt stack's device
 // hash keys fresh full-artefact cache entries while its prefix entries
@@ -108,6 +109,7 @@ func (s *Stack) WithDevice(dev *target.Device) (*Stack, error) {
 	out.Engine = s.Engine
 	out.KernelWorkers = s.KernelWorkers
 	out.PrefixCache = s.PrefixCache
+	out.Platform.ShareLowerings(s.Platform)
 	return out, nil
 }
 

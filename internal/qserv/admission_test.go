@@ -44,6 +44,15 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A device whose gate takes 1e10 cycles: schedulers keep per-cycle
+	// state, so admission must refuse it rather than a worker run it.
+	slow := target.Perfect(2)
+	slow.Gates = map[string]target.GateSpec{"h": {DurationCycles: 1e10}, "cnot": {DurationCycles: 1}}
+	slowTarget, err := json.Marshal(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeDuration := `{"cqasm":` + string(cqasm) + `,"shots":8,"target":` + string(slowTarget) + `}`
 	noSchedule := withPasses("decompose,optimize", "")
 	noAssemble := withPasses("decompose,optimize,map,lower-swaps,schedule", "")
 	noAssembleOnTarget := withPasses("decompose,optimize,map,lower-swaps,schedule", `,"target":`+string(calibrated))
@@ -57,10 +66,11 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	outOfRange := program("version 1.0\nqubits 2\nh q[5]\nmeasure q[0]\n")
 	garbage := program("this is not cQASM")
 	problems := map[string]string{
-		unknownGate: `unknown gate "foo"`,
-		outOfRange:  "qubit 5 out of range",
-		garbage:     `line 1: bad operand "is not cQASM"`,
-		quboJob:     "QUBO payloads have no parameters to bind",
+		unknownGate:  `unknown gate "foo"`,
+		outOfRange:   "qubit 5 out of range",
+		garbage:      `line 1: bad operand "is not cQASM"`,
+		quboJob:      "QUBO payloads have no parameters to bind",
+		hugeDuration: `gate "h" duration 10000000000 exceeds`,
 	}
 
 	// open starts a service over one perfect-stack lane and pins a
@@ -157,6 +167,8 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"live", "sessions", outOfRange, http.StatusBadRequest, false},
 		{"live", "submit", garbage, http.StatusBadRequest, false},
 		{"live", "sessions", garbage, http.StatusBadRequest, false},
+		{"live", "submit", hugeDuration, http.StatusBadRequest, false},
+		{"live", "sessions", hugeDuration, http.StatusBadRequest, false},
 
 		// Opening a session compiles on the request goroutine and never
 		// enters a queue, so a full lane does not refuse it.

@@ -32,6 +32,12 @@ import (
 	"repro/internal/topology"
 )
 
+// MaxDurationCycles bounds a gate's latency: about 21 ms at a 20 ns
+// cycle, orders of magnitude beyond any preset gate. Devices arrive from clients, and
+// schedulers keep per-cycle state, so an unbounded duration would let one
+// device description claim unbounded memory.
+const MaxDurationCycles = 1 << 20
+
 // GateSpec holds per-gate device parameters.
 type GateSpec struct {
 	// DurationCycles is the gate latency in micro-architecture cycles.
@@ -60,8 +66,8 @@ type Device struct {
 }
 
 // Validate checks internal consistency: positive qubit count, a topology
-// sized to the register, non-negative gate durations, and a calibration
-// table consistent with both.
+// sized to the register, gate durations in [0, MaxDurationCycles], and a
+// calibration table consistent with both.
 func (d *Device) Validate() error {
 	if d.NumQubits <= 0 {
 		return fmt.Errorf("target: device %q has no qubits", d.Name)
@@ -74,15 +80,19 @@ func (d *Device) Validate() error {
 			d.Name, d.Topology.N, d.NumQubits)
 	}
 	// Check gates in sorted order so the reported offender is
-	// deterministic when several have negative durations.
+	// deterministic when several have bad durations.
 	names := make([]string, 0, len(d.Gates))
 	for name := range d.Gates {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if d.Gates[name].DurationCycles < 0 {
+		switch dur := d.Gates[name].DurationCycles; {
+		case dur < 0:
 			return fmt.Errorf("target: device %q gate %q has negative duration", d.Name, name)
+		case dur > MaxDurationCycles:
+			return fmt.Errorf("target: device %q gate %q duration %d exceeds %d cycles",
+				d.Name, name, dur, MaxDurationCycles)
 		}
 	}
 	if d.Calibration != nil {

@@ -143,6 +143,7 @@ func TestDeviceValidate(t *testing.T) {
 		{"no qubits", func(d *Device) { d.NumQubits = 0 }, "no qubits"},
 		{"topology size", func(d *Device) { d.Topology = topology.Linear(5) }, "topology size"},
 		{"negative duration", func(d *Device) { d.Gates["cz"] = GateSpec{DurationCycles: -1} }, "negative duration"},
+		{"huge duration", func(d *Device) { d.Gates["cz"] = GateSpec{DurationCycles: MaxDurationCycles + 1} }, "exceeds"},
 		{"cal count", func(d *Device) { d.Calibration.Qubits = d.Calibration.Qubits[:3] }, "qubit entries"},
 		{"cal readout", func(d *Device) { d.Calibration.Qubits[0].ReadoutError = 1.5 }, "readout error"},
 		{"cal 1q error", func(d *Device) { d.Calibration.Qubits[2].SingleQubitError = -0.1 }, "single-qubit error"},
