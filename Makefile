@@ -1,6 +1,7 @@
 # Tier-1 verification for the repro module. `make ci` mirrors the CI
 # workflow step for step — gofmt, vet, staticcheck, qlint, race tests,
-# the coverage gates, the bench smoke and the load-harness smoke — so
+# the coverage gates, the bench smoke, the metrics smoke, the examples
+# smoke and the load-harness smoke — so
 # local verification catches everything the workflow does. Its first
 # step (build) is the guard that keeps the go.mod regression from
 # recurring.
@@ -32,7 +33,7 @@ EARLY_MEASURED_CEILING ?= 1000
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build fmt vet staticcheck lint test race bench bench-smoke bench-baseline bench-gate cover metrics-smoke load-smoke load-gate vuln ci
+.PHONY: all build fmt vet staticcheck lint test race bench bench-smoke bench-baseline bench-gate cover metrics-smoke examples-smoke load-smoke load-gate vuln ci
 
 all: ci
 
@@ -117,12 +118,13 @@ bench-gate:
 # compiler, the eQASM assembler, the OpenQL program layer, the
 # micro-architecture, the observability primitives, the qx
 # engine suite with its stabilizer fast path, the loadgen scenario
-# harness, the qserv accelerator service and the qlint analyzer suite
-# (mirrors the CI step). COVER_PKGS drives one loop over the per-package
+# harness, the qserv accelerator service, the full-stack core, the
+# quantum state kernels, the qec surface code and the qlint analyzer
+# suite (mirrors the CI step). COVER_PKGS drives one loop over the per-package
 # gates; the lint gate stays special-cased because its profile
 # aggregates over the whole internal/lint tree — the analyzer fixtures
 # exercise the framework.
-COVER_PKGS ?= circuit target compiler eqasm openql microarch obs qx loadgen qserv
+COVER_PKGS ?= circuit target compiler eqasm openql microarch obs qx loadgen qserv core quantum qec
 COVER_FLOOR ?= 80.0
 COVER_AWK = /^total:/ {sub(/%/,"",$$3); if ($$3+0 < floor) {print pkg " coverage " $$3 "% is below the " floor "% gate"; exit 1} else print pkg " coverage " $$3 "%"}
 
@@ -173,6 +175,19 @@ metrics-smoke:
 	[ "$$code" = 400 ] || { echo "metrics-smoke: POST /submit of an unparsable program = $$code, want 400"; exit 1; }; \
 	echo "metrics-smoke: /metrics, /jobs/{id}/trace, the /stats 404 and the unparsable-program 400 OK"
 
+# Build and run every example program (examples/*/main.go); a non-zero
+# exit fails the target and prints the example's output. Each example is
+# self-contained and seeded, and finishes in a few seconds.
+examples-smoke:
+	@mkdir -p bin/examples
+	@for main in examples/*/main.go; do \
+		name=$$(basename $$(dirname $$main)); \
+		$(GO) build -o bin/examples/$$name ./examples/$$name || exit 1; \
+		./bin/examples/$$name > bin/examples/$$name.out 2>&1 \
+			|| { cat bin/examples/$$name.out; echo "examples-smoke: $$name exited non-zero"; exit 1; }; \
+		echo "examples-smoke: $$name OK"; \
+	done
+
 # Load-harness smoke — the required CI job. Builds qload, proves the
 # workload generator is byte-reproducible for a fixed (scenario, seed)
 # by diffing two generations, runs the smoke scenario's SLO gate at one
@@ -204,4 +219,4 @@ load-gate:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: build fmt vet staticcheck lint race cover bench-smoke metrics-smoke load-smoke
+ci: build fmt vet staticcheck lint race cover bench-smoke metrics-smoke examples-smoke load-smoke

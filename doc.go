@@ -67,10 +67,9 @@
 // kernel's prefix artefact (compiler.PrefixArtefact) is reusable by any
 // program embedding the same kernel. Prefix artefacts cache independently of the full
 // compiled artefacts: keyed by gate-set hash + prefix spec + kernel
-// content hash (compiler.PrefixKey, openql.Kernel.ContentHash,
-// core.Stack.PrefixFingerprint) rather than the device content hash, so
-// a recompile that only changes mapping options, scheduling policy or
-// calibration re-runs just the suffix — the ≥2x cached-recompile win
+// content hash (compiler.PrefixKey, openql.Kernel.ContentHash) rather
+// than the device content hash, so a recompile that only changes mapping
+// options, scheduling policy or calibration re-runs just the suffix — the ≥2x cached-recompile win
 // BenchmarkPrefixCachedRecompile measures, locked in by the CI
 // benchmark-regression gate (cmd/benchgate against the BENCH_5 baseline
 // the workflow promotes between runs as an artifact; machine-local

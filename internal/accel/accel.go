@@ -201,31 +201,6 @@ func (h *Host) Offload(t Task) (interface{}, error) {
 	return nil, fmt.Errorf("accel: no accelerator accepts task kind %q", t.Kind())
 }
 
-// HybridLoop is the Fig 8 execution model: the classical logic proposes
-// parameters, the quantum accelerator is invoked in bursts, and the loop
-// continues until the classical side is satisfied.
-//   - propose: returns the next task given the iteration and previous
-//     result (nil result on the first call).
-//   - done: inspects the latest result and signals termination.
-func (h *Host) HybridLoop(maxIter int, propose func(iter int, prev interface{}) (Task, error), done func(result interface{}) bool) (interface{}, int, error) {
-	var prev interface{}
-	for iter := 0; iter < maxIter; iter++ {
-		task, err := propose(iter, prev)
-		if err != nil {
-			return nil, iter, err
-		}
-		out, err := h.Offload(task)
-		if err != nil {
-			return nil, iter, err
-		}
-		prev = out
-		if done(out) {
-			return out, iter + 1, nil
-		}
-	}
-	return prev, maxIter, nil
-}
-
 // DefaultSystem wires the Fig 1 system: a host with a perfect-qubit gate
 // accelerator, a quantum annealer, a digital annealer and a classical
 // FPGA stand-in.

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/openql"
 	"repro/internal/qubo"
-	"repro/internal/tsp"
 )
 
 func TestHostOffloadCircuit(t *testing.T) {
@@ -94,52 +92,6 @@ func TestDigitalAnnealerPreferredWhenFirst(t *testing.T) {
 	}
 	if out.(*anneal.Result).Bits[0] != 1 {
 		t.Error("wrong solution")
-	}
-}
-
-func TestHybridLoopSolvesTSP(t *testing.T) {
-	// Fig 8: classical logic proposes annealing tasks until a feasible
-	// optimal tour is found.
-	g := tsp.Netherlands4()
-	enc := tsp.Encode(g, 0)
-	h := NewHost()
-	h.Register(&AnnealAccelerator{SQA: anneal.SQAOptions{Sweeps: 1500, Trotter: 8, Restarts: 6, Seed: 7}})
-
-	propose := func(iter int, prev interface{}) (Task, error) {
-		return AnnealTask{Q: enc.Q}, nil
-	}
-	done := func(result interface{}) bool {
-		res := result.(*anneal.Result)
-		tour, err := enc.Decode(res.Bits)
-		if err != nil {
-			return false
-		}
-		return math.Abs(g.TourCost(tour)-1.42) < 1e-9
-	}
-	out, iters, err := h.HybridLoop(10, propose, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters > 10 {
-		t.Error("loop overran")
-	}
-	res := out.(*anneal.Result)
-	tour, err := enc.Decode(res.Bits)
-	if err != nil {
-		t.Fatalf("final result infeasible: %v", err)
-	}
-	if math.Abs(g.TourCost(tour)-1.42) > 1e-9 {
-		t.Errorf("final tour cost %v", g.TourCost(tour))
-	}
-}
-
-func TestHybridLoopProposeError(t *testing.T) {
-	h := DefaultSystem(2, 8)
-	_, _, err := h.HybridLoop(3, func(int, interface{}) (Task, error) {
-		return nil, fmt.Errorf("boom")
-	}, func(interface{}) bool { return true })
-	if err == nil {
-		t.Error("propose error swallowed")
 	}
 }
 

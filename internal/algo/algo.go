@@ -1,16 +1,10 @@
-// Package algo provides textbook quantum algorithms built purely from
-// the circuit IR, used as application-layer workloads for the stack
-// (§2.2–2.3): teleportation (exercising the classical feed-forward the
-// programming layer wraps around quantum logic), Deutsch–Jozsa,
-// Bernstein–Vazirani, and quantum phase estimation.
+// Package algo provides textbook quantum algorithms used as
+// application-layer workloads for the stack (§2.2–2.3): teleportation
+// (exercising the classical feed-forward the programming layer wraps
+// around quantum logic) and Shor's factoring by order finding.
 package algo
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/circuit"
-)
+import "repro/internal/circuit"
 
 // Teleport returns the 3-qubit teleportation circuit: the state prepared
 // by `prep` on qubit 0 is teleported to qubit 2 using measurement and
@@ -28,150 +22,5 @@ func Teleport(prep func(c *circuit.Circuit)) *circuit.Circuit {
 	// 4. Feed-forward corrections on Bob's qubit.
 	c.AddGate(circuit.Gate{Name: "x", Qubits: []int{2}, HasCond: true, CondBit: 1})
 	c.AddGate(circuit.Gate{Name: "z", Qubits: []int{2}, HasCond: true, CondBit: 0})
-	return c
-}
-
-// DeutschJozsa returns the (n+1)-qubit Deutsch–Jozsa circuit for the
-// oracle f: {0,1}ⁿ → {0,1}, which must be constant or balanced. The
-// oracle is compiled into X/CNOT gates via its truth table when it is
-// one of the standard forms; for generality the oracle here is given as
-// a phase oracle marking f(x)=1 inputs with X-basis tricks — we accept
-// f directly and synthesise the phase flip with a controlled chain per
-// marked input, which is exact for any f (cost 2ⁿ worst case; these are
-// small teaching circuits).
-//
-// Measuring all n input qubits yields all zeros iff f is constant.
-func DeutschJozsa(n int, f func(x int) bool) *circuit.Circuit {
-	c := circuit.New("deutsch-jozsa", n)
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	phaseOracle(c, n, f)
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	for q := 0; q < n; q++ {
-		c.Measure(q)
-	}
-	return c
-}
-
-// phaseOracle flips the phase of every basis state x with f(x)=true,
-// using X-conjugated multi-controlled Z per marked input. Supports
-// n ≤ 3 natively (cz / h-toffoli-h); larger n uses a cascaded
-// construction with the top qubits folded via extra markings — for the
-// stack's teaching workloads n ≤ 3 suffices and larger n is rejected.
-func phaseOracle(c *circuit.Circuit, n int, f func(x int) bool) {
-	if n > 3 {
-		panic("algo: phase oracle synthesis supports n ≤ 3")
-	}
-	mcz := func() {
-		switch n {
-		case 1:
-			c.Z(0)
-		case 2:
-			c.CZ(0, 1)
-		default:
-			c.H(2)
-			c.Toffoli(0, 1, 2)
-			c.H(2)
-		}
-	}
-	for x := 0; x < 1<<uint(n); x++ {
-		if !f(x) {
-			continue
-		}
-		for q := 0; q < n; q++ {
-			if x&(1<<uint(q)) == 0 {
-				c.X(q)
-			}
-		}
-		mcz()
-		for q := 0; q < n; q++ {
-			if x&(1<<uint(q)) == 0 {
-				c.X(q)
-			}
-		}
-	}
-}
-
-// BernsteinVazirani returns the circuit recovering the hidden string s
-// of f(x) = s·x (mod 2) in a single query: n input qubits plus one
-// ancilla in |−>. Measuring the inputs yields s directly.
-func BernsteinVazirani(n, secret int) *circuit.Circuit {
-	if secret < 0 || secret >= 1<<uint(n) {
-		panic(fmt.Sprintf("algo: secret %d out of range for %d bits", secret, n))
-	}
-	c := circuit.New("bernstein-vazirani", n+1)
-	anc := n
-	// Ancilla to |−>.
-	c.X(anc)
-	c.H(anc)
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	// Oracle: CNOT from each secret bit into the ancilla.
-	for q := 0; q < n; q++ {
-		if secret&(1<<uint(q)) != 0 {
-			c.CNOT(q, anc)
-		}
-	}
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	for q := 0; q < n; q++ {
-		c.Measure(q)
-	}
-	return c
-}
-
-// PhaseEstimation returns the circuit estimating the phase φ of the
-// eigenvalue e^{2πiφ} of the single-qubit phase gate diag(1, e^{2πiφ})
-// on its |1> eigenstate, using t counting qubits. Measuring the counting
-// register yields round(φ·2^t) with high probability.
-//
-// Register layout: qubits 0..t-1 are the counting register (qubit 0 the
-// least significant), qubit t holds the eigenstate.
-func PhaseEstimation(t int, phi float64) *circuit.Circuit {
-	c := circuit.New("qpe", t+1)
-	eigen := t
-	c.X(eigen) // |1> eigenstate of the phase gate
-	for q := 0; q < t; q++ {
-		c.H(q)
-	}
-	// Controlled-U^{2^q} = controlled phase by 2πφ·2^q.
-	for q := 0; q < t; q++ {
-		angle := 2 * math.Pi * phi * math.Pow(2, float64(q))
-		c.CPhase(q, eigen, angle)
-	}
-	// Inverse QFT on the counting register.
-	appendInverseQFT(c, t)
-	for q := 0; q < t; q++ {
-		c.Measure(q)
-	}
-	return c
-}
-
-// appendInverseQFT appends the inverse quantum Fourier transform over
-// qubits 0..n-1 (with the swap network).
-func appendInverseQFT(c *circuit.Circuit, n int) {
-	for i := 0; i < n/2; i++ {
-		c.SWAP(i, n-1-i)
-	}
-	for i := 0; i < n; i++ {
-		for j := i - 1; j >= 0; j-- {
-			k := i - j + 1
-			c.CPhase(j, i, -2*math.Pi/math.Pow(2, float64(k)))
-		}
-		c.H(i)
-	}
-}
-
-// quantumInverseQFTCircuit returns the inverse QFT as a standalone
-// circuit over n qubits (test and tooling helper; PhaseEstimation embeds
-// the same construction).
-func quantumInverseQFTCircuit(n int) *circuit.Circuit {
-	c := circuit.New("iqft", n)
-	appendInverseQFT(c, n)
 	return c
 }

@@ -96,112 +96,3 @@ func TestTeleportWithoutCorrectionsFails(t *testing.T) {
 		t.Error("uncorrected teleport should sometimes yield 0")
 	}
 }
-
-func TestDeutschJozsaConstant(t *testing.T) {
-	sim := qx.New(4)
-	for _, f := range []func(int) bool{
-		func(int) bool { return false },
-		func(int) bool { return true },
-	} {
-		c := DeutschJozsa(3, f)
-		res, err := sim.Run(c, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counts[0] != 200 {
-			t.Errorf("constant oracle should always measure 0: %v", res.Counts)
-		}
-	}
-}
-
-func TestDeutschJozsaBalanced(t *testing.T) {
-	sim := qx.New(5)
-	balanced := []func(int) bool{
-		func(x int) bool { return x&1 == 1 },
-		func(x int) bool { return (x>>1)&1 == 1 },
-		func(x int) bool { return (x&1)^((x>>2)&1) == 1 },
-	}
-	for i, f := range balanced {
-		c := DeutschJozsa(3, f)
-		res, err := sim.Run(c, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counts[0] != 0 {
-			t.Errorf("balanced oracle %d measured 0 %d times", i, res.Counts[0])
-		}
-	}
-}
-
-func TestBernsteinVazirani(t *testing.T) {
-	sim := qx.New(6)
-	for _, secret := range []int{0, 1, 5, 7, 12, 15} {
-		c := BernsteinVazirani(4, secret)
-		res, err := sim.Run(c, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Inputs (bits 0..3) must equal the secret on every shot.
-		for idx, count := range res.Counts {
-			if idx&0xF != secret && count > 0 {
-				t.Errorf("secret %d: measured inputs %d", secret, idx&0xF)
-			}
-		}
-	}
-}
-
-func TestBernsteinVaziraniPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range secret accepted")
-		}
-	}()
-	BernsteinVazirani(2, 9)
-}
-
-func TestPhaseEstimationExact(t *testing.T) {
-	sim := qx.New(7)
-	// φ = 3/8 is exactly representable with 3 counting qubits.
-	c := PhaseEstimation(3, 3.0/8)
-	res, err := sim.Run(c, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx, count := range res.Counts {
-		if idx&0x7 != 3 && count > 0 {
-			t.Errorf("QPE of 3/8 measured %d (%d times)", idx&0x7, count)
-		}
-	}
-}
-
-func TestPhaseEstimationApproximate(t *testing.T) {
-	sim := qx.New(8)
-	// φ = 0.3 is not exactly representable; the mode must be the nearest
-	// 4-bit value round(0.3·16) = 5.
-	c := PhaseEstimation(4, 0.3)
-	res, err := sim.Run(c, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, bestCount := -1, 0
-	for idx, count := range res.Counts {
-		if count > bestCount {
-			best, bestCount = idx&0xF, count
-		}
-	}
-	if best != 5 {
-		t.Errorf("QPE mode = %d, want 5", best)
-	}
-	if float64(bestCount)/2000 < 0.4 {
-		t.Errorf("mode probability %v too low", float64(bestCount)/2000)
-	}
-}
-
-func TestOracleSynthesisGuard(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("n>3 oracle accepted")
-		}
-	}()
-	DeutschJozsa(4, func(int) bool { return false })
-}

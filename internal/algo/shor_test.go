@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/quantum"
 )
 
@@ -146,20 +147,18 @@ func TestOrderFromPhase(t *testing.T) {
 }
 
 func TestInverseQFTStateMatchesCircuit(t *testing.T) {
-	// The state-level inverse QFT must match the circuit-level one used
-	// in PhaseEstimation.
+	// The state-level inverse QFT must undo the circuit-level QFT with
+	// its qubit-reversal swaps.
 	n := 4
 	rng := rand.New(rand.NewSource(13))
 	s1 := quantum.RandomState(n, rng)
 	s2 := s1.Clone()
-	applyInverseQFTState(s1, n)
-	// Circuit route.
-	c := quantumInverseQFTCircuit(n)
-	for _, g := range c.Gates {
+	for _, g := range circuit.QFT(n, true).Gates {
 		m, _ := g.Matrix()
 		s2.Apply(m, g.Qubits...)
 	}
+	applyInverseQFTState(s2, n)
 	if f := s1.Fidelity(s2); f < 1-1e-9 {
-		t.Errorf("state vs circuit inverse QFT fidelity %v", f)
+		t.Errorf("inverse QFT after QFT fidelity %v", f)
 	}
 }

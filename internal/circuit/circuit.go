@@ -176,18 +176,6 @@ func (c *Circuit) GateCount(names ...string) int {
 	return count
 }
 
-// TwoQubitGateCount returns the number of two-qubit unitary gates, the
-// dominant cost on NISQ hardware.
-func (c *Circuit) TwoQubitGateCount() int {
-	count := 0
-	for _, g := range c.Gates {
-		if g.IsTwoQubit() {
-			count++
-		}
-	}
-	return count
-}
-
 // Depth returns the circuit depth: the number of parallel layers when
 // gates on disjoint qubits are packed greedily. Barriers close all layers.
 func (c *Circuit) Depth() int {
@@ -234,23 +222,6 @@ func (c *Circuit) Depth() int {
 		}
 	}
 	return depth
-}
-
-// UsedQubits returns the sorted set of qubits referenced by any gate.
-func (c *Circuit) UsedQubits() []int {
-	used := map[int]bool{}
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			used[q] = true
-		}
-	}
-	out := make([]int, 0, len(used))
-	for q := 0; q < c.NumQubits; q++ {
-		if used[q] {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // Validate checks every gate against the registry and qubit bounds.

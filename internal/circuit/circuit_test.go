@@ -86,9 +86,6 @@ func TestCircuitBuildersAndCounts(t *testing.T) {
 	if got := c.GateCount("cnot", "cz"); got != 2 {
 		t.Errorf("count(cnot,cz) = %d, want 2", got)
 	}
-	if got := c.TwoQubitGateCount(); got != 2 {
-		t.Errorf("two-qubit count %d, want 2", got)
-	}
 }
 
 func TestDepth(t *testing.T) {
@@ -145,14 +142,6 @@ func TestAppendAndClone(t *testing.T) {
 	c.X(0)
 	if a.GateCount() != 2 {
 		t.Error("clone not independent")
-	}
-}
-
-func TestUsedQubits(t *testing.T) {
-	c := New("u", 5).H(1).CNOT(1, 3)
-	got := c.UsedQubits()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("used qubits %v, want [1 3]", got)
 	}
 }
 
@@ -233,32 +222,14 @@ func TestGHZCircuit(t *testing.T) {
 	}
 }
 
-func TestWState(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
-		s := simulate(WState(n))
-		p := s.Probabilities()
-		want := 1 / float64(n)
-		for i := 0; i < len(p); i++ {
-			oneHot := i != 0 && i&(i-1) == 0
-			if oneHot {
-				if math.Abs(p[i]-want) > 1e-9 {
-					t.Errorf("W%d: p[%d] = %v, want %v", n, i, p[i], want)
-				}
-			} else if p[i] > 1e-9 {
-				t.Errorf("W%d: non-one-hot state %d has probability %v", n, i, p[i])
-			}
-		}
-	}
-}
-
 func TestRandomCircuitShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := RandomCircuit(6, 5, rng)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.TwoQubitGateCount() != 5*3 {
-		t.Errorf("two-qubit gates %d, want 15", c.TwoQubitGateCount())
+	if got := c.GateCount("cnot"); got != 5*3 {
+		t.Errorf("two-qubit gates %d, want 15", got)
 	}
 }
 

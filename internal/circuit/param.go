@@ -106,16 +106,6 @@ func (e *ParamExpr) Add(o *ParamExpr) *ParamExpr {
 	return sum.normalize()
 }
 
-// AddConst returns e + c as a new expression.
-func (e *ParamExpr) AddConst(c float64) *ParamExpr {
-	out := e.Clone()
-	if out == nil {
-		out = &ParamExpr{}
-	}
-	out.Const += c
-	return out
-}
-
 // Scale returns k·e as a new expression.
 func (e *ParamExpr) Scale(k float64) *ParamExpr {
 	out := e.Clone()
@@ -128,9 +118,6 @@ func (e *ParamExpr) Scale(k float64) *ParamExpr {
 	out.Const *= k
 	return out.normalize()
 }
-
-// Neg returns −e as a new expression.
-func (e *ParamExpr) Neg() *ParamExpr { return e.Scale(-1) }
 
 // Eval evaluates the expression under the given symbol values. Every
 // referenced symbol must be present.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParamExprAlgebra(t *testing.T) {
-	e := Sym("gamma").Scale(2).Add(Sym("beta").Neg()).AddConst(0.5)
+	e := Sym("gamma").Scale(2).Add(Sym("beta").Scale(-1)).Add(Lit(0.5))
 	got, err := e.Eval(map[string]float64{"gamma": 0.3, "beta": 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestParamExprAlgebra(t *testing.T) {
 		t.Fatalf("Symbols = %v", syms)
 	}
 	// Cancelling terms normalise away.
-	z := Sym("x").Add(Sym("x").Neg())
+	z := Sym("x").Add(Sym("x").Scale(-1))
 	if !z.IsConst() {
 		t.Fatalf("x + (-x) should be constant, got %v", z)
 	}
@@ -38,9 +38,9 @@ func TestParamExprEvalMissingSymbol(t *testing.T) {
 }
 
 func TestParamExprHashWords(t *testing.T) {
-	a := Sym("gamma").Scale(2).AddConst(1)
-	b := Sym("gamma").Add(Sym("gamma")).AddConst(1) // same normal form
-	c := Sym("gamma").Scale(2).AddConst(2)
+	a := Sym("gamma").Scale(2).Add(Lit(1))
+	b := Sym("gamma").Add(Sym("gamma")).Add(Lit(1)) // same normal form
+	c := Sym("gamma").Scale(2).Add(Lit(2))
 	if !reflect.DeepEqual(a.HashWords(), b.HashWords()) {
 		t.Fatal("structurally equal exprs must hash equal")
 	}

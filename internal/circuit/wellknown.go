@@ -65,25 +65,3 @@ func RandomCircuit(n, depth int, rng *rand.Rand) *Circuit {
 	}
 	return c
 }
-
-// WState returns the n-qubit W state preparation circuit
-// (|100...> + |010...> + ... + |0...01>)/√n built from cascaded
-// controlled rotations.
-func WState(n int) *Circuit {
-	if n < 1 {
-		panic("circuit: WState requires n >= 1")
-	}
-	c := New("wstate", n)
-	c.X(0)
-	for k := 1; k < n; k++ {
-		// Rotate amplitude from qubit k-1 into qubit k with the angle that
-		// leaves equal weights overall, then shift the excitation.
-		theta := 2 * math.Acos(math.Sqrt(1/float64(n-k+1)))
-		c.Add("ry", []int{k}, theta/2)
-		c.CZ(k-1, k)
-		c.Add("ry", []int{k}, -theta/2)
-		c.CZ(k-1, k)
-		c.CNOT(k, k-1)
-	}
-	return c
-}

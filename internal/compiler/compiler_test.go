@@ -415,7 +415,7 @@ func TestGreedyPlacementReducesSwaps(t *testing.T) {
 
 func TestPlatformJSONRoundTrip(t *testing.T) {
 	p := Superconducting()
-	data, err := p.MarshalConfig()
+	data, err := p.AsDevice().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func randomGate(rng *rand.Rand, name string, n int, symbolic, cond bool) circuit
 		g.Exprs = make([]*circuit.ParamExpr, spec.NumParams)
 		for i := range g.Exprs {
 			if rng.Intn(2) == 0 {
-				g.Exprs[i] = circuit.Sym(fmt.Sprintf("s%d", rng.Intn(3))).Scale(0.1 + rng.Float64()).AddConst(g.Params[i])
+				g.Exprs[i] = circuit.Sym(fmt.Sprintf("s%d", rng.Intn(3))).Scale(0.1 + rng.Float64()).Add(circuit.Lit(g.Params[i]))
 				g.Params[i] = 0
 			}
 		}

@@ -49,7 +49,7 @@ func TestFoldRotationsSymbolicAcrossCNOTControl(t *testing.T) {
 	c.RZExpr(0, circuit.Sym("gamma"))
 	c.CNOT(0, 1)
 	c.RZ(0, 0.25)
-	c.RZExpr(0, circuit.Sym("gamma").Neg())
+	c.RZExpr(0, circuit.Sym("gamma").Scale(-1))
 
 	out := FoldRotations(c)
 	var rzs []circuit.Gate

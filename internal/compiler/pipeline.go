@@ -105,14 +105,6 @@ func lookupPass(name string) *builtin {
 	return nil
 }
 
-// PassByName looks a built-in pass up by name.
-func PassByName(name string) (Pass, bool) {
-	if p := lookupPass(name); p != nil {
-		return p, true
-	}
-	return nil, false
-}
-
 // PassNames returns the sorted names of every built-in pass.
 func PassNames() []string {
 	out := make([]string, len(builtins))

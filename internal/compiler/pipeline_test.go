@@ -13,7 +13,7 @@ import (
 
 func TestPassRegistryHasBuiltins(t *testing.T) {
 	for _, name := range []string{"decompose", "optimize", "map", "lower-swaps", "optimize-lowered", "fold-rotations", "schedule", "assemble"} {
-		if _, ok := PassByName(name); !ok {
+		if lookupPass(name) == nil {
 			t.Errorf("built-in pass %q not registered", name)
 		}
 	}

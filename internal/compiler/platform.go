@@ -258,9 +258,3 @@ func LoadPlatform(data []byte) (*Platform, error) {
 	}
 	return PlatformFor(dev), nil
 }
-
-// MarshalConfig renders the platform's device form back to JSON
-// (topologies are emitted as explicit edge lists).
-func (p *Platform) MarshalConfig() ([]byte, error) {
-	return p.AsDevice().Marshal()
-}

@@ -74,8 +74,8 @@ func TestIsGenericRegistry(t *testing.T) {
 		"fold-rotations": true,
 	}
 	for _, name := range PassNames() {
-		p, ok := PassByName(name)
-		if !ok {
+		p := lookupPass(name)
+		if p == nil {
 			t.Fatalf("registered pass %q not found", name)
 		}
 		if got := IsGeneric(p); got != generic[name] {

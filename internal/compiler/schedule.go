@@ -120,9 +120,7 @@ type slot struct{ cycle, dur int }
 // reversed, which is what the ALAP mirror needs.
 func timeASAP(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots []slot) int {
 	qubitFree := make([]int, numQubits) // first free cycle per qubit
-	// busy[cycle] counts operations executing in that cycle, for the
-	// control-channel constraint; it grows with the schedule.
-	var busy []int
+	busy := channels{limit: p.MaxParallelOps}
 	makespan := 0
 	allFree := func() int {
 		max := 0
@@ -167,28 +165,8 @@ func timeASAP(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots 
 				start = qubitFree[g.CondBit]
 			}
 		}
-		// Control-channel limit: find the earliest start ≥ start whose
-		// whole duration window has capacity.
 		if p.MaxParallelOps > 0 {
-			for {
-				ok := true
-				for t := start; t < start+dur && t < len(busy); t++ {
-					if busy[t] >= p.MaxParallelOps {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					break
-				}
-				start++
-			}
-			if end := start + dur; end > len(busy) {
-				busy = append(busy, make([]int, end-len(busy))...)
-			}
-			for t := start; t < start+dur; t++ {
-				busy[t]++
-			}
+			start = busy.place(start, dur)
 		}
 		end := start + dur
 		if qubits == nil {
@@ -206,6 +184,56 @@ func timeASAP(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots 
 		slots[i] = slot{cycle: start, dur: dur}
 	}
 	return makespan
+}
+
+// channels counts the operations executing in each cycle, for the
+// control-channel limit, as runs of equal count: run i covers the cycles
+// from at[i] up to at[i+1] (the last run is open-ended and empty), and n[i]
+// operations execute in each of them. Memory follows the gate count, not
+// the makespan.
+type channels struct {
+	limit int
+	at, n []int
+}
+
+// place books dur cycles of one more operation at the earliest start ≥
+// start whose every cycle has capacity under the limit, and returns that
+// start. A full run blocks every start up to its end, so the search jumps
+// past it.
+func (c *channels) place(start, dur int) int {
+	if c.at == nil {
+		c.at, c.n = []int{0}, []int{0}
+	}
+	for i := c.run(start); i < len(c.at) && c.at[i] < start+dur; i++ {
+		if c.n[i] >= c.limit {
+			start = c.at[i+1]
+		}
+	}
+	from, to := c.split(start), c.split(start+dur)
+	for i := from; i < to; i++ {
+		c.n[i]++
+	}
+	return start
+}
+
+// run returns the index of the run holding cycle t.
+func (c *channels) run(t int) int {
+	i, found := slices.BinarySearch(c.at, t)
+	if !found {
+		i--
+	}
+	return i
+}
+
+// split makes cycle t start a run and returns that run's index.
+func (c *channels) split(t int) int {
+	i := c.run(t)
+	if c.at[i] == t {
+		return i
+	}
+	c.at = slices.Insert(c.at, i+1, t)
+	c.n = slices.Insert(c.n, i+1, c.n[i])
+	return i + 1
 }
 
 // inCycleOrder emits the timed gates sorted by start cycle, stable in

@@ -3,6 +3,7 @@ package compiler
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -120,5 +121,153 @@ func TestScheduleMemoryIndependentOfDurations(t *testing.T) {
 		if s.Makespan != 2*long+3 {
 			t.Errorf("%s: makespan %d, want %d", policy, s.Makespan, 2*long+3)
 		}
+	}
+}
+
+// timeASAPPerCycle is timeASAP as it was before the channel counts became
+// runs: one counter per cycle of the schedule and a start probed one
+// cycle at a time. It is the reference the run-length version must match.
+func timeASAPPerCycle(gates []circuit.Gate, numQubits int, p *Platform, rev bool, slots []slot) int {
+	qubitFree := make([]int, numQubits)
+	var busy []int
+	makespan := 0
+	allFree := func() int {
+		return slices.Max(qubitFree)
+	}
+	for k := range gates {
+		i := k
+		if rev {
+			i = len(gates) - 1 - k
+		}
+		g := &gates[i]
+		dur := p.Duration(g.Name)
+		var start int
+		var qubits []int
+		switch g.Name {
+		case circuit.OpBarrier:
+			t := allFree()
+			for q := range qubitFree {
+				qubitFree[q] = t
+			}
+			slots[i] = slot{cycle: -1}
+			continue
+		case circuit.OpMeasureAll:
+			start = allFree()
+		default:
+			qubits = g.Qubits
+			for _, q := range qubits {
+				start = max(start, qubitFree[q])
+			}
+			if g.HasCond && g.CondBit < len(qubitFree) {
+				start = max(start, qubitFree[g.CondBit])
+			}
+		}
+		if p.MaxParallelOps > 0 {
+			for {
+				ok := true
+				for t := start; t < start+dur && t < len(busy); t++ {
+					if busy[t] >= p.MaxParallelOps {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					break
+				}
+				start++
+			}
+			if end := start + dur; end > len(busy) {
+				busy = append(busy, make([]int, end-len(busy))...)
+			}
+			for t := start; t < start+dur; t++ {
+				busy[t]++
+			}
+		}
+		end := start + dur
+		if qubits == nil {
+			for q := range qubitFree {
+				qubitFree[q] = end
+			}
+		} else {
+			for _, q := range qubits {
+				qubitFree[q] = end
+			}
+		}
+		makespan = max(makespan, end)
+		slots[i] = slot{cycle: start, dur: dur}
+	}
+	return makespan
+}
+
+// TestChannelRunsMatchPerCycle times random lowered circuits, with
+// measurements, barriers, whole-register measurements, conditions and
+// random gate durations, at channel limits 1 to 3 in both directions:
+// every slot and the makespan must equal the per-cycle reference's.
+func TestChannelRunsMatchPerCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	base := Superconducting()
+	for trial := 0; trial < 60; trial++ {
+		c := circuit.RandomCircuit(6, 1+rng.Intn(6), rng)
+		for i := 0; i < 5; i++ {
+			at := rng.Intn(len(c.Gates) + 1)
+			var g circuit.Gate
+			switch rng.Intn(4) {
+			case 0:
+				g = circuit.Gate{Name: circuit.OpBarrier}
+			case 1:
+				g = circuit.Gate{Name: circuit.OpMeasure, Qubits: []int{rng.Intn(6)}}
+			case 2:
+				g = circuit.Gate{Name: "x", Qubits: []int{rng.Intn(6)}, HasCond: true, CondBit: rng.Intn(6)}
+			default:
+				g = circuit.Gate{Name: circuit.OpMeasureAll}
+			}
+			c.Gates = slices.Insert(c.Gates, at, g)
+		}
+		lowered, err := Decompose(c, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates := map[string]GateInfo{}
+		for name := range base.Gates {
+			gates[name] = GateInfo{DurationCycles: 1 + rng.Intn(12)}
+		}
+		for limit := 1; limit <= 3; limit++ {
+			p := &Platform{Name: "limited", NumQubits: base.NumQubits, Gates: gates, MaxParallelOps: limit}
+			for _, rev := range []bool{false, true} {
+				got := make([]slot, len(lowered.Gates))
+				want := make([]slot, len(lowered.Gates))
+				gotSpan := timeASAP(lowered.Gates, lowered.NumQubits, p, rev, got)
+				wantSpan := timeASAPPerCycle(lowered.Gates, lowered.NumQubits, p, rev, want)
+				if gotSpan != wantSpan || !slices.Equal(got, want) {
+					t.Fatalf("trial %d, limit %d, rev %v: makespan %d vs %d, slots differ from the per-cycle reference",
+						trial, limit, rev, gotSpan, wantSpan)
+				}
+			}
+		}
+	}
+}
+
+// TestChannelMemoryFollowsGates schedules eight chained 2^20-cycle gates
+// under a one-operation channel limit. A counter per cycle would hold
+// eight million of them (tens of MB); the runs hold a few per gate.
+func TestChannelMemoryFollowsGates(t *testing.T) {
+	p := &Platform{Name: "slow", NumQubits: 1, MaxParallelOps: 1,
+		Gates: map[string]GateInfo{"x": {DurationCycles: 1 << 20}}}
+	c := circuit.New("chain", 1)
+	for i := 0; i < 8; i++ {
+		c.X(0)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := ScheduleCircuit(c, p, ASAP)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan != 8<<20 {
+		t.Fatalf("makespan %d, want %d", s.Makespan, 8<<20)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("scheduling allocated %d bytes, want under 1 MB", alloc)
 	}
 }

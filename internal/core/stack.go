@@ -20,10 +20,11 @@ import (
 
 // Stack is one configured full-stack target.
 //
-// Every field either feeds the fingerprint methods (CompileFingerprint /
-// PrefixFingerprint, which key the compile caches)
-// or carries an explicit `fp:"-"` tag recording that it affects
-// execution only, never compiled artefacts. The fpfields qlint analyzer
+// Every field either feeds CompileFingerprint, which keys the compile
+// caches (the prefix cache's compiler.PrefixKey reads a subset of it:
+// the platform's gate set and the pass spec's prefix), or carries an
+// explicit `fp:"-"` tag recording that it affects execution only, never
+// compiled artefacts. The fpfields qlint analyzer
 // enforces this: adding a field without folding it into a fingerprint
 // or tagging it is a lint error, so a compile-relevant field can never
 // silently alias cache keys.
@@ -50,9 +51,8 @@ type Stack struct {
 	KernelWorkers int `fp:"-"`
 	// PrefixCache, when non-nil, caches platform-generic prefix
 	// artefacts across compiles (level 1 of the two-level compile
-	// cache); see PrefixFingerprint for what keys it. Cached artefacts
-	// never change compiled output, so this too stays out of the
-	// fingerprints.
+	// cache), keyed by compiler.PrefixKey. Cached artefacts never
+	// change compiled output, so this too stays out of the fingerprints.
 	PrefixCache compiler.PrefixCache `fp:"-"`
 }
 
@@ -365,11 +365,11 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 // compiles built against the stale calibration.
 //
 // CompileFingerprint keys the FULL-artefact level of the two-level
-// compile cache; PrefixFingerprint keys the platform-generic prefix
+// compile cache; compiler.PrefixKey keys the platform-generic prefix
 // level, which deliberately depends on much less — so a fingerprint
-// rotation that leaves the prefix fingerprint unchanged (recalibration,
-// a different suffix pass spec or suffix options) recompiles
-// suffix-only against the cached prefix artefacts.
+// rotation that leaves the prefix key unchanged (recalibration, a
+// different suffix pass spec or suffix options) recompiles suffix-only
+// against the cached prefix artefacts.
 func (s *Stack) CompileFingerprint() string {
 	passes := compiler.DefaultPassSpec
 	if s.Passes != "" {
@@ -383,29 +383,6 @@ func (s *Stack) CompileFingerprint() string {
 	return fmt.Sprintf("%s|%s|%s|q%d|dev=%s|passes=%s",
 		s.Name, s.Mode, s.Platform.Name, s.Platform.NumQubits,
 		s.Platform.ContentHash(), passes)
-}
-
-// PrefixFingerprint identifies everything the platform-generic prefix of
-// the stack's compile pipeline depends on: the canonical prefix pass
-// spec and the platform's gate-set hash. Unlike CompileFingerprint it
-// excludes the device content hash (and with it the calibration table)
-// and the variant suffix of the spec — mapping and scheduling passes and
-// their options, none of which the prefix passes can observe — so two
-// stacks that differ only in those share prefix artefacts, and
-// re-calibrating a device leaves its prefix entries live while rotating
-// the full-artefact entries. Combined with a kernel's canonical text
-// this is the prefix-cache key (see compiler.PrefixKey).
-func (s *Stack) PrefixFingerprint() string {
-	spec := s.Passes
-	if spec == "" {
-		spec = compiler.DefaultPassSpec
-	}
-	prefixSpec := spec
-	if pl, err := compiler.NewPipeline(spec); err == nil {
-		pre, _ := pl.Split()
-		prefixSpec = pre.Spec
-	}
-	return fmt.Sprintf("gates=%s|prefix=%s", s.Platform.GateSetHash(), prefixSpec)
 }
 
 // toLogical translates outcome bitmasks from physical qubit positions

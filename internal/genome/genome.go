@@ -88,16 +88,6 @@ func EncodeSequence(seq string) (int, error) {
 	return out, nil
 }
 
-// DecodeSequence unpacks an integer into a DNA string of the given
-// length.
-func DecodeSequence(code, length int) string {
-	var b strings.Builder
-	for i := 0; i < length; i++ {
-		b.WriteByte(Bases[(code>>uint(2*i))&3])
-	}
-	return b.String()
-}
-
 // BaseEntropy returns the empirical Shannon entropy of the base
 // distribution in bits (max 2 for uniform ACGT).
 func BaseEntropy(seq string) float64 {

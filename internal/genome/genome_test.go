@@ -39,8 +39,9 @@ func TestEncodeDecodeSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := DecodeSequence(code, 4); got != "ACGT" {
-		t.Errorf("round trip = %q", got)
+	// Two bits per base, first base lowest: A=0, C=1, G=2, T=3.
+	if want := 0 | 1<<2 | 2<<4 | 3<<6; code != want {
+		t.Errorf("EncodeSequence(ACGT) = %d, want %d", code, want)
 	}
 	if _, err := EncodeSequence("ACGX"); err == nil {
 		t.Error("invalid base accepted")
@@ -60,7 +61,12 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return DecodeSequence(code, n) == seq
+		for i := 0; i < n; i++ {
+			if Bases[code>>uint(2*i)&3] != seq[i] {
+				return false
+			}
+		}
+		return code>>uint(2*n) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

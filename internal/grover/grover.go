@@ -26,17 +26,6 @@ func OptimalIterations(n, m int) int {
 	return int(math.Floor(math.Pi / 4 * math.Sqrt(float64(n)/float64(m))))
 }
 
-// SuccessProbability returns the theoretical success probability
-// sin²((2k+1)θ) with sin θ = √(M/N) after k iterations.
-func SuccessProbability(n, m, k int) float64 {
-	if m <= 0 || n <= 0 {
-		return 0
-	}
-	theta := math.Asin(math.Sqrt(float64(m) / float64(n)))
-	s := math.Sin(float64(2*k+1) * theta)
-	return s * s
-}
-
 // ApplyOracle flips the phase of every marked basis state.
 func ApplyOracle(s *quantum.State, oracle Oracle) {
 	for idx := 0; idx < s.Dim(); idx++ {
@@ -134,19 +123,6 @@ func markedMass(s *quantum.State, oracle Oracle) float64 {
 		}
 	}
 	return p
-}
-
-// ClassicalSearch counts the expected number of oracle queries for
-// classical unstructured search: (N+1)/2 on average, N worst case. It
-// returns the query count needed to find the single marked item by linear
-// scan, for crossover benchmarks against the quadratic quantum count.
-func ClassicalSearch(n int, oracle Oracle) int {
-	for idx := 0; idx < n; idx++ {
-		if oracle(idx) {
-			return idx + 1
-		}
-	}
-	return n
 }
 
 // BuildCircuit constructs a gate-level Grover circuit for a single marked

@@ -9,6 +9,13 @@ import (
 	"repro/internal/qx"
 )
 
+// successTheory is sin²((2k+1)θ) with sin θ = √(m/n): the success
+// probability of k Grover iterations over n items, m of them marked.
+func successTheory(n, m, k int) float64 {
+	s := math.Sin(float64(2*k+1) * math.Asin(math.Sqrt(float64(m)/float64(n))))
+	return s * s
+}
+
 func TestOptimalIterations(t *testing.T) {
 	cases := []struct{ n, m, want int }{
 		{4, 1, 1},
@@ -33,7 +40,7 @@ func TestSearchSingleTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		theory := SuccessProbability(1<<uint(n), 1, res.Iterations)
+		theory := successTheory(1<<uint(n), 1, res.Iterations)
 		if math.Abs(res.SuccessProb-theory) > 1e-9 {
 			t.Errorf("n=%d: measured %v vs theory %v", n, res.SuccessProb, theory)
 		}
@@ -86,7 +93,7 @@ func TestTheoryMatchProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(res.SuccessProb-SuccessProbability(1<<uint(n), 1, k)) < 1e-9
+		return math.Abs(res.SuccessProb-successTheory(1<<uint(n), 1, k)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -107,16 +114,6 @@ func TestAmplifyFromNonUniformState(t *testing.T) {
 	}
 }
 
-func TestClassicalSearch(t *testing.T) {
-	oracle := func(idx int) bool { return idx == 37 }
-	if got := ClassicalSearch(64, oracle); got != 38 {
-		t.Errorf("classical queries = %d, want 38", got)
-	}
-	if got := ClassicalSearch(16, func(int) bool { return false }); got != 16 {
-		t.Errorf("unsuccessful scan = %d, want 16", got)
-	}
-}
-
 func TestBuildCircuitMatchesStateLevel(t *testing.T) {
 	sim := qx.New(3)
 	for _, n := range []int{2, 3} {
@@ -131,7 +128,7 @@ func TestBuildCircuitMatchesStateLevel(t *testing.T) {
 				t.Fatal(err)
 			}
 			probs := st.Probabilities()
-			theory := SuccessProbability(dim, 1, OptimalIterations(dim, 1))
+			theory := successTheory(dim, 1, OptimalIterations(dim, 1))
 			if math.Abs(probs[target]-theory) > 1e-9 {
 				t.Errorf("n=%d target=%d: circuit prob %v, theory %v", n, target, probs[target], theory)
 			}

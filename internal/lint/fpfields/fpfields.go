@@ -3,8 +3,10 @@
 // the stack's fingerprint methods (directly or through another receiver
 // method they call) or explicitly opt out with an `fp:"-"` struct tag.
 //
-// The compile caches key on Stack.CompileFingerprint/PrefixFingerprint;
-// a compilation-relevant field added without a fingerprint mention makes
+// The full-artefact compile cache keys on Stack.CompileFingerprint, and
+// the prefix cache on a subset of what it reads (compiler.PrefixKey over
+// the platform's gate set and the pass spec's prefix); a
+// compilation-relevant field added without a fingerprint mention makes
 // both cache levels silently serve stale artefacts across configuration
 // changes — the worst failure mode the service has. fpfields turns that
 // omission into a lint error at the field declaration, and also reports
@@ -29,7 +31,7 @@ var (
 	// StructName is the cached-configuration struct.
 	StructName = "Stack"
 	// Methods are the fingerprint methods whose reads define coverage.
-	Methods = []string{"Fingerprint", "CompileFingerprint", "PrefixFingerprint"}
+	Methods = []string{"Fingerprint", "CompileFingerprint"}
 	// TagKey is the struct-tag key carrying the "-" opt-out.
 	TagKey = "fp"
 )

@@ -114,12 +114,6 @@ func findGOROOT() string {
 	return strings.TrimSpace(string(out))
 }
 
-// ModulePath returns the module path the loader is rooted at.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// ModuleRoot returns the module root directory.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
-
 // inModule reports whether the import path belongs to the loader's
 // module (or is a registered fixture path) and therefore loads with
 // full bodies and type info.

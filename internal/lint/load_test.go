@@ -11,8 +11,8 @@ func TestLoaderLoadsModulePackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.ModulePath() != "repro" {
-		t.Fatalf("module path = %q, want repro", l.ModulePath())
+	if l.modPath != "repro" {
+		t.Fatalf("module path = %q, want repro", l.modPath)
 	}
 	pkg, err := l.Load("repro/internal/qx")
 	if err != nil {

@@ -575,12 +575,3 @@ func (s *Scenario) normalize() {
 		}
 	}
 }
-
-// TotalDurationMs returns the sum of the phase durations.
-func (s *Scenario) TotalDurationMs() int {
-	total := 0
-	for _, p := range s.Phases {
-		total += p.DurationMs
-	}
-	return total
-}

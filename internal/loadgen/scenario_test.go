@@ -142,7 +142,4 @@ func TestNormalizeDefaults(t *testing.T) {
 	if s.SLO.Compare[0].MinEffect != 0.20 {
 		t.Errorf("compare min_effect default = %v, want 0.20 (BLIS effect-size floor)", s.SLO.Compare[0].MinEffect)
 	}
-	if s.TotalDurationMs() != 200 {
-		t.Errorf("TotalDurationMs = %d, want 200", s.TotalDurationMs())
-	}
 }

@@ -31,8 +31,9 @@
 //
 // # Tracing
 //
-// A Trace is a tree of Spans rooted at one job: NewTrace starts the
-// root, StartChild/End bracket live phases, and ChildAt grafts
+// A Trace is a tree of Spans rooted at one job: Tracer.Start (or
+// NewTraceAt, for a root at an explicit instant) starts the root,
+// StartChild/End bracket live phases, and ChildAt grafts
 // synthesized spans (per-compiler-pass timings reconstructed from a
 // CompileReport, say) at explicit instants. All Span and Trace methods
 // are safe for concurrent use and nil-safe — a nil *Trace or *Span is a

@@ -214,11 +214,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return &CounterVec{f: r.newFamily(name, help, typeCounter, nil, labels...)}
 }
 
-// NewGauge registers an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return &Gauge{m: r.newFamily(name, help, typeGauge, nil).child(nil)}
-}
-
 // NewGaugeVec registers a gauge family with the given label names.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.newFamily(name, help, typeGauge, nil, labels...)}

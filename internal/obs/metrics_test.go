@@ -13,7 +13,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("ops_total", "ops")
 	cv := r.NewCounterVec("labeled_total", "labeled", "lane")
-	g := r.NewGauge("depth", "depth")
+	g := r.NewGaugeVec("depth", "depth").With()
 	h := r.NewHistogram("lat_seconds", "latency", ExpBuckets(1e-6, 2, 10))
 
 	const workers, perWorker = 8, 1000

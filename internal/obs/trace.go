@@ -33,11 +33,6 @@ type Attr struct {
 	Value string
 }
 
-// NewTrace starts a trace whose root span begins now.
-func NewTrace(id, rootName string) *Trace {
-	return NewTraceAt(id, rootName, time.Now())
-}
-
 // NewTraceAt starts a trace whose root span begins at an explicit
 // instant — used where the root must agree exactly with a timestamp
 // recorded elsewhere (a job's submit time).

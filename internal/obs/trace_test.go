@@ -11,7 +11,7 @@ import (
 // The span tree must preserve creation order, nest children correctly,
 // and render durations that sum consistently with the root.
 func TestSpanTreeOrdering(t *testing.T) {
-	tr := NewTrace("job-1", "job")
+	tr := NewTraceAt("job-1", "job", time.Now())
 	root := tr.Root()
 	q := root.StartChild("queue.wait")
 	q.End()
@@ -72,7 +72,7 @@ func TestSpanTreeOrdering(t *testing.T) {
 // An open span renders as in-flight; EndAt pins the closing edge and a
 // second End is a no-op.
 func TestSpanLifecycle(t *testing.T) {
-	tr := NewTrace("job-2", "job")
+	tr := NewTraceAt("job-2", "job", time.Now())
 	open := tr.Root().StartChild("open")
 	v := tr.View()
 	if !v.Root.Children[0].InFlight || v.Root.Children[0].DurationNs != 0 {

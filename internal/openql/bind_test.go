@@ -21,10 +21,13 @@ import (
 // bind-then-compile reference program.
 func buildAnsatz(nq, layers int, lit map[string]float64) *openql.Program {
 	angle := func(k *openql.Kernel, name string, q int, sym string, coeff float64) {
-		if lit == nil {
-			k.GateExpr(name, []int{q}, circuit.Sym(sym).Scale(coeff))
-		} else {
+		switch {
+		case lit != nil:
 			k.Gate(name, []int{q}, coeff*lit[sym])
+		case name == "rz":
+			k.RZExpr(q, circuit.Sym(sym).Scale(coeff))
+		default:
+			k.RXExpr(q, circuit.Sym(sym).Scale(coeff))
 		}
 	}
 	p := openql.NewProgram("ansatz", nq)

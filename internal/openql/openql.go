@@ -61,14 +61,6 @@ func (k *Kernel) Gate(name string, qubits []int, params ...float64) *Kernel {
 	return k
 }
 
-// GateExpr appends a gate whose parameter slots are given as expressions
-// over named symbols (circuit.Sym / circuit.Lit) — the entry point for
-// parametric kernels that compile once and bind per parameter point.
-func (k *Kernel) GateExpr(name string, qubits []int, exprs ...*circuit.ParamExpr) *Kernel {
-	k.c.AddExpr(name, qubits, exprs...)
-	return k
-}
-
 // RXExpr appends an X rotation with a symbolic angle.
 func (k *Kernel) RXExpr(q int, theta *circuit.ParamExpr) *Kernel { k.c.RXExpr(q, theta); return k }
 

@@ -146,9 +146,8 @@ func (c *keyRecordingCache) GetOrCompute(key string, compute func() (*compiler.P
 // TestPrefixCacheKeysMatchDerivation ties the production key path to its
 // documented derivation: the keys Compile hands the prefix cache must be
 // exactly compiler.PrefixKey over (Platform.GateSetHash, canonical
-// prefix spec, Kernel.ContentHash) — the same components
-// core.Stack.PrefixFingerprint exposes — so the fingerprint-invariance
-// tests describe the real cache behaviour.
+// prefix spec, Kernel.ContentHash), the derivation core's
+// TestPrefixKeyInvariance exercises through real compiles.
 func TestPrefixCacheKeysMatchDerivation(t *testing.T) {
 	prog := multiKernelProgram(5)
 	cache := &keyRecordingCache{mapPrefixCache: *newMapPrefixCache()}

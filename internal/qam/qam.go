@@ -108,20 +108,3 @@ func (m *Memory) Recall(query, maxDist, iterations int) (*RecallResult, error) {
 		Matches:     matches,
 	}, nil
 }
-
-// BestRecall measures the recalled state's distribution and returns the
-// most probable basis state — the "closest match" estimate of §3.2.
-func (m *Memory) BestRecall(query, maxDist int) (int, float64, error) {
-	res, err := m.Recall(query, maxDist, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	probs := res.State.Probabilities()
-	best, bestP := 0, 0.0
-	for idx, p := range probs {
-		if p > bestP {
-			best, bestP = idx, p
-		}
-	}
-	return best, bestP, nil
-}

@@ -111,9 +111,15 @@ func TestBestRecallReturnsNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, p, err := m.BestRecall(20, 1) // distance 1 from 21 only
+	res, err := m.Recall(20, 1, 0) // distance 1 from 21 only
 	if err != nil {
 		t.Fatal(err)
+	}
+	best, p := 0, 0.0
+	for idx, q := range res.State.Probabilities() {
+		if q > p {
+			best, p = idx, q
+		}
 	}
 	if best != 21 {
 		t.Errorf("best recall = %d, want 21", best)

@@ -15,8 +15,8 @@ func TestSurfaceCodeLayout(t *testing.T) {
 		if sc.NumDataQubits() != d*d {
 			t.Errorf("d=%d: data qubits %d", d, sc.NumDataQubits())
 		}
-		if sc.NumAncillas() != d*d-1 {
-			t.Errorf("d=%d: ancillas %d, want %d", d, sc.NumAncillas(), d*d-1)
+		if len(sc.Stabilizers) != d*d-1 {
+			t.Errorf("d=%d: ancillas %d, want %d", d, len(sc.Stabilizers), d*d-1)
 		}
 		// Half of stabilizers (±1) of each type.
 		z, x := 0, 0
@@ -162,59 +162,5 @@ func TestOverheadFractionClaim(t *testing.T) {
 	}
 	if OverheadFraction(0, 0, 0) != 0 {
 		t.Error("zero case")
-	}
-}
-
-func TestRepetitionCode(t *testing.T) {
-	rc, err := NewRepetitionCode(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRepetitionCode(4); err == nil {
-		t.Error("even distance accepted")
-	}
-	// Single error: syndrome localises it, decode fixes it.
-	errs := []bool{false, true, false, false, false}
-	if got := rc.Syndrome(errs); len(got) != 2 {
-		t.Errorf("syndrome %v", got)
-	}
-	corr := rc.Decode(errs)
-	for i := range errs {
-		if errs[i] != corr[i] {
-			t.Error("single error not corrected")
-		}
-	}
-	// Majority error: logical flip.
-	errs = []bool{true, true, true, false, false}
-	corr = rc.Decode(errs)
-	same := 0
-	for i := range errs {
-		if corr[i] == errs[i] {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Error("majority case should correct the complement")
-	}
-}
-
-func TestRepetitionSuppression(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	p := 0.05
-	var prev float64 = 1
-	for _, d := range []int{3, 5, 7} {
-		rc, _ := NewRepetitionCode(d)
-		rate := rc.LogicalErrorRate(p, 20000, rng)
-		if rate >= prev {
-			t.Errorf("d=%d rate %v not below previous %v", d, rate, prev)
-		}
-		prev = rate
-	}
-}
-
-func TestRepetitionESMOps(t *testing.T) {
-	rc, _ := NewRepetitionCode(3)
-	if rc.ESMCycleOps() != 8 {
-		t.Errorf("ops = %d, want 8", rc.ESMCycleOps())
 	}
 }

@@ -1,10 +1,10 @@
 // Package qec implements the quantum error correction substrate of §2.1
 // ("realistic qubits"): the rotated planar surface code with data and
 // ancilla qubits, error-syndrome measurement (ESM) rounds, a greedy
-// matching decoder, logical error-rate estimation, and the small
-// repetition codes Preskill's NISQ argument favours. The noise model is
-// code-capacity (i.i.d. data-qubit errors, perfect syndrome extraction);
-// circuit-level noise is modelled separately by the qx layer.
+// matching decoder, logical error-rate estimation and the QEC overhead
+// share of a computation. The noise model is code-capacity (i.i.d.
+// data-qubit errors, perfect syndrome extraction); circuit-level noise is
+// modelled separately by the qx layer.
 package qec
 
 import (
@@ -92,9 +92,6 @@ func abs(x int) int {
 // NumDataQubits returns d².
 func (sc *SurfaceCode) NumDataQubits() int { return sc.D * sc.D }
 
-// NumAncillas returns d²−1 (one ancilla per stabilizer).
-func (sc *SurfaceCode) NumAncillas() int { return len(sc.Stabilizers) }
-
 // SyndromeZ measures all Z-stabilizers against an X-error configuration
 // (bit i set ⇔ data qubit i has an X error) and returns the indices of
 // defect stabilizers (odd parity).
@@ -147,4 +144,17 @@ func (sc *SurfaceCode) ESMCycleOps() int {
 		ops++ // measurement
 	}
 	return ops
+}
+
+// OverheadFraction returns the fraction of operations spent on error
+// correction when logicalOps logical operations are interleaved with
+// rounds ESM rounds — quantifying the paper's "fault-tolerant computation
+// can easily consume more than 90% of the actual computational activity".
+func OverheadFraction(esmOpsPerRound, rounds, logicalOps int) float64 {
+	qec := esmOpsPerRound * rounds
+	total := qec + logicalOps
+	if total == 0 {
+		return 0
+	}
+	return float64(qec) / float64(total)
 }

@@ -721,19 +721,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Await blocks until the job with the given ID completes or ctx is
-// cancelled, returning the job.
-func (s *Service) Await(ctx context.Context, id string) (*Job, error) {
-	j, ok := s.Job(id)
-	if !ok {
-		return nil, fmt.Errorf("qserv: unknown job %q", id)
-	}
-	if err := j.Wait(ctx); err != nil && j.Status() != StatusFailed {
-		return j, err
-	}
-	return j, nil
-}
-
 // BackendView is one backend's slice of the GET /backends report: its
 // identity and — for gate backends — the full device description behind
 // it, calibration included, plus the device content hash clients can use

@@ -53,11 +53,6 @@ func (ss *Session) Symbols() []string { return append([]string(nil), ss.symbols.
 // Backend returns the name of the backend the session is pinned to.
 func (ss *Session) Backend() string { return ss.pool.b.Name() }
 
-// CompileCacheHit reports whether the session's eager compile was served
-// from the shared full-artefact cache — true whenever another session
-// (or job) already compiled the same symbolic program on the same stack.
-func (ss *Session) CompileCacheHit() bool { return ss.hit }
-
 func (ss *Session) usage() (lastUsed time.Time, binds uint64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

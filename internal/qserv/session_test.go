@@ -21,10 +21,13 @@ import (
 // are the literal values — the recompile reference for the fast path.
 func ansatzProgram(lit map[string]float64) *openql.Program {
 	angle := func(k *openql.Kernel, name string, q int, sym string, coeff float64) {
-		if lit == nil {
-			k.GateExpr(name, []int{q}, circuit.Sym(sym).Scale(coeff))
-		} else {
+		switch {
+		case lit != nil:
 			k.Gate(name, []int{q}, coeff*lit[sym])
+		case name == "rz":
+			k.RZExpr(q, circuit.Sym(sym).Scale(coeff))
+		default:
+			k.RXExpr(q, circuit.Sym(sym).Scale(coeff))
 		}
 	}
 	p := openql.NewProgram("ansatz", 3)
@@ -55,7 +58,7 @@ func TestSessionBindSharesOneCacheEntry(t *testing.T) {
 	if got := sess.Symbols(); !reflect.DeepEqual(got, []string{"beta", "gamma"}) {
 		t.Fatalf("Symbols = %v", got)
 	}
-	if sess.CompileCacheHit() {
+	if s.viewSession(sess).CompileCacheHit {
 		t.Fatal("first compile of the ansatz cannot be a cache hit")
 	}
 	base := s.Cache().Stats()
@@ -146,7 +149,7 @@ func TestSessionBindSharesOneCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess2.CompileCacheHit() {
+	if !s.viewSession(sess2).CompileCacheHit {
 		t.Fatal("second session on the same ansatz must hit the shared cache entry")
 	}
 	st2 := s.Cache().Stats()

@@ -144,12 +144,6 @@ func CPhase(theta float64) Matrix {
 	return m
 }
 
-// CRK returns the controlled phase gate with angle 2π/2^k, as used in the
-// quantum Fourier transform.
-func CRK(k int) Matrix {
-	return CPhase(2 * math.Pi / math.Pow(2, float64(k)))
-}
-
 // Controlled lifts a single-qubit gate u to its controlled two-qubit
 // version with the control on bit 0 and the target on bit 1.
 func Controlled(u Matrix) Matrix {

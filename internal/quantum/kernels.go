@@ -32,14 +32,6 @@ func (s *State) SetParallelism(workers int) {
 	s.workers = workers
 }
 
-// Parallelism returns the kernel worker count (1 = serial).
-func (s *State) Parallelism() int {
-	if s.workers < 1 {
-		return 1
-	}
-	return s.workers
-}
-
 // AutoParallelism enables kernel parallelism sized to the machine.
 func (s *State) AutoParallelism() {
 	s.SetParallelism(runtime.GOMAXPROCS(0))

@@ -95,8 +95,8 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	serial := randomState(n, rng)
 	par := serial.Clone()
 	par.SetParallelism(4)
-	if par.Parallelism() != 4 {
-		t.Fatalf("Parallelism = %d, want 4", par.Parallelism())
+	if par.workers != 4 {
+		t.Fatalf("workers = %d, want 4", par.workers)
 	}
 
 	apply := func(s *State) {
@@ -120,12 +120,12 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 func TestSetParallelismClamps(t *testing.T) {
 	s := NewState(2)
 	s.SetParallelism(-3)
-	if s.Parallelism() != 1 {
-		t.Errorf("negative workers should clamp to 1, got %d", s.Parallelism())
+	if s.workers != 1 {
+		t.Errorf("negative workers should clamp to 1, got %d", s.workers)
 	}
 	s.AutoParallelism()
-	if s.Parallelism() < 1 {
-		t.Errorf("AutoParallelism gave %d", s.Parallelism())
+	if s.workers < 1 {
+		t.Errorf("AutoParallelism gave %d", s.workers)
 	}
 }
 

@@ -107,26 +107,6 @@ func (m Matrix) Dagger() Matrix {
 	return out
 }
 
-// Kron returns the Kronecker (tensor) product m ⊗ other.
-func (m Matrix) Kron(other Matrix) Matrix {
-	a, b := m.N, other.N
-	out := NewMatrix(a * b)
-	for i := 0; i < a; i++ {
-		for j := 0; j < a; j++ {
-			v := m.Data[i*a+j]
-			if v == 0 {
-				continue
-			}
-			for k := 0; k < b; k++ {
-				for l := 0; l < b; l++ {
-					out.Data[(i*b+k)*(a*b)+(j*b+l)] = v * other.Data[k*b+l]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Equal reports whether m and other agree element-wise within tol.
 func (m Matrix) Equal(other Matrix, tol float64) bool {
 	if m.N != other.N {

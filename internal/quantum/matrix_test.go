@@ -28,7 +28,7 @@ func TestStandardGatesUnitary(t *testing.T) {
 		"Toffoli": Toffoli, "Fredkin": Fredkin,
 		"RX(0.3)": RX(0.3), "RY(1.1)": RY(1.1), "RZ(-0.7)": RZ(-0.7),
 		"Phase(0.5)": Phase(0.5), "CPhase(0.9)": CPhase(0.9),
-		"U3": U3(0.4, 1.2, -0.3), "CRK(3)": CRK(3),
+		"U3": U3(0.4, 1.2, -0.3),
 	}
 	for name, g := range gates {
 		if !g.IsUnitary(tol) {
@@ -103,23 +103,6 @@ func TestControlledLift(t *testing.T) {
 	}
 	if !Controlled(Z).Equal(CZ, tol) {
 		t.Error("Controlled(Z) != CZ")
-	}
-}
-
-func TestKronIdentity(t *testing.T) {
-	got := I2.Kron(I2)
-	if !got.Equal(Identity(4), tol) {
-		t.Error("I ⊗ I != I4")
-	}
-}
-
-func TestKronDims(t *testing.T) {
-	k := X.Kron(Identity(4))
-	if k.N != 8 {
-		t.Fatalf("Kron dim = %d, want 8", k.N)
-	}
-	if !k.IsUnitary(tol) {
-		t.Error("X ⊗ I4 not unitary")
 	}
 }
 

@@ -28,21 +28,6 @@ func NewState(n int) *State {
 	return s
 }
 
-// NewStateFromAmplitudes builds a state from an explicit amplitude vector,
-// whose length must be a power of two. The vector is copied.
-func NewStateFromAmplitudes(amps []complex128) (*State, error) {
-	n := 0
-	for (1 << uint(n)) < len(amps) {
-		n++
-	}
-	if 1<<uint(n) != len(amps) {
-		return nil, fmt.Errorf("quantum: amplitude vector length %d is not a power of two", len(amps))
-	}
-	s := &State{n: n, amps: make([]complex128, len(amps))}
-	copy(s.amps, amps)
-	return s, nil
-}
-
 // NumQubits returns the number of qubits in the state.
 func (s *State) NumQubits() int { return s.n }
 
@@ -55,13 +40,6 @@ func (s *State) Amplitude(idx int) complex128 { return s.amps[idx] }
 // SetAmplitude assigns the amplitude of basis state idx. The caller is
 // responsible for renormalising.
 func (s *State) SetAmplitude(idx int, v complex128) { s.amps[idx] = v }
-
-// Amplitudes returns a copy of the amplitude vector.
-func (s *State) Amplitudes() []complex128 {
-	out := make([]complex128, len(s.amps))
-	copy(out, s.amps)
-	return out
-}
 
 // Clone returns a deep copy of the state (including its parallelism
 // setting).
@@ -383,11 +361,6 @@ func (s *State) MeasureAll(rng *rand.Rand) int {
 	idx := s.SampleIndex(rng)
 	s.PrepareBasis(idx)
 	return idx
-}
-
-// ExpectationZ returns <Z> on qubit q: P(0) − P(1).
-func (s *State) ExpectationZ(q int) float64 {
-	return 1 - 2*s.ProbOne(q)
 }
 
 func (s *State) checkQubit(q int) {

@@ -163,17 +163,19 @@ func TestMeasureAllCollapses(t *testing.T) {
 	}
 }
 
+// <Z> on qubit 0 is P(0) − P(1) = 1 − 2·ProbOne(0).
 func TestExpectationZ(t *testing.T) {
 	s := NewState(1)
-	if math.Abs(s.ExpectationZ(0)-1) > tol {
+	z := func() float64 { return 1 - 2*s.ProbOne(0) }
+	if math.Abs(z()-1) > tol {
 		t.Error("<Z> on |0> != 1")
 	}
 	s.ApplyOne(X, 0)
-	if math.Abs(s.ExpectationZ(0)+1) > tol {
+	if math.Abs(z()+1) > tol {
 		t.Error("<Z> on |1> != -1")
 	}
 	s.ApplyOne(H, 0)
-	if math.Abs(s.ExpectationZ(0)) > tol {
+	if math.Abs(z()) > tol {
 		t.Error("<Z> on |-> != 0")
 	}
 }
@@ -184,19 +186,6 @@ func TestPrepareBasisAndSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if got := s.SampleIndex(rng); got != 9 {
 		t.Errorf("sample of basis state = %d, want 9", got)
-	}
-}
-
-func TestNewStateFromAmplitudes(t *testing.T) {
-	s, err := NewStateFromAmplitudes([]complex128{0, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumQubits() != 2 || s.Amplitude(1) != 1 {
-		t.Error("state from amplitudes wrong")
-	}
-	if _, err := NewStateFromAmplitudes(make([]complex128, 3)); err == nil {
-		t.Error("expected error for non-power-of-two length")
 	}
 }
 
@@ -252,8 +241,8 @@ func TestCopyFromReloadsSnapshot(t *testing.T) {
 	scratch := NewState(2)
 	scratch.SetParallelism(3)
 	scratch.CopyFrom(base)
-	if math.Abs(scratch.Fidelity(base)-1) > 1e-12 || scratch.Parallelism() != 3 {
-		t.Errorf("CopyFrom: fidelity %v, parallelism %d", scratch.Fidelity(base), scratch.Parallelism())
+	if math.Abs(scratch.Fidelity(base)-1) > 1e-12 || scratch.workers != 3 {
+		t.Errorf("CopyFrom: fidelity %v, parallelism %d", scratch.Fidelity(base), scratch.workers)
 	}
 	scratch.ApplyOne(X, 1)
 	if base.Amplitude(2) != 0 {

@@ -242,26 +242,6 @@ func (q *QUBO) ToIsing() *Ising {
 	return m
 }
 
-// ToQUBO converts the Ising model back to QUBO form (inverse of ToIsing
-// up to the stored offset, which is returned separately).
-func (m *Ising) ToQUBO() (*QUBO, float64) {
-	q := New(m.N)
-	offset := m.Offset
-	for i, h := range m.H {
-		// s_i = 2x_i − 1 → h s = 2h x − h.
-		q.Add(i, i, 2*h)
-		offset -= h
-	}
-	for key, j := range m.J {
-		// J s_i s_j = J(2x_i−1)(2x_j−1) = 4J x_i x_j − 2J x_i − 2J x_j + J.
-		q.Add(key[0], key[1], 4*j)
-		q.Add(key[0], key[0], -2*j)
-		q.Add(key[1], key[1], -2*j)
-		offset += j
-	}
-	return q, offset
-}
-
 // SpinsToBits converts ±1 spins to 0/1 bits (s=+1 → x=1).
 func SpinsToBits(s []int) []int {
 	x := make([]int, len(s))

@@ -121,38 +121,6 @@ func TestIsingEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// Property: Ising → QUBO → energies also agree (round trip).
-func TestIsingQUBORoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		m := NewIsing(n)
-		for i := 0; i < n; i++ {
-			m.H[i] = rng.NormFloat64()
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.5 {
-					m.SetJ(i, j, rng.NormFloat64())
-				}
-			}
-		}
-		m.Offset = rng.NormFloat64()
-		q, offset := m.ToQUBO()
-		for trial := 0; trial < 20; trial++ {
-			s := make([]int, n)
-			for i := range s {
-				s[i] = 2*rng.Intn(2) - 1
-			}
-			if math.Abs(m.Energy(s)-(q.Energy(SpinsToBits(s))+offset)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSpinBitConversions(t *testing.T) {
 	s := []int{-1, 1, -1, 1}
 	x := SpinsToBits(s)

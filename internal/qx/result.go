@@ -118,18 +118,6 @@ func wordsBitString(words []uint64, n int) string {
 	return string(buf)
 }
 
-// Best returns the most frequent outcome index.
-func (r *Result) Best() int {
-	best, bestCount := 0, -1
-	//qlint:nondeterministic-ok order-independent: strict count ordering with lowest-index tie-break yields one winner regardless of iteration order
-	for idx, c := range r.Counts {
-		if c > bestCount || (c == bestCount && idx < best) {
-			best, bestCount = idx, c
-		}
-	}
-	return best
-}
-
 // Outcome is one (basis state, count) pair. Index is meaningful only on
 // registers of at most 63 qubits; Bits is always the bitstring
 // rendering (qubit 0 rightmost).

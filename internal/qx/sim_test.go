@@ -250,9 +250,6 @@ func TestSampleExpectation(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	r := &Result{NumQubits: 2, Shots: 10, Counts: map[int]int{0: 7, 3: 3}}
-	if r.Best() != 0 {
-		t.Error("Best wrong")
-	}
 	top := r.Top(1)
 	if len(top) != 1 || top[0].Index != 0 || top[0].Count != 7 {
 		t.Errorf("Top wrong: %v", top)

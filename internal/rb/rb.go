@@ -122,119 +122,6 @@ func Sequence(group []Clifford, m int, rng *rand.Rand) (*circuit.Circuit, error)
 	return c, nil
 }
 
-// SimultaneousSequence builds an m-Clifford simultaneous RB circuit on n
-// qubits: every qubit runs its own independent random Clifford string
-// and its own recovery Clifford, then all qubits are measured. The
-// circuit is pure {h, s} — Clifford throughout — so the stabilizer
-// engine executes it in polynomial time at any width.
-func SimultaneousSequence(group []Clifford, n, m int, rng *rand.Rand) (*circuit.Circuit, error) {
-	c := circuit.New(fmt.Sprintf("rb_sim_n%d_m%d", n, m), n)
-	nets := make([]quantum.Matrix, n)
-	for q := range nets {
-		nets[q] = quantum.Identity(2)
-	}
-	for i := 0; i < m; i++ {
-		for q := 0; q < n; q++ {
-			cl := group[rng.Intn(len(group))]
-			for _, g := range cl.Gates {
-				c.Add(g, []int{q})
-			}
-			nets[q] = cl.Matrix.Mul(nets[q])
-		}
-	}
-	for q := 0; q < n; q++ {
-		rec, err := findInverse(group, nets[q])
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range rec.Gates {
-			c.Add(g, []int{q})
-		}
-	}
-	c.MeasureAll()
-	return c, nil
-}
-
-// SimultaneousPoint is one simultaneous-RB data point: the per-qubit
-// survival marginals (fraction of shots where that qubit returned |0⟩)
-// and their mean.
-type SimultaneousPoint struct {
-	M        int
-	Survival []float64
-	Mean     float64
-}
-
-// PerQubit re-slices simultaneous points into one single-qubit decay
-// curve per qubit, ready for Fit.
-func PerQubit(points []SimultaneousPoint) [][]Point {
-	if len(points) == 0 {
-		return nil
-	}
-	n := len(points[0].Survival)
-	out := make([][]Point, n)
-	for q := 0; q < n; q++ {
-		curve := make([]Point, len(points))
-		for i, sp := range points {
-			curve[i] = Point{M: sp.M, Survival: sp.Survival[q]}
-		}
-		out[q] = curve
-	}
-	return out
-}
-
-// RunSimultaneous executes simultaneous RB on n qubits at each sequence
-// length: seqs random sequences × shots measurements on the given
-// simulator. Widths beyond 63 qubits aggregate via the wide-count path,
-// so a stabilizer-backed simulator benchmarks 50–100 qubit devices
-// directly.
-func RunSimultaneous(sim *qx.Simulator, n int, lengths []int, seqs, shots int, seed int64) ([]SimultaneousPoint, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("rb: need at least one qubit, got %d", n)
-	}
-	group := Group()
-	if len(group) != 24 {
-		return nil, fmt.Errorf("rb: clifford group has %d elements, want 24", len(group))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	points := make([]SimultaneousPoint, 0, len(lengths))
-	for _, m := range lengths {
-		zeros := make([]int, n)
-		for s := 0; s < seqs; s++ {
-			c, err := SimultaneousSequence(group, n, m, rng)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(c, shots)
-			if err != nil {
-				return nil, err
-			}
-			for idx, cnt := range res.Counts {
-				for q := 0; q < n; q++ {
-					if idx>>uint(q)&1 == 0 {
-						zeros[q] += cnt
-					}
-				}
-			}
-			for bits, cnt := range res.WideCounts {
-				for q := 0; q < n; q++ {
-					if bits[len(bits)-1-q] == '0' {
-						zeros[q] += cnt
-					}
-				}
-			}
-		}
-		sp := SimultaneousPoint{M: m, Survival: make([]float64, n)}
-		total := float64(seqs * shots)
-		for q := 0; q < n; q++ {
-			sp.Survival[q] = float64(zeros[q]) / total
-			sp.Mean += sp.Survival[q]
-		}
-		sp.Mean /= float64(n)
-		points = append(points, sp)
-	}
-	return points, nil
-}
-
 // Point is one RB data point.
 type Point struct {
 	M        int     // sequence length in Cliffords

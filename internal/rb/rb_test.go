@@ -106,76 +106,3 @@ func TestFitRecoversKnownDecay(t *testing.T) {
 		t.Errorf("fitted f = %v, want 0.97", f)
 	}
 }
-
-// Simultaneous RB at a dense-tractable width must be engine-independent:
-// the stabilizer and dense engines share the seeded PRNG walk, so the
-// survival marginals are bit-identical.
-func TestSimultaneousRBEngineAgreement(t *testing.T) {
-	noise := &qx.NoiseModel{DepolarizingProb: 0.01}
-	lengths := []int{1, 4, 8}
-	stab, err := RunSimultaneous(qx.NewNoisyWithEngine(3, noise, qx.Stabilizer()), 4, lengths, 3, 80, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := RunSimultaneous(qx.NewNoisyWithEngine(3, noise, qx.Optimized()), 4, lengths, 3, 80, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range stab {
-		for q, s := range stab[i].Survival {
-			if s != dense[i].Survival[q] {
-				t.Fatalf("m=%d qubit %d: stabilizer %v vs dense %v",
-					stab[i].M, q, s, dense[i].Survival[q])
-			}
-		}
-	}
-}
-
-// 50-qubit simultaneous RB under stochastic Pauli noise — the regime the
-// stabilizer engine opens. Survival must decay with sequence length and
-// every per-qubit curve must fit to a sub-unity depolarising parameter.
-func TestSimultaneousRB50Qubits(t *testing.T) {
-	sim := qx.NewNoisyWithEngine(5, &qx.NoiseModel{DepolarizingProb: 0.004}, qx.Stabilizer())
-	lengths := []int{1, 4, 12, 24}
-	points, err := RunSimultaneous(sim, 50, lengths, 2, 60, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Mean <= points[len(points)-1].Mean {
-		t.Errorf("no decay at 50 qubits: %v -> %v", points[0].Mean, points[len(points)-1].Mean)
-	}
-	for q, curve := range PerQubit(points) {
-		for _, p := range curve {
-			if p.Survival < 0 || p.Survival > 1 {
-				t.Fatalf("qubit %d survival %v out of range", q, p.Survival)
-			}
-		}
-	}
-	f, r := Fit(meanCurve(points))
-	if f <= 0.8 || f >= 1 {
-		t.Errorf("fitted f = %v out of expected band", f)
-	}
-	if r <= 0 {
-		t.Errorf("error per Clifford %v not positive", r)
-	}
-}
-
-// 70-qubit simultaneous RB exercises the wide-count (>63 qubit) path.
-func TestSimultaneousRBWide(t *testing.T) {
-	sim := qx.NewNoisyWithEngine(8, &qx.NoiseModel{DepolarizingProb: 0.01}, qx.Stabilizer())
-	points, err := RunSimultaneous(sim, 70, []int{1, 8}, 1, 40, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Mean <= points[1].Mean {
-		t.Errorf("no decay at 70 qubits: %v -> %v", points[0].Mean, points[1].Mean)
-	}
-}
-
-func meanCurve(points []SimultaneousPoint) []Point {
-	out := make([]Point, len(points))
-	for i, sp := range points {
-		out[i] = Point{M: sp.M, Survival: sp.Mean}
-	}
-	return out
-}

@@ -161,36 +161,6 @@ func (t *Topology) ShortestPath(a, b int) []int {
 	return path
 }
 
-// Connected reports whether the graph is a single component.
-func (t *Topology) Connected() bool {
-	if t.N == 0 {
-		return true
-	}
-	for v := 1; v < t.N; v++ {
-		if t.Distance(0, v) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns the maximum pairwise distance (-1 if disconnected).
-func (t *Topology) Diameter() int {
-	max := 0
-	for a := 0; a < t.N; a++ {
-		for b := a + 1; b < t.N; b++ {
-			d := t.Distance(a, b)
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
 // String summarises the topology.
 func (t *Topology) String() string {
 	return fmt.Sprintf("%s(%d qubits, %d edges)", t.Name, t.N, t.NumEdges())

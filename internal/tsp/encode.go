@@ -78,14 +78,6 @@ func Encode(g *Graph, penalty float64) *Encoding {
 	return e
 }
 
-// ConstraintOffset is the constant dropped by the quadratic expansion:
-// adding it back makes feasible energies equal the pure tour cost.
-func (e *Encoding) ConstraintOffset() float64 {
-	// Each of the 2N constraints contributes A·1² from the (1 − Σx)²
-	// expansion.
-	return 2 * float64(e.Graph.N) * e.Penalty
-}
-
 // Decode extracts the tour from a QUBO assignment. It returns an error if
 // the assignment violates the one-hot constraints.
 func (e *Encoding) Decode(x []int) ([]int, error) {
@@ -118,24 +110,6 @@ func (e *Encoding) Decode(x []int) ([]int, error) {
 		}
 	}
 	return tour, nil
-}
-
-// EncodeTour produces the feasible assignment corresponding to a tour.
-func (e *Encoding) EncodeTour(tour []int) []int {
-	n := e.Graph.N
-	x := make([]int, n*n)
-	for t, c := range tour {
-		x[e.Var(c, t)] = 1
-	}
-	return x
-}
-
-// TourEnergyCheck verifies that for a feasible assignment the QUBO energy
-// plus the constraint offset equals the tour cost (used by tests and the
-// benchmark harness as a self-check).
-func (e *Encoding) TourEnergyCheck(tour []int) float64 {
-	x := e.EncodeTour(tour)
-	return e.Q.Energy(x) + e.ConstraintOffset()
 }
 
 // NumQubits returns the QUBO size N².

@@ -61,21 +61,6 @@ func (g *Graph) TourCost(tour []int) float64 {
 	return cost
 }
 
-// ValidTour reports whether tour visits every city exactly once.
-func (g *Graph) ValidTour(tour []int) bool {
-	if len(tour) != g.N {
-		return false
-	}
-	seen := make([]bool, g.N)
-	for _, c := range tour {
-		if c < 0 || c >= g.N || seen[c] {
-			return false
-		}
-		seen[c] = true
-	}
-	return true
-}
-
 // BruteForce enumerates all (N−1)! tours with city 0 fixed first and
 // returns an optimal tour and its cost — the "enumerate all possible
 // solutions" reference of Fig 9.
