@@ -1,10 +1,10 @@
 # Tier-1 verification for the repro module. `make ci` mirrors the CI
 # workflow step for step — gofmt, vet, staticcheck, qlint, race tests,
-# the coverage gates, the bench smoke, the metrics smoke, the examples
-# smoke and the load-harness smoke — so
-# local verification catches everything the workflow does. Its first
-# step (build) is the guard that keeps the go.mod regression from
-# recurring.
+# the allocation ceilings without -race, the coverage gates, the bench
+# smoke, the metrics smoke, the examples smoke and the load-harness
+# smoke — so local verification catches everything the workflow does.
+# Its first step (build) is the guard that keeps the go.mod regression
+# from recurring.
 #
 # Load-harness targets: `make load-smoke` is the fast PR gate (one
 # scenario, one seed, byte-reproducibility check, negative control);
@@ -33,7 +33,7 @@ EARLY_MEASURED_CEILING ?= 1000
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build fmt vet staticcheck lint test race bench bench-smoke bench-baseline bench-gate cover metrics-smoke examples-smoke load-smoke load-gate vuln ci
+.PHONY: all build fmt vet staticcheck lint test race allocs bench bench-smoke bench-baseline bench-gate cover metrics-smoke examples-smoke load-smoke load-gate vuln ci
 
 all: ci
 
@@ -71,6 +71,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The root allocation tests without -race, which drops sync.Pool puts at
+# random: TestColdJobAllocs holds its run byte ceiling only here.
+allocs:
+	$(GO) test -run 'Allocs' .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -219,4 +224,4 @@ load-gate:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: build fmt vet staticcheck lint race cover bench-smoke metrics-smoke examples-smoke load-smoke
+ci: build fmt vet staticcheck lint race allocs cover bench-smoke metrics-smoke examples-smoke load-smoke

@@ -975,18 +975,17 @@ func BenchmarkColdJob(b *testing.B) {
 	}
 }
 
-// Ceilings of one cold-mix job. The compile ceilings sit under what it
-// took before lowering went table-driven, scheduling emitted in cycle
-// order and the optimiser stopped copying rounds that change nothing
-// (532 allocations, 313,181 bytes). The run's allocation ceiling sits
-// under the 1,917 allocations it took before the compile path stopped
-// rebuilding circuits gate by gate, its byte ceiling under the 206,670
-// bytes it took alongside the compile figures above.
+// Ceilings of one cold-mix job: what it took once decode built the
+// compact circuit the engine runs, the serial kernels stopped allocating
+// closures and routing built its output at its final size (compile 352
+// allocations and 210,368 bytes, run 59 allocations and 132,424 bytes),
+// plus a tenth. Before that the run took 602 allocations and 206,546
+// bytes.
 const (
-	coldCompileAllocCeiling = 400
-	coldCompileByteCeiling  = 260000
-	coldRunAllocCeiling     = 1917 - 1
-	coldRunByteCeiling      = 206670 - 1
+	coldCompileAllocCeiling = 352 * 11 / 10
+	coldCompileByteCeiling  = 210368 * 11 / 10
+	coldRunAllocCeiling     = 59 * 11 / 10
+	coldRunByteCeiling      = 132424 * 11 / 10
 )
 
 // TestColdJobAllocs holds the lean cold path in place: a cold-mix job's

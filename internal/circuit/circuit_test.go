@@ -286,3 +286,21 @@ func TestValidateAllocatesNothing(t *testing.T) {
 		t.Errorf("validating a 3-qubit gate takes %.0f allocations, want 0", allocs)
 	}
 }
+
+// y90 and my90 hand out one shared matrix, bit-equal to the rotation
+// each names.
+func TestY90MatricesAreSharedRY(t *testing.T) {
+	for name, theta := range map[string]float64{"y90": math.Pi / 2, "my90": -math.Pi / 2} {
+		spec, _ := Lookup(name)
+		m, want := spec.Matrix(nil), quantum.RY(theta)
+		for i := range want.Data {
+			if math.Float64bits(real(m.Data[i])) != math.Float64bits(real(want.Data[i])) ||
+				math.Float64bits(imag(m.Data[i])) != math.Float64bits(imag(want.Data[i])) {
+				t.Errorf("%s: entry %d is %v, RY gives %v", name, i, m.Data[i], want.Data[i])
+			}
+		}
+		if again := spec.Matrix(nil); &again.Data[0] != &m.Data[0] {
+			t.Errorf("%s: each call builds a new matrix", name)
+		}
+	}
+}

@@ -59,6 +59,8 @@ func renameTo(name string) func(Gate) Gate {
 	}
 }
 
+// fixed returns a constructor that hands out m itself: one matrix, built
+// once and shared by every gate of the name, which no caller writes.
 func fixed(m quantum.Matrix) func([]float64) quantum.Matrix {
 	return func([]float64) quantum.Matrix { return m }
 }
@@ -76,12 +78,8 @@ func init() {
 	register(Spec{Name: "tdag", Arity: 1, Matrix: fixed(quantum.Tdag), InverseOf: renameTo("t")})
 	register(Spec{Name: "x90", Arity: 1, Matrix: fixed(quantum.SqrtX), InverseOf: renameTo("mx90")})
 	register(Spec{Name: "mx90", Arity: 1, Matrix: fixed(quantum.SqrtX.Dagger()), InverseOf: renameTo("x90")})
-	register(Spec{Name: "y90", Arity: 1,
-		Matrix:    func([]float64) quantum.Matrix { return quantum.RY(1.5707963267948966) },
-		InverseOf: renameTo("my90")})
-	register(Spec{Name: "my90", Arity: 1,
-		Matrix:    func([]float64) quantum.Matrix { return quantum.RY(-1.5707963267948966) },
-		InverseOf: renameTo("y90")})
+	register(Spec{Name: "y90", Arity: 1, Matrix: fixed(quantum.RY(1.5707963267948966)), InverseOf: renameTo("my90")})
+	register(Spec{Name: "my90", Arity: 1, Matrix: fixed(quantum.RY(-1.5707963267948966)), InverseOf: renameTo("y90")})
 
 	// Single-qubit parametric gates.
 	register(Spec{Name: "rx", Arity: 1, NumParams: 1,

@@ -546,3 +546,20 @@ func TestMapRemapsConditionBit(t *testing.T) {
 		t.Errorf("condition bit %d does not follow measurement qubit %d", condPhys, measPhys)
 	}
 }
+
+// Routing learns how many SWAPs it adds before it emits anything, so the
+// mapped circuit's gate slice is built once, at its final size.
+func TestMapBuildsOutputAtFinalSize(t *testing.T) {
+	p := &Platform{Name: "lin", NumQubits: 6, Gates: nisqGates(1, 2, 15, 10), Topology: topology.Linear(6)}
+	c := circuit.New("far", 6).H(0).CNOT(0, 5).Measure(5).CNOT(1, 4).CNOT(2, 0).Measure(0)
+	for _, opts := range []MapOptions{{}, {Lookahead: true}, {Placement: GreedyPlacement}} {
+		res, err := MapCircuit(c, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates := res.Circuit.Gates
+		if res.AddedSwaps == 0 || len(gates) != len(c.Gates)+res.AddedSwaps || cap(gates) != len(gates) {
+			t.Errorf("%+v: %d swaps, %d gates in a slice of capacity %d", opts, res.AddedSwaps, len(gates), cap(gates))
+		}
+	}
+}

@@ -127,74 +127,24 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 	default:
 		l2p = identityLayout(topo.N)
 	}
-	p2l := invert(l2p, topo.N)
+	p2l := make([]int, topo.N)
+	invert(p2l, l2p)
 	initial := append([]int(nil), l2p...)
 
-	// Every input gate is emitted with its operands remapped, so their
-	// slices are cut from one array; parameter slices are shared.
-	gates := make([]circuit.Gate, 0, len(c.Gates))
-	operands := 0
-	for _, g := range c.Gates {
-		operands += len(g.Qubits)
-	}
-	arena := make([]int, operands)
-	remap := func(g circuit.Gate) circuit.Gate {
-		if n := len(g.Qubits); n > 0 {
-			qs := arena[:n:n]
-			arena = arena[n:]
-			for i, q := range g.Qubits {
-				qs[i] = l2p[q]
-			}
-			g.Qubits = qs
-		}
-		return g
-	}
-	swaps := 0
-	// Pre-extract the positions of two-qubit gates for lookahead.
+	// Qubits move only at two-qubit gates, so routing walks those alone
+	// first, recording each SWAP and the input gate it precedes; the
+	// output is then built once, at its final size, by replaying the
+	// SWAPs from the initial layout.
 	var upcoming []twoQ
 	for i, g := range c.Gates {
 		if g.IsTwoQubit() {
 			upcoming = append(upcoming, twoQ{i, g.Qubits[0], g.Qubits[1]})
 		}
 	}
-	nextTwoQ := 0
-
-	measurePhys := map[int]int{}
-	// bindCond points a conditional gate at the classical bit's physical
-	// home: where the producing measurement happened, else the operand's
-	// current position.
-	bindCond := func(ng *circuit.Gate, g circuit.Gate) {
-		if !ng.HasCond {
-			return
-		}
-		if p, ok := measurePhys[g.CondBit]; ok {
-			ng.CondBit = p
-		} else {
-			ng.CondBit = l2p[g.CondBit]
-		}
-	}
-	for gi, g := range c.Gates {
-		for nextTwoQ < len(upcoming) && upcoming[nextTwoQ].idx <= gi {
-			nextTwoQ++
-		}
-		if !g.IsTwoQubit() {
-			// Remap operands and emit; record measurement bindings.
-			ng := remap(g)
-			switch g.Name {
-			case circuit.OpMeasure:
-				measurePhys[g.Qubits[0]] = ng.Qubits[0]
-			case circuit.OpMeasureAll:
-				for l := 0; l < c.NumQubits; l++ {
-					measurePhys[l] = l2p[l]
-				}
-			}
-			bindCond(&ng, g)
-			gates = append(gates, ng)
-			continue
-		}
-		la, lb := g.Qubits[0], g.Qubits[1]
-		cur := twoQ{gi, la, lb}
-		pa, pb := l2p[la], l2p[lb]
+	type swapAt struct{ before, a, b int }
+	var swaps []swapAt
+	for k, cur := range upcoming {
+		pa, pb := l2p[cur.a], l2p[cur.b]
 		for !topo.Adjacent(pa, pb) {
 			path := m.path(pa, pb)
 			if path == nil {
@@ -204,16 +154,63 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 			stepA := [2]int{pa, path[1]}
 			stepB := [2]int{pb, path[len(path)-2]}
 			chosen := stepA
-			if m.score != nil && m.score(l2p, cur, upcoming[nextTwoQ:], stepB) < m.score(l2p, cur, upcoming[nextTwoQ:], stepA) {
+			if m.score != nil && m.score(l2p, cur, upcoming[k+1:], stepB) < m.score(l2p, cur, upcoming[k+1:], stepA) {
 				chosen = stepB
 			}
-			gates = append(gates, circuit.Gate{Name: "swap", Qubits: []int{chosen[0], chosen[1]}})
-			swaps++
+			swaps = append(swaps, swapAt{cur.idx, chosen[0], chosen[1]})
 			applySwap(l2p, p2l, chosen[0], chosen[1])
-			pa, pb = l2p[la], l2p[lb]
+			pa, pb = l2p[cur.a], l2p[cur.b]
 		}
-		ng := remap(g)
-		bindCond(&ng, g)
+	}
+	copy(l2p, initial)
+	invert(p2l, l2p)
+
+	// Every gate is emitted with its operands remapped and every SWAP
+	// with its pair, all cut from one array; parameter slices are shared.
+	gates := make([]circuit.Gate, 0, len(c.Gates)+len(swaps))
+	operands := 2 * len(swaps)
+	for _, g := range c.Gates {
+		operands += len(g.Qubits)
+	}
+	arena := make([]int, operands)
+	measurePhys := map[int]int{}
+	next := 0
+	for gi, g := range c.Gates {
+		for ; next < len(swaps) && swaps[next].before == gi; next++ {
+			sw := swaps[next]
+			qs := arena[:2:2]
+			arena = arena[2:]
+			qs[0], qs[1] = sw.a, sw.b
+			gates = append(gates, circuit.Gate{Name: "swap", Qubits: qs})
+			applySwap(l2p, p2l, sw.a, sw.b)
+		}
+		// Remap operands and record measurement bindings.
+		ng := g
+		if n := len(g.Qubits); n > 0 {
+			ng.Qubits = arena[:n:n]
+			arena = arena[n:]
+			for i, q := range g.Qubits {
+				ng.Qubits[i] = l2p[q]
+			}
+		}
+		switch g.Name {
+		case circuit.OpMeasure:
+			measurePhys[g.Qubits[0]] = ng.Qubits[0]
+		case circuit.OpMeasureAll:
+			for l := 0; l < c.NumQubits; l++ {
+				measurePhys[l] = l2p[l]
+			}
+		}
+		// A conditional gate reads the classical bit at its physical
+		// home: where the producing measurement happened, else the
+		// operand's current position.
+		if ng.HasCond {
+			if p, ok := measurePhys[g.CondBit]; ok {
+				ng.CondBit = p
+			} else {
+				ng.CondBit = l2p[g.CondBit]
+			}
+		}
 		gates = append(gates, ng)
 	}
 	out := &circuit.Circuit{Name: c.Name + "_mapped", NumQubits: topo.N, Gates: gates}
@@ -234,7 +231,7 @@ func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topolog
 		Circuit:       out,
 		InitialLayout: initial,
 		FinalLayout:   l2p,
-		AddedSwaps:    swaps,
+		AddedSwaps:    len(swaps),
 		LatencyFactor: factor,
 		MeasurePhys:   measurePhys,
 	}, nil
@@ -248,15 +245,15 @@ func identityLayout(n int) []int {
 	return l
 }
 
-func invert(l2p []int, n int) []int {
-	p2l := make([]int, n)
+// invert fills p2l with the inverse of the layout l2p, -1 where no
+// logical qubit sits.
+func invert(p2l, l2p []int) {
 	for i := range p2l {
 		p2l[i] = -1
 	}
 	for l, p := range l2p {
 		p2l[p] = l
 	}
-	return p2l
 }
 
 func applySwap(l2p, p2l []int, pa, pb int) {

@@ -323,11 +323,14 @@ func (pl *Pipeline) Run(ctx *PassContext) (*CompileReport, error) {
 	if len(pl.passes) == 0 {
 		return report, nil
 	}
-	// Nothing mutates the circuit between passes, so each pass's before
-	// metrics are the previous pass's after metrics — one depth scan per
-	// pass instead of two on this instrumented hot path.
+	// Nothing mutates the circuit between passes, and a pass never
+	// writes into the circuit it receives (see Pass), so each pass's
+	// before metrics are the previous pass's after metrics, and the depth
+	// is rescanned only after a pass that replaced the circuit — schedule
+	// and assemble keep it.
 	gates, depth := len(ctx.Circuit.Gates), ctx.Circuit.Depth()
 	for _, bp := range pl.passes {
+		in := ctx.Circuit
 		p := bp.Pass
 		m := PassMetrics{
 			Pass:        p.Name(),
@@ -344,7 +347,9 @@ func (pl *Pipeline) Run(ctx *PassContext) (*CompileReport, error) {
 			return nil, fmt.Errorf("compiler: pass %q: %w", p.Name(), err)
 		}
 		m.WallNs = time.Since(start).Nanoseconds()
-		gates, depth = len(ctx.Circuit.Gates), ctx.Circuit.Depth()
+		if ctx.Circuit != in {
+			gates, depth = len(ctx.Circuit.Gates), ctx.Circuit.Depth()
+		}
 		m.GatesAfter = gates
 		m.DepthAfter = depth
 		if ctx.MapResult != nil {

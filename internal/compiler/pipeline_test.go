@@ -285,3 +285,33 @@ func TestFoldRotationsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The pipeline rescans depth only after a pass that replaced the
+// circuit; every recorded gate count and depth must still be what a
+// fresh scan of the circuit before and after each pass gives.
+func TestPipelineMetricsMatchPerPassScan(t *testing.T) {
+	p := Superconducting()
+	c := circuit.New("metrics", 5).H(0).CNOT(0, 4).Toffoli(1, 2, 3).H(2).H(2).CNOT(3, 0).Measure(4).Measure(0)
+	pl, err := NewPipeline(DefaultPassSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pl.Run(&PassContext{Platform: p, Circuit: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &PassContext{Platform: p, Circuit: c}
+	for i, bp := range pl.passes {
+		want := PassMetrics{Pass: bp.Pass.Name(), GatesBefore: len(ctx.Circuit.Gates), DepthBefore: ctx.Circuit.Depth()}
+		ctx.Options = bp.Options
+		if err := bp.Pass.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want.GatesAfter, want.DepthAfter = len(ctx.Circuit.Gates), ctx.Circuit.Depth()
+		got := rep.Passes[i]
+		got.WallNs, got.AddedSwaps = 0, 0
+		if got != want {
+			t.Errorf("pass %d: metrics %+v, a fresh scan gives %+v", i, got, want)
+		}
+	}
+}

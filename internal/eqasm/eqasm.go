@@ -157,15 +157,37 @@ func (p *Program) Timeline() ([]Event, error) {
 		sset  [NumSRegs]bool
 		tset  [NumTRegs]bool
 	)
-	nOps := 0
+	// Sizing pass: one event per op, and each op's operands are its mask
+	// register's contents when it issues. Registers out of range or used
+	// before set add nothing; the main pass rejects them.
+	var sizeS [NumSRegs]int
+	var sizeT [NumTRegs]int
+	nOps, nOperands := 0, 0
 	for _, in := range p.Instrs {
-		if b, ok := in.(Bundle); ok {
-			nOps += len(b.Ops)
+		switch i := in.(type) {
+		case SMIS:
+			if i.Reg >= 0 && i.Reg < NumSRegs {
+				sizeS[i.Reg] = len(i.Qubits)
+			}
+		case SMIT:
+			if i.Reg >= 0 && i.Reg < NumTRegs {
+				sizeT[i.Reg] = 2 * len(i.Pairs)
+			}
+		case Bundle:
+			nOps += len(i.Ops)
+			for _, op := range i.Ops {
+				switch {
+				case op.TwoQ && op.Reg >= 0 && op.Reg < NumTRegs:
+					nOperands += sizeT[op.Reg]
+				case !op.TwoQ && op.Reg >= 0 && op.Reg < NumSRegs:
+					nOperands += sizeS[op.Reg]
+				}
+			}
 		}
 	}
 	events := make([]Event, 0, nOps)
-	// Every event's operands are cut from one array, grown as needed.
-	operands := make([]int, 0, nOps)
+	// Every event's operands are cut from one array of the exact size.
+	operands := make([]int, 0, nOperands)
 	cycle := 0
 	for idx, in := range p.Instrs {
 		switch i := in.(type) {

@@ -298,3 +298,35 @@ func TestInstrStrings(t *testing.T) {
 		t.Errorf("param op string = %q", op.String())
 	}
 }
+
+// Timeline sizes its operand array from the mask registers' contents,
+// redefinitions included, so it allocates the events and the operands
+// once each, however many operands the ops carry.
+func TestTimelineSizesOperandsOnce(t *testing.T) {
+	wide := make([]int, 40)
+	for i := range wide {
+		wide[i] = i
+	}
+	p := &Program{NumQubits: 40, Instrs: []Instr{
+		SMIS{Reg: 0, Qubits: wide[:1]},
+		SMIT{Reg: 3, Pairs: [][2]int{{0, 1}, {2, 3}, {4, 5}}},
+		Bundle{Ops: []QOp{{Name: "x90", Reg: 0}, {Name: "cz", TwoQ: true, Reg: 3}}},
+		SMIS{Reg: 0, Qubits: wide},
+		Bundle{PreWait: 1, Ops: []QOp{{Name: "measz", Reg: 0}}},
+		Bundle{PreWait: 2, Ops: []QOp{{Name: "cz", TwoQ: true, Reg: 3}, {Name: "x90", Reg: 0}}},
+	}}
+	events, err := p.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	operands := 0
+	for _, ev := range events {
+		operands += len(ev.Qubits)
+	}
+	if operands != 1+6+40+6+40 {
+		t.Fatalf("%d operands over %d events", operands, len(events))
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = p.Timeline() }); n != 2 {
+		t.Errorf("Timeline takes %.0f allocations, want 2 (events, operands)", n)
+	}
+}

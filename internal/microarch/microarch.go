@@ -164,13 +164,13 @@ func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	trace, gates, err := m.decode(prog, events)
+	trace, c, phys, err := m.decode(prog, events)
 	if err != nil {
 		return nil, err
 	}
 	report := &RunReport{Trace: trace}
 	if m.Backend != nil && shots > 0 {
-		res, err := m.runBackend(prog, gates, shots)
+		res, err := m.runBackend(prog, c, phys, shots)
 		if err != nil {
 			return nil, err
 		}
@@ -179,47 +179,12 @@ func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
 	return report, nil
 }
 
-// runBackend executes the decoded gate sequence on the quantum backend.
-// The physical register is compacted onto the qubits the program touches
-// (idle qubits stay in |0> and carry no information), which keeps the
-// state-vector cost proportional to the active circuit rather than the
-// full chip.
-func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots int) (*qx.Result, error) {
-	// compactOf[q] is physical qubit q's index in the compact register,
-	// -1 for a qubit no gate touches; touched qubits are marked 0 first
-	// and then numbered in order.
-	compactOf := make([]int, prog.NumQubits)
-	for q := range compactOf {
-		compactOf[q] = -1
-	}
-	operands := 0
-	for _, g := range gates {
-		operands += len(g.Qubits)
-		for _, q := range g.Qubits {
-			compactOf[q] = 0
-		}
-	}
-	phys := make([]int, 0, prog.NumQubits)
-	for q, c := range compactOf {
-		if c == 0 {
-			compactOf[q] = len(phys)
-			phys = append(phys, q)
-		}
-	}
-	// The compact gates share their parameters with the decoded ones and
-	// take their operands from one array.
-	c := &circuit.Circuit{Name: prog.Name, NumQubits: len(phys), Gates: make([]circuit.Gate, len(gates))}
-	arena := make([]int, operands)
-	for i, g := range gates {
-		ng := g
-		if len(g.Qubits) > 0 {
-			ng.Qubits, arena = arena[:len(g.Qubits):len(g.Qubits)], arena[len(g.Qubits):]
-			for k, q := range g.Qubits {
-				ng.Qubits[k] = compactOf[q]
-			}
-		}
-		c.Gates[i] = ng
-	}
+// runBackend executes the decoded circuit on the quantum backend. The
+// circuit runs on the compact register of the qubits the program
+// touches (phys[i] is compact qubit i's physical index; idle qubits stay
+// in |0> and carry no information), which keeps the state-vector cost
+// proportional to the active circuit rather than the full chip.
+func (m *Machine) runBackend(prog *eqasm.Program, c *circuit.Circuit, phys []int, shots int) (*qx.Result, error) {
 	var (
 		res *qx.Result
 		err error
@@ -277,76 +242,132 @@ func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots in
 }
 
 // decode expands timeline events through the microcode unit and the
-// timing control unit, producing the pulse trace and the equivalent gate
-// sequence in event order. The gates' operands are runs of the events'
-// operand slices.
-func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []circuit.Gate, error) {
+// timing control unit, producing the pulse trace and the equivalent
+// circuit in event order. The circuit is built once, on the compact
+// register: phys lists the physical qubits its gates touch in ascending
+// order, and compact qubit i is phys[i]. A sizing pass counts pulses,
+// gates and operands and marks the touched qubits, so the pulses, the
+// gates and their operands each fill one exactly sized array.
+func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, *circuit.Circuit, []int, error) {
+	cfg := m.Config
+	// compactOf[q] is physical qubit q's index in the compact register,
+	// -1 for a qubit no gate touches; touched qubits are marked 0 first
+	// and then numbered in order. A measz or prepz gate takes only the
+	// first qubit of its group.
+	compactOf := make([]int, prog.NumQubits)
+	for q := range compactOf {
+		compactOf[q] = -1
+	}
+	nPulses, nGates, nOperands := 0, 0, 0
+	for _, ev := range events {
+		nPulses += len(ev.Qubits) * len(cfg.Microcode[ev.Op])
+		w := groupWidth(ev)
+		nGates += len(ev.Qubits) / w
+		for i := 0; i+w <= len(ev.Qubits); i += w {
+			group := ev.Qubits[i : i+w]
+			if ev.Op == "measz" || ev.Op == "prepz" {
+				group = group[:1]
+			}
+			nOperands += len(group)
+			for _, q := range group {
+				compactOf[q] = 0
+			}
+		}
+	}
+	phys := make([]int, 0, prog.NumQubits)
+	for q, c := range compactOf {
+		if c == 0 {
+			compactOf[q] = len(phys)
+			phys = append(phys, q)
+		}
+	}
+
 	trace := &Trace{
-		Config:        m.Config.Name,
+		Config:        cfg.Name,
 		ChannelBusyNs: map[ChannelKind]int{},
 		InstrCount:    len(prog.Instrs),
 		EventCount:    len(events),
+		Pulses:        make([]Pulse, 0, nPulses),
 	}
-	nPulses, nGates := 0, 0
-	for _, ev := range events {
-		nPulses += len(ev.Qubits) * len(m.Config.Microcode[ev.Op])
-		nGates += len(ev.Qubits) / groupWidth(ev)
-	}
-	trace.Pulses = make([]Pulse, 0, nPulses)
 	gates := make([]circuit.Gate, 0, nGates)
+	arena := make([]int, nOperands)
+	var formBuf [8]gateForm
+	forms := formBuf[:0]
+	var busy channelBusy
 	// queueFill counts the codewords queued per qubit within one event.
 	queueFill := make([]int, prog.NumQubits)
 	endCycle := 0
 	for _, ev := range events {
-		ops, ok := m.Config.Microcode[ev.Op]
+		ops, ok := cfg.Microcode[ev.Op]
 		if !ok {
-			return nil, nil, fmt.Errorf("microarch: no microcode for opcode %q on %s", ev.Op, m.Config.Name)
+			return nil, nil, nil, fmt.Errorf("microarch: no microcode for opcode %q on %s", ev.Op, cfg.Name)
+		}
+		var param float64
+		if len(ev.Params) > 0 {
+			param = ev.Params[0]
 		}
 		// Expand per qubit (or per pair for two-qubit ops).
 		w := groupWidth(ev)
+		var f gateForm
 		for i := 0; i+w <= len(ev.Qubits); i += w {
 			group := ev.Qubits[i : i+w : i+w]
 			cycle := ev.Cycle
 			for _, mo := range ops {
+				durationNs := mo.DurationCycles * cfg.CycleTimeNs
 				for _, q := range group {
-					p := Pulse{
+					trace.Pulses = append(trace.Pulses, Pulse{
 						Qubit:      q,
 						Codeword:   mo.Codeword,
 						Channel:    mo.Channel,
-						StartNs:    cycle * m.Config.CycleTimeNs,
-						DurationNs: mo.DurationCycles * m.Config.CycleTimeNs,
-					}
-					if len(ev.Params) > 0 {
-						p.Param = ev.Params[0]
-					}
-					trace.Pulses = append(trace.Pulses, p)
-					trace.ChannelBusyNs[mo.Channel] += p.DurationNs
+						StartNs:    cycle * cfg.CycleTimeNs,
+						DurationNs: durationNs,
+						Param:      param,
+					})
+					busy.add(trace, mo.Channel, durationNs)
 					queueFill[q]++
-					if m.Config.QueueDepth > 0 && queueFill[q] > m.Config.QueueDepth {
-						return nil, nil, fmt.Errorf("microarch: operation queue overflow on qubit %d", q)
+					if cfg.QueueDepth > 0 && queueFill[q] > cfg.QueueDepth {
+						return nil, nil, nil, fmt.Errorf("microarch: operation queue overflow on qubit %d", q)
 					}
 				}
 				cycle += mo.DurationCycles
 			}
-			if cycle > endCycle {
-				endCycle = cycle
+			endCycle = max(endCycle, cycle)
+			if i == 0 {
+				var err error
+				if forms, f, err = formOf(forms, ev, group); err != nil {
+					return nil, nil, nil, err
+				}
 			}
-			g, err := eventGate(ev, group)
-			if err != nil {
-				return nil, nil, err
+			if f.distinct && group[0] == group[1] {
+				return nil, nil, nil, fmt.Errorf("circuit: gate %s repeats qubit %d", f.name, group[1])
+			}
+			g := circuit.Gate{Name: f.name, Qubits: arena[:f.width:f.width]}
+			arena = arena[f.width:]
+			for k := range g.Qubits {
+				g.Qubits[k] = compactOf[group[k]]
+			}
+			if !f.measure {
+				g.Params = ev.Params
 			}
 			gates = append(gates, g)
 		}
 		// Queues drain as the timing control unit releases codewords.
-		for q, fill := range queueFill {
-			trace.MaxQueueFill = max(trace.MaxQueueFill, fill)
+		for _, q := range ev.Qubits {
+			trace.MaxQueueFill = max(trace.MaxQueueFill, queueFill[q])
 			queueFill[q] = 0
 		}
 	}
+	busy.flush(trace)
 	trace.TotalCycles = endCycle
-	trace.TotalNs = endCycle * m.Config.CycleTimeNs
-	slices.SortStableFunc(trace.Pulses, func(a, b Pulse) int { return a.StartNs - b.StartNs })
-	return trace, gates, nil
+	trace.TotalNs = endCycle * cfg.CycleTimeNs
+	// Single-codeword microcode emits pulses in start order already; a
+	// pulse train (the semiconducting cz) can start after the next
+	// event's pulses.
+	byStart := func(a, b Pulse) int { return a.StartNs - b.StartNs }
+	if !slices.IsSortedFunc(trace.Pulses, byStart) {
+		slices.SortStableFunc(trace.Pulses, byStart)
+	}
+	return trace, &circuit.Circuit{Name: prog.Name, NumQubits: len(phys), Gates: gates}, phys, nil
 }
 
 // groupWidth is the operand count of one gate of an event: pairs for
@@ -358,15 +379,76 @@ func groupWidth(ev eqasm.Event) int {
 	return 1
 }
 
-// eventGate converts a decoded event group back into an IR gate for the
-// quantum backend.
-func eventGate(ev eqasm.Event, group []int) (circuit.Gate, error) {
+// gateForm is how the groups of one opcode shape (opcode, two-qubit flag,
+// parameter count) become IR gates.
+type gateForm struct {
+	op      string
+	twoQ    bool
+	nParams int
+	name    string // IR gate name
+	width   int    // operands per gate
+	// measure marks measz and prepz, whose gate takes the group's first
+	// qubit and no parameters.
+	measure bool
+	// distinct marks a unitary on a pair, whose two qubits must differ.
+	distinct bool
+}
+
+// formOf returns the form of ev's gates from forms, the forms of the
+// shapes seen so far, adding it when ev's shape is new. The first group
+// of a shape is vetted against the gate registry in full (name, arity,
+// parameter count); what the registry check could still reject in a
+// later group of the same shape is a repeated qubit in a pair, which the
+// caller checks per gate.
+func formOf(forms []gateForm, ev eqasm.Event, group []int) ([]gateForm, gateForm, error) {
+	for _, f := range forms {
+		if f.op == ev.Op && f.twoQ == ev.TwoQ && f.nParams == len(ev.Params) {
+			return forms, f, nil
+		}
+	}
+	f := gateForm{op: ev.Op, twoQ: ev.TwoQ, nParams: len(ev.Params), width: 1, measure: true}
 	switch ev.Op {
 	case "measz":
-		return circuit.Gate{Name: circuit.OpMeasure, Qubits: group[:1:1]}, nil
+		f.name = circuit.OpMeasure
 	case "prepz":
-		return circuit.Gate{Name: circuit.OpPrepZ, Qubits: group[:1:1]}, nil
+		f.name = circuit.OpPrepZ
 	default:
-		return circuit.NewGate(ev.Op, group, ev.Params...)
+		g, err := circuit.NewGate(ev.Op, group, ev.Params...)
+		if err != nil {
+			return forms, f, err
+		}
+		f.name, f.width, f.measure = g.Name, len(group), false
+		f.distinct = len(group) == 2 && g.IsUnitary()
+	}
+	return append(forms, f), f, nil
+}
+
+// channelBusy sums pulse time per channel kind in locals; only kinds
+// outside the three built-in ones go to the trace's map as they come.
+type channelBusy struct {
+	ns   [3]int
+	used [3]bool
+}
+
+// builtinChannels are the channel kinds channelBusy keeps in locals.
+var builtinChannels = [3]ChannelKind{ChannelMicrowave, ChannelFlux, ChannelMeasure}
+
+func (b *channelBusy) add(t *Trace, kind ChannelKind, ns int) {
+	for i, k := range builtinChannels {
+		if k == kind {
+			b.ns[i] += ns
+			b.used[i] = true
+			return
+		}
+	}
+	t.ChannelBusyNs[kind] += ns
+}
+
+// flush adds the summed busy times to the trace's map.
+func (b *channelBusy) flush(t *Trace) {
+	for i, k := range builtinChannels {
+		if b.used[i] {
+			t.ChannelBusyNs[k] += b.ns[i]
+		}
 	}
 }

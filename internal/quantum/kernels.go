@@ -37,17 +37,20 @@ func (s *State) AutoParallelism() {
 	s.SetParallelism(runtime.GOMAXPROCS(0))
 }
 
+// fansOut reports whether a kernel over n amplitude groups runs across
+// goroutines: parallelism is enabled and the range is large enough.
+func (s *State) fansOut(n int) bool {
+	return s.workers > 1 && n >= parallelThreshold
+}
+
 // parRange runs body over the index range [0, n) split into contiguous
-// chunks, one goroutine per chunk, when parallelism is enabled and the
-// range is large enough; otherwise it runs body inline. Chunks are
-// disjoint, so bodies need no synchronisation beyond the final join.
+// chunks, one goroutine per chunk. Chunks are disjoint, so bodies need no
+// synchronisation beyond the final join. Each kernel writes its body once
+// as a range method, calls it directly on the serial path and builds the
+// closure for parRange only when fansOut says so, so a serial kernel
+// allocates nothing.
 func (s *State) parRange(n int, body func(lo, hi int)) {
-	w := s.workers
-	if w <= 1 || n < parallelThreshold {
-		body(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
+	chunk := (n + s.workers - 1) / s.workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
@@ -73,16 +76,16 @@ func expand2(p, lowA, lowB int) int {
 	return (p&^lowB)<<1 | p&lowB
 }
 
-// maskLows returns the insertion masks for every set bit of mask, in
-// ascending order, for use with expandN.
-func maskLows(mask, n int) []int {
-	lows := make([]int, 0, n)
+// maskLows appends to dst the insertion masks for every set bit of mask,
+// in ascending order, for use with expandN. Kernels pass a stack buffer
+// of maxQubits entries as dst.
+func maskLows(dst []int, mask, n int) []int {
 	for q := 0; q < n; q++ {
 		if bit := 1 << uint(q); mask&bit != 0 {
-			lows = append(lows, bit-1)
+			dst = append(dst, bit-1)
 		}
 	}
-	return lows
+	return dst
 }
 
 // expandN inserts a zero bit at each position named by lows (ascending
@@ -95,9 +98,9 @@ func expandN(p int, lows []int) int {
 	return p
 }
 
-// pairMasks returns the sorted insertion masks for a two-qubit kernel.
-func pairMasks(q0, q1 int) (lowA, lowB int) {
-	a, b := 1<<uint(q0), 1<<uint(q1)
+// pairLows returns the sorted insertion masks for a two-qubit kernel on
+// bits a and b.
+func pairLows(a, b int) (lowA, lowB int) {
 	if a > b {
 		a, b = b, a
 	}
@@ -109,31 +112,47 @@ func pairMasks(q0, q1 int) (lowA, lowB int) {
 func (s *State) ApplyX(q int) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
+	n := len(s.amps) / 2
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.xRange(lo, hi, bit) })
+		return
+	}
+	s.xRange(0, n, bit)
+}
+
+// xRange is ApplyX over the amplitude pairs [lo, hi).
+func (s *State) xRange(lo, hi, bit int) {
 	low := bit - 1
-	s.parRange(len(s.amps)/2, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expand1(p, low)
-			i1 := i0 | bit
-			s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
-		}
-	})
+	for p := lo; p < hi; p++ {
+		i0 := expand1(p, low)
+		i1 := i0 | bit
+		s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
+	}
 }
 
 // ApplyY applies the Pauli-Y gate to qubit q: |0> ↦ i|1>, |1> ↦ -i|0>.
 func (s *State) ApplyY(q int) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
-	low := bit - 1
+	n := len(s.amps) / 2
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.yRange(lo, hi, bit) })
+		return
+	}
+	s.yRange(0, n, bit)
+}
+
+// yRange is ApplyY over the amplitude pairs [lo, hi).
+func (s *State) yRange(lo, hi, bit int) {
 	const u01, u10 = complex(0, -1), complex(0, 1)
-	s.parRange(len(s.amps)/2, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expand1(p, low)
-			i1 := i0 | bit
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = u01 * a1
-			s.amps[i1] = u10 * a0
-		}
-	})
+	low := bit - 1
+	for p := lo; p < hi; p++ {
+		i0 := expand1(p, low)
+		i1 := i0 | bit
+		a0, a1 := s.amps[i0], s.amps[i1]
+		s.amps[i0] = u01 * a1
+		s.amps[i1] = u10 * a0
+	}
 }
 
 // ApplyDiag applies the diagonal single-qubit gate diag(d0, d1) to qubit
@@ -141,23 +160,29 @@ func (s *State) ApplyY(q int) {
 func (s *State) ApplyDiag(q int, d0, d1 complex128) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
+	n := len(s.amps) / 2
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.diagRange(lo, hi, bit, d0, d1) })
+		return
+	}
+	s.diagRange(0, n, bit, d0, d1)
+}
+
+// diagRange is ApplyDiag over the amplitude pairs [lo, hi).
+func (s *State) diagRange(lo, hi, bit int, d0, d1 complex128) {
 	low := bit - 1
 	if d0 == 1 {
 		// Common case (Z, S, T, phase): only the bit-set half is touched.
-		s.parRange(len(s.amps)/2, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				s.amps[expand1(p, low)|bit] *= d1
-			}
-		})
+		for p := lo; p < hi; p++ {
+			s.amps[expand1(p, low)|bit] *= d1
+		}
 		return
 	}
-	s.parRange(len(s.amps)/2, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expand1(p, low)
-			s.amps[i0] *= d0
-			s.amps[i0|bit] *= d1
-		}
-	})
+	for p := lo; p < hi; p++ {
+		i0 := expand1(p, low)
+		s.amps[i0] *= d0
+		s.amps[i0|bit] *= d1
+	}
 }
 
 // ApplyCNOT applies a controlled-NOT with the given control and target:
@@ -170,14 +195,23 @@ func (s *State) ApplyCNOT(control, target int) {
 		panic("quantum: ApplyCNOT requires distinct qubits")
 	}
 	cb, tb := 1<<uint(control), 1<<uint(target)
-	lowA, lowB := pairMasks(control, target)
-	s.parRange(len(s.amps)/4, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expand2(p, lowA, lowB) | cb
-			i1 := i0 | tb
-			s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
-		}
-	})
+	n := len(s.amps) / 4
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.cnotRange(lo, hi, cb, tb) })
+		return
+	}
+	s.cnotRange(0, n, cb, tb)
+}
+
+// cnotRange is ApplyCNOT over the amplitude quads [lo, hi) of control
+// bit cb and target bit tb.
+func (s *State) cnotRange(lo, hi, cb, tb int) {
+	lowA, lowB := pairLows(cb, tb)
+	for p := lo; p < hi; p++ {
+		i0 := expand2(p, lowA, lowB) | cb
+		i1 := i0 | tb
+		s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
+	}
 }
 
 // ApplyCZ applies a controlled-Z to the pair: amplitudes with both bits
@@ -194,13 +228,22 @@ func (s *State) ApplyCPhase(a, b int, phase complex128) {
 	if a == b {
 		panic("quantum: ApplyCPhase requires distinct qubits")
 	}
-	both := 1<<uint(a) | 1<<uint(b)
-	lowA, lowB := pairMasks(a, b)
-	s.parRange(len(s.amps)/4, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			s.amps[expand2(p, lowA, lowB)|both] *= phase
-		}
-	})
+	ab, bb := 1<<uint(a), 1<<uint(b)
+	n := len(s.amps) / 4
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.cphaseRange(lo, hi, ab, bb, phase) })
+		return
+	}
+	s.cphaseRange(0, n, ab, bb, phase)
+}
+
+// cphaseRange is ApplyCPhase over the amplitude quads [lo, hi) of bits
+// ab and bb.
+func (s *State) cphaseRange(lo, hi, ab, bb int, phase complex128) {
+	lowA, lowB := pairLows(ab, bb)
+	for p := lo; p < hi; p++ {
+		s.amps[expand2(p, lowA, lowB)|ab|bb] *= phase
+	}
 }
 
 // ApplySWAP exchanges qubits a and b by swapping the amplitudes whose
@@ -212,12 +255,21 @@ func (s *State) ApplySWAP(a, b int) {
 		panic("quantum: ApplySWAP requires distinct qubits")
 	}
 	ab, bb := 1<<uint(a), 1<<uint(b)
-	lowA, lowB := pairMasks(a, b)
-	s.parRange(len(s.amps)/4, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			base := expand2(p, lowA, lowB)
-			i0, i1 := base|ab, base|bb
-			s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
-		}
-	})
+	n := len(s.amps) / 4
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.swapRange(lo, hi, ab, bb) })
+		return
+	}
+	s.swapRange(0, n, ab, bb)
+}
+
+// swapRange is ApplySWAP over the amplitude quads [lo, hi) of bits ab
+// and bb.
+func (s *State) swapRange(lo, hi, ab, bb int) {
+	lowA, lowB := pairLows(ab, bb)
+	for p := lo; p < hi; p++ {
+		base := expand2(p, lowA, lowB)
+		i0, i1 := base|ab, base|bb
+		s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
+	}
 }

@@ -152,3 +152,69 @@ func TestProjectQubitOnePass(t *testing.T) {
 		}
 	}
 }
+
+// Gate matrices the kernel calls below take, built once so the calls
+// themselves allocate nothing.
+var (
+	rz03   = RZ(0.3)
+	rz04   = RZ(0.4)
+	cphase = CPhase(0.7).Data[15]
+)
+
+// kernelCalls applies every State kernel once to an n-qubit state (n ≥
+// 5), plus ProbOne and ProjectQubit.
+var kernelCalls = []struct {
+	name string
+	run  func(s *State)
+}{
+	{"ApplyX", func(s *State) { s.ApplyX(1) }},
+	{"ApplyY", func(s *State) { s.ApplyY(2) }},
+	{"ApplyDiag", func(s *State) { s.ApplyDiag(0, T.Data[0], T.Data[3]) }},
+	{"ApplyDiag(d0≠1)", func(s *State) { s.ApplyDiag(3, rz03.Data[0], rz03.Data[3]) }},
+	{"ApplyCNOT", func(s *State) { s.ApplyCNOT(4, 0) }},
+	{"ApplyCZ", func(s *State) { s.ApplyCZ(1, 3) }},
+	{"ApplyCPhase", func(s *State) { s.ApplyCPhase(2, 4, cphase) }},
+	{"ApplySWAP", func(s *State) { s.ApplySWAP(0, 4) }},
+	{"ApplyOne", func(s *State) { s.ApplyOne(H, 2) }},
+	{"ApplyTwo", func(s *State) { s.ApplyTwo(ISWAP, 3, 1) }},
+	{"Apply", func(s *State) { s.Apply(Toffoli, 4, 1, 2) }},
+	{"ApplyControlledOne", func(s *State) { s.ApplyControlledOne(rz04, 0, 2, 4) }},
+	{"ProbOne", func(s *State) { _ = s.ProbOne(3) }},
+	{"ProjectQubit", func(s *State) { s.ProjectQubit(1, 0) }},
+}
+
+// A kernel on a state below the parallel threshold runs its body inline:
+// no closure, no scratch slice, whatever the parallelism setting.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := randomState(5, rand.New(rand.NewSource(3)))
+		s.SetParallelism(workers)
+		for _, k := range kernelCalls {
+			if n := testing.AllocsPerRun(20, func() { k.run(s) }); n != 0 {
+				t.Errorf("%s at parallelism %d: %.0f allocations, want 0", k.name, workers, n)
+			}
+		}
+	}
+}
+
+// Above parallelThreshold every kernel fans out, and each must leave
+// the amplitudes bit for bit as its serial run does.
+func TestParallelKernelsBitIdentical(t *testing.T) {
+	const n = 16 // 2^16 amplitudes: even a three-qubit gate's groups reach the threshold
+	if (1<<n)>>3 < parallelThreshold {
+		t.Fatal("state too small to fan out every kernel")
+	}
+	base := randomState(n, rand.New(rand.NewSource(19)))
+	for _, k := range kernelCalls {
+		serial, par := base.Clone(), base.Clone()
+		par.SetParallelism(4)
+		k.run(serial)
+		k.run(par)
+		for i := range serial.amps {
+			a, b := serial.amps[i], par.amps[i]
+			if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+				t.Fatalf("%s: amplitude %d is %v in parallel, %v serially", k.name, i, b, a)
+			}
+		}
+	}
+}

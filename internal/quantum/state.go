@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 )
 
 // State is a pure quantum state over n qubits, stored as a dense vector of
@@ -18,9 +19,12 @@ type State struct {
 	workers int
 }
 
+// maxQubits is the widest state NewState builds.
+const maxQubits = 30
+
 // NewState returns the n-qubit state initialised to |0...0>.
 func NewState(n int) *State {
-	if n < 0 || n > 30 {
+	if n < 0 || n > maxQubits {
 		panic(fmt.Sprintf("quantum: unsupported qubit count %d", n))
 	}
 	s := &State{n: n, amps: make([]complex128, 1<<uint(n))}
@@ -127,18 +131,25 @@ func (s *State) ApplyOne(u Matrix, q int) {
 	}
 	s.checkQubit(q)
 	bit := 1 << uint(q)
+	u00, u01, u10, u11 := u.Data[0], u.Data[1], u.Data[2], u.Data[3]
+	n := len(s.amps) / 2
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.oneRange(lo, hi, bit, u00, u01, u10, u11) })
+		return
+	}
+	s.oneRange(0, n, bit, u00, u01, u10, u11)
+}
+
+// oneRange is ApplyOne over the amplitude pairs [lo, hi).
+func (s *State) oneRange(lo, hi, bit int, u00, u01, u10, u11 complex128) {
 	low := bit - 1
-	u00, u01 := u.Data[0], u.Data[1]
-	u10, u11 := u.Data[2], u.Data[3]
-	s.parRange(len(s.amps)/2, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expand1(p, low)
-			i1 := i0 | bit
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = u00*a0 + u01*a1
-			s.amps[i1] = u10*a0 + u11*a1
-		}
-	})
+	for p := lo; p < hi; p++ {
+		i0 := expand1(p, low)
+		i1 := i0 | bit
+		a0, a1 := s.amps[i0], s.amps[i1]
+		s.amps[i0] = u00*a0 + u01*a1
+		s.amps[i1] = u10*a0 + u11*a1
+	}
 }
 
 // ApplyTwo applies the 4×4 unitary u to the qubit pair (q0, q1), where q0
@@ -153,33 +164,42 @@ func (s *State) ApplyTwo(u Matrix, q0, q1 int) {
 	if q0 == q1 {
 		panic("quantum: ApplyTwo requires distinct qubits")
 	}
-	b0 := 1 << uint(q0)
-	b1 := 1 << uint(q1)
-	lowA, lowB := pairMasks(q0, q1)
-	s.parRange(len(s.amps)/4, func(lo, hi int) {
-		var idx [4]int
-		var in, out [4]complex128
-		for p := lo; p < hi; p++ {
-			i := expand2(p, lowA, lowB)
-			idx[0] = i
-			idx[1] = i | b0
-			idx[2] = i | b1
-			idx[3] = i | b0 | b1
-			for k := 0; k < 4; k++ {
-				in[k] = s.amps[idx[k]]
-			}
-			for r := 0; r < 4; r++ {
-				var acc complex128
-				for c := 0; c < 4; c++ {
-					acc += u.Data[r*4+c] * in[c]
-				}
-				out[r] = acc
-			}
-			for k := 0; k < 4; k++ {
-				s.amps[idx[k]] = out[k]
-			}
+	b0, b1 := 1<<uint(q0), 1<<uint(q1)
+	data := u.Data
+	n := len(s.amps) / 4
+	if s.fansOut(n) {
+		s.parRange(n, func(lo, hi int) { s.twoRange(lo, hi, b0, b1, data) })
+		return
+	}
+	s.twoRange(0, n, b0, b1, data)
+}
+
+// twoRange is ApplyTwo over the amplitude quads [lo, hi) of bits b0 and
+// b1, with u the 4×4 matrix data.
+func (s *State) twoRange(lo, hi, b0, b1 int, u []complex128) {
+	lowA, lowB := pairLows(b0, b1)
+	var idx [4]int
+	var in, out [4]complex128
+	for p := lo; p < hi; p++ {
+		i := expand2(p, lowA, lowB)
+		idx[0] = i
+		idx[1] = i | b0
+		idx[2] = i | b1
+		idx[3] = i | b0 | b1
+		for k := 0; k < 4; k++ {
+			in[k] = s.amps[idx[k]]
 		}
-	})
+		for r := 0; r < 4; r++ {
+			var acc complex128
+			for c := 0; c < 4; c++ {
+				acc += u[r*4+c] * in[c]
+			}
+			out[r] = acc
+		}
+		for k := 0; k < 4; k++ {
+			s.amps[idx[k]] = out[k]
+		}
+	}
 }
 
 // Apply applies a k-qubit unitary u to the listed qubits; qubits[0] maps to
@@ -197,44 +217,66 @@ func (s *State) Apply(u Matrix, qubits ...int) {
 	if u.N != 1<<uint(k) {
 		panic(fmt.Sprintf("quantum: matrix dim %d does not match %d qubits", u.N, k))
 	}
-	seen := map[int]bool{}
 	mask := 0
 	for _, q := range qubits {
 		s.checkQubit(q)
-		if seen[q] {
+		if mask&(1<<uint(q)) != 0 {
 			panic("quantum: duplicate qubit in Apply")
 		}
-		seen[q] = true
 		mask |= 1 << uint(q)
 	}
-	sub := 1 << uint(k)
-	lows := maskLows(mask, s.n)
-	// Enumerate the 2^(n-k) amplitude groups compactly so every chunk
-	// carries equal work regardless of which qubits the gate acts on.
-	s.parRange(len(s.amps)>>uint(k), func(lo, hi int) {
-		idx := make([]int, sub)
-		in := make([]complex128, sub)
-		for p := lo; p < hi; p++ {
-			i := expandN(p, lows)
-			for g := 0; g < sub; g++ {
-				j := i
-				for b := 0; b < k; b++ {
-					if g&(1<<uint(b)) != 0 {
-						j |= 1 << uint(qubits[b])
-					}
-				}
-				idx[g] = j
-				in[g] = s.amps[j]
-			}
-			for r := 0; r < sub; r++ {
-				var acc complex128
-				for c := 0; c < sub; c++ {
-					acc += u.Data[r*sub+c] * in[c]
-				}
-				s.amps[idx[r]] = acc
+	// offs[g] is the offset of the gate's basis state g within an
+	// amplitude group: the bits of the qubits g sets. Three-qubit gates
+	// fit the stack buffers.
+	var offBuf [8]int
+	offs := offBuf[:0]
+	for g := 0; g < 1<<uint(k); g++ {
+		off := 0
+		for b, q := range qubits {
+			if g&(1<<uint(b)) != 0 {
+				off |= 1 << uint(q)
 			}
 		}
-	})
+		offs = append(offs, off)
+	}
+	var lowBuf [maxQubits]int
+	lows := maskLows(lowBuf[:0], mask, s.n)
+	data := u.Data
+	// Enumerate the 2^(n-k) amplitude groups compactly so every chunk
+	// carries equal work regardless of which qubits the gate acts on.
+	n := len(s.amps) >> uint(k)
+	if s.fansOut(n) {
+		offs, lows := slices.Clone(offs), slices.Clone(lows)
+		s.parRange(n, func(lo, hi int) { s.applyRange(lo, hi, offs, lows, data) })
+		return
+	}
+	s.applyRange(0, n, offs, lows, data)
+}
+
+// applyRange is Apply over the amplitude groups [lo, hi): offs are the
+// group's index offsets in gate-basis order, lows the insertion masks of
+// the gate's qubits and u the matrix data.
+func (s *State) applyRange(lo, hi int, offs, lows []int, u []complex128) {
+	sub := len(offs)
+	var inBuf [8]complex128
+	in := inBuf[:0]
+	if sub > len(inBuf) {
+		in = make([]complex128, 0, sub)
+	}
+	in = in[:sub]
+	for p := lo; p < hi; p++ {
+		i := expandN(p, lows)
+		for g, off := range offs {
+			in[g] = s.amps[i|off]
+		}
+		for r, off := range offs {
+			var acc complex128
+			for c := 0; c < sub; c++ {
+				acc += u[r*sub+c] * in[c]
+			}
+			s.amps[i|off] = acc
+		}
+	}
 }
 
 // ApplyControlledOne applies u to target when all control qubits are 1.
@@ -252,21 +294,30 @@ func (s *State) ApplyControlledOne(u Matrix, target int, controls ...int) {
 		cmask |= 1 << uint(c)
 	}
 	bit := 1 << uint(target)
-	u00, u01 := u.Data[0], u.Data[1]
-	u10, u11 := u.Data[2], u.Data[3]
+	u00, u01, u10, u11 := u.Data[0], u.Data[1], u.Data[2], u.Data[3]
 	// Enumerate only the active groups — control bits set, target clear —
 	// compactly, so work stays balanced across parallel chunks and the
 	// serial path never scans inactive indices.
-	lows := maskLows(cmask|bit, s.n)
-	s.parRange(len(s.amps)>>uint(len(lows)), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i0 := expandN(p, lows) | cmask
-			i1 := i0 | bit
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = u00*a0 + u01*a1
-			s.amps[i1] = u10*a0 + u11*a1
-		}
-	})
+	var lowBuf [maxQubits]int
+	lows := maskLows(lowBuf[:0], cmask|bit, s.n)
+	n := len(s.amps) >> uint(len(lows))
+	if s.fansOut(n) {
+		lows := slices.Clone(lows)
+		s.parRange(n, func(lo, hi int) { s.controlledRange(lo, hi, lows, cmask, bit, u00, u01, u10, u11) })
+		return
+	}
+	s.controlledRange(0, n, lows, cmask, bit, u00, u01, u10, u11)
+}
+
+// controlledRange is ApplyControlledOne over the active groups [lo, hi).
+func (s *State) controlledRange(lo, hi int, lows []int, cmask, bit int, u00, u01, u10, u11 complex128) {
+	for p := lo; p < hi; p++ {
+		i0 := expandN(p, lows) | cmask
+		i1 := i0 | bit
+		a0, a1 := s.amps[i0], s.amps[i1]
+		s.amps[i0] = u00*a0 + u01*a1
+		s.amps[i1] = u10*a0 + u11*a1
+	}
 }
 
 // ProbOne returns the probability that measuring qubit q yields 1.

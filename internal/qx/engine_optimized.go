@@ -1,6 +1,7 @@
 package qx
 
 import (
+	"math/cmplx"
 	"runtime"
 
 	"repro/internal/circuit"
@@ -12,8 +13,11 @@ import (
 // noisy multi-shot runs never call Gate.Matrix() inside the shot loop —
 // and lowers the common gate set to specialized bit-twiddling kernels
 // (X/Y/diagonal/CNOT/CZ/CPhase/SWAP and controlled single-qubit gates)
-// instead of generic dense matrix multiplies. States it executes on have
-// chunk-parallel kernel application enabled.
+// instead of generic dense matrix multiplies. Lowering allocates no
+// matrix for the gates eQASM runs: fixed gates (x90, y90, ...) share the
+// registry's one matrix and rz lowers straight to its diagonal. States
+// it executes on have chunk-parallel kernel application enabled; below
+// the parallel threshold a kernel runs inline and allocates nothing.
 //
 // Perfect measured runs walk the outcome tree the stabilizer engine
 // shares (runTree), each node holding a state vector charged its
@@ -175,7 +179,9 @@ func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
 
 // lowerDense compiles one unitary, precomputing its matrix or diagonal
 // entries from the same registry constructors the reference engine
-// calls, so both engines apply bit-identical unitaries.
+// calls, so both engines apply bit-identical unitaries. rz, the one
+// parametric gate of the eQASM gate set, computes quantum.RZ's diagonal
+// by the same expression instead of building the matrix.
 func lowerDense(g circuit.Gate) (denseGate, error) {
 	var dg denseGate
 	switch g.Name {
@@ -185,7 +191,14 @@ func lowerDense(g circuit.Gate) (denseGate, error) {
 		dg.kind = kX
 	case "y":
 		dg.kind = kY
-	case "z", "s", "sdag", "t", "tdag", "rz", "phase":
+	case "rz":
+		if g.IsParametric() {
+			_, err := g.Matrix()
+			return dg, err
+		}
+		dg.kind = kDiag
+		dg.d0, dg.d1 = cmplx.Exp(complex(0, -g.Params[0]/2)), cmplx.Exp(complex(0, g.Params[0]/2))
+	case "z", "s", "sdag", "t", "tdag", "phase":
 		m, err := g.Matrix()
 		if err != nil {
 			return dg, err

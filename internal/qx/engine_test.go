@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/quantum"
 )
 
 // richRandomCircuit draws from the full gate set — every specialized
@@ -732,5 +733,36 @@ func TestRunParallelNoisy(t *testing.T) {
 	}
 	if res.GateErrorsInjected == 0 {
 		t.Error("no injected errors merged from workers")
+	}
+}
+
+// The optimized engine lowers rz to its diagonal without building the
+// matrix; the entries must stay bit-equal to quantum.RZ's, signed zeros
+// and extreme angles included.
+func TestLowerDenseRZMatchesRZ(t *testing.T) {
+	angles := []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi, math.Pi / 2, -math.Pi / 2,
+		1e-300, -1e-300, 1e15, -1e15, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(4))
+	for len(angles) < 1000 {
+		angles = append(angles, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(12))))
+	}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for _, theta := range angles {
+		dg, err := lowerDense(circuit.Gate{Name: "rz", Qubits: []int{0}, Params: []float64{theta}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := quantum.RZ(theta)
+		if dg.kind != kDiag || !same(dg.d0, m.Data[0]) || !same(dg.d1, m.Data[3]) {
+			t.Fatalf("rz(%v): diag(%v, %v), RZ gives diag(%v, %v)", theta, dg.d0, dg.d1, m.Data[0], m.Data[3])
+		}
+	}
+	// An unbound symbolic angle still fails as Gate.Matrix does.
+	g := circuit.Gate{Name: "rz", Qubits: []int{0}, Params: []float64{0}, Exprs: []*circuit.ParamExpr{circuit.Sym("theta")}}
+	_, want := g.Matrix()
+	if _, err := lowerDense(g); err == nil || err.Error() != want.Error() {
+		t.Errorf("symbolic rz: error %v, want %v", err, want)
 	}
 }
