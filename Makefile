@@ -1,7 +1,7 @@
 # Tier-1 verification for the repro module. `make ci` mirrors the CI
 # workflow step for step — gofmt, vet, staticcheck, qlint, race tests,
-# the allocation ceilings without -race, the coverage gates, the bench
-# smoke, the metrics smoke, the examples smoke and the load-harness
+# the allocation ceilings without -race, the fuzz smoke, the coverage
+# gates, the bench smoke, the metrics smoke, the examples smoke and the load-harness
 # smoke — so local verification catches everything the workflow does.
 # Its first step (build) is the guard that keeps the go.mod regression
 # from recurring.
@@ -33,7 +33,7 @@ EARLY_MEASURED_CEILING ?= 1000
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build fmt vet staticcheck lint test race allocs bench bench-smoke bench-baseline bench-gate cover metrics-smoke examples-smoke load-smoke load-gate vuln ci
+.PHONY: all build fmt vet staticcheck lint test race allocs fuzz-smoke bench bench-smoke bench-baseline bench-gate cover metrics-smoke examples-smoke load-smoke load-gate vuln ci
 
 all: ci
 
@@ -76,6 +76,15 @@ race:
 # random: TestColdJobAllocs holds its run byte ceiling only here.
 allocs:
 	$(GO) test -run 'Allocs' .
+
+# Run each fuzz target for 10 s on two workers, starting from its
+# committed seed corpus (testdata/fuzz/): FuzzParse holds the cQASM
+# print/parse round trip, FuzzStack runs every small accepted program on
+# the perfect and the superconducting stack, where it must run or fail
+# with an error, never panic.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/cqasm
+	$(GO) test -run '^$$' -fuzz '^FuzzStack$$' -fuzztime 10s -parallel 2 ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -224,4 +233,4 @@ load-gate:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: build fmt vet staticcheck lint race allocs cover bench-smoke metrics-smoke examples-smoke load-smoke
+ci: build fmt vet staticcheck lint race allocs fuzz-smoke cover bench-smoke metrics-smoke examples-smoke load-smoke

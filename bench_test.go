@@ -931,14 +931,7 @@ func parseColdJob(tb testing.TB, text string) *openql.Program {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := prog.Validate(); err != nil {
-		tb.Fatal(err)
-	}
-	flat, err := prog.Flatten()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return openql.ProgramFromCircuit("cold", flat)
+	return openql.ProgramFromCircuit("cold", prog.Flatten())
 }
 
 // BenchmarkColdJob is one job of the stackbench cold mix without the

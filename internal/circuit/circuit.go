@@ -24,19 +24,14 @@ func New(name string, n int) *Circuit {
 
 // Add validates and appends a gate. It returns the circuit for chaining.
 func (c *Circuit) Add(name string, qubits []int, params ...float64) *Circuit {
-	g, err := NewGate(name, qubits, params...)
-	if err != nil {
-		panic(err) // programming error in circuit construction
-	}
-	return c.AddGate(g)
+	return c.AddGate(Gate{Name: strings.ToLower(name), Qubits: qubits, Params: params})
 }
 
-// AddGate appends a pre-validated gate after checking qubit bounds.
+// AddGate validates (as Circuit.Validate) and appends a gate; it panics
+// on an invalid one, a programming error in circuit construction.
 func (c *Circuit) AddGate(g Gate) *Circuit {
-	for _, q := range g.Qubits {
-		if q >= c.NumQubits {
-			panic(fmt.Sprintf("circuit: qubit %d out of range for %d-qubit circuit", q, c.NumQubits))
-		}
+	if err := c.check(g); err != nil {
+		panic(err)
 	}
 	c.Gates = append(c.Gates, g)
 	return c
@@ -121,14 +116,14 @@ func (c *Circuit) Barrier() *Circuit {
 	return c.AddGate(Gate{Name: OpBarrier})
 }
 
-// Append concatenates another circuit's gates (the other circuit must not
-// use more qubits).
+// Append concatenates another valid circuit's gates (the other circuit
+// must not use more qubits, so its gates stay inside this register).
 func (c *Circuit) Append(other *Circuit) *Circuit {
 	if other.NumQubits > c.NumQubits {
 		panic("circuit: appended circuit uses more qubits")
 	}
 	for _, g := range other.Gates {
-		c.AddGate(g.Clone())
+		c.Gates = append(c.Gates, g.Clone())
 	}
 	return c
 }
@@ -224,17 +219,29 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// Validate checks every gate against the registry and qubit bounds.
+// Validate checks every gate (Gate.Validate) and that its operands and
+// condition bit lie inside the register; a gate's error is wrapped.
 func (c *Circuit) Validate() error {
 	for i, g := range c.Gates {
-		if err := g.Validate(); err != nil {
+		if err := c.check(g); err != nil {
 			return fmt.Errorf("circuit %q gate %d: %w", c.Name, i, err)
 		}
-		for _, q := range g.Qubits {
-			if q >= c.NumQubits {
-				return fmt.Errorf("circuit %q gate %d: qubit %d out of range", c.Name, i, q)
-			}
+	}
+	return nil
+}
+
+// check is the whole contract for one gate of c.
+func (c *Circuit) check(g Gate) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	for _, q := range g.Qubits {
+		if q >= c.NumQubits {
+			return fmt.Errorf("circuit: qubit %d out of range for %d-qubit register", q, c.NumQubits)
 		}
+	}
+	if g.HasCond && g.CondBit >= c.NumQubits {
+		return fmt.Errorf("circuit: condition bit %d out of range for %d-qubit register", g.CondBit, c.NumQubits)
 	}
 	return nil
 }

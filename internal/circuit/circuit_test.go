@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -269,6 +271,84 @@ func TestValidateOperandErrors(t *testing.T) {
 		if got != row.want {
 			t.Errorf("toffoli %v: error %q, want %q", row.qubits, got, row.want)
 		}
+	}
+}
+
+// A condition bit is the latest measurement of a qubit, so it must lie
+// inside the register: Circuit.Validate refuses one outside it, and
+// AddGate panics on it.
+func TestConditionBitInRegister(t *testing.T) {
+	for _, row := range []struct {
+		bit  int
+		want string
+	}{
+		{1, ""},
+		{2, "circuit: condition bit 2 out of range for 2-qubit register"},
+		{100, "circuit: condition bit 100 out of range for 2-qubit register"},
+	} {
+		g := Gate{Name: "x", Qubits: []int{0}, HasCond: true, CondBit: row.bit}
+		got := ""
+		if err := (&Circuit{Name: "cond", NumQubits: 2, Gates: []Gate{g}}).Validate(); err != nil {
+			got = errors.Unwrap(err).Error()
+		}
+		if got != row.want {
+			t.Errorf("Validate, condition bit %d: error %q, want %q", row.bit, got, row.want)
+		}
+		if got := addGatePanic(New("cond", 2), g); got != row.want {
+			t.Errorf("AddGate, condition bit %d: panic %q, want %q", row.bit, got, row.want)
+		}
+	}
+}
+
+// addGatePanic appends g to c and returns the panic message, "" if none.
+func addGatePanic(c *Circuit, g Gate) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	c.AddGate(g)
+	return ""
+}
+
+// No layer below the builders and the parser can run a NaN or infinite
+// angle, so Gate.Validate refuses one in a literal slot, an expression
+// coefficient or an expression constant; MaxFloat64 is a legal angle.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rz := func(e *ParamExpr) Gate {
+		return Gate{Name: "rz", Qubits: []int{0}, Params: []float64{0}, Exprs: []*ParamExpr{e}}
+	}
+	for _, row := range []struct {
+		g    Gate
+		want string
+	}{
+		{Gate{Name: "rx", Qubits: []int{0}, Params: []float64{math.MaxFloat64}}, ""},
+		{Gate{Name: "rx", Qubits: []int{0}, Params: []float64{nan}}, "circuit: gate rx has non-finite parameter NaN"},
+		{Gate{Name: "rx", Qubits: []int{0}, Params: []float64{inf}}, "circuit: gate rx has non-finite parameter +Inf"},
+		{Gate{Name: "ry", Qubits: []int{0}, Params: []float64{-inf}}, "circuit: gate ry has non-finite parameter -Inf"},
+		{Gate{Name: "wait", Params: []float64{inf}}, "circuit: gate wait has non-finite parameter +Inf"},
+		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: 2}}, Const: 1}), ""},
+		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: nan}}}), "circuit: gate rz has non-finite coefficient NaN of $t"},
+		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: -inf}}}), "circuit: gate rz has non-finite coefficient -Inf of $t"},
+		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: 1}}, Const: inf}), "circuit: gate rz has non-finite constant +Inf"},
+	} {
+		got := ""
+		if err := row.g.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != row.want {
+			t.Errorf("%s: error %q, want %q", row.g, got, row.want)
+		}
+	}
+	if _, err := NewGate("rz", []int{0}, nan); err == nil {
+		t.Error("NewGate accepted a NaN angle")
+	}
+	if _, err := NewGateExpr("rz", []int{0}, Sym("t").Scale(inf)); err == nil {
+		t.Error("NewGateExpr accepted an infinite coefficient")
+	}
+	if got := addGatePanic(New("rx", 1), Gate{Name: "rx", Qubits: []int{0}, Params: []float64{inf}}); got == "" {
+		t.Error("AddGate accepted an infinite angle")
 	}
 }
 

@@ -1,6 +1,13 @@
 // Package circuit defines the gate-level intermediate representation shared
 // by every layer of the stack: the OpenQL front end emits it, the compiler
 // transforms it, cQASM serialises it, and the QX simulator executes it.
+//
+// The package owns what a valid gate and circuit are (Gate.Validate,
+// Circuit.Validate), and a program is checked once, where it enters: the
+// builders (NewGate, NewGateExpr, AddGate and the methods built on them),
+// the cQASM parser, and binding (ParamExpr.Eval). The layers below —
+// compiler passes, the micro-architecture and the qx engines — take a
+// valid circuit and do not check it again.
 package circuit
 
 import (
@@ -43,7 +50,7 @@ const (
 	OpDisplay    = "display"     // debug: dump state (simulator only)
 )
 
-// NewGate builds a gate after validating it against the registry.
+// NewGate builds a gate after validating it (Gate.Validate).
 func NewGate(name string, qubits []int, params ...float64) (Gate, error) {
 	g := Gate{Name: strings.ToLower(name), Qubits: qubits, Params: params}
 	if err := g.Validate(); err != nil {
@@ -53,8 +60,19 @@ func NewGate(name string, qubits []int, params ...float64) (Gate, error) {
 }
 
 // Validate checks the gate against the registry: known name, correct qubit
-// arity and parameter count, distinct qubits.
+// arity and parameter count, distinct qubits, finite parameters and
+// expression coefficients. Register bounds are the circuit's to check.
 func (g Gate) Validate() error {
+	for i, p := range g.Params {
+		if !finite(p) {
+			return fmt.Errorf("circuit: gate %s has non-finite parameter %v", g.Name, p)
+		}
+		if g.Symbolic(i) {
+			if err := g.Exprs[i].finite(); err != nil {
+				return fmt.Errorf("circuit: gate %s has non-finite %v", g.Name, err)
+			}
+		}
+	}
 	if g.HasCond {
 		if IsNonUnitary(g.Name) {
 			return fmt.Errorf("circuit: %s cannot be classically controlled", g.Name)

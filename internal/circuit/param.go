@@ -119,8 +119,23 @@ func (e *ParamExpr) Scale(k float64) *ParamExpr {
 	return out.normalize()
 }
 
+// finite names the first NaN or infinite number in e, if any.
+func (e *ParamExpr) finite() error {
+	for _, t := range e.Terms {
+		if !finite(t.Coeff) {
+			return fmt.Errorf("coefficient %v of $%s", t.Coeff, t.Sym)
+		}
+	}
+	if !finite(e.Const) {
+		return fmt.Errorf("constant %v", e.Const)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Eval evaluates the expression under the given symbol values. Every
-// referenced symbol must be present.
+// referenced symbol must be present, and its value and the result finite.
 func (e *ParamExpr) Eval(vals map[string]float64) (float64, error) {
 	if e == nil {
 		return 0, nil
@@ -131,10 +146,13 @@ func (e *ParamExpr) Eval(vals map[string]float64) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("circuit: unbound parameter symbol %q", t.Sym)
 		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if !finite(x) {
 			return 0, fmt.Errorf("circuit: non-finite value for parameter symbol %q", t.Sym)
 		}
 		v += t.Coeff * x
+	}
+	if !finite(v) {
+		return 0, fmt.Errorf("circuit: parameter expression %s evaluates to %v", e, v)
 	}
 	return v, nil
 }

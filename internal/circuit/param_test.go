@@ -35,6 +35,24 @@ func TestParamExprEvalMissingSymbol(t *testing.T) {
 	if _, err := Sym("theta").Eval(map[string]float64{"theta": math.NaN()}); err == nil {
 		t.Fatal("expected error for NaN binding")
 	}
+	// Finite inputs can still overflow: the result must be finite too.
+	for _, row := range []struct {
+		e    *ParamExpr
+		vals map[string]float64
+		want string
+	}{
+		{Sym("t").Scale(10), map[string]float64{"t": 1e307}, ""},
+		{Sym("t").Scale(10), map[string]float64{"t": 1e308}, "circuit: parameter expression 10*$t evaluates to +Inf"},
+		{Sym("a").Add(Sym("b")), map[string]float64{"a": -math.MaxFloat64, "b": -math.MaxFloat64}, "circuit: parameter expression $a+$b evaluates to -Inf"},
+	} {
+		got := ""
+		if _, err := row.e.Eval(row.vals); err != nil {
+			got = err.Error()
+		}
+		if got != row.want {
+			t.Errorf("%s at %v: error %q, want %q", row.e, row.vals, got, row.want)
+		}
+	}
 }
 
 func TestParamExprHashWords(t *testing.T) {

@@ -48,13 +48,19 @@ func FoldRotations(c *circuit.Circuit) *circuit.Circuit {
 				break
 			}
 			if o.Name == "rz" && o.Qubits[0] == q {
-				ownParams(&gates[i])
+				var sum *circuit.ParamExpr
 				if gates[i].Symbolic(0) || o.Symbolic(0) {
 					// Folding symbolic with literal z-rotations keeps a
 					// symbolic sum; literals land in the constant term.
-					setSlot(&gates[i], 0, slotExpr(gates[i], 0).Add(slotExpr(o, 0)))
+					if sum = addExprs(slotExpr(gates[i], 0), slotExpr(o, 0)); sum == nil {
+						break
+					}
+				}
+				ownParams(&gates[i])
+				if sum != nil {
+					setSlot(&gates[i], 0, sum)
 				} else {
-					gates[i].Params[0] += o.Params[0]
+					gates[i].Params[0] = addAngles(gates[i].Params[0], o.Params[0])
 				}
 				removed[j] = true
 				continue

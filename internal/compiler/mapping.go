@@ -64,7 +64,8 @@ func (o MapOptions) window() int {
 // physical qubits — the "placement and routing of qubits" stage of §2.6.
 // SWAP chains follow hop-count shortest paths; under Lookahead each SWAP
 // steps whichever endpoint leaves the upcoming two-qubit gates closest.
-// Gates of arity ≥ 3 must be decomposed first.
+// Gates of arity ≥ 3 must be decomposed first. It takes a valid circuit;
+// circuits are checked where they are built or parsed.
 func MapCircuit(c *circuit.Circuit, p *Platform, opts MapOptions) (*MapResult, error) {
 	return route(c, p, opts, func(topo *topology.Topology) costModel {
 		m := costModel{path: topo.ShortestPath}
@@ -91,9 +92,6 @@ type costModel struct {
 // emission along the cost model's paths, and the MapResult. model builds
 // the cost model once the circuit has been vetted against the topology.
 func route(c *circuit.Circuit, p *Platform, opts MapOptions, model func(*topology.Topology) costModel) (*MapResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	if p.Topology == nil {
 		// All-to-all: mapping is the identity.
 		layout := identityLayout(c.NumQubits)

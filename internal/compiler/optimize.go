@@ -188,16 +188,22 @@ func (o *peephole) mergeRotations() {
 			if other.Name != o.gates[i].Name || !slices.Equal(o.gates[i].Qubits, other.Qubits) || other.HasCond {
 				break
 			}
-			o.own()
-			g := &o.gates[i]
-			ownParams(g)
-			if g.Symbolic(0) || other.Symbolic(0) {
+			var sum *circuit.ParamExpr
+			if o.gates[i].Symbolic(0) || other.Symbolic(0) {
 				// Merging a symbolic slot keeps the sum symbolic (a
 				// literal contributes to the constant term), so the
 				// bind table stays exact across the merge.
-				setSlot(g, 0, slotExpr(*g, 0).Add(slotExpr(other, 0)))
+				if sum = addExprs(slotExpr(o.gates[i], 0), slotExpr(other, 0)); sum == nil {
+					break
+				}
+			}
+			o.own()
+			g := &o.gates[i]
+			ownParams(g)
+			if sum != nil {
+				setSlot(g, 0, sum)
 			} else {
-				g.Params[0] += other.Params[0]
+				g.Params[0] = addAngles(g.Params[0], other.Params[0])
 			}
 			o.remove(j)
 			pos = j
@@ -231,13 +237,21 @@ func isIdentity(g *circuit.Gate) bool {
 		isRotation(g.Name) && !g.Symbolic(0) && math.Abs(normalizeAngle(g.Params[0])) < 1e-12
 }
 
-// normalizeAngle maps an angle to (−π, π].
+// normalizeAngle maps a finite angle to (−π, π] in constant time.
 func normalizeAngle(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
+	a = math.Remainder(a, 2*math.Pi)
+	if a <= -math.Pi {
 		a += 2 * math.Pi
 	}
 	return a
+}
+
+// addAngles merges two finite rotation angles. Where the plain sum
+// overflows, it sums them reduced modulo 4π, the rotations' exact period,
+// so a merged angle stays finite; every other sum is left as it was.
+func addAngles(a, b float64) float64 {
+	if s := a + b; !math.IsInf(s, 0) {
+		return s
+	}
+	return math.Mod(a, 4*math.Pi) + math.Mod(b, 4*math.Pi)
 }

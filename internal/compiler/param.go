@@ -1,6 +1,10 @@
 package compiler
 
-import "repro/internal/circuit"
+import (
+	"math"
+
+	"repro/internal/circuit"
+)
 
 // slotExpr returns the value of parameter slot i of g as an expression:
 // the attached symbolic expression, or a constant wrapping the literal.
@@ -34,4 +38,19 @@ func setSlot(g *circuit.Gate, i int, e *circuit.ParamExpr) {
 		g.Exprs = make([]*circuit.ParamExpr, len(g.Params))
 	}
 	g.Exprs[i] = e
+}
+
+// addExprs merges two rotation slots, one of them symbolic: the sum keeps
+// the symbols, and the constants add as addAngles adds literals. It
+// returns nil when a coefficient sum overflows, which no reduction can
+// mend, so the rotations stay apart.
+func addExprs(a, b *circuit.ParamExpr) *circuit.ParamExpr {
+	sum := a.Add(b)
+	sum.Const = addAngles(a.Const, b.Const)
+	for _, t := range sum.Terms {
+		if math.IsInf(t.Coeff, 0) {
+			return nil
+		}
+	}
+	return sum
 }

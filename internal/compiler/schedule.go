@@ -50,11 +50,9 @@ type Schedule struct {
 // platform's gate durations, the qubit-dependency constraint, and the
 // platform's control-channel limit (MaxParallelOps). Barriers synchronise
 // all qubits. Scheduled gates share their operand and parameter slices
-// with c's gates.
+// with c's gates. It takes a valid circuit; circuits are checked where
+// they are built or parsed.
 func ScheduleCircuit(c *circuit.Circuit, p *Platform, policy Policy) (*Schedule, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	slots := make([]slot, len(c.Gates))
 	makespan := timeASAP(c.Gates, c.NumQubits, p, policy == ALAP, slots)
 	out := &Schedule{NumQubits: c.NumQubits, Policy: policy, Makespan: makespan}

@@ -7,7 +7,6 @@
 package cqasm
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/circuit"
@@ -36,55 +35,20 @@ type Bundle struct {
 
 // Flatten expands the program into a single flat circuit: subcircuit
 // iterations are unrolled and bundles serialised in order (semantically
-// equivalent because bundled gates commute by disjointness).
-func (p *Program) Flatten() (*circuit.Circuit, error) {
+// equivalent because bundled gates commute by disjointness). It takes a
+// valid program: one Parse returned or FromCircuit built.
+func (p *Program) Flatten() *circuit.Circuit {
 	c := circuit.New("cqasm", p.NumQubits)
 	for _, sub := range p.Subcircuits {
-		iters := sub.Iterations
-		if iters < 1 {
-			iters = 1
-		}
-		for it := 0; it < iters; it++ {
+		for it := 0; it < max(sub.Iterations, 1); it++ {
 			for _, b := range sub.Bundles {
 				for _, g := range b.Gates {
-					for _, q := range g.Qubits {
-						if q >= p.NumQubits {
-							return nil, fmt.Errorf("cqasm: qubit %d exceeds register size %d", q, p.NumQubits)
-						}
-					}
-					c.AddGate(g.Clone())
+					c.Gates = append(c.Gates, g.Clone())
 				}
 			}
 		}
 	}
-	return c, nil
-}
-
-// Validate checks register bounds, bundle disjointness and gate validity.
-func (p *Program) Validate() error {
-	if p.NumQubits <= 0 {
-		return fmt.Errorf("cqasm: missing or invalid qubits declaration")
-	}
-	for _, sub := range p.Subcircuits {
-		for bi, b := range sub.Bundles {
-			seen := map[int]bool{}
-			for _, g := range b.Gates {
-				if err := g.Validate(); err != nil {
-					return fmt.Errorf("cqasm: subcircuit %s bundle %d: %w", sub.Name, bi, err)
-				}
-				for _, q := range g.Qubits {
-					if q >= p.NumQubits {
-						return fmt.Errorf("cqasm: subcircuit %s bundle %d: qubit %d out of range", sub.Name, bi, q)
-					}
-					if seen[q] {
-						return fmt.Errorf("cqasm: subcircuit %s bundle %d: qubit %d used twice in parallel bundle", sub.Name, bi, q)
-					}
-					seen[q] = true
-				}
-			}
-		}
-	}
-	return nil
+	return c
 }
 
 // FromCircuit wraps a flat circuit as a single-subcircuit program, one

@@ -43,10 +43,7 @@ func TestParseSample(t *testing.T) {
 	if p.Subcircuits[1].Name != "entangle" {
 		t.Errorf("name = %q", p.Subcircuits[1].Name)
 	}
-	c, err := p.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := p.Flatten()
 	if c.GateCount() != 6 {
 		t.Errorf("flattened gates = %d, want 6", c.GateCount())
 	}
@@ -70,7 +67,7 @@ qubits 3
 	if len(p.Subcircuits[0].Bundles[0].Gates) != 3 {
 		t.Errorf("bundle size = %d", len(p.Subcircuits[0].Bundles[0].Gates))
 	}
-	c, _ := p.Flatten()
+	c := p.Flatten()
 	if c.GateCount() != 12 { // (3+1) × 3 iterations
 		t.Errorf("flattened = %d gates, want 12", c.GateCount())
 	}
@@ -152,6 +149,35 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// The parser runs the circuit package's gate check once per gate, with
+// the register: programs no layer below can run are refused here, with
+// an error that names the problem.
+func TestParseRejectsWhatNoLayerRuns(t *testing.T) {
+	for src, want := range map[string]string{
+		"version 1.0\nqubits 2\nmeasure q[0]\nc-x b[100], q[1]\n": "line 4: circuit: condition bit 100 out of range for 2-qubit register",
+		"version 1.0\nqubits 2\nc-x b[2], q[1]\n":                 "line 3: circuit: condition bit 2 out of range",
+		"version 1.0\nqubits 2\n{ h q[0] | c-x b[5], q[1] }\n":    "line 3: circuit: condition bit 5 out of range",
+		"version 1.0\nqubits 2\nrx q[0], nan\n":                   "line 3: circuit: gate rx has non-finite parameter NaN",
+		"version 1.0\nqubits 2\nrx q[0], inf\n":                   "line 3: circuit: gate rx has non-finite parameter +Inf",
+		"version 1.0\nqubits 2\nry q[1], -Infinity\n":             "line 3: circuit: gate ry has non-finite parameter -Inf",
+		"version 1.0\nqubits 2\nwait inf\n":                       "line 3: circuit: gate wait has non-finite parameter +Inf",
+		"version 1.0\nqubits 2\nrx q[0], nan*$t\n":                "line 3: circuit: gate rx has non-finite coefficient NaN of $t",
+		"version 1.0\nqubits 2\nrz q[0], -inf*$t\n":               "line 3: circuit: gate rz has non-finite coefficient -Inf of $t",
+		"version 1.0\nqubits 2\nh q[5]\n":                         "line 3: circuit: qubit 5 out of range for 2-qubit register",
+		"version 1.0\nh q[0]\nqubits 2\n":                         "line 2: gate before the qubits declaration",
+		"version 1.0\nqubits 5\nh q[4]\nqubits 2\n":               `line 4: bad or repeated qubits declaration "qubits 2"`,
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q): error %v, want one naming %q", src, err, want)
+		}
+	}
+	// The largest finite angles are legal.
+	if _, err := Parse("version 1.0\nqubits 1\nrx q[0], 1.7976931348623157e308\nrz q[0], -1e300*$t\n"); err != nil {
+		t.Errorf("finite extremes refused: %v", err)
+	}
+}
+
 func TestCommentsStripped(t *testing.T) {
 	src := "version 1.0 # trailing\nqubits 1 // both styles\nh q[0] # gate comment\n"
 	c, err := ParseToCircuit(src)
@@ -173,8 +199,8 @@ func TestPrintRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, text)
 	}
-	c1, _ := p.Flatten()
-	c2, _ := p2.Flatten()
+	c1 := p.Flatten()
+	c2 := p2.Flatten()
 	if c1.GateCount() != c2.GateCount() {
 		t.Errorf("round trip changed gate count %d → %d", c1.GateCount(), c2.GateCount())
 	}

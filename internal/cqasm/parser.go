@@ -1,6 +1,7 @@
 package cqasm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -35,8 +36,8 @@ func Parse(src string) (*Program, error) {
 			p.Version = strings.TrimSpace(line[len("version"):])
 		case strings.HasPrefix(lower, "qubits"):
 			n, err := strconv.Atoi(strings.TrimSpace(line[len("qubits"):]))
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("cqasm: line %d: bad qubits declaration %q", lineNo+1, line)
+			if err != nil || n <= 0 || p.NumQubits != 0 {
+				return nil, fmt.Errorf("cqasm: line %d: bad or repeated qubits declaration %q", lineNo+1, line)
 			}
 			p.NumQubits = n
 		case strings.HasPrefix(line, "."):
@@ -46,24 +47,20 @@ func Parse(src string) (*Program, error) {
 			}
 			p.Subcircuits = append(p.Subcircuits, Subcircuit{Name: name, Iterations: iters})
 			cur = &p.Subcircuits[len(p.Subcircuits)-1]
-		case strings.HasPrefix(line, "{"):
+		default:
 			bundle, err := parseBundle(line)
+			if err == nil {
+				err = p.checkGates(bundle.Gates)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("cqasm: line %d: %v", lineNo+1, err)
 			}
 			sub := ensureSub()
 			sub.Bundles = append(sub.Bundles, bundle)
-		default:
-			g, err := parseGateLine(line)
-			if err != nil {
-				return nil, fmt.Errorf("cqasm: line %d: %v", lineNo+1, err)
-			}
-			sub := ensureSub()
-			sub.Bundles = append(sub.Bundles, Bundle{Gates: []circuit.Gate{g}})
 		}
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p.NumQubits == 0 {
+		return nil, errors.New("cqasm: missing qubits declaration")
 	}
 	return p, nil
 }
@@ -74,7 +71,29 @@ func ParseToCircuit(src string) (*circuit.Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Flatten()
+	return p.Flatten(), nil
+}
+
+// checkGates checks one line's gates with the circuit package's check,
+// inside the declared register, and a bundle's gates for disjointness.
+func (p *Program) checkGates(gates []circuit.Gate) error {
+	if p.NumQubits == 0 {
+		return errors.New("gate before the qubits declaration")
+	}
+	c := circuit.Circuit{NumQubits: p.NumQubits, Gates: gates}
+	if err := c.Validate(); err != nil {
+		return errors.Unwrap(err) // the line number locates the gate
+	}
+	seen := map[int]bool{}
+	for _, g := range gates {
+		for _, q := range g.Qubits {
+			if seen[q] {
+				return fmt.Errorf("qubit %d used twice in parallel bundle", q)
+			}
+			seen[q] = true
+		}
+	}
+	return nil
 }
 
 func stripComment(line string) string {
@@ -108,7 +127,12 @@ func parseSubcircuitHeader(line string) (string, int, error) {
 	return name, iters, nil
 }
 
+// parseBundle parses one gate line, or several gates in braces.
 func parseBundle(line string) (Bundle, error) {
+	if !strings.HasPrefix(line, "{") {
+		g, err := parseGateLine(line)
+		return Bundle{Gates: []circuit.Gate{g}}, err
+	}
 	if !strings.HasSuffix(line, "}") {
 		return Bundle{}, fmt.Errorf("unterminated bundle %q", line)
 	}
@@ -135,6 +159,7 @@ func parseBundle(line string) (Bundle, error) {
 // q[i] qubit references, b[i] classical-bit references, or numeric
 // parameters (floats or pi expressions). A "c-" prefix marks a
 // classically-controlled gate whose first b[i] operand is the condition.
+// Parse checks the gate, once, with the register.
 func parseGateLine(line string) (circuit.Gate, error) {
 	fields := strings.SplitN(line, " ", 2)
 	name := strings.ToLower(strings.TrimSpace(fields[0]))
@@ -192,9 +217,13 @@ func parseGateLine(line string) (circuit.Gate, error) {
 				if err != nil {
 					return circuit.Gate{}, fmt.Errorf("bad operand %q: %v", op, err)
 				}
+				if e.IsConst() {
+					e = nil // a zero multiplier leaves a literal 0
+				} else {
+					symbolic = true
+				}
 				params = append(params, 0)
 				exprs = append(exprs, e)
-				symbolic = true
 				continue
 			}
 			v, err := parseNumber(op)
@@ -206,43 +235,21 @@ func parseGateLine(line string) (circuit.Gate, error) {
 		}
 	}
 
-	var g circuit.Gate
-	if circuit.IsNonUnitary(name) {
-		if symbolic {
+	g := circuit.Gate{Name: name, Qubits: qubits, Params: params}
+	if symbolic {
+		if circuit.IsNonUnitary(name) {
 			return circuit.Gate{}, fmt.Errorf("symbolic parameter on non-unitary %q in %q", name, line)
 		}
-		// Bit operands of a measure are the implicit per-qubit bits.
-		g = circuit.Gate{Name: name, Qubits: qubits, Params: params}
-	} else if symbolic {
-		all := make([]*circuit.ParamExpr, len(params))
-		for i := range params {
-			if exprs[i] != nil {
-				all[i] = exprs[i]
-			} else {
-				all[i] = circuit.Lit(params[i])
-			}
-		}
-		var err error
-		g, err = circuit.NewGateExpr(name, qubits, all...)
-		if err != nil {
-			return circuit.Gate{}, err
-		}
-	} else {
-		var err error
-		g, err = circuit.NewGate(name, qubits, params...)
-		if err != nil {
-			return circuit.Gate{}, err
-		}
+		g.Exprs = exprs
 	}
+	// Bit operands of other gates (a measure's b[i]) are the implicit
+	// per-qubit bits.
 	if conditional {
 		if len(bits) != 1 {
 			return circuit.Gate{}, fmt.Errorf("conditional gate needs exactly one b[i] operand in %q", line)
 		}
 		g.HasCond = true
 		g.CondBit = bits[0]
-	}
-	if err := g.Validate(); err != nil {
-		return circuit.Gate{}, err
 	}
 	return g, nil
 }

@@ -70,10 +70,7 @@ func TestCQASMOutputParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("emitted cQASM does not parse: %v\n%s", err, text)
 	}
-	flat, err := parsed.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := parsed.Flatten()
 	if flat.GateCount() != 3 {
 		t.Errorf("round-tripped gates = %d", flat.GateCount())
 	}

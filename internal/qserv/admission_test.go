@@ -58,19 +58,49 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	noAssembleOnTarget := withPasses("decompose,optimize,map,lower-swaps,schedule", `,"target":`+string(calibrated))
 	// Programs the cQASM parser refuses, each with the words its 400
 	// must carry.
-	program := func(text string) string {
+	programOn := func(backend, text, extra string) string {
 		b, _ := json.Marshal(text)
-		return `{"cqasm":` + string(b) + `,"backend":"perfect","shots":8}`
+		return `{"cqasm":` + string(b) + `,"backend":"` + backend + `","shots":8` + extra + `}`
 	}
+	program := func(text string) string { return programOn("perfect", text, "") }
 	unknownGate := program("version 1.0\nqubits 2\nfoo q[0]\nmeasure q[0]\n")
 	outOfRange := program("version 1.0\nqubits 2\nh q[5]\nmeasure q[0]\n")
 	garbage := program("this is not cQASM")
+	// Programs no layer below the parser can run: a condition bit
+	// outside the register, non-finite literals and coefficients, and a
+	// program wider than the stack it routes to — the backend's own or a
+	// target override.
+	condBit := "version 1.0\nqubits 2\nmeasure q[0]\nc-x b[100], q[1]\nmeasure q[1]\n"
+	condBitLive, condBitRealistic := program(condBit), programOn("superconducting", condBit, "")
+	nanAngle := "version 1.0\nqubits 2\nrx q[0], nan\nmeasure q[0]\n"
+	nanLive, nanRealistic := program(nanAngle), programOn("superconducting", nanAngle, "")
+	infAngle := program("version 1.0\nqubits 2\nrx q[0], inf\nmeasure q[0]\n")
+	nanCoeff := program("version 1.0\nqubits 2\nrx q[0], nan*$t\nmeasure q[0]\n")
+	wideText := "version 1.0\nqubits 5\nh q[4]\nmeasure q[4]\n"
+	wide := program(wideText)
+	wideRealistic := programOn("superconducting", "version 1.0\nqubits 30\nh q[29]\nmeasure q[29]\n", "")
+	perfect4, err := json.Marshal(target.Perfect(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPerfect4 := `,"target":` + string(perfect4)
+	wideOverride := programOn("perfect", wideText, onPerfect4)
+	fitsOverride := programOn("perfect", "version 1.0\nqubits 3\nh q[2]\nmeasure q[2]\n", onPerfect4)
 	problems := map[string]string{
-		unknownGate:  `unknown gate "foo"`,
-		outOfRange:   "qubit 5 out of range",
-		garbage:      `line 1: bad operand "is not cQASM"`,
-		quboJob:      "QUBO payloads have no parameters to bind",
-		hugeDuration: `gate "h" duration 10000000000 exceeds`,
+		unknownGate:      `unknown gate "foo"`,
+		outOfRange:       "qubit 5 out of range",
+		garbage:          `line 1: bad operand "is not cQASM"`,
+		quboJob:          "QUBO payloads have no parameters to bind",
+		hugeDuration:     `gate "h" duration 10000000000 exceeds`,
+		condBitLive:      "condition bit 100 out of range",
+		condBitRealistic: "condition bit 100 out of range",
+		nanLive:          "non-finite parameter NaN",
+		nanRealistic:     "non-finite parameter NaN",
+		infAngle:         "non-finite parameter +Inf",
+		nanCoeff:         "non-finite coefficient NaN of $t",
+		wide:             `program needs 5 qubits, stack "perfect" has 2`,
+		wideRealistic:    `program needs 30 qubits, stack "superconducting" has 17`,
+		wideOverride:     "program needs 5 qubits, stack",
 	}
 
 	// open starts a service over one perfect-stack lane and pins a
@@ -169,6 +199,28 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"live", "sessions", garbage, http.StatusBadRequest, false},
 		{"live", "submit", hugeDuration, http.StatusBadRequest, false},
 		{"live", "sessions", hugeDuration, http.StatusBadRequest, false},
+
+		// Unchecked at admission, each of these reaches a worker: a
+		// crash, a spin, a wrong answer or a failed job instead of a 400.
+		{"live", "submit", condBitLive, http.StatusBadRequest, false},
+		{"live", "sessions", condBitLive, http.StatusBadRequest, false},
+		{"realistic", "submit", condBitRealistic, http.StatusBadRequest, false},
+		{"realistic", "sessions", condBitRealistic, http.StatusBadRequest, false},
+		{"live", "submit", nanLive, http.StatusBadRequest, false},
+		{"live", "sessions", nanLive, http.StatusBadRequest, false},
+		{"realistic", "submit", nanRealistic, http.StatusBadRequest, false},
+		{"live", "submit", infAngle, http.StatusBadRequest, false},
+		{"live", "sessions", infAngle, http.StatusBadRequest, false},
+		{"live", "submit", nanCoeff, http.StatusBadRequest, false},
+		{"live", "sessions", nanCoeff, http.StatusBadRequest, false},
+		{"live", "submit", wide, http.StatusBadRequest, false},
+		{"live", "sessions", wide, http.StatusBadRequest, false},
+		{"realistic", "submit", wideRealistic, http.StatusBadRequest, false},
+		{"realistic", "sessions", wideRealistic, http.StatusBadRequest, false},
+		{"live", "submit", wideOverride, http.StatusBadRequest, false},
+		{"live", "sessions", wideOverride, http.StatusBadRequest, false},
+		{"live", "submit", fitsOverride, http.StatusAccepted, false},
+		{"live", "sessions", fitsOverride, http.StatusCreated, false},
 
 		// Opening a session compiles on the request goroutine and never
 		// enters a queue, so a full lane does not refuse it.

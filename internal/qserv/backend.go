@@ -173,21 +173,28 @@ func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, e
 	return stack, nil
 }
 
-// checkStages refuses, at submit, a job pass spec that cannot yield what
-// the routed gate backend executes (compiler.Pipeline.CheckStages): no
-// "schedule", or no "assemble" after it when the job's stack — device
-// overrides applied — is realistic. Without it such a job would be
-// admitted and fail in the worker.
-func checkStages(req *Request, b Backend) error {
+// checkStack refuses, at submit, a gate job the routed backend's stack —
+// device overrides applied — cannot run: a program wider than the stack,
+// or a pass spec that cannot yield what the stack executes
+// (compiler.Pipeline.CheckStages): no "schedule", or no "assemble" after
+// it on a realistic stack. Without it such a job would be admitted and
+// fail in the worker.
+func checkStack(req *Request, b Backend) error {
 	sb, ok := b.(interface {
 		resolveStack(*Request, *CompileEnv) (*core.Stack, error)
 	})
-	if req.Passes == "" || !ok {
+	if req.Program == nil || !ok {
 		return nil
 	}
 	stack, err := sb.resolveStack(req, nil)
 	if err != nil {
 		return err
+	}
+	if need, have := req.Program.NumQubits, stack.Platform.NumQubits; need > have {
+		return fmt.Errorf("qserv: program needs %d qubits, stack %q has %d", need, stack.Name, have)
+	}
+	if req.Passes == "" {
+		return nil
 	}
 	pl, err := compiler.NewPipeline(stack.Passes)
 	if err != nil {
@@ -406,14 +413,10 @@ func parseCQASM(name, text string) (*openql.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := prog.Flatten()
-	if err != nil {
-		return nil, err
-	}
 	if name == "" {
 		name = "cqasm"
 	}
-	return openql.ProgramFromCircuit(name, flat), nil
+	return openql.ProgramFromCircuit(name, prog.Flatten()), nil
 }
 
 // AccelBackend adapts an accel.Accelerator — the annealers and classical

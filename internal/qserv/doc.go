@@ -28,9 +28,11 @@
 // count, and comes back as a job ID to poll or await. Completed jobs
 // stay queryable up to a retention bound, then the oldest are evicted.
 // cQASM text is parsed, validated and flattened at admission, not on the
-// worker: a program the parser refuses (unknown gate, qubit out of
-// range, text that is not cQASM) is a 400 naming the problem, and the
-// admitted request carries the parsed program in place of its text. A
+// worker: a program the parser refuses (unknown gate, qubit or
+// condition bit out of range, a non-finite angle, text that is not
+// cQASM) or one wider than the routed stack is a 400 naming the
+// problem, and the admitted request carries the parsed program in place
+// of its text. A
 // bounded memo keyed by a SHA-256 of the program name and text keeps
 // each parsed program, with the canonical kernel text its compile-cache
 // keys are built from, so an accelerator host that offloads the same

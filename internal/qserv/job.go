@@ -96,7 +96,7 @@ func (r *Request) validate() error {
 		// Reject malformed specs, unknown pass names and invalid pass
 		// options at submit time; the target-dependent stage check
 		// (schedule/assemble presence) runs once the job has routed to a
-		// backend (checkStages).
+		// backend (checkStack).
 		if _, err := compiler.ParsePassSpec(r.Passes); err != nil {
 			return err
 		}

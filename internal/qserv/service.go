@@ -589,10 +589,11 @@ func (s *Service) acceptingLocked() error {
 
 // resolve validates a submit or session-open request, applies the
 // default shot count and routes it to a backend pool, vetting any device
-// override and pass spec against that backend. A cQASM payload is
-// parsed, validated and flattened here, so a malformed program is
-// refused at submit; the request leaves carrying the parsed program in
-// place of its text, and a resubmitted text reuses its memoised parse.
+// override, the program's width and the pass spec against that backend.
+// A cQASM payload is parsed, validated and flattened here, so a malformed
+// program is refused at submit; the request leaves carrying the parsed
+// program in place of its text, and a resubmitted text reuses its
+// memoised parse.
 func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -626,7 +627,7 @@ func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := validateDeviceOverrides(req, pool.b); err != nil {
 		return nil, err
 	}
-	if err := checkStages(req, pool.b); err != nil {
+	if err := checkStack(req, pool.b); err != nil {
 		return nil, err
 	}
 	return pool, nil

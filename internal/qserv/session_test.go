@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +214,36 @@ func TestSessionValidationAndLifecycle(t *testing.T) {
 	defer cancel()
 	if err := j.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionBindOverflowFailsTheJob binds a finite value whose angle
+// overflows: the bind job fails with an error that names the symbol's
+// expression, and the service keeps serving — a later bind on the same
+// session runs.
+func TestSessionBindOverflowFailsTheJob(t *testing.T) {
+	s := twoBackendService(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, backend := range []string{"perfect", "semiconducting"} {
+		sess, err := s.OpenSession(Request{CQASM: "version 1.0\nqubits 1\nrx q[0], 10*$t\nmeasure q[0]\n", Backend: backend, Shots: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.BindSession(sess.ID, BindRequest{Values: map[string]float64{"t": 1e308}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err == nil || !strings.Contains(err.Error(), "10*$t evaluates to +Inf") {
+			t.Errorf("%s: overflowing bind ended with %v, want an error naming 10*$t", backend, err)
+		}
+		j, err = s.BindSession(sess.ID, BindRequest{Values: map[string]float64{"t": 0.5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Errorf("%s: bind after the failed one: %v", backend, err)
+		}
 	}
 }
 

@@ -118,7 +118,8 @@ func (s *Simulator) env() *ExecEnv {
 // RunState executes the circuit once and returns the final state vector.
 // Measurement gates collapse the state. Intended for perfect-qubit
 // application development where the full state is the artefact of
-// interest.
+// interest. It takes a valid circuit; circuits are checked where they are
+// built or parsed.
 func (s *Simulator) RunState(c *circuit.Circuit) (*quantum.State, error) {
 	if err := validate(c); err != nil {
 		return nil, err
@@ -126,19 +127,20 @@ func (s *Simulator) RunState(c *circuit.Circuit) (*quantum.State, error) {
 	return s.engine().RunState(c, s.env())
 }
 
-// validate vets a circuit for execution: Circuit.Validate, plus at least
-// one qubit, which every engine's state and outcome encoding needs.
+// validate vets a circuit for execution: at least one qubit, which every
+// engine's state and outcome encoding needs.
 func validate(c *circuit.Circuit) error {
 	if c.NumQubits < 1 {
 		return fmt.Errorf("qx: circuit %q has %d qubits, need at least 1", c.Name, c.NumQubits)
 	}
-	return c.Validate()
+	return nil
 }
 
 // Run executes the circuit for the given number of shots and aggregates
 // measured outcomes. If the circuit contains no measurement at all, every
 // qubit is measured at the end of each shot. It is RunParallel with one
-// worker: a single batch on this simulator's PRNG.
+// worker: a single batch on this simulator's PRNG. It takes a valid
+// circuit; circuits are checked where they are built or parsed.
 func (s *Simulator) Run(c *circuit.Circuit, shots int) (*Result, error) {
 	return s.RunParallel(c, shots, 1)
 }
@@ -161,7 +163,9 @@ func (s *Simulator) run(c *circuit.Circuit, shots int) (*Result, error) {
 // machine's cores. With more than one worker, each call draws a fresh
 // batch seed from the simulator's PRNG, so repeated calls produce
 // independent batches (like repeated Run calls) while staying
-// deterministic from the construction seed; with one, it is Run.
+// deterministic from the construction seed; with one, it is Run. It
+// takes a valid circuit; circuits are checked where they are built or
+// parsed.
 //
 // The merged counts are deterministic for a fixed (seed, workers) pair
 // but differ from a serial Run with the same seed: each worker draws from
