@@ -81,10 +81,12 @@ allocs:
 # committed seed corpus (testdata/fuzz/): FuzzParse holds the cQASM
 # print/parse round trip, FuzzStack runs every small accepted program on
 # the perfect and the superconducting stack, where it must run or fail
-# with an error, never panic.
+# with an error, never panic, and FuzzParseSpec re-parses every accepted
+# pass spec from its canonical form.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/cqasm
 	$(GO) test -run '^$$' -fuzz '^FuzzStack$$' -fuzztime 10s -parallel 2 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -parallel 2 ./internal/compiler
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

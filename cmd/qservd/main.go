@@ -72,18 +72,18 @@
 // access logs at debug; -log-format selects text or JSON, -log-level
 // the threshold.
 //
-// Execution engine: every gate job runs on the qx auto engine, which
-// inspects each compiled circuit at dispatch time and picks the
-// "stabilizer" engine (Aaronson–Gottesman CHP tableau, polynomial in
-// qubit count but Clifford-only) when every gate is Clifford (rotations
-// at exact multiples of π/2 included) and the backend noise model is
-// tableau-compatible (stochastic Pauli: depolarizing, dephasing,
-// readout flips — amplitude damping forces the dense path); everything
-// else runs on the dense "optimized" engine. The engine that ran
-// surfaces as the job view's "engine" field, an "engine" attribute on
-// the execution span, and the qserv_engine_dispatch_total{engine=...}
-// counter. Counts for registers wider than 63 qubits are keyed by
-// bitstring in the result view, exactly like narrow ones.
+// Execution engine: every gate job runs on the engine qx.Dispatch picks
+// for its compiled circuit: the "stabilizer" engine (Aaronson–Gottesman
+// CHP tableau, polynomial in qubit count but Clifford-only) when every
+// gate is Clifford (rotations at exact multiples of π/2 included) and
+// the backend noise model is tableau-compatible (stochastic Pauli:
+// depolarizing, dephasing, readout flips — amplitude damping forces the
+// dense path); everything else runs on the dense "optimized" engine. The
+// engine that ran surfaces as the job view's "engine" field, an "engine"
+// attribute on the execution span, and the
+// qserv_engine_dispatch_total{engine=...} counter. Counts for registers
+// wider than 63 qubits are keyed by bitstring in the result view,
+// exactly like narrow ones.
 //
 // The optional "passes" field is a job's whole compiler configuration:
 // the pass pipeline with per-pass options such as map(strategy=noise)
@@ -189,7 +189,7 @@ func main() {
 		log.Fatalf("qservd: -qubits must be at least 1, got %d", *qubits)
 	}
 	if *passes != "" {
-		if _, err := compiler.ParsePassSpec(*passes); err != nil {
+		if _, err := compiler.NewPipeline(*passes); err != nil {
 			log.Fatalf("qservd: %v", err)
 		}
 	}

@@ -7,7 +7,7 @@
 //	   [-target device.json] [-calibration cal.json]
 //	   [-depolarizing P] [-readout P] [-state] file.cq
 //
-// Execution runs on the auto engine: Clifford circuits under
+// Execution runs on the engine qx.Dispatch picks: Clifford circuits under
 // tableau-compatible noise go to the stabilizer engine — polynomial in
 // qubit count, opening 100+ qubit circuits — and everything else, and
 // every -state run, to the dense optimized engine. The mode line names
@@ -116,9 +116,9 @@ func main() {
 		noise = core.NoiseFromDevice(dev)
 	}
 
-	// The engine auto runs: its dispatch target, or the dense engine
-	// for a state vector.
-	engine := qx.Auto().(qx.Dispatcher).Dispatch(c, noise)
+	// The engine a simulator with no pinned engine runs: the dispatch
+	// target, or the dense engine for a state vector.
+	engine := qx.Dispatch(c, noise)
 	if *showState {
 		engine = qx.Optimized()
 	}

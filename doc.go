@@ -85,17 +85,17 @@
 // polynomial time — 100-qubit GHZ sampling and distance-7 surface-code
 // ESM rounds in milliseconds, where dense cost doubles per qubit
 // (counts beyond 63 qubits are keyed by bitstring in
-// qx.Result.WideCounts). Every layer runs one engine path, the "auto"
-// meta-engine, which dispatches per circuit: circuit.IsClifford
-// (structural Clifford gates plus any rotation at an exact multiple of
-// π/2) and a tableau-compatible noise model (stochastic Pauli; amplitude
-// damping forces the dense path) select the tableau, everything else
-// runs dense. All engines are differentially tested to produce
-// identical seeded counts — the stabilizer engine mirrors the dense PRNG
-// walk draw for draw — so engines are plain values only tests pin
-// (qx.Simulator.Engine, core.Stack.Engine; nil means auto), and no flag
-// or request field selects one. core.Report.Engine names the resolved
-// dispatch target, which qserv surfaces in job views, execution spans
+// qx.Result.WideCounts). Every layer runs one engine path: qx.Dispatch
+// picks the engine per circuit — circuit.IsClifford (structural
+// Clifford gates plus any rotation at an exact multiple of π/2) and a
+// tableau-compatible noise model (stochastic Pauli; amplitude damping
+// forces the dense path) select the tableau, everything else runs
+// dense. All engines are differentially tested to produce identical
+// seeded counts — the stabilizer engine mirrors the dense PRNG walk draw
+// for draw — so engines are plain values only tests pin
+// (qx.Simulator.Engine, core.Stack.Engine; nil means dispatch), and no
+// flag or request field selects one. core.Report.Engine names the
+// engine that ran, which qserv surfaces in job views, execution spans
 // and qserv_engine_dispatch_total. The fast path lifts the QEC and RB
 // layers to the regimes the paper argues for: circuit-level syndrome
 // extraction at distance ≥ 7 (internal/qec, examples/surface_code) and

@@ -64,13 +64,10 @@ func main() {
 		}
 	}
 
-	// The auto meta-engine makes the same choice without being told: the
-	// ESM circuit is pure Clifford and the derived noise is stochastic
-	// Pauli, so dispatch lands on the tableau.
+	// Engine dispatch makes the same choice without being told: the ESM
+	// circuit is pure Clifford and the derived noise is stochastic Pauli,
+	// so dispatch lands on the tableau.
 	code, _ := qec.NewSurfaceCode(7)
-	noise := core.NoiseFromDevice(skewed)
-	if d, ok := qx.Auto().(qx.Dispatcher); ok {
-		eng := d.Dispatch(code.CycleCircuit(), noise)
-		fmt.Printf("\nauto-dispatch for the d=7 ESM round: %s\n", eng.Name())
-	}
+	eng := qx.Dispatch(code.CycleCircuit(), core.NoiseFromDevice(skewed))
+	fmt.Printf("\nauto-dispatch for the d=7 ESM round: %s\n", eng.Name())
 }

@@ -328,6 +328,10 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{Gate{Name: "rx", Qubits: []int{0}, Params: []float64{inf}}, "circuit: gate rx has non-finite parameter +Inf"},
 		{Gate{Name: "ry", Qubits: []int{0}, Params: []float64{-inf}}, "circuit: gate ry has non-finite parameter -Inf"},
 		{Gate{Name: "wait", Params: []float64{inf}}, "circuit: gate wait has non-finite parameter +Inf"},
+		{Gate{Name: "wait", Params: []float64{1 << 20}}, ""},
+		{Gate{Name: "wait", Params: []float64{-5}}, "circuit: wait count -5 is negative"},
+		{Gate{Name: "wait", Params: []float64{0.5}}, "circuit: wait count 0.5 is not a whole number of cycles"},
+		{Gate{Name: "wait", Params: []float64{1e18}}, "circuit: wait count 1e+18 exceeds 1048576 cycles"},
 		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: 2}}, Const: 1}), ""},
 		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: nan}}}), "circuit: gate rz has non-finite coefficient NaN of $t"},
 		{rz(&ParamExpr{Terms: []ParamTerm{{Sym: "t", Coeff: -inf}}}), "circuit: gate rz has non-finite coefficient -Inf of $t"},

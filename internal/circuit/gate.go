@@ -12,11 +12,13 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/quantum"
+	"repro/internal/target"
 )
 
 // Gate is one instruction in a quantum circuit. Unitary gates reference the
@@ -61,7 +63,8 @@ func NewGate(name string, qubits []int, params ...float64) (Gate, error) {
 
 // Validate checks the gate against the registry: known name, correct qubit
 // arity and parameter count, distinct qubits, finite parameters and
-// expression coefficients. Register bounds are the circuit's to check.
+// expression coefficients, and a wait count of whole cycles within
+// target.MaxDurationCycles. Register bounds are the circuit's to check.
 func (g Gate) Validate() error {
 	for i, p := range g.Params {
 		if !finite(p) {
@@ -86,6 +89,21 @@ func (g Gate) Validate() error {
 		case OpMeasure, OpPrepZ:
 			if len(g.Qubits) != 1 {
 				return fmt.Errorf("circuit: %s takes 1 qubit, got %d", g.Name, len(g.Qubits))
+			}
+		case OpWait:
+			// Noisy engines idle one decoherence step per cycle, so a
+			// count is a whole number of cycles, bounded like any one
+			// gate's duration on a device.
+			if len(g.Params) == 0 {
+				break
+			}
+			switch n := g.Params[0]; {
+			case n < 0:
+				return fmt.Errorf("circuit: wait count %g is negative", n)
+			case n != math.Trunc(n):
+				return fmt.Errorf("circuit: wait count %g is not a whole number of cycles", n)
+			case n > target.MaxDurationCycles:
+				return fmt.Errorf("circuit: wait count %g exceeds %d cycles", n, target.MaxDurationCycles)
 			}
 		}
 		return nil

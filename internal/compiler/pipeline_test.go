@@ -27,20 +27,20 @@ func TestPassRegistryHasBuiltins(t *testing.T) {
 
 func TestParsePassSpecErrors(t *testing.T) {
 	for _, spec := range []string{"", "   ", "decompose,,schedule", "decompose,teleport"} {
-		if _, err := ParsePassSpec(spec); err == nil {
+		if _, err := NewPipeline(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
 	// Unknown-pass errors list the available passes.
-	_, err := ParsePassSpec("teleport")
+	_, err := NewPipeline("teleport")
 	if err == nil || !strings.Contains(err.Error(), "decompose") {
 		t.Errorf("unknown-pass error does not list available passes: %v", err)
 	}
-	passes, err := ParsePassSpec(" decompose , optimize,schedule ")
+	pl, err := NewPipeline(" decompose , optimize,schedule ")
 	if err != nil {
 		t.Fatalf("whitespace-padded spec rejected: %v", err)
 	}
-	if len(passes) != 3 || passes[0].Name() != "decompose" || passes[2].Name() != "schedule" {
+	if passes := pl.Passes(); len(passes) != 3 || passes[0] != "decompose" || passes[2] != "schedule" {
 		t.Errorf("parsed passes wrong: %v", passes)
 	}
 }

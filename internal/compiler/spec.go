@@ -214,19 +214,3 @@ func ResolveSpec(spec string) ([]BoundPass, error) {
 	}
 	return bound, nil
 }
-
-// ParsePassSpec resolves a pass spec against the built-ins and returns
-// the passes in order, discarding per-pass options — the entry point for
-// callers that only need to know the spec is valid. Unknown names, bad
-// syntax and invalid options are all rejected here, at parse time.
-func ParsePassSpec(spec string) ([]Pass, error) {
-	bound, err := ResolveSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	passes := make([]Pass, len(bound))
-	for i, b := range bound {
-		passes[i] = b.Pass
-	}
-	return passes, nil
-}

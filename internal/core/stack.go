@@ -40,9 +40,10 @@ type Stack struct {
 	// selects compiler.DefaultPassSpec. Part of CompileFingerprint: two
 	// stacks with different pass specs compile differently.
 	Passes string
-	// Engine pins the qx execution engine; nil runs qx.Auto. Differential
-	// tests pin qx.Reference or qx.Optimized here; engines execute
-	// compiled circuits and never change them.
+	// Engine pins the qx execution engine; nil runs the engine qx.Dispatch
+	// picks for each compiled circuit. Differential tests pin
+	// qx.Reference or qx.Optimized here; engines execute compiled
+	// circuits and never change them.
 	Engine qx.Engine `fp:"-"`
 	// KernelWorkers caps the simulator's amplitude-kernel parallelism per
 	// run (0 = machine-sized, 1 = serial). Services executing many jobs
@@ -228,11 +229,10 @@ type Report struct {
 	Compile *compiler.CompileReport
 	// WallNs is the modelled execution time of one shot in nanoseconds.
 	WallNs int
-	// Engine is the qx engine that actually executed the shots. On a
-	// stack with no pinned engine (auto) this is the dispatch target
-	// ("stabilizer" or "optimized"), resolved per compiled circuit — the
-	// value the qserv layer records on spans and the engine-dispatch
-	// counter.
+	// Engine is the qx engine that executed the shots: the stack's pinned
+	// engine, or else the one qx.Dispatch picked for the compiled circuit
+	// ("stabilizer" or "optimized") — the value the qserv layer records
+	// on spans and the engine-dispatch counter.
 	Engine string
 	// ExecNs is the measured wall time of the execution phase (engine
 	// shots, or eQASM through the micro-architecture on realistic
@@ -280,19 +280,15 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	if compiled.IsParametric() {
 		return nil, fmt.Errorf("core: program has unbound parameters %v; bind the artefact (BindArtefact) before execution", compiled.Symbols())
 	}
+	// Pick the engine once, before running, so the report names the real
+	// execution path and no shot batch dispatches again.
 	engine := s.Engine
 	if engine == nil {
-		engine = qx.Auto()
-	}
-	// Resolve meta-engines (auto) to the engine that will actually run
-	// this circuit, so the report names the real execution path and the
-	// dispatch decision is made once, not per shot batch.
-	var noise *qx.NoiseModel
-	if s.Mode != openql.PerfectQubits {
-		noise = s.Noise
-	}
-	if d, ok := engine.(qx.Dispatcher); ok {
-		engine = d.Dispatch(compiled.Circuit, noise)
+		var noise *qx.NoiseModel
+		if s.Mode != openql.PerfectQubits {
+			noise = s.Noise
+		}
+		engine = qx.Dispatch(compiled.Circuit, noise)
 	}
 	report := &Report{
 		Stack:    s.Name,

@@ -28,7 +28,7 @@ func BuildClassCircuit(class string, qubits, depth, variant int, rng *rand.Rand)
 		c = circuit.QFT(qubits, true)
 		c = withInputPrefix(fmt.Sprintf("qft%d_v%d", qubits, variant), qubits, variant, c)
 	case "ghz":
-		// Pure Clifford: under the auto engine these dispatch to the
+		// Pure Clifford: qx.Dispatch sends these to the
 		// stabilizer tableau, exercising the engine-dispatch mix.
 		c = circuit.GHZ(qubits)
 		c = withInputPrefix(fmt.Sprintf("ghz%d_v%d", qubits, variant), qubits, variant, c)

@@ -85,6 +85,11 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	}
 	onPerfect4 := `,"target":` + string(perfect4)
 	wideOverride := programOn("perfect", wideText, onPerfect4)
+	// Wait counts the engines cannot idle through: one noisy wait step
+	// per cycle, so only whole, bounded counts are programs.
+	waitNegative := program("version 1.0\nqubits 2\nh q[0]\nwait -5\nmeasure q[0]\n")
+	waitFraction := program("version 1.0\nqubits 2\nh q[0]\nwait 0.5\nmeasure q[0]\n")
+	waitHuge := program("version 1.0\nqubits 2\nh q[0]\nwait 1e18\nmeasure q[0]\n")
 	fitsOverride := programOn("perfect", "version 1.0\nqubits 3\nh q[2]\nmeasure q[2]\n", onPerfect4)
 	problems := map[string]string{
 		unknownGate:      `unknown gate "foo"`,
@@ -101,6 +106,9 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		wide:             `program needs 5 qubits, stack "perfect" has 2`,
 		wideRealistic:    `program needs 30 qubits, stack "superconducting" has 17`,
 		wideOverride:     "program needs 5 qubits, stack",
+		waitNegative:     "wait count -5 is negative",
+		waitFraction:     "wait count 0.5 is not a whole number of cycles",
+		waitHuge:         "wait count 1e+18 exceeds 1048576 cycles",
 	}
 
 	// open starts a service over one perfect-stack lane and pins a
@@ -221,6 +229,12 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{"live", "sessions", wideOverride, http.StatusBadRequest, false},
 		{"live", "submit", fitsOverride, http.StatusAccepted, false},
 		{"live", "sessions", fitsOverride, http.StatusCreated, false},
+		{"live", "submit", waitNegative, http.StatusBadRequest, false},
+		{"live", "sessions", waitNegative, http.StatusBadRequest, false},
+		{"live", "submit", waitFraction, http.StatusBadRequest, false},
+		{"live", "sessions", waitFraction, http.StatusBadRequest, false},
+		{"live", "submit", waitHuge, http.StatusBadRequest, false},
+		{"live", "sessions", waitHuge, http.StatusBadRequest, false},
 
 		// Opening a session compiles on the request goroutine and never
 		// enters a queue, so a full lane does not refuse it.

@@ -19,13 +19,12 @@ import (
 )
 
 // CompileEnv carries the shared compile resources the service hands each
-// backend run: the two cache levels. A nil env (or nil fields) disables
-// the corresponding resource.
+// backend run. A nil env (or nil fields) disables the corresponding
+// resource.
 type CompileEnv struct {
-	// Cache is the full-artefact compile cache (level 2).
+	// Cache is the full-artefact compile cache (level 2). The prefix
+	// level rides on the gate backends' stacks (Service.AddBackend).
 	Cache *CompileCache
-	// Prefix is the platform-generic prefix-artefact cache (level 1).
-	Prefix *PrefixCache
 	// Span is the job's run span, under which the backend attaches
 	// compile and execute phase spans (nil — the usual shared env —
 	// disables tracing; the service hands workers a per-job copy
@@ -54,50 +53,56 @@ type Backend interface {
 	Run(r *Request, seed int64, env *CompileEnv) (*Result, bool, error)
 }
 
-// DeviceProvider is implemented by backends that expose a hardware
-// target description — the gate backends. The service uses it for the
-// /backends view and to validate per-job calibration overrides at
-// submit time.
-type DeviceProvider interface {
-	Device() *target.Device
-}
-
-// Recalibrator is implemented by backends whose device calibration can
-// be replaced while the service runs — the backend half of
-// PUT /backends/{name}/calibration. Recalibrate validates the table
-// against the backend's device, applies it atomically (in-flight jobs
-// finish against the old tables) and returns the re-calibrated device.
-type Recalibrator interface {
-	Recalibrate(cal *target.Calibration) (*target.Device, error)
-}
-
-// SessionBackend is implemented by backends that can pin a compiled —
-// possibly parameterised — artefact for the variational session API
-// (POST /sessions): the gate backends. CompileForSession compiles the
-// request's program eagerly through the shared caches; the session then
-// streams parameter bindings against the pinned artefact without ever
-// re-entering the compiler.
-type SessionBackend interface {
-	Backend
-	CompileForSession(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error)
-}
-
 // StackBackend runs gate jobs through a full core.Stack, caching compiled
-// circuits across jobs. The stack is held behind an atomic pointer so
-// live recalibration can swap it without stalling concurrent workers.
+// circuits across jobs. The stack is held, with its compile fingerprint,
+// behind an atomic pointer so live recalibration can swap it without
+// stalling concurrent workers. The service reaches it through gateBackend,
+// also when a wrapper embeds it.
 type StackBackend struct {
-	stack atomic.Pointer[core.Stack]
+	cur atomic.Pointer[storedStack]
 }
+
+// storedStack is a backend's stack with its compile fingerprint, computed
+// once when the stack is stored rather than per job.
+type storedStack struct {
+	stack *core.Stack
+	fp    string
+}
+
+// gateBackend is the one way the service reaches the *StackBackend behind
+// a pool: the backend itself, or one a wrapper embeds.
+type gateBackend interface{ gate() *StackBackend }
+
+func (b *StackBackend) gate() *StackBackend { return b }
 
 // NewStackBackend wraps a stack as a service backend.
 func NewStackBackend(s *core.Stack) *StackBackend {
 	b := &StackBackend{}
-	b.stack.Store(s)
+	b.store(s)
 	return b
 }
 
+// store swaps in a stack with its freshly computed fingerprint.
+func (b *StackBackend) store(s *core.Stack) {
+	b.cur.Store(&storedStack{stack: s, fp: s.CompileFingerprint()})
+}
+
+// usePrefix stores a copy of the stack carrying the service's prefix
+// cache, unless the stack brought its own. Stacks derived from it — job
+// overrides and recalibrations, through core.Stack.WithDevice — carry it
+// on. Service.AddBackend calls it before any job runs.
+func (b *StackBackend) usePrefix(pc *PrefixCache) {
+	cur := b.cur.Load()
+	if cur.stack.PrefixCache != nil {
+		return
+	}
+	s := *cur.stack
+	s.PrefixCache = pc
+	b.cur.Store(&storedStack{stack: &s, fp: cur.fp})
+}
+
 // Stack returns the backend's current stack (recalibration replaces it).
-func (b *StackBackend) Stack() *core.Stack { return b.stack.Load() }
+func (b *StackBackend) Stack() *core.Stack { return b.cur.Load().stack }
 
 // Name returns the stack name ("perfect", "superconducting", …).
 func (b *StackBackend) Name() string { return b.Stack().Name }
@@ -107,24 +112,22 @@ func (b *StackBackend) Name() string { return b.Stack().Name }
 func (b *StackBackend) Device() *target.Device { return b.Stack().Platform.AsDevice() }
 
 // Recalibrate overlays a new calibration table on the backend's device
-// and swaps in a stack rebuilt for the re-calibrated device; compiler
-// and execution tuning carry over (core.Stack.WithDevice). The new
-// device hash keys fresh full-artefact cache entries, so no job ever
-// reuses a compile against the stale tables, while platform-generic
-// prefix artefacts stay live. Lock-free: concurrent recalibrations
-// retry on a CAS.
+// and swaps in a stack rebuilt for the re-calibrated device, which
+// core.Stack.WithDevice validates; compiler and execution tuning, the
+// prefix cache included, carry over. Jobs admitted earlier keep the
+// stack they were admitted with. The new device hash keys fresh
+// full-artefact cache entries, so no later job reuses a compile against
+// the stale tables, while platform-generic prefix artefacts stay live.
+// Lock-free: concurrent recalibrations retry on a CAS.
 func (b *StackBackend) Recalibrate(cal *target.Calibration) (*target.Device, error) {
 	for {
-		cur := b.stack.Load()
-		dev := cur.Platform.AsDevice().WithCalibration(cal)
-		if err := dev.Validate(); err != nil {
-			return nil, err
-		}
-		next, err := cur.WithDevice(dev)
+		cur := b.cur.Load()
+		dev := cur.stack.Platform.AsDevice().WithCalibration(cal)
+		next, err := cur.stack.WithDevice(dev)
 		if err != nil {
 			return nil, err
 		}
-		if b.stack.CompareAndSwap(cur, next) {
+		if b.cur.CompareAndSwap(cur, &storedStack{stack: next, fp: next.CompileFingerprint()}) {
 			return dev, nil
 		}
 	}
@@ -133,81 +136,11 @@ func (b *StackBackend) Recalibrate(cal *target.Calibration) (*target.Device, err
 // Accepts reports whether the request is a gate job.
 func (b *StackBackend) Accepts(r *Request) bool { return r.CQASM != "" || r.Program != nil }
 
-// resolveStack materialises the stack a request compiles and executes
-// on: the backend's current stack with the request's device, calibration
-// and pass overrides applied, plus the service's shared compile
-// resources grafted on. The backend's own stack is never mutated —
-// overrides copy.
-func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, error) {
-	stack := b.Stack()
-	if r.Target != nil || r.Calibration != nil {
-		dev := r.Target
-		if dev == nil {
-			dev = b.Device()
-		}
-		if r.Calibration != nil {
-			dev = dev.WithCalibration(r.Calibration)
-		}
-		// The device decides mode, platform, noise and microcode; the
-		// backend's compiler and execution tuning carries over
-		// (core.Stack.WithDevice).
-		override, err := stack.WithDevice(dev)
-		if err != nil {
-			return nil, err
-		}
-		stack = override
-	}
-	if r.Passes != "" && r.Passes != stack.Passes {
-		override := *stack
-		override.Passes = r.Passes
-		stack = &override
-	}
-	// Graft the service's prefix cache onto a copy of the stack: the cache
-	// is per-service, not per-backend, and the stack itself is shared
-	// across workers.
-	if env != nil && env.Prefix != nil && stack.PrefixCache == nil {
-		run := *stack
-		run.PrefixCache = env.Prefix
-		stack = &run
-	}
-	return stack, nil
-}
-
-// checkStack refuses, at submit, a gate job the routed backend's stack —
-// device overrides applied — cannot run: a program wider than the stack,
-// or a pass spec that cannot yield what the stack executes
-// (compiler.Pipeline.CheckStages): no "schedule", or no "assemble" after
-// it on a realistic stack. Without it such a job would be admitted and
-// fail in the worker.
-func checkStack(req *Request, b Backend) error {
-	sb, ok := b.(interface {
-		resolveStack(*Request, *CompileEnv) (*core.Stack, error)
-	})
-	if req.Program == nil || !ok {
-		return nil
-	}
-	stack, err := sb.resolveStack(req, nil)
-	if err != nil {
-		return err
-	}
-	if need, have := req.Program.NumQubits, stack.Platform.NumQubits; need > have {
-		return fmt.Errorf("qserv: program needs %d qubits, stack %q has %d", need, stack.Name, have)
-	}
-	if req.Passes == "" {
-		return nil
-	}
-	pl, err := compiler.NewPipeline(stack.Passes)
-	if err != nil {
-		return err
-	}
-	return pl.CheckStages(stack.Mode == openql.RealisticQubits)
-}
-
-// compileOn compiles the program on the resolved stack through the
-// shared full-artefact cache (a nil cache compiles uncached), attaching
-// a "compile" phase span under span when tracing is live. canon is the
-// program's canonicalText when admission already computed it, else "".
-func compileOn(stack *core.Stack, p *openql.Program, canon string, cache *CompileCache, span *obs.Span) (*openql.Compiled, bool, error) {
+// compileOn compiles the program on the job's resolved stack through
+// the shared full-artefact cache under key, the job's admitted cache key
+// (a nil cache compiles uncached), attaching a "compile" phase span under
+// span when tracing is live.
+func compileOn(stack *core.Stack, p *openql.Program, key string, cache *CompileCache, span *obs.Span) (*openql.Compiled, bool, error) {
 	var (
 		compiled *openql.Compiled
 		hit      bool
@@ -219,13 +152,6 @@ func compileOn(stack *core.Stack, p *openql.Program, canon string, cache *Compil
 		cspan.SetAttr("cache", "off")
 		compiled, err = stack.Compile(p)
 	} else {
-		// Keyed on the compile fingerprint only. Symbolic programs hash their expressions, not any bound values,
-		// so every binding of one parameterised program keys this same
-		// entry.
-		if canon == "" {
-			canon = canonicalText(p)
-		}
-		key := cacheKey(stack.CompileFingerprint(), canon)
 		compiled, hit, err = cache.GetOrCompile(key, func() (*openql.Compiled, error) {
 			return stack.Compile(p)
 		})
@@ -262,7 +188,7 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 	}
 	if espan != nil {
 		espan.SetAttr("shots", strconv.Itoa(shots))
-		// The engine that actually executed (auto dispatch resolved).
+		// The engine that actually executed (qx.Dispatch resolved).
 		if rep.Engine != "" {
 			espan.SetAttr("engine", rep.Engine)
 		}
@@ -283,63 +209,31 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 	return rep, nil
 }
 
-// Run compiles (or cache-fetches) the program and executes it. A per-job
-// pass-spec override executes (and caches) under a copy of the stack with
-// that spec, so jobs on one backend can pick their compile pipeline
-// independently; it keys its own cache entry through CompileFingerprint. A device
-// target or calibration override rebuilds the stack for the overridden
-// device (core.NewStackForDevice), whose content hash keys distinct
-// full-artefact cache entries — re-calibrating never reuses stale
-// compiles. The prefix level is keyed independently (gate-set hash +
-// prefix spec + kernel text), so those same overrides — and pass
-// overrides that only change the suffix — still reuse the cached
-// platform-generic prefix artefacts and recompile suffix-only.
+// Run compiles (or cache-fetches) the program on the stack admission
+// resolved for the job (Service.resolve) and executes it there. A job
+// with device, calibration or pass overrides runs on its own stack,
+// whose compile fingerprint keys distinct full-artefact cache entries;
+// the prefix level is keyed independently (gate-set hash + prefix spec +
+// kernel text), so those overrides — and pass overrides that only change
+// the suffix — still reuse the cached platform-generic prefix artefacts
+// and recompile suffix-only.
 func (b *StackBackend) Run(r *Request, seed int64, env *CompileEnv) (*Result, bool, error) {
-	stack, p, compiled, hit, err := b.compile(r, env)
-	if err != nil {
-		return nil, false, err
-	}
-	rep, err := executeCompiled(stack, compiled, p.NumQubits, r.Shots, seed, env.span())
-	if err != nil {
-		return nil, hit, err
-	}
-	return &Result{Report: rep}, hit, nil
-}
-
-// CompileForSession eagerly compiles the request's gate program for the
-// session API: it resolves the request's stack (device and pass
-// overrides apply to every bind the session later streams) and compiles
-// through the shared caches, preserving any symbolic parameters in the
-// artefact. All bindings of one parameterised program share the single
-// cache entry the session compile populated. Returns the resolved stack
-// the session executes on, the program, the (possibly parametric)
-// artefact and whether the compile was a full-artefact cache hit.
-func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
-	return b.compile(r, env)
-}
-
-// compile is the gate backends' one compile path, shared by Run and
-// CompileForSession: resolve the request's stack and compile its program
-// through the shared caches under env's span. A cQASM request carries
-// the program admission parsed from its text (Service.resolve).
-func (b *StackBackend) compile(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
-	p := r.Program
-	if p == nil {
-		return nil, nil, nil, false, errors.New("qserv: gate request carries no program; cQASM text is parsed at admission (Service.Submit, Service.OpenSession)")
-	}
-	stack, err := b.resolveStack(r, env)
-	if err != nil {
-		return nil, nil, nil, false, err
+	if r.stack == nil {
+		return nil, false, errors.New("qserv: gate request was not admitted; Service.Submit resolves the stack it runs on")
 	}
 	var cache *CompileCache
 	if env != nil {
 		cache = env.Cache
 	}
-	compiled, hit, err := compileOn(stack, p, r.canon, cache, env.span())
+	compiled, hit, err := compileOn(r.stack, r.Program, r.key, cache, env.span())
 	if err != nil {
-		return nil, nil, nil, false, err
+		return nil, false, err
 	}
-	return stack, p, compiled, hit, nil
+	rep, err := executeCompiled(r.stack, compiled, r.Program.NumQubits, r.Shots, seed, env.span())
+	if err != nil {
+		return nil, hit, err
+	}
+	return &Result{Report: rep}, hit, nil
 }
 
 // synthesizeCompileSpans grafts the compile report's timing records
@@ -360,12 +254,14 @@ func synthesizeCompileSpans(parent *obs.Span, start time.Time, rep *compiler.Com
 		}
 	}
 	// The leading rows of a kernel-by-kernel compile aggregate the
-	// prefix passes over all kernels — already covered by the kernel
-	// spans above, so skip them here.
+	// prefix passes over the kernels that ran them — already covered by
+	// the kernel spans above, so skip them here. When every kernel hit
+	// the prefix cache the report holds no prefix rows at all.
 	skip := 0
-	if rep.PrefixSpec != "" {
-		if passes, err := compiler.ParsePassSpec(rep.PrefixSpec); err == nil {
-			skip = len(passes)
+	for _, k := range rep.Kernels {
+		if !k.PrefixCached {
+			skip = len(k.Passes)
+			break
 		}
 	}
 	at := start
@@ -504,9 +400,7 @@ func NewClassicalFallback(label string, maxVars int) *AccelBackend {
 
 // Compile-time interface checks.
 var (
-	_ Backend        = (*StackBackend)(nil)
-	_ Backend        = (*AccelBackend)(nil)
-	_ DeviceProvider = (*StackBackend)(nil)
-	_ Recalibrator   = (*StackBackend)(nil)
-	_ SessionBackend = (*StackBackend)(nil)
+	_ Backend     = (*StackBackend)(nil)
+	_ Backend     = (*AccelBackend)(nil)
+	_ gateBackend = (*StackBackend)(nil)
 )

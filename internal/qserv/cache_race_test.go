@@ -159,12 +159,8 @@ func TestTwoLevelCacheConcurrentOverrides(t *testing.T) {
 				t.Fatalf("job %s vanished", ids[combo][0])
 			}
 			// The artefact the job ran is the full-cache entry under
-			// the job's key.
-			stack, err := backend.resolveStack(&job.Req, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cached, hit, err := s.Cache().GetOrCompile(cacheKey(stack.CompileFingerprint(), canonicalText(prog)),
+			// the key admission gave the job.
+			cached, hit, err := s.Cache().GetOrCompile(job.Req.key,
 				func() (*openql.Compiled, error) { return nil, fmt.Errorf("job %s's artefact is not cached", job.ID) })
 			if err != nil || !hit {
 				t.Fatalf("combo %d: cache lookup: hit=%v err=%v", combo, hit, err)

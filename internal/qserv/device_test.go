@@ -17,6 +17,7 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/openql"
 	"repro/internal/qubo"
 	"repro/internal/target"
 )
@@ -90,6 +91,94 @@ func TestRecalibrationMissesCompileCache(t *testing.T) {
 	// And the original calibration still hits the original entry.
 	if j := awaitJob(t, s, base); !j.CacheHit() {
 		t.Fatal("original calibration no longer hits its cache entry")
+	}
+}
+
+// A job runs on the stack it was admitted with: a recalibration while
+// the job waits in its lane changes the target of jobs admitted after
+// it, never of the held job — which compiles under its admitted cache
+// key and executes with its admitted noise.
+func TestRecalibrationKeepsAdmittedTarget(t *testing.T) {
+	gs := &gatedStack{StackBackend: NewStackBackend(core.NewSuperconducting(17)), release: make(chan struct{})}
+	s := New(Config{Seed: 17, RetainJobs: -1})
+	s.AddBackend(gs, 1)
+	s.Start()
+	t.Cleanup(s.Stop)
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(gs.release)
+		}
+	})
+	req := Request{Program: bellProgram("held"), Backend: "superconducting", Shots: 256}
+	oldStack := gs.Stack()
+	held, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := target.Superconducting().Calibration.Clone()
+	cal.SetEdgeError(0, 9, 0.2)
+	cal.Qubits[0].SingleQubitError = 0.05
+	dev, err := s.Recalibrate("superconducting", cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newStack := gs.Stack()
+	later, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gs.release)
+	released = true
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for _, j := range []*Job{held, later} {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %s: %v", j.ID, err)
+		}
+	}
+
+	canon := canonicalText(req.Program)
+	for _, tc := range []struct {
+		name  string
+		job   *Job
+		stack *core.Stack
+	}{{"held", held, oldStack}, {"later", later, newStack}} {
+		if got, want := tc.job.Req.stack.Platform.ContentHash(), tc.stack.Platform.ContentHash(); got != want {
+			t.Errorf("%s job ran on device %s, want %s", tc.name, got, want)
+		}
+		key := cacheKey(tc.stack.CompileFingerprint(), canon)
+		if tc.job.Req.key != key {
+			t.Errorf("%s job keyed %q, want %q", tc.name, tc.job.Req.key, key)
+		}
+		compiled, hit, err := s.Cache().GetOrCompile(key, func() (*openql.Compiled, error) {
+			return nil, fmt.Errorf("%s job's artefact is not cached", tc.name)
+		})
+		if err != nil || !hit {
+			t.Fatalf("%s: cache lookup: hit=%v err=%v", tc.name, hit, err)
+		}
+		// Executing the artefact on the expected stack with the job's
+		// seed reproduces the job's counts exactly.
+		want, err := tc.stack.RunCompiled(compiled, req.Program.NumQubits, req.Shots, tc.job.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.job.Result().Report.Result.Counts; !maps.Equal(got, want.Result.Counts) {
+			t.Errorf("%s job counts %v, want %v (its admitted stack's)", tc.name, got, want.Result.Counts)
+		}
+	}
+	if dev.Hash() != newStack.Platform.ContentHash() || dev.Hash() == oldStack.Platform.ContentHash() {
+		t.Error("recalibration did not rotate the backend's device hash")
+	}
+	// The check above discriminates: the held job's artefact and seed
+	// sample differently under the new noise.
+	compiled, _, _ := s.Cache().GetOrCompile(held.Req.key, nil)
+	rerun, err := newStack.RunCompiled(compiled, req.Program.NumQubits, req.Shots, held.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maps.Equal(rerun.Result.Counts, held.Result().Report.Result.Counts) {
+		t.Error("the recalibration does not change the held job's counts; the test cannot tell the stacks apart")
 	}
 }
 

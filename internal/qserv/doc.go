@@ -21,7 +21,7 @@
 //	                        │                                  │
 //	                  core.Stack.RunCompiled           accel.Accelerator
 //	                        │
-//	                   qx auto engine (stabilizer | optimized)
+//	                   qx.Dispatch (stabilizer | optimized)
 //
 // A Job is submitted as cQASM text or an *openql.Program (gate jobs) or a
 // *qubo.QUBO (annealing jobs), plus a target backend name and a shot
@@ -38,6 +38,18 @@
 // keys are built from, so an accelerator host that offloads the same
 // kernel again and again parses it once; memoised programs are shared
 // read-only, like every compile input.
+//
+// Admission also decides, once, what a gate job runs on (the private
+// resolve, shared by Submit and OpenSession): the routed backend's
+// current stack, or a copy with the job's device or calibration override
+// applied through core.Stack.WithDevice (which validates the device) and
+// its pass spec parsed, checked against the stack's stages and stored in
+// canonical form; then the width check and the job's full-artefact cache
+// key. A backend's own stack carries its compile fingerprint and the
+// service's prefix cache from the moment it is stored, so a job without
+// overrides only hashes its key. The admitted request carries the stack
+// and key; the worker and the session compile and run on them as they
+// are and never resolve again.
 //
 // Admission is one path with two plans. Submit (POST /submit) and
 // BindSession (POST /sessions/{id}/bind) only build a job and call the
@@ -96,9 +108,10 @@
 // Beyond per-job overrides, gate backends support live re-calibration:
 // PUT /backends/{name}/calibration (Service.Recalibrate) validates a
 // fresh table against the backend's topology and atomically swaps the
-// backend's device — a compare-and-swap on the stack pointer, so
-// in-flight jobs finish against the device they started with while new
-// jobs compile against the new table. The swap rotates the device hash
+// backend's device — a compare-and-swap on the stack pointer. A job runs
+// against the stack it was admitted with: jobs admitted before the swap,
+// running or still queued, keep the old device, and jobs admitted after
+// it compile against the new table. The swap rotates the device hash
 // and with it every full-artefact cache key; prefix artefacts, which
 // calibration cannot affect, stay live, so the first post-reload job
 // recompiles suffix-only. Reloads are counted per backend
@@ -135,8 +148,8 @@
 //
 // # Execution engines and parallel shots
 //
-// Beneath every gate backend sits the qx auto engine, the one execution
-// path: it dispatches each compiled circuit to the stabilizer tableau
+// Beneath every gate backend sits one execution path: qx.Dispatch sends
+// each compiled circuit to the stabilizer tableau
 // when it is Clifford throughout and the backend noise model is
 // stochastic Pauli (polynomial cost, so 100-qubit Clifford jobs execute
 // in milliseconds) and to the optimized dense engine otherwise. Every
@@ -206,9 +219,9 @@
 // patch sharing the schedule, mapping result and compile report — the
 // mapper, scheduler and assembler never re-run.
 //
-// Service.OpenSession (POST /sessions) validates and routes like
-// Submit, eagerly compiles the parameterised program on its gate
-// backend — through the ordinary two-level cache — and pins the
+// Service.OpenSession (POST /sessions) validates, routes and resolves
+// like Submit, eagerly compiles the parameterised program on the
+// resolved stack — through the ordinary two-level cache — and pins the
 // compiled artefact in a session. Service.BindSession
 // (POST /sessions/{id}/bind) then streams parameter points, each
 // admitted as a bind-and-run job: its run records a "bind" span —

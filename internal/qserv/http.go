@@ -103,7 +103,7 @@ type JobView struct {
 	FinishedAt   *time.Time `json:"finished_at,omitempty"`
 	ElapsedMs    float64    `json:"elapsed_ms,omitempty"`
 	// Engine names the qx engine that executed the job's shots: the
-	// auto engine's dispatch target (stabilizer for Clifford circuits
+	// qx.Dispatch target (stabilizer for Clifford circuits
 	// under tableau-compatible noise, optimized otherwise). The compile
 	// pipeline's per-pass account is not part of the view: the job's
 	// trace (GET /jobs/{id}/trace) carries one span per kernel and per

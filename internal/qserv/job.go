@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/anneal"
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/openql"
@@ -40,9 +39,14 @@ type Request struct {
 	// Program is a gate job submitted programmatically, or the program
 	// admission lifted from CQASM. Either way the service only reads it.
 	Program *openql.Program
-	// canon is Program's canonicalText when admission lifted it from
-	// CQASM ("" otherwise: the compile path computes it).
-	canon string
+	// stack and key are what admission (Service.resolve) decided a gate
+	// job runs on: the routed backend's stack with the job's overrides
+	// applied, and the job's full-artefact cache key ("" when the
+	// service caches nothing). The worker compiles and runs on them and
+	// never resolves again, so a recalibration after admission does not
+	// change the job's target.
+	stack *core.Stack
+	key   string
 	// QUBO is an annealing job.
 	QUBO *qubo.QUBO
 	// Backend names the target backend; empty routes to the first backend
@@ -77,7 +81,8 @@ type Request struct {
 	Seed int64
 }
 
-// validate checks that exactly one payload is present.
+// validate checks that exactly one payload is present and that device
+// overrides come with a gate payload; Service.resolve vets the rest.
 func (r *Request) validate() error {
 	n := 0
 	if r.CQASM != "" {
@@ -92,29 +97,9 @@ func (r *Request) validate() error {
 	if n != 1 {
 		return fmt.Errorf("qserv: request must carry exactly one of cqasm, program or qubo (got %d)", n)
 	}
-	if r.Passes != "" {
-		// Reject malformed specs, unknown pass names and invalid pass
-		// options at submit time; the target-dependent stage check
-		// (schedule/assemble presence) runs once the job has routed to a
-		// backend (checkStack).
-		if _, err := compiler.ParsePassSpec(r.Passes); err != nil {
-			return err
-		}
-	}
 	if (r.Target != nil || r.Calibration != nil) && r.QUBO != nil {
 		return errors.New("qserv: device targets and calibration overrides apply to gate jobs only")
 	}
-	if r.Target != nil {
-		dev := r.Target
-		if r.Calibration != nil {
-			dev = dev.WithCalibration(r.Calibration)
-		}
-		if err := dev.Validate(); err != nil {
-			return err
-		}
-	}
-	// A calibration override without a target is validated against the
-	// routed backend's device in Submit.
 	return nil
 }
 

@@ -34,9 +34,9 @@ type serviceMetrics struct {
 	compileSecs  *obs.HistogramVec
 	execSecs     *obs.HistogramVec
 	// engineDispatch counts gate-job executions by the qx engine that
-	// actually ran them — with the "auto" meta-engine this is the
-	// resolved dispatch target (stabilizer vs optimized), making the
-	// Clifford fast-path hit rate directly observable.
+	// actually ran them — on stacks with no pinned engine this is the
+	// qx.Dispatch target (stabilizer vs optimized), making the Clifford
+	// fast-path hit rate directly observable.
 	engineDispatch *obs.CounterVec   // engine
 	passSecs       *obs.HistogramVec // backend, pass
 	passRuns       *obs.CounterVec
@@ -93,7 +93,7 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 		execSecs: r.NewHistogramVec("qserv_execute_seconds",
 			"Measured execution wall time per gate job.", lb, "backend"),
 		engineDispatch: r.NewCounterVec("qserv_engine_dispatch_total",
-			"Gate-job executions by the qx engine that ran them (auto resolves to its dispatch target).", "engine"),
+			"Gate-job executions by the qx engine that ran them (the qx.Dispatch target unless the stack pins one).", "engine"),
 		passSecs: r.NewHistogramVec("qserv_compile_pass_seconds",
 			"Wall time per compiler pass run.", lb, "backend", "pass"),
 		passRuns: r.NewCounterVec("qserv_compile_pass_runs_total",

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -347,9 +348,22 @@ func TestRecalibrationEndpoint(t *testing.T) {
 	}
 
 	// The same program now compiles against the new device: a cache
-	// miss, not a stale reuse.
-	if j := runBell(); j.CacheHit() {
+	// miss, not a stale reuse. Every kernel hits the prefix cache, so
+	// the report holds suffix rows only, and each gets its pass span.
+	j := runBell()
+	if j.CacheHit() {
 		t.Error("job after recalibration reused a stale compile artefact")
+	}
+	rep := j.Result().Report.Compile
+	if rep.PrefixHits != len(rep.Kernels) {
+		t.Errorf("prefix hits %d of %d kernels after recalibration, want all", rep.PrefixHits, len(rep.Kernels))
+	}
+	var want []string
+	for _, m := range rep.Passes {
+		want = append(want, "pass:"+m.Pass)
+	}
+	if got := compilePassSpans(t, h, j.ID); !slices.Equal(got, want) || !slices.Contains(got, "pass:map") {
+		t.Errorf("compile pass spans %v, want %v (one per report row, map included)", got, want)
 	}
 	if j := runBell(); !j.CacheHit() {
 		t.Error("second job after recalibration should hit the fresh entry")
@@ -378,6 +392,32 @@ func TestRecalibrationEndpoint(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown backend = %d, want 404", rec.Code)
 	}
+}
+
+// compilePassSpans returns the names of the "pass:" spans under the
+// compile span of job id's trace, in order.
+func compilePassSpans(t *testing.T, h http.Handler, id string) []string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+id+"/trace", nil))
+	var tv obs.TraceView
+	if err := json.Unmarshal(rec.Body.Bytes(), &tv); err != nil || tv.Root == nil {
+		t.Fatalf("trace of %s: %v (%s)", id, err, rec.Body.String())
+	}
+	var names []string
+	for _, run := range tv.Root.Children {
+		for _, phase := range run.Children {
+			if phase.Name != "compile" {
+				continue
+			}
+			for _, c := range phase.Children {
+				if strings.HasPrefix(c.Name, "pass:") {
+					names = append(names, c.Name)
+				}
+			}
+		}
+	}
+	return names
 }
 
 // DisableMetrics + TraceRing < 0 turn the whole observability layer

@@ -513,7 +513,7 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 }
 
 // The engine is not a request field: a stray "engine" from an older
-// client is ignored, and the job runs on the auto engine like any other.
+// client is ignored, and the job runs on the dispatched engine like any other.
 func TestHTTPEngineField(t *testing.T) {
 	s := twoBackendService(t, Config{Seed: 5})
 	srv := httptest.NewServer(s.Handler())

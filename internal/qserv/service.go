@@ -12,7 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/obs"
+	"repro/internal/openql"
 	"repro/internal/target"
 )
 
@@ -116,9 +118,11 @@ func (c Config) withDefaults() Config {
 }
 
 // backendPool couples a backend with its worker lane and its resolved
-// instrument handles (nil when metrics are disabled).
+// instrument handles (nil when metrics are disabled). gate is the
+// *StackBackend behind b, nil for backends that run no stack.
 type backendPool struct {
 	b       Backend
+	gate    *StackBackend
 	workers int
 	ch      chan *Job
 	met     *poolMetrics
@@ -176,7 +180,7 @@ func New(cfg Config) *Service {
 	if cfg.PrefixCacheSize > 0 {
 		s.prefix = NewPrefixCache(cfg.PrefixCacheSize)
 	}
-	s.env = &CompileEnv{Cache: s.cache, Prefix: s.prefix}
+	s.env = &CompileEnv{Cache: s.cache}
 	s.reg = cfg.Metrics
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -285,7 +289,8 @@ func (s *Service) Cache() *CompileCache { return s.cache }
 func (s *Service) PrefixCache() *PrefixCache { return s.prefix }
 
 // AddBackend registers a backend with its worker-pool size (<= 0 selects
-// Config.DefaultWorkers). It must be called before Start.
+// Config.DefaultWorkers). It must be called before Start. A gate
+// backend's stack takes on the service's prefix cache here, once.
 func (s *Service) AddBackend(b Backend, workers int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -305,6 +310,12 @@ func (s *Service) AddBackend(b Backend, workers int) {
 		workers: workers,
 		ch:      make(chan *Job, s.cfg.QueueSize),
 		met:     s.met.pool(b.Name()),
+	}
+	if g, ok := b.(gateBackend); ok {
+		p.gate = g.gate()
+		if s.prefix != nil {
+			p.gate.usePrefix(s.prefix)
+		}
 	}
 	s.pools = append(s.pools, p)
 	s.byName[b.Name()] = p
@@ -434,8 +445,8 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 			if ns := res.Report.ExecNs; ns > 0 {
 				m.execSecs.ObserveSeconds(ns)
 			}
-			// The engine that actually ran the shots — auto dispatch
-			// resolved, so the Clifford fast-path hit rate is visible.
+			// The engine that actually ran the shots (the qx.Dispatch
+			// target), so the Clifford fast-path hit rate is visible.
 			if eng := res.Report.Engine; eng != "" {
 				m.m.engineDispatch.With(eng).Inc()
 			}
@@ -588,16 +599,29 @@ func (s *Service) acceptingLocked() error {
 }
 
 // resolve validates a submit or session-open request, applies the
-// default shot count and routes it to a backend pool, vetting any device
-// override, the program's width and the pass spec against that backend.
-// A cQASM payload is parsed, validated and flattened here, so a malformed
-// program is refused at submit; the request leaves carrying the parsed
-// program in place of its text, and a resubmitted text reuses its
-// memoised parse.
+// default shot count and routes it to a backend pool. It is the one place
+// that decides what a gate job runs on. A cQASM payload is parsed,
+// validated and flattened here, so a malformed program is refused at
+// submit; the request leaves carrying the parsed program in place of its
+// text, and a resubmitted text reuses its memoised parse. A gate job
+// routed to a stack backend also leaves carrying its stack — the
+// backend's current one, or a copy with the job's device, calibration
+// and pass overrides applied and checked — and its full-artefact cache
+// key; the worker and the session compile and run on those as they are.
 func (s *Service) resolve(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
+	var pl *compiler.Pipeline
+	if req.Passes != "" {
+		// Malformed specs, unknown pass names and invalid pass options
+		// are refused before routing, whatever the payload.
+		var err error
+		if pl, err = compiler.NewPipeline(req.Passes); err != nil {
+			return nil, err
+		}
+	}
+	var canon string
 	if req.CQASM != "" {
 		name, text := req.Name, req.CQASM
 		pp, _, err := s.programs.getOrCompute(programKey(name, text), func() (parsedProgram, error) {
@@ -610,25 +634,73 @@ func (s *Service) resolve(req *Request) (*backendPool, error) {
 		if err != nil {
 			return nil, err
 		}
-		req.Program, req.canon, req.CQASM = pp.prog, pp.canon, ""
+		req.Program, canon, req.CQASM = pp.prog, pp.canon, ""
 	}
 	if req.Shots <= 0 {
 		req.Shots = s.cfg.DefaultShots
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.acceptingLocked(); err != nil {
-		return nil, err
+	err := s.acceptingLocked()
+	var pool *backendPool
+	if err == nil {
+		pool, err = s.route(req)
 	}
-	pool, err := s.route(req)
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := validateDeviceOverrides(req, pool.b); err != nil {
-		return nil, err
+	overrides := req.Target != nil || req.Calibration != nil
+	if pool.gate == nil {
+		if overrides {
+			return nil, fmt.Errorf("qserv: backend %q takes no device target or calibration override", pool.b.Name())
+		}
+		return pool, nil
 	}
-	if err := checkStack(req, pool.b); err != nil {
-		return nil, err
+	cur := pool.gate.cur.Load()
+	stack, fp := cur.stack, cur.fp
+	if overrides {
+		dev := req.Target
+		if dev == nil {
+			if dev = stack.Platform.AsDevice(); dev.Calibration == nil {
+				return nil, fmt.Errorf("qserv: backend %q is uncalibrated; submit a full \"target\" to calibrate it", pool.b.Name())
+			}
+		}
+		if req.Calibration != nil {
+			dev = dev.WithCalibration(req.Calibration)
+		}
+		// The device decides mode, platform, noise and microcode; the
+		// backend's compiler and execution tuning carries over.
+		if stack, err = stack.WithDevice(dev); err != nil {
+			return nil, err
+		}
+	}
+	if need, have := req.Program.NumQubits, stack.Platform.NumQubits; need > have {
+		return nil, fmt.Errorf("qserv: program needs %d qubits, stack %q has %d", need, stack.Name, have)
+	}
+	if pl != nil {
+		// A spec that cannot yield what the stack executes — no
+		// "schedule", or no "assemble" after it on a realistic stack —
+		// would otherwise fail in the worker.
+		if err := pl.CheckStages(stack.Mode == openql.RealisticQubits); err != nil {
+			return nil, err
+		}
+		if spec := pl.Canonical(); spec != stack.Passes {
+			if stack == cur.stack {
+				copied := *stack
+				stack = &copied
+			}
+			stack.Passes = spec
+		}
+	}
+	if stack != cur.stack {
+		fp = stack.CompileFingerprint()
+	}
+	req.stack = stack
+	if s.cache != nil {
+		if canon == "" {
+			canon = canonicalText(req.Program)
+		}
+		req.key = cacheKey(fp, canon)
 	}
 	return pool, nil
 }
@@ -637,13 +709,14 @@ func (s *Service) resolve(req *Request) (*backendPool, error) {
 // (HTTP 404) from invalid inputs (HTTP 400).
 var ErrUnknownBackend = errors.New("qserv: unknown backend")
 
-// Recalibrate atomically replaces a backend's device calibration: jobs
-// already running finish against the old tables, later jobs compile and
-// execute against the new ones. The re-calibrated device hashes
+// Recalibrate atomically replaces a gate backend's device calibration.
+// Jobs admitted before the call — running or still queued — compile and
+// execute against the tables they were admitted with; jobs admitted
+// after it use the new ones. The re-calibrated device hashes
 // differently, so full-artefact cache entries built against the stale
-// tables are never reused, while platform-generic prefix artefacts stay
-// live (the prefix passes cannot observe calibration). Returns the
-// re-calibrated device.
+// tables are never reused by later jobs, while platform-generic prefix
+// artefacts stay live (the prefix passes cannot observe calibration).
+// Returns the re-calibrated device.
 func (s *Service) Recalibrate(name string, cal *target.Calibration) (*target.Device, error) {
 	s.mu.Lock()
 	pool, ok := s.byName[name]
@@ -651,11 +724,10 @@ func (s *Service) Recalibrate(name string, cal *target.Calibration) (*target.Dev
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownBackend, name)
 	}
-	rc, can := pool.b.(Recalibrator)
-	if !can {
+	if pool.gate == nil {
 		return nil, fmt.Errorf("qserv: backend %q does not support live recalibration", name)
 	}
-	dev, err := rc.Recalibrate(cal)
+	dev, err := pool.gate.Recalibrate(cal)
 	if err != nil {
 		return nil, err
 	}
@@ -664,33 +736,6 @@ func (s *Service) Recalibrate(name string, cal *target.Calibration) (*target.Dev
 	}
 	s.log.Info("calibration reloaded", "backend", name, "device_hash", dev.Hash())
 	return dev, nil
-}
-
-// validateDeviceOverrides checks a request's device target / calibration
-// override against the backend it routed to, so invalid overrides are
-// rejected at submit time (HTTP 400) instead of failing the job later.
-// Request.validate has already vetted the target device itself; what is
-// left is backend compatibility: only gate backends take overrides, and
-// a bare calibration override needs a calibrated backend device to
-// overlay (or an explicit target).
-func validateDeviceOverrides(req *Request, b Backend) error {
-	if req.Target == nil && req.Calibration == nil {
-		return nil
-	}
-	dp, ok := b.(DeviceProvider)
-	if !ok {
-		return fmt.Errorf("qserv: backend %q takes no device target or calibration override", b.Name())
-	}
-	if req.Target == nil && req.Calibration != nil {
-		dev := dp.Device()
-		if dev.Calibration == nil {
-			return fmt.Errorf("qserv: backend %q is uncalibrated; submit a full \"target\" to calibrate it", b.Name())
-		}
-		if err := dev.WithCalibration(req.Calibration).Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // route resolves the request's target pool: by name when given, else the
@@ -748,9 +793,9 @@ func (s *Service) Backends() []BackendView {
 	out := make([]BackendView, 0, len(pools))
 	for _, p := range pools {
 		bv := BackendView{Name: p.b.Name(), Kind: "accelerator", Workers: p.workers}
-		if dp, ok := p.b.(DeviceProvider); ok {
+		if p.gate != nil {
 			bv.Kind = "gate"
-			bv.Device = dp.Device()
+			bv.Device = p.gate.Device()
 			bv.DeviceHash = bv.Device.Hash()
 		}
 		out = append(out, bv)

@@ -90,15 +90,14 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sb, ok := pool.b.(SessionBackend)
-	if !ok {
+	if req.stack == nil {
 		return nil, fmt.Errorf("qserv: backend %q does not support sessions", pool.b.Name())
 	}
 
-	// Compile outside the service lock: an eager compile can be slow and
-	// must not stall Submit. The shared cache deduplicates concurrent
-	// opens of the same program.
-	stack, p, compiled, hit, err := sb.CompileForSession(&req, s.env)
+	// Compile on the stack admission resolved, outside the service lock:
+	// an eager compile can be slow and must not stall Submit. The shared
+	// cache deduplicates concurrent opens of the same program.
+	compiled, hit, err := compileOn(req.stack, req.Program, req.key, s.cache, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +118,9 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 	sess := &Session{
 		ID:        id,
 		pool:      pool,
-		stack:     stack,
+		stack:     req.stack,
 		compiled:  compiled,
-		numQubits: p.NumQubits,
+		numQubits: req.Program.NumQubits,
 		symbols:   compiled.Symbols(),
 		name:      req.Name,
 		shots:     req.Shots,

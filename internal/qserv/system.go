@@ -11,7 +11,7 @@ import (
 // service: perfect, superconducting and semiconducting gate stacks, the
 // simulated quantum annealer, and the classical QUBO fallback. qubits
 // sizes the perfect stack; workers sizes every pool (<= 0 selects
-// Config.DefaultWorkers). Every gate stack executes on the auto engine,
+// Config.DefaultWorkers). Every gate stack executes on the engine qx.Dispatch picks,
 // compiles through Config.Passes (jobs may override it per request) and
 // fans large shot counts out in parallel batches. The service is
 // returned unstarted.

@@ -41,13 +41,14 @@
 //     outcome tree, each node holding a tableau. Noisy runs replay every
 //     shot on one tableau reset to |0…0>. Results for registers wider
 //     than 63 qubits land in Result.WideCounts, keyed by bitstring.
-//   - Auto (the default): a Dispatcher that inspects each circuit at run
-//     time and picks Stabilizer when circuit.IsClifford holds and the
-//     noise model is CliffordCompatible, Optimized otherwise. RunState
-//     always runs Optimized, since a state vector is dense whichever
-//     engine would sample the circuit. Layers that want the
-//     report/metrics to name the real execution path (core.Stack, qserv)
-//     resolve the Dispatcher once before running.
+//   - No engine (the default): a Simulator whose Engine is nil calls
+//     Dispatch on each run, which picks Stabilizer when
+//     circuit.IsClifford holds and the noise model is
+//     CliffordCompatible, Optimized otherwise. RunState always runs
+//     Optimized, since a state vector is dense whichever engine would
+//     sample the circuit. Layers that want the report/metrics to name
+//     the real execution path (core.Stack, qserv) call Dispatch once
+//     before running.
 //
 // The Clifford classifier (circuit.CliffordDecompose / IsClifford)
 // recognises the structural Clifford gates (h, s, sdag, x, y, z, the

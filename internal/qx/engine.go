@@ -13,9 +13,10 @@ import (
 // this interface rather than one concrete implementation, mirroring how
 // the paper treats QX as the swappable layer under the micro-architecture.
 //
-// Engines are plain values: a Simulator with no Engine runs Auto, and
-// callers that need one path pinned (differential tests, benchmarks)
-// pass Reference(), Optimized() or Stabilizer() directly.
+// Engines are plain values: a Simulator with no Engine runs the engine
+// Dispatch picks per circuit, and callers that need one path pinned
+// (differential tests, benchmarks) pass Reference(), Optimized() or
+// Stabilizer() directly.
 //
 // Engines must be stateless (or internally synchronised): one Engine
 // value is shared by every Simulator that selects it, across goroutines.
@@ -75,11 +76,6 @@ const (
 	// tableau charged its rows. Seeded counts are identical to the dense
 	// engines on any circuit both can execute.
 	EngineStabilizer = "stabilizer"
-	// EngineAuto dispatches per circuit: the stabilizer tableau when the
-	// circuit is Clifford and the noise model is Clifford-compatible, the
-	// optimized dense engine otherwise. It is the engine a Simulator with
-	// no Engine runs.
-	EngineAuto = "auto"
 )
 
 // Reference returns the reference engine.
@@ -91,18 +87,21 @@ func Optimized() Engine { return optimizedEngine{} }
 // Stabilizer returns the Clifford tableau engine.
 func Stabilizer() Engine { return stabilizerEngine{} }
 
-// Auto returns the dispatching meta-engine.
-func Auto() Engine { return autoEngine{} }
-
-// Dispatcher is implemented by meta-engines (the auto engine) that pick
-// a concrete engine per circuit. Callers that record or expose the
-// engine actually executing a workload — core.Stack's report, the qserv
-// span attributes and dispatch counter — resolve through this interface
-// before running.
-type Dispatcher interface {
-	// Dispatch returns the engine that will execute the circuit under
-	// the given noise model (nil means perfect execution).
-	Dispatch(c *circuit.Circuit, noise *NoiseModel) Engine
+// Dispatch returns the engine a Simulator with no Engine runs the
+// circuit on under the given noise model (nil means perfect execution):
+// the stabilizer tableau when the circuit is Clifford and the noise model
+// is Clifford-compatible, the optimized dense engine otherwise. Both
+// produce identical seeded counts wherever they overlap (the stabilizer
+// engine mirrors the dense PRNG consumption draw for draw), so the
+// choice never changes results, only which asymptotic regime pays for
+// them. Layers that report the engine actually executing a workload —
+// core.Stack's report, the qserv span attributes and dispatch counter —
+// call it once before running.
+func Dispatch(c *circuit.Circuit, noise *NoiseModel) Engine {
+	if circuit.IsClifford(c) && noise.CliffordCompatible() {
+		return stabilizerEngine{}
+	}
+	return optimizedEngine{}
 }
 
 // Noise helpers shared by every engine. They consume the ExecEnv PRNG in
@@ -166,10 +165,10 @@ func applyEnvReadoutError(env *ExecEnv, idx, n int) int {
 }
 
 // applyEnvWait applies decoherence for an explicit wait of the given
-// cycle count across every qubit.
-func applyEnvWait(env *ExecEnv, st *quantum.State, numQubits int, cycles float64) {
+// cycle count across every qubit (circuit.Gate.Validate bounds the count).
+func applyEnvWait(env *ExecEnv, st *quantum.State, numQubits, cycles int) {
 	for q := 0; q < numQubits; q++ {
-		for k := 0.0; k < cycles; k++ {
+		for k := 0; k < cycles; k++ {
 			applyEnvDecoherence(env, st, q)
 		}
 	}

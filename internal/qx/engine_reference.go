@@ -133,7 +133,7 @@ func refApplyGate(g circuit.Gate, c *circuit.Circuit, st *quantum.State, env *Ex
 	case circuit.OpBarrier, circuit.OpWait, circuit.OpDisplay:
 		// No quantum effect; decoherence during explicit waits.
 		if noisy && g.Name == circuit.OpWait && len(g.Params) > 0 {
-			applyEnvWait(env, st, c.NumQubits, g.Params[0])
+			applyEnvWait(env, st, c.NumQubits, int(g.Params[0]))
 		}
 	default:
 		// Classically-controlled gates (feed-forward) fire only when the

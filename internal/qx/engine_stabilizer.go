@@ -116,7 +116,7 @@ func stabNoiseCompatible(nm *NoiseModel) error {
 	if nm.CliffordCompatible() {
 		return nil
 	}
-	return fmt.Errorf("qx: stabilizer engine cannot apply amplitude-damping (T1) noise — only Pauli channels (depolarizing, dephasing, readout error) stay Clifford; the default (auto) engine runs this noise model on a dense engine")
+	return fmt.Errorf("qx: stabilizer engine cannot apply amplitude-damping (T1) noise — only Pauli channels (depolarizing, dephasing, readout error) stay Clifford; a simulator with no pinned engine runs this noise model on a dense engine")
 }
 
 // stabProgram is a circuit compiled for the stabilizer engine: each
@@ -128,7 +128,7 @@ type stabProgram = program[[]circuit.CliffordGate]
 func lowerClifford(g circuit.Gate) ([]circuit.CliffordGate, error) {
 	gens, ok := circuit.CliffordDecompose(g)
 	if !ok {
-		return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; the default (auto) engine runs it on a dense engine", g.String())
+		return nil, fmt.Errorf("qx: stabilizer engine cannot execute non-Clifford gate %q; a simulator with no pinned engine runs it on a dense engine", g.String())
 	}
 	return gens, nil
 }
@@ -259,9 +259,9 @@ func tabGateNoise(env *ExecEnv, t *tableau, qubits []int) int {
 }
 
 // tabWait mirrors applyEnvWait.
-func tabWait(env *ExecEnv, t *tableau, numQubits int, cycles float64) {
+func tabWait(env *ExecEnv, t *tableau, numQubits, cycles int) {
 	for q := 0; q < numQubits; q++ {
-		for k := 0.0; k < cycles; k++ {
+		for k := 0; k < cycles; k++ {
 			tabDecoherence(env, t, q)
 		}
 	}

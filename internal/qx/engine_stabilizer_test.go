@@ -194,55 +194,66 @@ func TestStabilizerAgreesOnNoisyCliffordCircuits(t *testing.T) {
 	}
 }
 
-// Auto dispatch, differentially proven: Clifford circuits route to the
+// Dispatch, differentially proven: Clifford circuits route to the
 // tableau and still match dense seeded counts; non-Clifford circuits
-// route to dense with artefacts unchanged.
+// route to dense with artefacts unchanged. A nil Simulator.Engine runs
+// what Dispatch picks.
 func TestAutoDispatch(t *testing.T) {
-	auto := Auto().(Dispatcher)
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed + 300))
 		cliff := cliffordRandomCircuit(4+int(seed)%5, 4, rng, seed%2 == 0)
-		if got := auto.Dispatch(cliff, nil).Name(); got != EngineStabilizer {
+		if got := Dispatch(cliff, nil).Name(); got != EngineStabilizer {
 			t.Fatalf("seed %d: Clifford circuit dispatched to %q", seed, got)
 		}
 		ra, err := NewWithEngine(seed, Optimized()).Run(cliff, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := NewWithEngine(seed, Auto()).Run(cliff, 200)
+		rs, err := NewWithEngine(seed, nil).Run(cliff, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ra.Counts, rs.Counts) {
-			t.Fatalf("seed %d: auto(clifford) counts diverge from optimized:\n%v\n%v", seed, ra.Counts, rs.Counts)
+			t.Fatalf("seed %d: dispatched (clifford) counts diverge from optimized:\n%v\n%v", seed, ra.Counts, rs.Counts)
 		}
 
 		dense := richRandomCircuit(4, 4, rng, seed%2 == 0)
 		dense.T(0) // guarantee non-Clifford
-		if got := auto.Dispatch(dense, nil).Name(); got != EngineOptimized {
+		if got := Dispatch(dense, nil).Name(); got != EngineOptimized {
 			t.Fatalf("seed %d: non-Clifford circuit dispatched to %q", seed, got)
 		}
 		rd, err := NewWithEngine(seed, Optimized()).Run(dense, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rad, err := NewWithEngine(seed, Auto()).Run(dense, 150)
+		rad, err := NewWithEngine(seed, nil).Run(dense, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rd.Counts, rad.Counts) {
-			t.Fatalf("seed %d: auto(non-clifford) differs from optimized:\n%v\n%v", seed, rd.Counts, rad.Counts)
+			t.Fatalf("seed %d: dispatched (non-clifford) counts differ from optimized:\n%v\n%v", seed, rd.Counts, rad.Counts)
 		}
 	}
 
 	// Noise steers dispatch too: amplitude damping forces the dense path
 	// even on Clifford circuits; Pauli channels keep the tableau.
 	ghz := circuit.GHZ(4)
-	if got := auto.Dispatch(ghz, Superconducting()).Name(); got != EngineOptimized {
-		t.Errorf("T1 noise model dispatched to %q, want optimized", got)
-	}
-	if got := auto.Dispatch(ghz, Depolarizing(0.01)).Name(); got != EngineStabilizer {
-		t.Errorf("depolarizing model dispatched to %q, want stabilizer", got)
+	withT1 := Depolarizing(0.01)
+	withT1.T1, withT1.GateTimeNs = 20000, 20
+	for _, tc := range []struct {
+		name  string
+		noise *NoiseModel
+		want  string
+	}{
+		{"perfect", nil, EngineStabilizer},
+		{"zero model", &NoiseModel{}, EngineStabilizer},
+		{"depolarizing", Depolarizing(0.01), EngineStabilizer},
+		{"depolarizing with T1", withT1, EngineOptimized},
+		{"superconducting (T1)", Superconducting(), EngineOptimized},
+	} {
+		if got := Dispatch(ghz, tc.noise).Name(); got != tc.want {
+			t.Errorf("%s: Clifford circuit dispatched to %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -98,11 +98,8 @@ func TestEngineRegistry(t *testing.T) {
 	if got := Stabilizer().Name(); got != EngineStabilizer {
 		t.Errorf("Stabilizer().Name() = %q", got)
 	}
-	if got := Auto().Name(); got != EngineAuto {
-		t.Errorf("Auto().Name() = %q", got)
-	}
-	if New(1).engine().Name() != EngineAuto {
-		t.Errorf("a nil Simulator.Engine runs %q, want auto", New(1).engine().Name())
+	if New(1).Engine != nil {
+		t.Error("New pins an engine; a nil Engine dispatches per circuit")
 	}
 }
 

@@ -91,8 +91,8 @@ func (m *NoiseModel) dephasingLambda() float64 {
 // sampled Paulis and readout error flips classical bits, all fine, but
 // amplitude damping (a finite T1 with a gate time) applies a
 // non-unitary Kraus jump no tableau can represent. The stabilizer
-// engine rejects incompatible models; the auto engine dispatches them
-// to the dense path.
+// engine rejects incompatible models; Dispatch sends them to the dense
+// path.
 func (m *NoiseModel) CliffordCompatible() bool {
 	return m.IsZero() || m.ampDampingGamma() == 0
 }

@@ -22,7 +22,7 @@ type progOp[G any] struct {
 	qubits  []int
 	hasCond bool
 	condBit int
-	cycles  float64 // opWait
+	cycles  int // opWait
 }
 
 // opKind is what a compiled op is to the shot loops.
@@ -77,7 +77,7 @@ func (p *program[G]) lower(g circuit.Gate, gateOf func(circuit.Gate) (G, error))
 	case circuit.OpWait:
 		op.kind = opWait
 		if len(g.Params) > 0 {
-			op.cycles = g.Params[0]
+			op.cycles = int(g.Params[0])
 		}
 	case circuit.OpBarrier, circuit.OpDisplay:
 		op.kind = opNop

@@ -29,7 +29,8 @@ type Simulator struct {
 	// same qubit into one matrix before application (perfect mode only;
 	// with noise each physical gate must see its own error channel).
 	EnableFusion bool
-	// Engine pins the execution engine; nil runs Auto. Engines are
+	// Engine pins the execution engine; nil runs the engine Dispatch
+	// picks for each circuit (RunState runs Optimized). Engines are
 	// stateless and may be shared.
 	Engine Engine
 	// KernelWorkers caps amplitude-kernel parallelism for engine-created
@@ -40,8 +41,7 @@ type Simulator struct {
 	// RunParallel sets 1 on its own shot workers automatically.
 	KernelWorkers int
 
-	seed int64
-	rng  *rand.Rand
+	rng *rand.Rand
 }
 
 // rngPool holds the PRNGs of released simulators. A math/rand source is
@@ -49,9 +49,9 @@ type Simulator struct {
 // rand.NewSource(seed) would, without allocating it.
 var rngPool sync.Pool
 
-// New returns a perfect-qubit simulator seeded deterministically, backed
-// by the auto engine. Its PRNG is recycled from a released simulator
-// when one is available (see Release).
+// New returns a perfect-qubit simulator seeded deterministically, with
+// no pinned engine (see Simulator.Engine). Its PRNG is recycled from a
+// released simulator when one is available (see Release).
 func New(seed int64) *Simulator {
 	rng, _ := rngPool.Get().(*rand.Rand)
 	if rng == nil {
@@ -59,7 +59,7 @@ func New(seed int64) *Simulator {
 	} else {
 		rng.Seed(seed)
 	}
-	return &Simulator{seed: seed, rng: rng}
+	return &Simulator{rng: rng}
 }
 
 // Release hands the simulator's PRNG back for reuse by a later New. It is
@@ -74,7 +74,7 @@ func (s *Simulator) Release() {
 }
 
 // NewWithEngine returns a perfect-qubit simulator backed by the given
-// engine (nil selects auto).
+// engine (nil dispatches per circuit).
 func NewWithEngine(seed int64, e Engine) *Simulator {
 	s := New(seed)
 	s.Engine = e
@@ -89,7 +89,7 @@ func NewNoisy(seed int64, noise *NoiseModel) *Simulator {
 }
 
 // NewNoisyWithEngine returns a realistic-qubit simulator backed by the
-// given engine (nil selects auto).
+// given engine (nil dispatches per circuit).
 func NewNoisyWithEngine(seed int64, noise *NoiseModel, e Engine) *Simulator {
 	s := NewNoisy(seed, noise)
 	s.Engine = e
@@ -99,17 +99,6 @@ func NewNoisyWithEngine(seed int64, noise *NoiseModel, e Engine) *Simulator {
 // Rand exposes the simulator PRNG (for callers that interleave their own
 // sampling deterministically).
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Seed returns the seed the simulator was constructed with; all PRNG
-// streams — including RunParallel's per-worker seeds — derive from it.
-func (s *Simulator) Seed() int64 { return s.seed }
-
-func (s *Simulator) engine() Engine {
-	if s.Engine != nil {
-		return s.Engine
-	}
-	return Auto()
-}
 
 func (s *Simulator) env() *ExecEnv {
 	return &ExecEnv{Rng: s.rng, Noise: s.Noise, Fusion: s.EnableFusion, KernelWorkers: s.KernelWorkers}
@@ -124,7 +113,13 @@ func (s *Simulator) RunState(c *circuit.Circuit) (*quantum.State, error) {
 	if err := validate(c); err != nil {
 		return nil, err
 	}
-	return s.engine().RunState(c, s.env())
+	e := s.Engine
+	if e == nil {
+		// A state vector is dense whichever engine would sample the
+		// circuit.
+		e = optimizedEngine{}
+	}
+	return e.RunState(c, s.env())
 }
 
 // validate vets a circuit for execution: at least one qubit, which every
@@ -148,8 +143,12 @@ func (s *Simulator) Run(c *circuit.Circuit, shots int) (*Result, error) {
 // run executes a validated circuit's shots as one batch on the engine
 // and stamps the result's wall time.
 func (s *Simulator) run(c *circuit.Circuit, shots int) (*Result, error) {
+	e := s.Engine
+	if e == nil {
+		e = Dispatch(c, s.Noise)
+	}
 	start := time.Now()
-	res, err := s.engine().Run(c, shots, s.env())
+	res, err := e.Run(c, shots, s.env())
 	if res != nil {
 		res.ElapsedNs = time.Since(start).Nanoseconds()
 		res.Batches = 1

@@ -23,7 +23,7 @@ func TestRunStateBell(t *testing.T) {
 	}
 }
 
-// The default (auto) engine must return a state vector for a Clifford
+// A simulator with no pinned engine must return a state vector for a Clifford
 // circuit wider than the tableau's state-vector cap: a state vector is
 // dense whichever engine would sample the circuit, so RunState never
 // routes through the stabilizer engine.
@@ -84,17 +84,19 @@ func TestRunRejectsBadShots(t *testing.T) {
 // RunState.
 func TestRunRejectsZeroQubits(t *testing.T) {
 	empty := circuit.New("empty", 0)
-	for _, e := range []Engine{Auto(), Reference(), Optimized(), Stabilizer()} {
+	names := []string{"dispatch (nil)", EngineReference, EngineOptimized, EngineStabilizer}
+	for i, e := range []Engine{nil, Reference(), Optimized(), Stabilizer()} {
+		name := names[i]
 		for _, noise := range []*NoiseModel{nil, Depolarizing(1e-3)} {
 			sim := NewNoisyWithEngine(1, noise, e)
 			if _, err := sim.Run(empty, 4); err == nil {
-				t.Errorf("%s (noise %v): zero-qubit Run accepted", e.Name(), noise != nil)
+				t.Errorf("%s (noise %v): zero-qubit Run accepted", name, noise != nil)
 			}
 			if _, err := sim.RunParallel(empty, 4, 2); err == nil {
-				t.Errorf("%s (noise %v): zero-qubit RunParallel accepted", e.Name(), noise != nil)
+				t.Errorf("%s (noise %v): zero-qubit RunParallel accepted", name, noise != nil)
 			}
 			if _, err := sim.RunState(empty); err == nil {
-				t.Errorf("%s (noise %v): zero-qubit RunState accepted", e.Name(), noise != nil)
+				t.Errorf("%s (noise %v): zero-qubit RunState accepted", name, noise != nil)
 			}
 		}
 	}
@@ -278,12 +280,12 @@ func TestDeterministicSeeding(t *testing.T) {
 // never changes seeded counts, serial or in parallel batches.
 func TestReleasedPRNGReseedsExactly(t *testing.T) {
 	c := circuit.New("d", 4).H(0).H(1).RX(2, 0.4).CNOT(2, 3).H(3)
-	fresh := &Simulator{seed: 9, rng: rand.New(rand.NewSource(9))}
+	fresh := &Simulator{rng: rand.New(rand.NewSource(9))}
 	want, err := fresh.Run(c, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantParallel, err := (&Simulator{seed: 9, rng: rand.New(rand.NewSource(9))}).RunParallel(c, 500, 3)
+	wantParallel, err := (&Simulator{rng: rand.New(rand.NewSource(9))}).RunParallel(c, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
