@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/algo"
 	"repro/internal/anneal"
 	"repro/internal/circuit"
@@ -33,6 +33,7 @@ import (
 	"repro/internal/genome"
 	"repro/internal/grover"
 	"repro/internal/microarch"
+	"repro/internal/obs"
 	"repro/internal/openql"
 	"repro/internal/qaoa"
 	"repro/internal/qec"
@@ -85,29 +86,48 @@ func ghzProgram(n int) *openql.Program {
 	return p
 }
 
-// E1 — Fig 1/Fig 3: heterogeneous host dispatching to quantum gate,
-// quantum annealing and classical accelerators.
+// E1 — Fig 1/Fig 3: the host (the qserv service) dispatching to quantum
+// gate, quantum annealing and classical accelerators. The report is the
+// service's Amdahl accounting: jobs and worker busy time per backend.
 func BenchmarkE1_HeterogeneousOffload(b *testing.B) {
-	host := accel.DefaultSystem(4, 1)
+	svc := qserv.DefaultService(qserv.Config{Seed: 1}, 4, 1)
+	svc.Start()
+	defer svc.Stop()
 	q := qubo.New(4)
 	q.Set(0, 0, -1)
 	q.Set(0, 1, 2)
-	prog := bellProgram()
+	reqs := []qserv.Request{
+		{Program: bellProgram(), Backend: "perfect", Shots: 64},
+		{QUBO: q, Backend: "annealer"},
+		{QUBO: q, Backend: "classical"},
+	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := host.Offload(accel.CircuitTask{Program: prog, Shots: 64}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := host.Offload(accel.AnnealTask{Q: q}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := host.Offload(accel.ClassicalTask{Name: "pre", F: func() (interface{}, error) { return 1, nil }}); err != nil {
-			b.Fatal(err)
+		for _, r := range reqs {
+			j, err := svc.Submit(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := j.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()
-	report("E1 heterogeneous offload", fmt.Sprintf(
-		"accelerators: %v\ndispatches logged: %d\n", host.Accelerators(), len(host.Dispatches())))
+	var buf bytes.Buffer
+	_ = svc.Metrics().WritePrometheus(&buf) // writes to a bytes.Buffer cannot fail
+	m, err := obs.ParseText(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows strings.Builder
+	for _, r := range reqs {
+		fmt.Fprintf(&rows, "%-10s jobs %4.0f  busy %.6f s\n", r.Backend,
+			m[`qserv_jobs_completed_total{backend="`+r.Backend+`",status="done"}`],
+			m[`qserv_worker_busy_seconds_total{backend="`+r.Backend+`"}`])
+	}
+	report("E1 heterogeneous offload", rows.String())
 }
 
 // E2 — Fig 2: the same program on perfect vs realistic full stacks.

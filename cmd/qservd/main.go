@@ -1,9 +1,10 @@
-// qservd serves the heterogeneous quantum accelerator system of Fig 1
-// over HTTP: gate jobs (cQASM) on the perfect, superconducting and
-// semiconducting stacks — plus any device loaded with -target — QUBO
-// jobs on the simulated quantum annealer, and a classical brute-force
-// fallback, all behind a bounded job queue, per-backend worker pools and
-// a shared compiled-circuit cache keyed on device content hashes.
+// qservd is the host of Fig 1, served over HTTP: it keeps control of
+// the heterogeneous system and delegates each job to an accelerator —
+// gate jobs (cQASM) to the perfect, superconducting and semiconducting
+// stacks, plus any device loaded with -target, and QUBO jobs to the
+// simulated quantum annealer or a classical brute-force fallback — all
+// behind a bounded job queue, per-backend worker pools and a shared
+// compiled-circuit cache keyed on device content hashes.
 //
 // Usage:
 //

@@ -107,9 +107,9 @@
 // microarch.Machine.ShotWorkers).
 //
 // Above the single-caller stack sits the concurrent accelerator service
-// (internal/qserv): a bounded job queue feeding per-backend worker pools
-// over the heterogeneous accelerators of Fig 1 — the gate-based stacks,
-// the annealer and the classical fallback (internal/accel) — with the
+// (internal/qserv), the host of Fig 1: a bounded job queue feeding
+// per-backend worker pools over the heterogeneous accelerators — the
+// gate-based stacks, the annealer and the classical fallback — with the
 // shared two-level compile cache: a full-artefact LRU so exact
 // resubmissions skip compilation entirely, and a prefix-artefact LRU so
 // map/schedule/calibration variants of known kernels recompile

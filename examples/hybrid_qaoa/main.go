@@ -1,8 +1,8 @@
-// Hybrid QAOA example: the Fig 8 execution model. The classical host
-// offloads quantum kernels to a registered accelerator fleet; a
-// variational loop alternates between the classical optimiser and the
+// Hybrid QAOA example: the Fig 8 execution model. The classical host —
+// one qserv service — offloads quantum kernels to its accelerator lanes;
+// a variational loop alternates between the classical optimiser and the
 // gate-based quantum accelerator; the same QUBO also goes to the
-// annealing accelerator for comparison — "the choice of the quantum
+// annealing lane for comparison — "the choice of the quantum
 // accelerator is dependent on the specific energy landscape of the
 // application".
 //
@@ -22,7 +22,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/anneal"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -65,30 +64,32 @@ func main() {
 	xOpt, eOpt := q.BruteForce()
 	fmt.Printf("exact optimum: %v energy %.3f\n\n", xOpt, eOpt)
 
-	// Heterogeneous system of Fig 1: host + accelerators.
-	host := accel.NewHost()
-	host.Register(&accel.AnnealAccelerator{SQA: anneal.SQAOptions{Seed: 9, Sweeps: 1200}})
-	host.Register(&accel.AnnealAccelerator{Digital: true, DA: anneal.DigitalAnnealerOptions{Seed: 9, Steps: 8000}})
-	fmt.Printf("registered accelerators: %v\n\n", host.Accelerators())
+	// The host of Fig 1: one service with a gate-based lane and an
+	// annealing lane.
+	svc := qserv.New(qserv.Config{Seed: 9})
+	svc.AddBackend(qserv.NewStackBackend(core.NewPerfect(6, 9)), 2)
+	svc.AddBackend(qserv.NewAnnealBackend("annealer", anneal.SQAOptions{Sweeps: 1200}), 1)
+	svc.Start()
+	defer svc.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 
 	// Path 1: annealing accelerator.
-	out, err := host.Offload(accel.AnnealTask{Q: q})
+	annealJob, err := svc.Submit(qserv.Request{QUBO: q, Backend: "annealer"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	annealRes := out.(*anneal.Result)
+	if err := annealJob.Wait(ctx); err != nil {
+		log.Fatal(err)
+	}
+	annealRes := annealJob.Result().Anneal
 	fmt.Printf("quantum annealer:  bits %v energy %.3f\n\n", annealRes.Bits, annealRes.Energy)
 
-	// Path 2: gate-based accelerator behind the microservice, driven
+	// Path 2: gate-based accelerator on the same service, driven
 	// through a variational session. The depth-3 ansatz keeps its six
 	// symbolic angles through the whole compile pipeline.
 	problem := qaoa.FromQUBO(q)
 	const layers = 3
-
-	svc := qserv.New(qserv.Config{Seed: 9})
-	svc.AddBackend(qserv.NewStackBackend(core.NewPerfect(6, 9)), 2)
-	svc.Start()
-	defer svc.Stop()
 
 	ansatz, err := problem.BuildParametricCircuit(layers)
 	if err != nil {
@@ -107,8 +108,6 @@ func main() {
 	fmt.Printf("session %s: ansatz compiled once in %v, symbols %v\n",
 		sess.ID, compileOnce.Round(time.Microsecond), sess.Symbols())
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 	model := problem.Model
 	energyOf := func(counts map[int]int, shots int) float64 {
 		spins := make([]int, model.N)
@@ -214,7 +213,8 @@ func main() {
 		m["qserv_binds_total"], time.Duration(bindNsTotal/int64(iter)).Round(100*time.Nanosecond),
 		compileOnce.Round(time.Microsecond))
 
-	// Both accelerators must agree with the exact optimum on this size.
+	// The annealer and QAOA should both reach the exact optimum on this
+	// size.
 	if q.Energy(annealRes.Bits) != eOpt {
 		fmt.Println("note: annealer missed the optimum on this run")
 	}

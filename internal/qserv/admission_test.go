@@ -36,6 +36,9 @@ func TestAdmissionStatusCodes(t *testing.T) {
 	gate := `{"cqasm":` + string(cqasm) + `,"backend":"perfect","shots":8}`
 	unknownBackend := `{"cqasm":` + string(cqasm) + `,"backend":"nope"}`
 	quboJob := `{"qubo":{"n":3,"terms":[{"i":0,"j":0,"v":-1}]}}`
+	// One variable past the wire limit: refused before its matrix is
+	// allocated.
+	quboTooBig := `{"qubo":{"n":1025,"terms":[]}}`
 	// withPasses is a gate job compiling through spec, plus extra fields.
 	withPasses := func(spec, extra string) string {
 		return `{"cqasm":` + string(cqasm) + `,"shots":8,"passes":"` + spec + `"` + extra + `}`
@@ -96,6 +99,7 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		outOfRange:       "qubit 5 out of range",
 		garbage:          `line 1: bad operand "is not cQASM"`,
 		quboJob:          "QUBO payloads have no parameters to bind",
+		quboTooBig:       "qubo.n 1025 exceeds the limit of 1024 variables",
 		hugeDuration:     `gate "h" duration 10000000000 exceeds`,
 		condBitLive:      "condition bit 100 out of range",
 		condBitRealistic: "condition bit 100 out of range",
@@ -177,6 +181,8 @@ func TestAdmissionStatusCodes(t *testing.T) {
 
 		// Sessions pin gate programs: a QUBO body is refused.
 		{"live", "sessions", quboJob, http.StatusBadRequest, false},
+		{"live", "submit", quboTooBig, http.StatusBadRequest, false},
+		{"live", "sessions", quboTooBig, http.StatusBadRequest, false},
 
 		{"live", "unknown-bind", `{"values":{}}`, http.StatusNotFound, false},
 

@@ -3,18 +3,19 @@ package qserv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/anneal"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/cqasm"
 	"repro/internal/obs"
 	"repro/internal/openql"
+	"repro/internal/qubo"
 	"repro/internal/target"
 )
 
@@ -315,58 +316,39 @@ func parseCQASM(name, text string) (*openql.Program, error) {
 	return openql.ProgramFromCircuit(name, prog.Flatten()), nil
 }
 
-// AccelBackend adapts an accel.Accelerator — the annealers and classical
-// co-processors of Fig 1 — to the service. build turns a request into an
-// accelerator instance (configured with the per-job seed) plus its
-// offloadable task, returning false when the payload does not fit.
-type AccelBackend struct {
-	Label string
-	build func(r *Request, seed int64) (accel.Accelerator, accel.Task, bool)
+// QUBOBackend is a QUBO lane of the Fig 1 host: the simulated quantum
+// annealer, or the classical co-processor stand-in. It accepts a QUBO of
+// at most maxVars variables and minimises it with solve, given the job's
+// derived seed.
+type QUBOBackend struct {
+	Label   string
+	maxVars int
+	solve   func(q *qubo.QUBO, seed int64) *anneal.Result
 }
 
 // Name returns the backend label.
-func (b *AccelBackend) Name() string { return b.Label }
+func (b *QUBOBackend) Name() string { return b.Label }
 
-// Accepts reports whether the accelerator can run the request.
-func (b *AccelBackend) Accepts(r *Request) bool {
-	_, _, ok := b.build(r, 0)
-	return ok
+// Accepts reports whether the request is a QUBO the lane can take.
+func (b *QUBOBackend) Accepts(r *Request) bool {
+	return r.QUBO != nil && r.QUBO.N <= b.maxVars
 }
 
-// Run builds the task and offloads it to the wrapped accelerator.
-func (b *AccelBackend) Run(r *Request, seed int64, _ *CompileEnv) (*Result, bool, error) {
-	acc, t, ok := b.build(r, seed)
-	if !ok {
-		return nil, false, fmt.Errorf("qserv: backend %q cannot run this payload", b.Label)
-	}
-	out, err := acc.Execute(t)
-	if err != nil {
-		return nil, false, err
-	}
-	switch v := out.(type) {
-	case *anneal.Result:
-		return &Result{Anneal: v}, false, nil
-	case *core.Report:
-		return &Result{Report: v}, false, nil
-	default:
-		return nil, false, fmt.Errorf("qserv: backend %q returned unexpected %T", b.Label, out)
-	}
+// Run minimises the request's QUBO.
+func (b *QUBOBackend) Run(r *Request, seed int64, _ *CompileEnv) (*Result, bool, error) {
+	return &Result{Anneal: b.solve(r.QUBO, seed)}, false, nil
 }
 
-// NewAnnealBackend wraps the simulated quantum annealer (or the digital
-// annealer when digital is true) as a QUBO backend; each job anneals with
-// its own derived seed.
-func NewAnnealBackend(label string, digital bool, sqa anneal.SQAOptions, da anneal.DigitalAnnealerOptions) *AccelBackend {
-	return &AccelBackend{
-		Label: label,
-		build: func(r *Request, seed int64) (accel.Accelerator, accel.Task, bool) {
-			if r.QUBO == nil {
-				return nil, nil, false
-			}
-			jobSQA, jobDA := sqa, da
-			jobSQA.Seed, jobDA.Seed = seed, seed
-			acc := &accel.AnnealAccelerator{Digital: digital, SQA: jobSQA, DA: jobDA}
-			return acc, accel.AnnealTask{Q: r.QUBO}, true
+// NewAnnealBackend wraps the simulated quantum annealer as a QUBO backend
+// of any size; each job anneals with sqa and its own derived seed.
+func NewAnnealBackend(label string, sqa anneal.SQAOptions) *QUBOBackend {
+	return &QUBOBackend{
+		Label:   label,
+		maxVars: math.MaxInt,
+		solve: func(q *qubo.QUBO, seed int64) *anneal.Result {
+			opts := sqa
+			opts.Seed = seed
+			return anneal.SolveQUBOQuantum(q, opts)
 		},
 	}
 }
@@ -374,26 +356,13 @@ func NewAnnealBackend(label string, digital bool, sqa anneal.SQAOptions, da anne
 // NewClassicalFallback returns the classical co-processor stand-in: it
 // brute-forces QUBOs of at most maxVars variables exactly — the fallback
 // lane for problems small enough that quantum offload is not worth it.
-func NewClassicalFallback(label string, maxVars int) *AccelBackend {
-	acc := &accel.ClassicalAccelerator{Label: label}
-	return &AccelBackend{
-		Label: label,
-		build: func(r *Request, _ int64) (accel.Accelerator, accel.Task, bool) {
-			if r.QUBO == nil || r.QUBO.N > maxVars {
-				return nil, nil, false
-			}
-			q := r.QUBO
-			return acc, accel.ClassicalTask{
-				Name: "qubo-bruteforce",
-				F: func() (interface{}, error) {
-					bits, energy := q.BruteForce()
-					spins := make([]int, len(bits))
-					for i, b := range bits {
-						spins[i] = 2*b - 1
-					}
-					return &anneal.Result{Spins: spins, Bits: bits, Energy: energy}, nil
-				},
-			}, true
+func NewClassicalFallback(label string, maxVars int) *QUBOBackend {
+	return &QUBOBackend{
+		Label:   label,
+		maxVars: maxVars,
+		solve: func(q *qubo.QUBO, _ int64) *anneal.Result {
+			bits, energy := q.BruteForce()
+			return &anneal.Result{Spins: qubo.BitsToSpins(bits), Bits: bits, Energy: energy}
 		},
 	}
 }
@@ -401,6 +370,6 @@ func NewClassicalFallback(label string, maxVars int) *AccelBackend {
 // Compile-time interface checks.
 var (
 	_ Backend     = (*StackBackend)(nil)
-	_ Backend     = (*AccelBackend)(nil)
+	_ Backend     = (*QUBOBackend)(nil)
 	_ gateBackend = (*StackBackend)(nil)
 )

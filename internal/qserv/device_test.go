@@ -218,7 +218,7 @@ func TestDeviceOverrideValidation(t *testing.T) {
 	s := New(Config{Seed: 1})
 	s.AddBackend(NewStackBackend(core.NewPerfect(5, 1)), 1)
 	s.AddBackend(NewStackBackend(core.NewSemiconducting(1)), 1)
-	s.AddBackend(NewAnnealBackend("annealer", false, anneal.SQAOptions{}, anneal.DigitalAnnealerOptions{}), 1)
+	s.AddBackend(NewAnnealBackend("annealer", anneal.SQAOptions{}), 1)
 	s.Start()
 	t.Cleanup(s.Stop)
 
@@ -254,7 +254,7 @@ func TestDeviceOverrideValidation(t *testing.T) {
 func TestHTTPBackendsEndpoint(t *testing.T) {
 	s := New(Config{Seed: 1})
 	s.AddBackend(NewStackBackend(core.NewSuperconducting(1)), 2)
-	s.AddBackend(NewAnnealBackend("annealer", false, anneal.SQAOptions{}, anneal.DigitalAnnealerOptions{}), 1)
+	s.AddBackend(NewAnnealBackend("annealer", anneal.SQAOptions{}), 1)
 	s.Start()
 	t.Cleanup(s.Stop)
 	srv := httptest.NewServer(s.Handler())

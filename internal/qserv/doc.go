@@ -19,7 +19,7 @@
 //	            full-artefact cache ◀─shared──┤                │
 //	           prefix-artefact cache ◀─shared─┘                │
 //	                        │                                  │
-//	                  core.Stack.RunCompiled           accel.Accelerator
+//	                  core.Stack.RunCompiled           QUBOBackend.solve
 //	                        │
 //	                   qx.Dispatch (stabilizer | optimized)
 //
@@ -32,11 +32,12 @@
 // condition bit out of range, a non-finite angle, text that is not
 // cQASM) or one wider than the routed stack is a 400 naming the
 // problem, and the admitted request carries the parsed program in place
-// of its text. A
+// of its text. A wire QUBO of more than 1,024 variables is a 400 too,
+// refused before its dense matrix is allocated. A
 // bounded memo keyed by a SHA-256 of the program name and text keeps
 // each parsed program, with the canonical kernel text its compile-cache
-// keys are built from, so an accelerator host that offloads the same
-// kernel again and again parses it once; memoised programs are shared
+// keys are built from, so a client that submits the same kernel again
+// and again has it parsed once; memoised programs are shared
 // read-only, like every compile input.
 //
 // Admission also decides, once, what a gate job runs on (the private
@@ -64,8 +65,8 @@
 //
 // Queues are per backend, each drained by its own fixed-size worker pool
 // — a gate-based core.Stack (perfect, superconducting, semiconducting),
-// the simulated quantum annealer, or the classical fallback from
-// internal/accel — so a slow realistic-stack job cannot head-of-line
+// or a QUBOBackend: the simulated quantum annealer or the classical
+// brute-force fallback — so a slow realistic-stack job cannot head-of-line
 // block the perfect-qubit lane, mirroring how a heterogeneous system of
 // Fig 1 runs its co-processors independently.
 //
@@ -293,8 +294,9 @@
 // levels (qserv_compile_cache_ops_total{level=full|prefix}, per-backend
 // qserv_compile_cache_skips_total{level="prefix"} counting kernels
 // served suffix-only) and per-pass compile timings — so operators can
-// see where the time went, the service-level analogue of the host's
-// Amdahl accounting in internal/accel. A job's trace carries the
+// see where the time went. Per-backend completed jobs and worker busy
+// seconds are the host's Amdahl accounting: how much of the total time
+// each accelerator took. A job's trace carries the
 // per-kernel breakdown: one "kernel:<name>" span per kernel, marked
 // prefix_cached when its prefix artefact came from the cache. Every
 // response body is compact JSON.

@@ -59,9 +59,16 @@ type QUBOTerm struct {
 	V float64 `json:"v"`
 }
 
+// maxQUBOVars bounds a wire QUBO's size before its dense n×n matrix is
+// allocated: 1,024 variables is an 8 MiB matrix.
+const maxQUBOVars = 1024
+
 func (q *QUBOJSON) toQUBO() (*qubo.QUBO, error) {
 	if q.N <= 0 {
 		return nil, fmt.Errorf("qserv: qubo.n must be positive, got %d", q.N)
+	}
+	if q.N > maxQUBOVars {
+		return nil, fmt.Errorf("qserv: qubo.n %d exceeds the limit of %d variables", q.N, maxQUBOVars)
 	}
 	out := qubo.New(q.N)
 	for _, t := range q.Terms {

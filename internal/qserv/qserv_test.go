@@ -213,7 +213,7 @@ func TestCacheSingleflightAndLRU(t *testing.T) {
 
 func TestAnnealAndClassicalBackends(t *testing.T) {
 	s := New(Config{Seed: 3})
-	s.AddBackend(NewAnnealBackend("annealer", false, anneal.SQAOptions{Sweeps: 200}, anneal.DigitalAnnealerOptions{}), 2)
+	s.AddBackend(NewAnnealBackend("annealer", anneal.SQAOptions{Sweeps: 200}), 2)
 	s.AddBackend(NewClassicalFallback("classical", 16), 1)
 	s.Start()
 	defer s.Stop()
@@ -252,6 +252,49 @@ func TestAnnealAndClassicalBackends(t *testing.T) {
 		t.Errorf("routed to %s, want annealer", j.Backend())
 	}
 	j.Wait(ctx)
+
+	// With the classical lane registered first, its size bound decides
+	// routing: a QUBO it can take stays there, a larger one goes on to
+	// the annealer, and naming the classical lane for it is refused.
+	s2 := New(Config{Seed: 3})
+	s2.AddBackend(NewClassicalFallback("classical", 4), 1)
+	s2.AddBackend(NewAnnealBackend("annealer", anneal.SQAOptions{Sweeps: 200}), 1)
+	s2.Start()
+	defer s2.Stop()
+	q5 := qubo.New(5)
+	q5.Set(4, 4, -1)
+	for _, c := range []struct {
+		q    *qubo.QUBO
+		want string
+	}{{q, "classical"}, {q5, "annealer"}} {
+		j, err := s2.Submit(Request{QUBO: c.q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Backend() != c.want {
+			t.Errorf("%d-variable QUBO routed to %s, want %s", c.q.N, j.Backend(), c.want)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatalf("%s: %v", c.want, err)
+		}
+	}
+	if _, err := s2.Submit(Request{QUBO: q5, Backend: "classical"}); err == nil ||
+		!strings.Contains(err.Error(), "does not accept this payload") {
+		t.Errorf("5-variable QUBO named to a 4-variable classical lane: err %v", err)
+	}
+	var buf bytes.Buffer
+	if err := s2.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"classical", "annealer"} {
+		if done := metricValue(t, m, `qserv_jobs_completed_total{backend="`+b+`",status="done"}`); done != 1 {
+			t.Errorf("%s completed %v jobs, want 1", b, done)
+		}
+	}
 }
 
 // blockingBackend runs jobs only when released — for backpressure tests.

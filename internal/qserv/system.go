@@ -35,7 +35,7 @@ func DefaultService(cfg Config, qubits int, workers int) *Service {
 		stack.KernelWorkers = kernelWorkers
 		s.AddBackend(NewStackBackend(stack), workers)
 	}
-	s.AddBackend(NewAnnealBackend("annealer", false, anneal.SQAOptions{}, anneal.DigitalAnnealerOptions{}), workers)
+	s.AddBackend(NewAnnealBackend("annealer", anneal.SQAOptions{}), workers)
 	s.AddBackend(NewClassicalFallback("classical", 20), workers)
 	return s
 }
