@@ -282,14 +282,7 @@ func TestAnnealAndClassicalBackends(t *testing.T) {
 		!strings.Contains(err.Error(), "does not accept this payload") {
 		t.Errorf("5-variable QUBO named to a 4-variable classical lane: err %v", err)
 	}
-	var buf bytes.Buffer
-	if err := s2.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := obs.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := scrape(t, s2.Handler())
 	for _, b := range []string{"classical", "annealer"} {
 		if done := metricValue(t, m, `qserv_jobs_completed_total{backend="`+b+`",status="done"}`); done != 1 {
 			t.Errorf("%s completed %v jobs, want 1", b, done)
